@@ -33,6 +33,7 @@ from .bath import (
     gamma_b,
     propagate,
     propagate_integrator,
+    response,
 )
 from .coherent import (
     Branch,
@@ -42,6 +43,8 @@ from .coherent import (
     PhaseOpSum,
     ReducedDensity,
     Spectrum,
+    damped_density,
+    damped_occupations,
     eigenvalues,
     expectation,
     gram,
@@ -54,6 +57,7 @@ from .coherent import (
     reduce,
 )
 from .errors import (
+    AuditError,
     CapacityError,
     ConfigError,
     DegenerateSpanError,
@@ -64,7 +68,7 @@ from .errors import (
     UnsupportedInputError,
     ZeroStateError,
 )
-from .lindblad import MasterParams, me_amplitude, me_dyad_factor, me_reduce
+from .lindblad import MasterParams, me_amplitude, me_dyad_factor, me_reduce, me_response
 from .protocol import (
     CorrelationRecord,
     DetectionOutcome,

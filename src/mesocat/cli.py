@@ -18,8 +18,10 @@ against the probability and conservation identities.
 
 Exit codes: 0 success; 1 other domain error (reported on stderr); 2 config
 schema violation; 3 zero-probability state preparation; 4 positivity
-violation.  The only environment variable honored is MESOCAT_LOG (debug |
-info | warning, default warning); it changes verbosity only, never results.
+violation; a failed self-audit is a domain error (exit 1).  The only
+environment variable honored is MESOCAT_LOG (debug | info | warning | error
+| critical, default warning; any other value is reported and ignored); it
+changes verbosity only, never results.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import os
 import sys
 
 from .config import SWEEPABLE, load_scenario
-from .errors import ConfigError, MesocatError, PositivityError, ZeroStateError
+from .errors import AuditError, ConfigError, MesocatError, PositivityError, ZeroStateError
 from .runner import ROW_FIELDS, run_compare, run_scenario, run_sweep
 
 log = logging.getLogger("mesocat")
@@ -72,7 +74,7 @@ def _read_back(cfg_output, fieldnames) -> list[dict]:
             return json.load(fh)
         header = fh.readline().strip().split(",")
         if header != list(fieldnames):
-            raise RuntimeError("self-audit: header mismatch")
+            raise AuditError("self-audit: header mismatch")
         rows = []
         for line in fh:
             cells = line.strip().split(",")
@@ -92,24 +94,24 @@ def _audit_rows(rows: list[dict], suffix: str, conserved: bool) -> None:
         for name in ("p_ee", "p_eg", "p_ge", "p_gg"):
             val = row[name + suffix]
             if not -1e-9 <= val <= 1.0 + 1e-9:
-                raise RuntimeError(f"self-audit: {name}{suffix} out of range in row {idx}")
+                raise AuditError(f"self-audit: {name}{suffix} out of range in row {idx}")
         if abs(p_ee + p_eg - 1.0) > _PROB_SUM_TOL or abs(p_ge + p_gg - 1.0) > _PROB_SUM_TOL:
-            raise RuntimeError(f"self-audit: probability rows do not sum to 1 in row {idx}")
+            raise AuditError(f"self-audit: probability rows do not sum to 1 in row {idx}")
         if abs(row["eta" + suffix] - (p_ee - p_ge)) > _PROB_SUM_TOL:
-            raise RuntimeError(f"self-audit: eta inconsistent in row {idx}")
+            raise AuditError(f"self-audit: eta inconsistent in row {idx}")
         if conserved:
             total = row["n_field" + suffix] + row["n_bath" + suffix]
             if n0 is None:
                 n0 = total
             elif abs(total - n0) > _OCCUPATION_TOL:
-                raise RuntimeError(f"self-audit: occupation drifts in row {idx}")
+                raise AuditError(f"self-audit: occupation drifts in row {idx}")
 
 
 def _audit_output(cfg_output, fieldnames, groups) -> None:
     """groups: list of (suffix, conserved) column groups present in the file."""
     rows = _read_back(cfg_output, fieldnames)
     if not rows:
-        raise RuntimeError("self-audit: no rows written")
+        raise AuditError("self-audit: no rows written")
     by_sweep: dict = {}
     for row in rows:
         by_sweep.setdefault(row.get("sweep_value"), []).append(row)
@@ -201,10 +203,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=getattr(logging, os.environ.get("MESOCAT_LOG", "warning").upper(), logging.WARNING)
-    )
+    requested = os.environ.get("MESOCAT_LOG", "warning")
+    known = requested.lower() in _LOG_LEVELS
+    logging.basicConfig(level=requested.upper() if known else logging.WARNING)
+    if not known:
+        log.warning("ignoring MESOCAT_LOG=%r: expected one of %s", requested, ", ".join(_LOG_LEVELS))
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -73,19 +73,21 @@ def overlap(a: complex, b: complex) -> complex:
     return cmath.exp(-0.5 * (_abs2(a) + _abs2(b)) + a.conjugate() * b)
 
 
-def _gram_entries(labels: np.ndarray) -> np.ndarray:
-    a2 = labels.real**2 + labels.imag**2
-    expo = -0.5 * (a2[:, None] + a2[None, :]) + np.conj(labels)[:, None] * labels[None, :]
-    np.fill_diagonal(expo, 0.0)  # the self-overlap exponent is identically zero
-    return np.exp(expo)
-
-
-def _cross_overlaps(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Matrix X[p, q] = <bras[p] | kets[q]>."""
+def _overlap_exponents(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """E[p, q] = conj(b_p) k_q - (|b_p|^2 + |k_q|^2)/2, so that <b_p|k_q> = exp(E[p, q])."""
     b2 = bras.real**2 + bras.imag**2
     k2 = kets.real**2 + kets.imag**2
-    expo = -0.5 * (b2[:, None] + k2[None, :]) + np.conj(bras)[:, None] * kets[None, :]
-    return np.exp(expo)
+    return -0.5 * (b2[:, None] + k2[None, :]) + np.conj(bras)[:, None] * kets[None, :]
+
+
+def _gram_exponents(labels: np.ndarray) -> np.ndarray:
+    expo = _overlap_exponents(labels, labels)
+    np.fill_diagonal(expo, 0.0)  # the self-overlap exponent is identically zero
+    return expo
+
+
+def _gram_entries(labels: np.ndarray) -> np.ndarray:
+    return np.exp(_gram_exponents(labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,16 +295,64 @@ def reduce(state: FieldBathSuperposition) -> ReducedDensity:
     return ReducedDensity(tuple(reps), _restore_unit_trace(reps, coeff))
 
 
+def _bath_free_arrays(state: FieldBathSuperposition, name: str) -> tuple[np.ndarray, np.ndarray]:
+    if not state.normalized:
+        raise InvalidArgumentError(f"{name}() needs a normalized state")
+    if state.n_bath_modes != 0:
+        raise InvalidArgumentError(f"{name}() needs a bath-free state")
+    weights = np.array([br.weight for br in state.branches], dtype=complex)
+    return weights, np.array([br.field for br in state.branches], dtype=complex)
+
+
+def damped_density(state: FieldBathSuperposition, g: complex, depletion: float) -> ReducedDensity:
+    """Field density of a bath-free superposition after a linear damping flow.
+
+    The flow maps each label a_i to a_i g and leaves the environment with
+    depletion B = sum_k |f_k|^2: the exact discrete bath (see
+    ``bath.response``) or the master equation (g = e^{-gamma t/2},
+    B = 1 - e^{-gamma t}).  Tracing the environment out gives
+
+        M_ij = w_i conj(w_j) exp[(conj(a_j) a_i - (|a_i|^2 + |a_j|^2)/2) B]
+
+    over the labels a_i g, which equals reduce(evolve(...)) without any
+    per-mode product.  Labels are clustered and the trace restored as in
+    :func:`reduce`.
+    """
+    weights, labels = _bath_free_arrays(state, "damped_density")
+    pair = np.outer(weights, weights.conj()) * np.exp(_gram_exponents(labels).T * depletion)
+    reps, coeff = _merge_coeff([complex(l) for l in labels * g], pair)
+    return ReducedDensity(tuple(reps), _restore_unit_trace(reps, coeff))
+
+
+def damped_occupations(state: FieldBathSuperposition, g, depletion) -> tuple[np.ndarray, np.ndarray]:
+    """(n_field, n_bath) of the damped superposition for arrays of g and B.
+
+    With s = |g|^2 + B (1 for a unitary flow) and
+    Q = sum_pq conj(w_p a_p) w_q a_q <a_p|a_q>^s, the field holds |g|^2 Q and
+    the environment B Q: the closed form of :func:`occupations`.
+    """
+    weights, labels = _bath_free_arrays(state, "damped_occupations")
+    g = np.asarray(g, dtype=complex)
+    depletion = np.asarray(depletion, dtype=float)
+    g2 = g.real**2 + g.imag**2
+    wa = weights * labels
+    scaled = np.exp(_gram_exponents(labels) * (g2 + depletion)[..., None, None])
+    q = np.einsum("pq,...pq->...", np.outer(wa.conj(), wa), scaled).real
+    return g2 * q, depletion * q
+
+
+def _merge_coeff(labels, coeff: np.ndarray) -> tuple[list[complex], np.ndarray]:
+    """Cluster the labels and sum the coefficients of those merged together."""
+    reps, assign = _cluster_labels(labels)
+    idx = np.asarray(assign)
+    merged = np.zeros((len(reps), len(reps)), dtype=complex)
+    np.add.at(merged, (idx[:, None], idx[None, :]), coeff)
+    return reps, merged
+
+
 def _merged_density(rho: ReducedDensity) -> ReducedDensity:
-    reps, assign = _cluster_labels(rho.labels)
-    if len(reps) == len(rho.labels):
-        return rho
-    n = len(reps)
-    coeff = np.zeros((n, n), dtype=complex)
-    for i, a in enumerate(assign):
-        for j, b in enumerate(assign):
-            coeff[a, b] += rho.coeff[i, j]
-    return ReducedDensity(tuple(reps), coeff)
+    reps, coeff = _merge_coeff(rho.labels, rho.coeff)
+    return rho if len(reps) == len(rho.labels) else ReducedDensity(tuple(reps), coeff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,9 +433,10 @@ def mean_photon(rho: ReducedDensity) -> float:
 
 
 def _wrap_phase(phase: float) -> float:
+    """Phase modulo 2 pi in (-pi, pi]; within 1e-15 of -pi it is taken as +pi."""
     p = math.remainder(phase, _TWO_PI)
     if p <= -math.pi + 1e-15:
-        p += _TWO_PI
+        p = min(p + _TWO_PI, math.pi)
     return p
 
 
@@ -450,7 +501,7 @@ def expectation(op: PhaseOpSum, rho: ReducedDensity) -> complex:
     total = 0.0 + 0.0j
     for w, p in op.terms:
         rotated = labels * cmath.exp(1j * p)
-        cross = _cross_overlaps(labels, rotated)
+        cross = np.exp(_overlap_exponents(labels, rotated))
         total += w * np.trace(rho.coeff @ cross)
     return complex(total)
 
@@ -463,6 +514,6 @@ def phase_op_matrix_element(op: PhaseOpSum, labels, bra_coeff, ket_coeff) -> com
     total = 0.0 + 0.0j
     for w, p in op.terms:
         rotated = labels * cmath.exp(1j * p)
-        cross = _cross_overlaps(labels, rotated)
+        cross = np.exp(_overlap_exponents(labels, rotated))
         total += w * (bra.conj() @ cross @ ket)
     return complex(total)

@@ -36,6 +36,10 @@ class UnsupportedInputError(MesocatError):
     """The input is valid in principle but outside this implementation's scope."""
 
 
+class AuditError(MesocatError):
+    """A written output file fails the CLI's read-back self-audit."""
+
+
 class ConfigError(MesocatError):
     """A scenario configuration fails schema validation.
 

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import (
-    FieldBathSuperposition,
-    ReducedDensity,
-    _cluster_labels,
-    _restore_unit_trace,
-)
+from .coherent import FieldBathSuperposition, ReducedDensity, damped_density
 from .errors import InvalidArgumentError
 
 
@@ -64,28 +59,29 @@ def me_dyad_factor(a: complex, b: complex, params: MasterParams, t: float) -> co
     return cmath.exp(expo)
 
 
+def me_response(params: MasterParams, times) -> tuple[np.ndarray, np.ndarray]:
+    """g(t) = e^{-gamma t/2} and depletion B(t) = 1 - e^{-gamma t} over a time grid.
+
+    The master equation's counterpart of ``bath.response``: every density
+    of this module is ``coherent.damped_density`` at these (g, B).
+    """
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)) or np.any(times < 0.0):
+        raise InvalidArgumentError("t must be nonnegative and finite")
+    return np.exp(-0.5 * params.gamma * times), -np.expm1(-params.gamma * times)
+
+
 def me_reduce(
     initial: FieldBathSuperposition, params: MasterParams, t: float
 ) -> ReducedDensity:
     """Field density at time t for a bath-free initial superposition.
 
-    Labels damp via :func:`me_amplitude` and each coefficient picks up
-    :func:`me_dyad_factor` of the initial label pair; the trace stays 1 by
-    construction.
+    Labels damp as in :func:`me_amplitude` and each coefficient picks up
+    :func:`me_dyad_factor` of its label pair; the trace stays 1.
     """
     if not initial.normalized:
         raise InvalidArgumentError("me_reduce() needs a normalized state")
     if initial.n_bath_modes != 0:
         raise InvalidArgumentError("the master-equation route is bath-free")
-    reps, assign = _cluster_labels([br.field for br in initial.branches])
-    n = len(reps)
-    coeff0 = np.zeros((n, n), dtype=complex)
-    for p, bp in enumerate(initial.branches):
-        for q, bq in enumerate(initial.branches):
-            coeff0[assign[p], assign[q]] += bp.weight * bq.weight.conjugate()
-    coeff0 = _restore_unit_trace(reps, coeff0)
-    factors = np.array(
-        [[me_dyad_factor(reps[i], reps[j], params, t) for j in range(n)] for i in range(n)]
-    )
-    labels_t = tuple(me_amplitude(l, params, t) for l in reps)
-    return ReducedDensity(labels_t, coeff0 * factors)
+    g, depletion = me_response(params, t)
+    return damped_density(initial, complex(g), float(depletion))

@@ -186,8 +186,13 @@ class CorrelationRecord:
             raise PositivityError("p_ge + p_gg != 1 beyond tolerance")
 
 
-def _probability(op: PhaseOpSum, rho: ReducedDensity) -> float:
-    val = expectation(op, rho)
+def checked_probability(val: complex) -> float:
+    """A computed probability, clamped to [0, 1] once it passes the roundoff checks.
+
+    Raises :class:`PositivityError` for an imaginary part or a distance from
+    [0, 1] beyond the tolerance.
+    """
+    val = complex(val)
     if abs(val.imag) > _PROBABILITY_TOL:
         raise PositivityError(f"probability has imaginary part {val.imag!r}")
     if not -_PROBABILITY_TOL <= val.real <= 1.0 + _PROBABILITY_TOL:
@@ -206,10 +211,10 @@ def conditional_probabilities(
     """
     mp_e = measurement_product(params, DetectionOutcome.E)
     mp_g = measurement_product(params, DetectionOutcome.G)
-    p_ee = _probability(mp_e, rho_e)
-    p_eg = _probability(mp_g, rho_e)
-    p_ge = _probability(mp_e, rho_g)
-    p_gg = _probability(mp_g, rho_g)
+    p_ee = checked_probability(expectation(mp_e, rho_e))
+    p_eg = checked_probability(expectation(mp_g, rho_e))
+    p_ge = checked_probability(expectation(mp_e, rho_g))
+    p_gg = checked_probability(expectation(mp_g, rho_g))
     return CorrelationRecord(p_ee, p_eg, p_ge, p_gg, eta=p_ee - p_ge)
 
 

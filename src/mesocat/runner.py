@@ -5,23 +5,33 @@ the four conditional probabilities and eta, the eigenvalue pairs of both
 conditioned densities, purities, occupations and the recurrence flag.
 Times are reported in units of t_c = 1/gamma.
 
+The two analytic engines are one computation.  The prepared field stays a
+superposition of product-coherent branches, so the environment reaches it
+only through the field response g(t) and the depletion B(t): the exact
+discrete bath gives both over the whole grid in one matrix product
+(``bath.response``), the master equation in closed form
+(``lindblad.me_response``).  One row builder turns (g, B) into rows:
+``coherent.damped_density`` gives both conditioned densities at each time;
+gamma_a, gamma_b and the occupations are closed forms in (g, B); the
+probabilities, spectra and purities go through the same checked routines
+as any other density.  The compare summary's short-time defect slopes are
+fitted to rows from the same builder.  The brute-force Fock engine
+integrates its Lindblad equation through the grid in order.
+
 Eigenvalue columns: when the two field labels are an antipodal pair (case A
 at phi = pi) lam_plus/lam_minus are assigned by eigenvector parity, i.e. the
 |alpha> + |-alpha> branch is "plus" even when it carries the smaller
-eigenvalue, matching the closed-form pair.  Otherwise the labels are only
+eigenvalue, matching the closed-form pair (the Fock engine reads them off
+the even and odd photon-number blocks).  Otherwise the labels are only
 defined up to ordering and the columns hold the descending values.
 
-Independent grid times are evaluated concurrently (thread pool; results are
-assembled in grid order, so output bytes do not depend on scheduling).  The
-brute-force engine steps sequentially because each grid point continues the
-previous integration.
+Everything runs serially in grid order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,32 +40,6 @@ from . import coherent, fock, lindblad
 from . import protocol as proto
 from .config import ScenarioConfig, apply_sweep_value
 from .errors import InvalidArgumentError
-
-ROW_FIELDS = (
-    "t",
-    "gamma_a",
-    "gamma_b_abs",
-    "gamma_b_arg",
-    "p_ee",
-    "p_eg",
-    "p_ge",
-    "p_gg",
-    "eta",
-    "lam_e_plus",
-    "lam_e_minus",
-    "lam_g_plus",
-    "lam_g_minus",
-    "purity_e",
-    "purity_g",
-    "defect_e",
-    "defect_g",
-    "n_field",
-    "n_bath",
-    "recurrence_warning",
-)
-
-_MAX_WORKERS = 8
-
 
 @dataclass(frozen=True)
 class TimeSeriesRow:
@@ -84,6 +68,10 @@ class TimeSeriesRow:
         return {name: getattr(self, name) for name in ROW_FIELDS}
 
 
+#: column order of every output table: the TimeSeriesRow fields
+ROW_FIELDS = tuple(f.name for f in fields(TimeSeriesRow))
+
+
 def scenario_params(cfg: ScenarioConfig) -> proto.ProtocolParams:
     case = proto.ProtocolCase.CASE_A if cfg.case == "a" else proto.ProtocolCase.CASE_B
     return proto.ProtocolParams(case, cfg.alpha0, cfg.phi)
@@ -92,6 +80,10 @@ def scenario_params(cfg: ScenarioConfig) -> proto.ProtocolParams:
 def time_grid(cfg: ScenarioConfig) -> np.ndarray:
     """Grid in units of t_c, from 0 to t_max_over_tc inclusive."""
     return np.linspace(0.0, cfg.time.t_max_over_tc, cfg.time.points)
+
+
+#: Frobenius norm below which a Fock density counts as parity-block-diagonal
+PARITY_BLOCK_TOL = 1e-12
 
 
 def _labels_antipodal(labels) -> bool:
@@ -116,127 +108,75 @@ def _assign_from_spectrum(spec: coherent.Spectrum) -> tuple[float, float]:
     return lams[0], lams[1]
 
 
-def _pair_diagnostics(state: coherent.FieldBathSuperposition) -> tuple[float, complex]:
-    """(gamma_a, gamma_b) of a prepared/evolved state; trivial for one branch."""
-    if len(state.branches) == 1:
-        return 1.0, 1.0 + 0.0j
-    return bathmod.gamma_a(state), bathmod.gamma_b(state)
-
-
-def _microscopic_rows(cfg: ScenarioConfig, params: proto.ProtocolParams) -> list[TimeSeriesRow]:
-    spec = bathmod.discretize_flat_band(
-        cfg.bath.gamma, cfg.bath.modes, cfg.bath.half_bandwidth
+def _row(t_tc, g_a, g_b: complex, rec, lam_e, lam_g, pur_e, pur_g, n_field, n_bath, recurrence):
+    """One TimeSeriesRow; arguments in ROW_FIELDS order, with gamma_b still complex."""
+    return TimeSeriesRow(
+        float(t_tc), float(g_a), abs(g_b), math.atan2(g_b.imag, g_b.real),
+        rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta, *lam_e, *lam_g,
+        pur_e, pur_g, 1.0 - pur_e, 1.0 - pur_g, float(n_field), float(n_bath), bool(recurrence),
     )
+
+
+def _pair_factors(state, g: np.ndarray, depletion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gamma_a = |<a_2 g|a_1 g>| and gamma_b = exp(z B) over the grid; trivial for one branch.
+
+    z is the exponent of <a_2|a_1>, the same one ``coherent.damped_density`` uses.
+    """
+    if len(state.branches) == 1:
+        return np.ones(len(g)), np.ones(len(g), dtype=complex)
+    z = coherent._gram_exponents(np.array([br.field for br in state.branches]))[1, 0]
+    return np.abs(np.exp(z * (g.real**2 + g.imag**2))), np.exp(z * depletion)
+
+
+def _analytic_rows(cfg: ScenarioConfig, params, times_tc: np.ndarray) -> list[TimeSeriesRow]:
+    """Rows of the configured analytic engine at the given times (units of t_c)."""
+    if cfg.engine == "microscopic":
+        spec = bathmod.discretize_flat_band(
+            cfg.bath.gamma, cfg.bath.modes, cfg.bath.half_bandwidth
+        )
+        times = times_tc * (1.0 / cfg.bath.gamma)
+        g, depletion = bathmod.response(spec, times)
+        recurrence = times > bathmod.RECURRENCE_FRACTION * spec.recurrence_time
+    else:
+        times = times_tc * (1.0 / cfg.master.gamma)
+        g, depletion = lindblad.me_response(lindblad.MasterParams(cfg.master.gamma), times)
+        recurrence = np.zeros(len(times), dtype=bool)
     state_e = proto.prepare(params, proto.DetectionOutcome.E)
     state_g = proto.prepare(params, proto.DetectionOutcome.G)
-    t_c = 1.0 / cfg.bath.gamma
-
-    def compute(t_tc: float) -> TimeSeriesRow:
-        t = t_tc * t_c
-        se = bathmod.evolve(state_e, spec, t)
-        sg = bathmod.evolve(state_g, spec, t)
-        rho_e = coherent.reduce(se)
-        rho_g = coherent.reduce(sg)
+    g_a, g_b = _pair_factors(state_e, g, depletion)
+    n_field, n_bath = coherent.damped_occupations(state_e, g, depletion)
+    rows = []
+    for i, t_tc in enumerate(times_tc):
+        rho_e = coherent.damped_density(state_e, g[i], depletion[i])
+        rho_g = coherent.damped_density(state_g, g[i], depletion[i])
         rec = proto.conditional_probabilities(rho_e, rho_g, params)
         lam_e = _assign_from_spectrum(coherent.eigenvalues(rho_e))
         lam_g = _assign_from_spectrum(coherent.eigenvalues(rho_g))
         pur_e, pur_g = coherent.purity(rho_e), coherent.purity(rho_g)
-        g_a, g_b = _pair_diagnostics(se)
-        n_field, n_bath = coherent.occupations(se)
-        return TimeSeriesRow(
-            t=t_tc,
-            gamma_a=g_a,
-            gamma_b_abs=abs(g_b),
-            gamma_b_arg=math.atan2(g_b.imag, g_b.real),
-            p_ee=rec.p_ee,
-            p_eg=rec.p_eg,
-            p_ge=rec.p_ge,
-            p_gg=rec.p_gg,
-            eta=rec.eta,
-            lam_e_plus=lam_e[0],
-            lam_e_minus=lam_e[1],
-            lam_g_plus=lam_g[0],
-            lam_g_minus=lam_g[1],
-            purity_e=pur_e,
-            purity_g=pur_g,
-            defect_e=1.0 - pur_e,
-            defect_g=1.0 - pur_g,
-            n_field=n_field,
-            n_bath=n_bath,
-            recurrence_warning=bool(t > bathmod.RECURRENCE_FRACTION * spec.recurrence_time),
-        )
-
-    grid = time_grid(cfg)
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, len(grid))) as pool:
-        return list(pool.map(compute, grid))
+        rows.append(_row(t_tc, g_a[i], complex(g_b[i]), rec, lam_e, lam_g, pur_e, pur_g,
+                         n_field[i], n_bath[i], recurrence[i]))
+    return rows
 
 
-def _master_rows(cfg: ScenarioConfig, params: proto.ProtocolParams) -> list[TimeSeriesRow]:
-    mp = lindblad.MasterParams(cfg.master.gamma)
-    state_e = proto.prepare(params, proto.DetectionOutcome.E)
-    state_g = proto.prepare(params, proto.DetectionOutcome.G)
-    labels0 = [br.field for br in state_e.branches]
-    t_c = 1.0 / cfg.master.gamma
-    n_field_0 = coherent.mean_photon(coherent.reduce(state_e))
+def _fock_assign(matrix: np.ndarray, labels_t) -> tuple[float, float]:
+    """(lam_plus, lam_minus) of a Fock density matrix.
 
-    def compute(t_tc: float) -> TimeSeriesRow:
-        t = t_tc * t_c
-        rho_e = lindblad.me_reduce(state_e, mp, t)
-        rho_g = lindblad.me_reduce(state_g, mp, t)
-        rec = proto.conditional_probabilities(rho_e, rho_g, params)
-        lam_e = _assign_from_spectrum(coherent.eigenvalues(rho_e))
-        lam_g = _assign_from_spectrum(coherent.eigenvalues(rho_g))
-        pur_e, pur_g = coherent.purity(rho_e), coherent.purity(rho_g)
-        if len(labels0) == 1:
-            g_a, g_b = 1.0, 1.0 + 0.0j
-        else:
-            l0_t = lindblad.me_amplitude(labels0[0], mp, t)
-            l1_t = lindblad.me_amplitude(labels0[1], mp, t)
-            g_a = abs(coherent.overlap(l1_t, l0_t))
-            g_b = lindblad.me_dyad_factor(labels0[0], labels0[1], mp, t)
-        n_field = coherent.mean_photon(rho_e)
-        return TimeSeriesRow(
-            t=t_tc,
-            gamma_a=g_a,
-            gamma_b_abs=abs(g_b),
-            gamma_b_arg=math.atan2(g_b.imag, g_b.real),
-            p_ee=rec.p_ee,
-            p_eg=rec.p_eg,
-            p_ge=rec.p_ge,
-            p_gg=rec.p_gg,
-            eta=rec.eta,
-            lam_e_plus=lam_e[0],
-            lam_e_minus=lam_e[1],
-            lam_g_plus=lam_g[0],
-            lam_g_minus=lam_g[1],
-            purity_e=pur_e,
-            purity_g=pur_g,
-            defect_e=1.0 - pur_e,
-            defect_g=1.0 - pur_g,
-            n_field=n_field,
-            n_bath=n_field_0 - n_field,
-            recurrence_warning=False,
-        )
-
-    grid = time_grid(cfg)
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, len(grid))) as pool:
-        return list(pool.map(compute, grid))
-
-
-def _fock_assign(matrix: np.ndarray, labels_t, n_max: int) -> tuple[float, float]:
-    lams, vecs = np.linalg.eigh(matrix)
-    order = np.argsort(lams, kind="stable")[::-1]
-    lams, vecs = lams[order], vecs[:, order]
-    top = [float(min(max(l, 0.0), 1.0)) for l in lams[:2]]
-    if len(top) < 2:
-        top += [0.0]
-    if _labels_antipodal(labels_t):
-        signs = 1.0 - 2.0 * (np.arange(n_max + 1) % 2)
-        parity0 = float(np.sum(signs * np.abs(vecs[:, 0]) ** 2))
-        parity1 = float(np.sum(signs * np.abs(vecs[:, 1]) ** 2))
-        if parity0 < 0.0 <= parity1:
-            return top[1], top[0]
-    return top[0], top[1]
+    Antipodal pair, density block-diagonal in parity (a parity cat; damping
+    keeps it so): the top eigenvalues of the even and odd blocks, so no
+    vector of a degenerate eigenspace decides the labels.  Other antipodal
+    pairs (e.g. |b> - i|-b>): the two largest, swapped if the top eigenvector
+    is odd and the next even.  Otherwise: the two largest eigenvalues.
+    """
+    antipodal = _labels_antipodal(labels_t)
+    if antipodal and np.linalg.norm(matrix[0::2, 1::2]) < PARITY_BLOCK_TOL:
+        top = [np.linalg.eigvalsh(matrix[p::2, p::2])[-1] for p in (0, 1)]
+    else:
+        lams, vecs = np.linalg.eigh(matrix)
+        top = lams[::-1][:2]
+        parity = (1.0 - 2.0 * (np.arange(len(lams)) % 2)) @ np.abs(vecs[:, ::-1][:, :2]) ** 2
+        if antipodal and parity[0] < 0.0 <= parity[1]:
+            top = top[::-1]
+    return tuple(float(min(max(l, 0.0), 1.0)) for l in top)
 
 
 def _fock_gamma_b(matrix, labels_t, weights) -> complex:
@@ -245,8 +185,9 @@ def _fock_gamma_b(matrix, labels_t, weights) -> complex:
     s = coherent.gram(labels_t).entries
     if np.linalg.eigvalsh(s).min() < coherent.GRAM_FLOOR:
         return complex("nan")
-    s_inv = np.linalg.inv(s)
-    coeff = s_inv @ proj @ s_inv
+    # coeff = S^-1 P S^-1 by two solves; S is Hermitian, so A S^-1 = (S^-1 A^H)^H
+    left = np.linalg.solve(s, proj)
+    coeff = np.linalg.solve(s, left.conj().T).conj().T
     return complex(coeff[0, 1] / (weights[0] * weights[1].conjugate()))
 
 
@@ -261,15 +202,15 @@ def _fock_rows(cfg: ScenarioConfig, params: proto.ProtocolParams) -> list[TimeSe
     weights_e = [br.weight for br in state_e.branches]
     t_c = 1.0 / gamma
     n_field_0 = fock.fock_mean_photon(fock.FockDensity(n_max, rho_e.copy()))
-    mp_ops = {
-        out: proto.measurement_product(params, out)
-        for out in (proto.DetectionOutcome.E, proto.DetectionOutcome.G)
-    }
+    mp_e = proto.measurement_product(params, proto.DetectionOutcome.E)
+    mp_g = proto.measurement_product(params, proto.DetectionOutcome.G)
+    grid = time_grid(cfg)
+    decay, depletion = lindblad.me_response(lindblad.MasterParams(gamma), grid * t_c)
+    g_a, _ = _pair_factors(state_e, decay, depletion)
 
     rows = []
-    grid = time_grid(cfg)
     prev_t = 0.0
-    for t_tc in grid:
+    for i, t_tc in enumerate(grid):
         t = t_tc * t_c
         step = t - prev_t
         if step > 0.0:
@@ -278,62 +219,27 @@ def _fock_rows(cfg: ScenarioConfig, params: proto.ProtocolParams) -> list[TimeSe
         prev_t = t
         de = fock.FockDensity(n_max, rho_e.copy())
         dg = fock.FockDensity(n_max, rho_g.copy())
-        p_ee = fock.fock_measure(mp_ops[proto.DetectionOutcome.E], de).real
-        p_eg = fock.fock_measure(mp_ops[proto.DetectionOutcome.G], de).real
-        p_ge = fock.fock_measure(mp_ops[proto.DetectionOutcome.E], dg).real
-        p_gg = fock.fock_measure(mp_ops[proto.DetectionOutcome.G], dg).real
-        rec = proto.CorrelationRecord(
-            p_ee=min(max(p_ee, 0.0), 1.0),
-            p_eg=min(max(p_eg, 0.0), 1.0),
-            p_ge=min(max(p_ge, 0.0), 1.0),
-            p_gg=min(max(p_gg, 0.0), 1.0),
-            eta=p_ee - p_ge,
+        p_ee, p_eg, p_ge, p_gg = (
+            proto.checked_probability(fock.fock_measure(op, rho))
+            for rho in (de, dg)
+            for op in (mp_e, mp_g)
         )
-        decay = math.exp(-0.5 * gamma * t)
-        labels_t = [l * decay for l in labels0]
-        lam_e = _fock_assign(rho_e, labels_t, n_max)
-        lam_g = _fock_assign(rho_g, labels_t, n_max)
+        rec = proto.CorrelationRecord(p_ee, p_eg, p_ge, p_gg, eta=p_ee - p_ge)
+        labels_t = [l * decay[i] for l in labels0]
+        g_b = _fock_gamma_b(rho_e, labels_t, weights_e) if len(labels0) == 2 else 1.0 + 0.0j
+        lam_e, lam_g = _fock_assign(rho_e, labels_t), _fock_assign(rho_g, labels_t)
         pur_e, pur_g = fock.fock_purity(de), fock.fock_purity(dg)
-        if len(labels0) == 1:
-            g_a, g_b = 1.0, 1.0 + 0.0j
-        else:
-            g_a = abs(coherent.overlap(labels_t[1], labels_t[0]))
-            g_b = _fock_gamma_b(rho_e, labels_t, weights_e)
         n_field = fock.fock_mean_photon(de)
-        rows.append(
-            TimeSeriesRow(
-                t=t_tc,
-                gamma_a=g_a,
-                gamma_b_abs=abs(g_b),
-                gamma_b_arg=math.atan2(g_b.imag, g_b.real),
-                p_ee=rec.p_ee,
-                p_eg=rec.p_eg,
-                p_ge=rec.p_ge,
-                p_gg=rec.p_gg,
-                eta=rec.eta,
-                lam_e_plus=lam_e[0],
-                lam_e_minus=lam_e[1],
-                lam_g_plus=lam_g[0],
-                lam_g_minus=lam_g[1],
-                purity_e=pur_e,
-                purity_g=pur_g,
-                defect_e=1.0 - pur_e,
-                defect_g=1.0 - pur_g,
-                n_field=n_field,
-                n_bath=n_field_0 - n_field,
-                recurrence_warning=False,
-            )
-        )
+        rows.append(_row(t_tc, g_a[i], g_b, rec, lam_e, lam_g, pur_e, pur_g,
+                         n_field, n_field_0 - n_field, False))
     return rows
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[TimeSeriesRow]:
     """Full time series of one scenario with its configured engine."""
     params = scenario_params(cfg)
-    if cfg.engine == "microscopic":
-        return _microscopic_rows(cfg, params)
-    if cfg.engine == "master":
-        return _master_rows(cfg, params)
+    if cfg.engine in ("microscopic", "master"):
+        return _analytic_rows(cfg, params, time_grid(cfg))
     if cfg.engine == "fock":
         return _fock_rows(cfg, params)
     raise InvalidArgumentError(f"unknown engine {cfg.engine!r}")
@@ -346,28 +252,9 @@ def run_scenario(cfg: ScenarioConfig) -> list[TimeSeriesRow]:
 SLOPE_GRID = np.logspace(-3.0, -2.0, 9)
 
 
-def _defect_slope_microscopic(cfg: ScenarioConfig, params) -> float:
-    spec = bathmod.discretize_flat_band(
-        cfg.bath.gamma, cfg.bath.modes, cfg.bath.half_bandwidth
-    )
-    state_e = proto.prepare(params, proto.DetectionOutcome.E)
-    t_c = 1.0 / cfg.bath.gamma
-    defects = [
-        coherent.idempotency_defect(coherent.reduce(bathmod.evolve(state_e, spec, t * t_c)))
-        for t in SLOPE_GRID
-    ]
-    return float(np.polyfit(np.log(SLOPE_GRID), np.log(defects), 1)[0])
-
-
-def _defect_slope_master(cfg: ScenarioConfig, params) -> float:
-    mp = lindblad.MasterParams(cfg.master.gamma)
-    state_e = proto.prepare(params, proto.DetectionOutcome.E)
-    t_c = 1.0 / cfg.master.gamma
-    defects = [
-        coherent.idempotency_defect(lindblad.me_reduce(state_e, mp, t * t_c))
-        for t in SLOPE_GRID
-    ]
-    return float(np.polyfit(np.log(SLOPE_GRID), np.log(defects), 1)[0])
+def _defect_slope(rows: list[TimeSeriesRow]) -> float:
+    """Fitted log-log slope of defect_e against t over rows on SLOPE_GRID."""
+    return float(np.polyfit(np.log(SLOPE_GRID), np.log([r.defect_e for r in rows]), 1)[0])
 
 
 def run_compare(cfg: ScenarioConfig) -> tuple[list[TimeSeriesRow], list[TimeSeriesRow], dict]:
@@ -378,15 +265,18 @@ def run_compare(cfg: ScenarioConfig) -> tuple[list[TimeSeriesRow], list[TimeSeri
     the dedicated grid t/t_c in [1e-3, 1e-2] (quadratic vs linear onset).
     """
     params = scenario_params(cfg)
-    rows_micro = _microscopic_rows(replace(cfg, engine="microscopic"), params)
-    rows_master = _master_rows(replace(cfg, engine="master"), params)
+    grid = time_grid(cfg)
+    times = np.concatenate([grid, SLOPE_GRID])
+    micro = _analytic_rows(replace(cfg, engine="microscopic"), params, times)
+    master = _analytic_rows(replace(cfg, engine="master"), params, times)
+    rows_micro, rows_master = micro[: len(grid)], master[: len(grid)]
     max_gap = max(
         abs(a.eta - b.eta) for a, b in zip(rows_micro, rows_master)
     )
     summary = {
         "max_abs_eta_gap": max_gap,
-        "defect_slope_micro": _defect_slope_microscopic(cfg, params),
-        "defect_slope_master": _defect_slope_master(cfg, params),
+        "defect_slope_micro": _defect_slope(micro[len(grid) :]),
+        "defect_slope_master": _defect_slope(master[len(grid) :]),
         "slope_grid_t_over_tc": [float(SLOPE_GRID[0]), float(SLOPE_GRID[-1])],
         "grid_points": cfg.time.points,
         "t_max_over_tc": cfg.time.t_max_over_tc,
@@ -397,9 +287,6 @@ def run_compare(cfg: ScenarioConfig) -> tuple[list[TimeSeriesRow], list[TimeSeri
 def run_sweep(
     cfg: ScenarioConfig, param: str, values: list[float]
 ) -> list[tuple[float, list[TimeSeriesRow]]]:
-    """One scenario per swept value, computed concurrently, ordered by value."""
+    """One scenario per swept value, ordered by value."""
     ordered = sorted(values)
-    configs = [apply_sweep_value(cfg, param, v) for v in ordered]
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, len(configs))) as pool:
-        results = list(pool.map(run_scenario, configs))
-    return list(zip(ordered, results))
+    return [(v, run_scenario(apply_sweep_value(cfg, param, v))) for v in ordered]

@@ -8,6 +8,7 @@ import pytest
 import mesocat as mc
 from mesocat import DetectionOutcome as Out
 from mesocat import ProtocolCase as Case
+from mesocat import bath as bathmod
 
 
 def odd_cat(alpha0=1.0 + 0j):
@@ -65,6 +66,35 @@ def test_propagate_unitarity(flat_band_201):
     for t in np.linspace(0.0, 3.0, 13):
         r = mc.propagate(flat_band_201, t)
         assert abs(r.g) ** 2 + r.excitation_fraction() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_response_matches_propagate_over_a_grid(flat_band_201):
+    times = np.array([0.0, 0.01, 0.3, 1.7, 40.0])
+    g, depletion = mc.response(flat_band_201, times)
+    assert g[0] == 1.0 and depletion[0] == 0.0
+    for t, g_t, b_t in zip(times, g, depletion):
+        r = mc.propagate(flat_band_201, t)
+        assert abs(g_t - r.g) < 1e-13
+        assert abs(b_t - r.excitation_fraction()) < 1e-13
+        assert abs(g_t) ** 2 + b_t == pytest.approx(1.0, abs=1e-12)
+
+
+def test_response_blocks_join_across_block_boundaries(flat_band_201):
+    # a zero in the second block too, and a last block shorter than the rest
+    times = np.linspace(0.0, 3.0, 2 * bathmod.RESPONSE_BLOCK + 3)
+    times[bathmod.RESPONSE_BLOCK + 1] = 0.0
+    g, depletion = mc.response(flat_band_201, times)
+    assert g[bathmod.RESPONSE_BLOCK + 1] == 1.0 and depletion[bathmod.RESPONSE_BLOCK + 1] == 0.0
+    for i in (1, bathmod.RESPONSE_BLOCK - 1, bathmod.RESPONSE_BLOCK, len(times) - 1):
+        r = mc.propagate(flat_band_201, times[i])
+        assert abs(g[i] - r.g) < 1e-13
+        assert abs(depletion[i] - r.excitation_fraction()) < 1e-13
+
+
+@pytest.mark.parametrize("times", [[-0.1, 0.5], [0.2, math.inf], [[0.1]]])
+def test_response_rejects_bad_grids(flat_band_201, times):
+    with pytest.raises(mc.InvalidArgumentError):
+        mc.response(flat_band_201, times)
 
 
 def test_propagate_negative_time_rejected(flat_band_201):

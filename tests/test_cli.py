@@ -1,6 +1,7 @@
 """Config schema, CLI subcommands, output formats, determinism, exit codes."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -367,8 +368,24 @@ def test_audit_catches_corrupted_file(tmp_path):
     lines[1] = ",".join(cells)
     out.write_text("\n".join(lines) + "\n")
     cfg = load_scenario(path)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(mc.AuditError):
         cli._audit_output(cfg.output, runner.ROW_FIELDS, [("", False)])
+
+
+def test_audit_failure_exits_1(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, base_config(tmp_path))
+    monkeypatch.setattr(cli, "_read_back", lambda cfg_output, fieldnames: [])
+    assert cli.main(["run", "--config", path]) == 1
+    assert "error: self-audit: no rows written" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, reported", [("loud", True), ("debug", False), ("INFO", False)])
+def test_invalid_log_level_is_reported(tmp_path, monkeypatch, caplog, value, reported):
+    path = write_config(tmp_path, base_config(tmp_path))
+    monkeypatch.setenv("MESOCAT_LOG", value)
+    with caplog.at_level(logging.WARNING, logger="mesocat"):
+        assert cli.main(["run", "--config", path]) == 0
+    assert ("MESOCAT_LOG" in caplog.text) is reported
 
 
 def test_csv_floats_round_trip(tmp_path):

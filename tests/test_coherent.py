@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mesocat as mc
-from mesocat.coherent import phase_op_matrix_element
+from mesocat import DetectionOutcome as Out
+from mesocat import ProtocolCase as Case
+from mesocat.coherent import _wrap_phase, phase_op_matrix_element
 
 # ---------------------------------------------------------------------------
 # oracle: number-basis expansion, independent of the closed-form overlap
@@ -451,7 +453,73 @@ def test_occupations_track_field_and_bath():
 
 
 # ---------------------------------------------------------------------------
+# response kernel against the per-mode reference
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        mc.ProtocolParams(Case.CASE_A, complex(math.sqrt(3.3), 0.0), math.pi),
+        mc.ProtocolParams(Case.CASE_B, 1.5 + 0.4j, math.pi / 4),
+    ],
+    ids=["case_a", "case_b"],
+)
+@pytest.mark.parametrize("outcome", [Out.E, Out.G])
+def test_damped_density_matches_per_mode_reduction(flat_band_201, params, outcome):
+    state = mc.prepare(params, outcome)
+    times = np.array([0.0, 0.01, 0.3, 1.7])
+    g, depletion = mc.response(flat_band_201, times)
+    n_field, n_bath = mc.damped_occupations(state, g, depletion)
+    for i, t in enumerate(times):
+        evolved = mc.evolve(state, flat_band_201, t)
+        reference = mc.reduce(evolved)
+        rho = mc.damped_density(state, g[i], depletion[i])
+        assert len(rho.labels) == len(reference.labels)
+        assert max(abs(a - b) for a, b in zip(rho.labels, reference.labels)) < 1e-13
+        assert np.max(np.abs(rho.coeff - reference.coeff)) < 1e-13
+        ref_field, ref_bath = mc.occupations(evolved)
+        assert abs(n_field[i] - ref_field) < 1e-13
+        assert abs(n_bath[i] - ref_bath) < 1e-13
+
+
+def test_damped_occupations_do_not_assume_unitarity():
+    # a non-unitary (g, B) must show up as a drift of n_field + n_bath
+    state = mc.prepare(mc.ProtocolParams(Case.CASE_A, 1.2 + 0j, math.pi), Out.E)
+    n_field0, _ = mc.damped_occupations(state, 1.0, 0.0)
+    n_field, n_bath = mc.damped_occupations(state, math.sqrt(0.5), 0.52)
+    assert abs(n_field + n_bath - n_field0) > 1e-3
+
+
+def test_damped_density_rejects_bath_and_unnormalized_states():
+    params = mc.ProtocolParams(Case.CASE_A, 1.0 + 0j, math.pi)
+    with pytest.raises(mc.InvalidArgumentError):
+        mc.damped_density(mc.prepare(params, Out.E, n_bath_modes=2), 1.0, 0.0)
+    raw = mc.FieldBathSuperposition((mc.Branch(2.0, 1.0),))
+    with pytest.raises(mc.InvalidArgumentError):
+        mc.damped_density(raw, 1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # phase-operator algebra
+
+
+@pytest.mark.parametrize(
+    "phase",
+    [
+        -math.nextafter(math.pi, 0.0),
+        math.nextafter(math.pi, 4.0),
+        math.pi,
+        -math.pi,
+        3.0 * math.pi,
+        -3.0 * math.pi,
+        0.0,
+        -1.0,
+    ],
+)
+def test_wrap_phase_lands_in_half_open_interval(phase):
+    wrapped = _wrap_phase(phase)
+    assert -math.pi < wrapped <= math.pi
+    assert abs(math.remainder(wrapped - phase, 2.0 * math.pi)) < 1e-14
 
 
 def test_phase_op_closure_under_adjoint_and_product():

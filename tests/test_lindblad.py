@@ -76,6 +76,28 @@ def test_me_reduce_at_zero_matches_fresh_reduction():
     np.testing.assert_allclose(rho_me.coeff, rho0.coeff, atol=1e-14)
 
 
+@pytest.mark.parametrize("outcome", [Out.E, Out.G])
+def test_me_reduce_matches_dyad_factor_formula(outcome):
+    # the closed form before me_reduce was routed through damped_density:
+    # damped initial labels, and each coefficient times me_dyad_factor
+    state = mc.prepare(mc.ProtocolParams(Case.CASE_B, 1.3 + 0.2j, 0.9), outcome)
+    rho0 = mc.reduce(state)
+    for t in (0.0, 0.05, 0.7, 3.0):
+        rho = mc.me_reduce(state, MP, t)
+        labels = [mc.me_amplitude(l, MP, t) for l in rho0.labels]
+        factors = np.array([[mc.me_dyad_factor(a, b, MP, t) for b in rho0.labels] for a in rho0.labels])
+        assert max(abs(a - b) for a, b in zip(rho.labels, labels)) < 1e-15
+        np.testing.assert_allclose(rho.coeff, rho0.coeff * factors, rtol=0, atol=1e-14)
+
+
+def test_me_response_is_the_closed_form():
+    g, depletion = mc.me_response(mc.MasterParams(2.0), [0.0, 0.25, 1.0])
+    np.testing.assert_allclose(g, np.exp(-np.array([0.0, 0.25, 1.0])), rtol=1e-15)
+    np.testing.assert_allclose(depletion, 1.0 - np.exp(-np.array([0.0, 0.5, 2.0])), rtol=1e-15)
+    with pytest.raises(mc.InvalidArgumentError):
+        mc.me_response(MP, [0.1, -0.1])
+
+
 def test_me_reduce_long_time_reaches_vacuum():
     rho = mc.me_reduce(odd_cat(1.3 + 0j), MP, 1e3)
     spec = mc.eigenvalues(rho)
