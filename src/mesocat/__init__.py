@@ -32,7 +32,6 @@ from .bath import (
     gamma_a,
     gamma_b,
     propagate,
-    propagate_integrator,
     response,
 )
 from .coherent import (

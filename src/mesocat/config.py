@@ -13,16 +13,19 @@ Schema (see README for the prose version)::
       "engine": "microscopic" | "master" | "fock",
       "bath":   {"modes": int, "half_bandwidth": float, "gamma": float},
       "master": {"gamma": float},
-      "fock":   {"n_max": int, "dt": float},
+      "fock":   {"n_max": int, "dt": float (optional, ignored)},
       "time":   {"t_max_over_tc": float, "points": int},
       "output": {"format": "csv" | "json", "path": str}
     }
 
 Sections per engine: microscopic -> bath; master -> master; fock -> fock
-and master (the brute-force route integrates the same master equation).
+and master (the brute-force route solves the same master equation).
 ``compare`` runs need both bath and master and accept engine values
-"microscopic" or "master" (the field is ignored there).  All times,
-including ``fock.dt``, are in units of t_c = 1/gamma.
+"microscopic" or "master" (the field is ignored there).  All times are in
+units of t_c = 1/gamma.  ``fock.dt`` is optional and ignored: the Fock
+engine applies the exact damping map, which has no step.  When present it
+must still be a positive finite number, so configs written for the former
+time-stepping oracle keep loading.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ class MasterConfig:
 @dataclass(frozen=True)
 class FockConfig:
     n_max: int
-    dt: float
 
 
 @dataclass(frozen=True)
@@ -201,11 +203,10 @@ def parse_scenario(raw: dict, *, for_compare: bool = False) -> ScenarioConfig:
         section = raw["fock"]
         if not isinstance(section, dict):
             raise ConfigError("fock", "must be an object")
-        _require_keys(section, "fock", {"n_max", "dt"})
-        fock_cfg = FockConfig(
-            n_max=_integer(section, "fock", "n_max", minimum=1),
-            dt=_number(section, "fock", "dt", positive=True),
-        )
+        _require_keys(section, "fock", {"n_max"}, optional={"dt"})
+        if "dt" in section:
+            _number(section, "fock", "dt", positive=True)  # validated, then ignored
+        fock_cfg = FockConfig(n_max=_integer(section, "fock", "n_max", minimum=1))
 
     time_raw = raw["time"]
     if not isinstance(time_raw, dict):

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity, kron
-from scipy.sparse.linalg import expm_multiply
 
 from .bath import BathSpec
 from .coherent import FieldBathSuperposition, PhaseOpSum
@@ -90,37 +88,36 @@ def annihilation(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
 
 
-def lindblad_evolve(rho, gamma: float, t: float, dt: float):
-    """Fourth-order time stepping of d rho/dt = gamma (a rho a^dag - {n, rho}/2).
+def lindblad_evolve(rho, gamma: float, t: float):
+    """Exact solution of d rho/dt = gamma (a rho a^dag - {n, rho}/2) after time t.
 
-    Accepts a :class:`FockDensity` or a raw matrix (the flow is linear, so
-    non-Hermitian dyads can be evolved directly); returns the same kind.
-    The step must satisfy dt <= 1e-3 / (gamma (n_max + 1)).
+    Zero-temperature damping in Kraus form (Chuang, Leung & Yamamoto 1997,
+    PRA 56, 1114; Nielsen & Chuang sec. 8.3.5): rho(t) = sum_l K_l rho K_l^dag
+    with <m-l|K_l|m> = sqrt(C(m, l) eta^(m-l) (1 - eta)^l), eta = e^{-gamma t}.
+    The map is linear and never raises the photon number, so it is exact on
+    the truncated space and applies to non-Hermitian dyads as well.  Accepts
+    a :class:`FockDensity` or a raw matrix; returns the same kind.
     """
     matrix_input = not isinstance(rho, FockDensity)
     mat = np.array(rho if matrix_input else rho.matrix, dtype=complex)
     n_max = mat.shape[0] - 1
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise InvalidArgumentError("gamma must be positive and finite")
     if t < 0.0 or not math.isfinite(t):
         raise InvalidArgumentError("t must be nonnegative and finite")
-    if dt <= 0.0 or dt > 1e-3 / gamma / (n_max + 1):
-        raise InvalidArgumentError(
-            f"dt = {dt!r} violates the stability rule 1e-3/gamma/(n_max+1)"
-        )
-    a_op = annihilation(n_max)
-    a_dag = a_op.conj().T
-    number = np.diag(np.arange(n_max + 1, dtype=float))
-
-    def rhs(r):
-        return gamma * (a_op @ r @ a_dag - 0.5 * (number @ r + r @ number))
-
-    n_steps = max(1, math.ceil(t / dt))
-    h = t / n_steps
-    for _ in range(n_steps):
-        k1 = rhs(mat)
-        k2 = rhs(mat + 0.5 * h * k1)
-        k3 = rhs(mat + 0.5 * h * k2)
-        k4 = rhs(mat + h * k3)
-        mat = mat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    depletion = -math.expm1(-gamma * t)  # 1 - eta, accurate for small t
+    if depletion > 0.0:
+        levels = np.arange(n_max + 1)
+        log_fact = np.concatenate(([0.0], np.cumsum(np.log(levels[1:]))))
+        damped = np.zeros_like(mat)
+        for l in range(n_max + 1):  # K_l removes l photons
+            m = levels[l:]
+            # log <m-l|K_l|m>^2 = log C(m, l) + (m - l) log(eta) + l log(1 - eta)
+            log_k2 = (log_fact[m] - log_fact[l] - log_fact[m - l]
+                      - gamma * t * (m - l) + l * math.log(depletion))
+            k = np.exp(0.5 * log_k2)
+            damped[: m.size, : m.size] += np.outer(k, k) * mat[l:, l:]
+        mat = damped
     return mat if matrix_input else FockDensity(n_max, mat)
 
 
@@ -149,8 +146,12 @@ def hamiltonian_evolve(
 
     H = sum_k D_k b_k^dag b_k + sum_k g_k (a^dag b_k + b_k^dag a), built as a
     sparse matrix and applied with a Krylov matrix exponential.  Limited to
-    two bath modes and DIMENSION_CAP total states.
+    two bath modes and DIMENSION_CAP total states.  scipy is imported here,
+    not at module level, so the command-line path never loads it.
     """
+    from scipy.sparse import csr_matrix, identity, kron
+    from scipy.sparse.linalg import expm_multiply
+
     k_modes = spec.n_modes
     if k_modes > 2:
         raise InvalidArgumentError("the brute-force route supports at most 2 bath modes")

@@ -11,7 +11,7 @@ amplitudes (it is the ratio <b|a> / <b_t|a_t>).  For opposite amplitudes
 (a, b) = (alpha, -alpha) it reduces to exp(-2 |alpha|^2 (1 - e^{-gamma t})),
 the damping factor of the even/odd superpositions; for general pairs --
 needed by the case-B protocol -- it is validated against a brute-force
-Fock-space integration in the test suite rather than assumed.
+Fock-space Kraus map in the test suite rather than assumed.
 
 No bath modes appear here: gamma = 1/t_c is the only dissipation parameter.
 """

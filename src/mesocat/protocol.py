@@ -29,6 +29,7 @@ the correlation signal is eta = P_ee - P_ge.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -124,12 +125,14 @@ def reduced_op(params: ProtocolParams, outcome: DetectionOutcome) -> PhaseOpSum:
     return PhaseOpSum(((scalar, phi), (0.5 * s + 0.0j, -phi)))
 
 
+@functools.lru_cache(maxsize=256)
 def measurement_product(params: ProtocolParams, outcome: DetectionOutcome) -> PhaseOpSum:
     """The positive operator U^dag U whose trace gives detection probabilities.
 
     Case A reduces to (1 + s cos(phi n))/2 and case B to
     (1 + s cos((2n+1) phi))/2 with s = outcome_sign; expanded here into
-    exponential terms through the operator algebra.
+    exponential terms through the operator algebra.  Cached: every row of a
+    run asks for the same two operators, and the result is immutable.
     """
     u = reduced_op(params, outcome)
     return (u.adjoint() * u).canonical()

@@ -16,7 +16,8 @@ gamma_a, gamma_b and the occupations are closed forms in (g, B); the
 probabilities, spectra and purities go through the same checked routines
 as any other density.  The compare summary's short-time defect slopes are
 fitted to rows from the same builder.  The brute-force Fock engine
-integrates its Lindblad equation through the grid in order.
+applies the exact Kraus map of its Lindblad equation to the prepared
+densities, from t = 0 at each grid time.
 
 Eigenvalue columns: when the two field labels are an antipodal pair (case A
 at phi = pi) lam_plus/lam_minus are assigned by eigenvector parity, i.e. the
@@ -196,12 +197,12 @@ def _fock_rows(cfg: ScenarioConfig, params: proto.ProtocolParams) -> list[TimeSe
     n_max = cfg.fock.n_max
     state_e = proto.prepare(params, proto.DetectionOutcome.E)
     state_g = proto.prepare(params, proto.DetectionOutcome.G)
-    rho_e = fock.density_from_vector(fock.superposition_vector(state_e, n_max)).matrix
-    rho_g = fock.density_from_vector(fock.superposition_vector(state_g, n_max)).matrix
+    rho0_e = fock.density_from_vector(fock.superposition_vector(state_e, n_max))
+    rho0_g = fock.density_from_vector(fock.superposition_vector(state_g, n_max))
     labels0 = [br.field for br in state_e.branches]
     weights_e = [br.weight for br in state_e.branches]
     t_c = 1.0 / gamma
-    n_field_0 = fock.fock_mean_photon(fock.FockDensity(n_max, rho_e.copy()))
+    n_field_0 = fock.fock_mean_photon(rho0_e)
     mp_e = proto.measurement_product(params, proto.DetectionOutcome.E)
     mp_g = proto.measurement_product(params, proto.DetectionOutcome.G)
     grid = time_grid(cfg)
@@ -209,27 +210,22 @@ def _fock_rows(cfg: ScenarioConfig, params: proto.ProtocolParams) -> list[TimeSe
     g_a, _ = _pair_factors(state_e, decay, depletion)
 
     rows = []
-    prev_t = 0.0
     for i, t_tc in enumerate(grid):
-        t = t_tc * t_c
-        step = t - prev_t
-        if step > 0.0:
-            rho_e = fock.lindblad_evolve(rho_e, gamma, step, cfg.fock.dt * t_c)
-            rho_g = fock.lindblad_evolve(rho_g, gamma, step, cfg.fock.dt * t_c)
-        prev_t = t
-        de = fock.FockDensity(n_max, rho_e.copy())
-        dg = fock.FockDensity(n_max, rho_g.copy())
+        rho_e = fock.lindblad_evolve(rho0_e, gamma, t_tc * t_c)
+        rho_g = fock.lindblad_evolve(rho0_g, gamma, t_tc * t_c)
         p_ee, p_eg, p_ge, p_gg = (
             proto.checked_probability(fock.fock_measure(op, rho))
-            for rho in (de, dg)
+            for rho in (rho_e, rho_g)
             for op in (mp_e, mp_g)
         )
         rec = proto.CorrelationRecord(p_ee, p_eg, p_ge, p_gg, eta=p_ee - p_ge)
         labels_t = [l * decay[i] for l in labels0]
-        g_b = _fock_gamma_b(rho_e, labels_t, weights_e) if len(labels0) == 2 else 1.0 + 0.0j
-        lam_e, lam_g = _fock_assign(rho_e, labels_t), _fock_assign(rho_g, labels_t)
-        pur_e, pur_g = fock.fock_purity(de), fock.fock_purity(dg)
-        n_field = fock.fock_mean_photon(de)
+        g_b = (_fock_gamma_b(rho_e.matrix, labels_t, weights_e)
+               if len(labels0) == 2 else 1.0 + 0.0j)
+        lam_e = _fock_assign(rho_e.matrix, labels_t)
+        lam_g = _fock_assign(rho_g.matrix, labels_t)
+        pur_e, pur_g = fock.fock_purity(rho_e), fock.fock_purity(rho_g)
+        n_field = fock.fock_mean_photon(rho_e)
         rows.append(_row(t_tc, g_a[i], g_b, rec, lam_e, lam_g, pur_e, pur_g,
                          n_field, n_field_0 - n_field, False))
     return rows

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import mesocat as mc
 from mesocat import DetectionOutcome as Out
@@ -115,41 +116,30 @@ def test_flat_band_wigner_weisskopf_decay(flat_band_201):
 
 
 # ---------------------------------------------------------------------------
-# integrator cross-check
+# matrix-exponential cross-check
+
+
+def expm_response(spec, t):
+    """(g, f): column zero of exp(-i H t) for the one-excitation matrix, by scipy's expm."""
+    column = expm(-1j * t * spec.one_excitation_matrix())[:, 0]
+    return column[0], column[1:]
 
 
 def test_integrator_matches_exact(flat_band_201, resonant_single_mode):
-    r_exact = mc.propagate(resonant_single_mode, 1.3)
-    r_rk = mc.propagate_integrator(resonant_single_mode, 1.3, dt=0.01)
-    assert abs(r_rk.g - r_exact.g) < 1e-7
-    assert np.max(np.abs(r_rk.f - r_exact.f)) < 1e-7
-
     small = mc.discretize_flat_band(1.0, 11, 12.0)
-    r_exact = mc.propagate(small, 0.8)
-    r_rk = mc.propagate_integrator(small, 0.8, dt=5e-4)
-    assert abs(r_rk.g - r_exact.g) < 1e-7
+    for spec, t in ((resonant_single_mode, 1.3), (small, 0.8), (flat_band_201, 0.7)):
+        g_ref, f_ref = expm_response(spec, t)
+        r_exact = mc.propagate(spec, t)
+        assert abs(r_exact.g - g_ref) < 1e-12
+        assert np.max(np.abs(r_exact.f - f_ref)) < 1e-12
 
 
 def test_integrator_resonant_quarter_period(resonant_single_mode):
     t = (math.pi / 2) / 0.7
-    r = mc.propagate_integrator(resonant_single_mode, t, dt=1e-3)
-    assert abs(r.g) < 1e-7
-
-
-def test_integrator_fourth_order_convergence(resonant_single_mode):
-    t = 1.0
-    ref = mc.propagate(resonant_single_mode, t).g
-    errors = []
-    steps = [8e-3, 4e-3, 2e-3]
-    for dt in steps:
-        errors.append(abs(mc.propagate_integrator(resonant_single_mode, t, dt).g - ref))
-    slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
-    assert slope == pytest.approx(4.0, abs=0.5)
-
-
-def test_integrator_step_too_large(flat_band_201):
-    with pytest.raises(mc.InvalidArgumentError):
-        mc.propagate_integrator(flat_band_201, 1.0, dt=0.01)  # needs dt <= 0.01/50
+    g_ref, f_ref = expm_response(resonant_single_mode, t)
+    assert abs(g_ref) < 1e-12
+    assert abs(mc.propagate(resonant_single_mode, t).g) < 1e-12
+    assert abs(f_ref[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

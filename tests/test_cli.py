@@ -3,6 +3,9 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +78,9 @@ def test_phi_from_coupling_triple(tmp_path):
         (lambda c: c["output"].update(format="tsv"), "output.format"),
         (lambda c: c["alpha0"].pop("im"), "alpha0.im"),
         (lambda c: c.update(bath={"modes": 51, "half_bandwidth": 20.0, "gamma": 1.0}), "bath"),
+        (lambda c: c.update(engine="fock", fock={"n_max": 19, "dt": 0.0}), "fock.dt"),
+        (lambda c: c.update(engine="fock", fock={"n_max": 19, "dt": math.inf}), "fock.dt"),
+        (lambda c: c.update(engine="fock", fock={"n_max": 19, "dt": "4e-5"}), "fock.dt"),
     ],
 )
 def test_parse_rejections(tmp_path, mutate, field):
@@ -211,6 +217,37 @@ def test_run_fock_engine_matches_master(tmp_path):
     for rf, rm in zip(rows_fock, rows_me):
         for col in ("eta", "p_ee", "purity_e", "gamma_b_abs", "lam_e_minus"):
             assert rf[col] == pytest.approx(rm[col], abs=2e-6)
+
+
+def test_fock_dt_is_optional_and_ignored(tmp_path):
+    # dt = 0.5 t_c was far beyond the former stepping rule dt <= 1e-3 / (n_max + 1)
+    written = []
+    for name, section in (("with", {"n_max": 19, "dt": 0.5}), ("without", {"n_max": 19})):
+        out = tmp_path / f"{name}.csv"
+        cfg = base_config(
+            tmp_path,
+            alpha0={"re": 1.0, "im": 0.0},
+            engine="fock",
+            fock=section,
+            output={"format": "csv", "path": str(out)},
+        )
+        cfg["time"] = {"t_max_over_tc": 0.3, "points": 4}
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, mesocat.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

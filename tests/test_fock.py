@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import mesocat as mc
 from mesocat import DetectionOutcome as Out
@@ -60,12 +61,12 @@ def test_coherent_to_fock_truncation_guard():
 
 
 # ---------------------------------------------------------------------------
-# Lindblad integrator
+# exact Lindblad damping map (Kraus form)
 
 
 def test_lindblad_vacuum_fixed_point():
     rho0 = fock.density_from_vector(fock.coherent_to_fock(0.0, 10))
-    rho = fock.lindblad_evolve(rho0, gamma=1.0, t=0.5, dt=1e-3 / 11)
+    rho = fock.lindblad_evolve(rho0, gamma=1.0, t=0.5)
     np.testing.assert_allclose(rho.matrix, rho0.matrix, atol=1e-12)
 
 
@@ -73,7 +74,7 @@ def test_lindblad_coherent_stays_coherent():
     n_max = 19
     rho0 = fock.density_from_vector(fock.coherent_to_fock(1.0, n_max))
     gamma, t = 1.0, 0.5
-    rho = fock.lindblad_evolve(rho0, gamma, t, dt=1e-3 / gamma / (n_max + 1))
+    rho = fock.lindblad_evolve(rho0, gamma, t)
     target = fock.coherent_to_fock(math.exp(-0.25), n_max).amplitudes
     fidelity = np.real(target.conj() @ rho.matrix @ target)
     assert fidelity >= 1.0 - 1e-7
@@ -88,7 +89,7 @@ def test_lindblad_cat_off_diagonal_damping():
     state = odd_cat(alpha0)
     rho0 = fock.density_from_vector(fock.superposition_vector(state, n_max))
     gamma, t = 1.0, 0.35
-    rho = fock.lindblad_evolve(rho0, gamma, t, dt=1e-3 / gamma / (n_max + 1))
+    rho = fock.lindblad_evolve(rho0, gamma, t)
 
     labels_t = [br.field * math.exp(-gamma * t / 2) for br in state.branches]
     vecs = [fock.coherent_to_fock(l, n_max).amplitudes for l in labels_t]
@@ -110,7 +111,7 @@ def test_lindblad_dyad_factor_oracle():
         gt = RNG.uniform(0.05, 1.5)
         va = fock.coherent_to_fock(a, n_max).amplitudes
         vb = fock.coherent_to_fock(b, n_max).amplitudes
-        dyad = fock.lindblad_evolve(np.outer(va, vb.conj()), gamma, gt, dt=1e-3 / gamma / (n_max + 1))
+        dyad = fock.lindblad_evolve(np.outer(va, vb.conj()), gamma, gt)
         mpars = mc.MasterParams(gamma)
         target = mc.me_dyad_factor(a, b, mpars, gt) * np.outer(
             fock.coherent_to_fock(mc.me_amplitude(a, mpars, gt), n_max).amplitudes,
@@ -119,19 +120,40 @@ def test_lindblad_dyad_factor_oracle():
         assert np.max(np.abs(dyad - target)) < 1e-6
 
 
-def test_lindblad_step_halving_convergence():
-    n_max = 18
-    rho0 = fock.density_from_vector(fock.coherent_to_fock(0.8, n_max))
-    dt = 1e-3 / (n_max + 1)
-    r1 = fock.lindblad_evolve(rho0, 1.0, 0.2, dt)
-    r2 = fock.lindblad_evolve(rho0, 1.0, 0.2, dt / 2)
-    assert np.max(np.abs(r1.matrix - r2.matrix)) < 1e-8
+def liouvillian(n_max, gamma):
+    """gamma (a rho a^dag - {n, rho}/2) on row-major vec(rho).
+
+    vec(A rho B) = (A kron B^T) vec(rho), and a is real, so (a^dag)^T = a.
+    """
+    a_op = fock.annihilation(n_max)
+    eye = np.eye(n_max + 1)
+    number = np.diag(np.arange(n_max + 1.0))
+    return gamma * (np.kron(a_op, a_op) - 0.5 * (np.kron(number, eye) + np.kron(eye, number)))
 
 
-def test_lindblad_stability_rule():
+def test_lindblad_kraus_map_matches_generator_exponential():
+    # independent of me_dyad_factor: expm of the (n+1)^2 x (n+1)^2 generator itself
+    n_max, gamma = 19, 1.3
+    cat = fock.density_from_vector(fock.superposition_vector(odd_cat(1.0 + 0j), n_max))
+    va = fock.coherent_to_fock(0.7 + 0.4j, n_max).amplitudes
+    vb = fock.coherent_to_fock(-0.6 + 0.5j, n_max).amplitudes
+    generator = liouvillian(n_max, gamma)
+    for t in (0.0, 0.04, 0.5, 2.7):
+        flow = expm(generator * t)
+        for rho0 in (cat.matrix, np.outer(va, vb.conj())):
+            reference = (flow @ rho0.ravel()).reshape(rho0.shape)
+            kraus = fock.lindblad_evolve(rho0, gamma, t)
+            assert np.max(np.abs(kraus - reference)) <= 1e-12
+        damped = fock.lindblad_evolve(cat, gamma, t)
+        assert isinstance(damped, fock.FockDensity)
+        assert np.trace(damped.matrix).real == pytest.approx(1.0, abs=1e-13)
+
+
+def test_lindblad_rejects_bad_arguments():
     rho0 = fock.density_from_vector(fock.coherent_to_fock(0.5, 15))
-    with pytest.raises(mc.InvalidArgumentError):
-        fock.lindblad_evolve(rho0, gamma=1.0, t=0.1, dt=1e-2)
+    for gamma, t in ((1.0, -0.1), (1.0, math.inf), (1.0, math.nan), (0.0, 0.1), (-1.0, 0.1)):
+        with pytest.raises(mc.InvalidArgumentError):
+            fock.lindblad_evolve(rho0, gamma, t)
 
 
 # ---------------------------------------------------------------------------
