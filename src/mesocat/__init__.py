@@ -59,7 +59,6 @@ from .errors import (
     AuditError,
     CapacityError,
     ConfigError,
-    DegenerateSpanError,
     InvalidArgumentError,
     MesocatError,
     PositivityError,

@@ -14,14 +14,11 @@ class ZeroStateError(MesocatError):
 
 
 class PositivityError(MesocatError):
-    """A density operator shows an eigenvalue below the roundoff tolerance.
+    """A density shows an eigenvalue outside [0, 1] or a trace away from 1 beyond roundoff.
 
-    Raised instead of clamping so that genuine bugs are not masked as noise.
+    Raised instead of clamping or rescaling so that genuine bugs are not
+    masked as noise.
     """
-
-
-class DegenerateSpanError(MesocatError):
-    """The coherent labels span a numerically singular subspace even after merging."""
 
 
 class TruncationError(MesocatError):

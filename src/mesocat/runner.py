@@ -109,23 +109,23 @@ def _assign_from_spectrum(spec: coherent.Spectrum) -> tuple[float, float]:
     return lams[0], lams[1]
 
 
-def _row(t_tc, g_a, g_b: complex, rec, lam_e, lam_g, pur_e, pur_g, n_field, n_bath, recurrence):
+def _row(t_tc, g_a, g_b: complex, rec, lam_e, lam_g, purity_defect, n_field, n_bath, recurrence):
     """One TimeSeriesRow; arguments in ROW_FIELDS order, with gamma_b still complex."""
     return TimeSeriesRow(
         float(t_tc), float(g_a), abs(g_b), math.atan2(g_b.imag, g_b.real),
         rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta, *lam_e, *lam_g,
-        pur_e, pur_g, 1.0 - pur_e, 1.0 - pur_g, float(n_field), float(n_bath), bool(recurrence),
+        *purity_defect, float(n_field), float(n_bath), bool(recurrence),
     )
 
 
 def _pair_factors(state, g: np.ndarray, depletion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """gamma_a = |<a_2 g|a_1 g>| and gamma_b = exp(z B) over the grid; trivial for one branch.
 
-    z is the exponent of <a_2|a_1>, the same one ``coherent.damped_density`` uses.
+    z = log <a_2|a_1>, the exponent ``coherent.damped_density`` scales by B.
     """
     if len(state.branches) == 1:
         return np.ones(len(g)), np.ones(len(g), dtype=complex)
-    z = coherent._gram_exponents(np.array([br.field for br in state.branches]))[1, 0]
+    z = coherent._exponent(state.branches[1].field, state.branches[0].field)
     return np.abs(np.exp(z * (g.real**2 + g.imag**2))), np.exp(z * depletion)
 
 
@@ -153,8 +153,9 @@ def _analytic_rows(cfg: ScenarioConfig, params, times_tc: np.ndarray) -> list[Ti
         rec = proto.conditional_probabilities(rho_e, rho_g, params)
         lam_e = _assign_from_spectrum(coherent.eigenvalues(rho_e))
         lam_g = _assign_from_spectrum(coherent.eigenvalues(rho_g))
-        pur_e, pur_g = coherent.purity(rho_e), coherent.purity(rho_g)
-        rows.append(_row(t_tc, g_a[i], complex(g_b[i]), rec, lam_e, lam_g, pur_e, pur_g,
+        purity_defect = (coherent.purity(rho_e), coherent.purity(rho_g),
+                         coherent.idempotency_defect(rho_e), coherent.idempotency_defect(rho_g))
+        rows.append(_row(t_tc, g_a[i], complex(g_b[i]), rec, lam_e, lam_g, purity_defect,
                          n_field[i], n_bath[i], recurrence[i]))
     return rows
 
@@ -182,14 +183,15 @@ def _fock_assign(matrix: np.ndarray, labels_t) -> tuple[float, float]:
 
 def _fock_gamma_b(matrix, labels_t, weights) -> complex:
     vecs = [fock.coherent_to_fock(l, matrix.shape[0] - 1).amplitudes for l in labels_t]
-    proj = np.array([[v1.conj() @ matrix @ v2 for v2 in vecs] for v1 in vecs])
-    s = coherent.gram(labels_t).entries
-    if np.linalg.eigvalsh(s).min() < coherent.GRAM_FLOOR:
+    (p00, p01), (p10, p11) = [[v1.conj() @ matrix @ v2 for v2 in vecs] for v1 in vecs]
+    # det S = 1 - |<l1|l2>|^2, the squared norm of the part of |l2> orthogonal to |l1>
+    det = -math.expm1(-abs(labels_t[0] - labels_t[1]) ** 2)
+    if det <= coherent.NORM_FLOOR:
         return complex("nan")
-    # coeff = S^-1 P S^-1 by two solves; S is Hermitian, so A S^-1 = (S^-1 A^H)^H
-    left = np.linalg.solve(s, proj)
-    coeff = np.linalg.solve(s, left.conj().T).conj().T
-    return complex(coeff[0, 1] / (weights[0] * weights[1].conjugate()))
+    # coeff = S^-1 P S^-1 with S^-1 = (1, -s; -conj(s), 1) / det and s = <l1|l2>
+    s = coherent.overlap(labels_t[0], labels_t[1])
+    coeff01 = (p01 - s * (p00 + p11) + s * s * p10) / det**2
+    return complex(coeff01 / (weights[0] * weights[1].conjugate()))
 
 
 def _fock_rows(cfg: ScenarioConfig, params: proto.ProtocolParams) -> list[TimeSeriesRow]:
@@ -226,7 +228,7 @@ def _fock_rows(cfg: ScenarioConfig, params: proto.ProtocolParams) -> list[TimeSe
         lam_g = _fock_assign(rho_g.matrix, labels_t)
         pur_e, pur_g = fock.fock_purity(rho_e), fock.fock_purity(rho_g)
         n_field = fock.fock_mean_photon(rho_e)
-        rows.append(_row(t_tc, g_a[i], g_b, rec, lam_e, lam_g, pur_e, pur_g,
+        rows.append(_row(t_tc, g_a[i], g_b, rec, lam_e, lam_g, (pur_e, pur_g, 1 - pur_e, 1 - pur_g),
                          n_field, n_field_0 - n_field, False))
     return rows
 

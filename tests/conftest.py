@@ -9,6 +9,8 @@ settings.register_profile(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    derandomize=True,
+    database=None,
 )
 settings.load_profile("suite")
 

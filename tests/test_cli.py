@@ -251,6 +251,71 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 # ---------------------------------------------------------------------------
+# near-vacuum and long-time runs against the case-A closed forms
+
+
+def case_a_closed_forms(alpha, g, depletion):
+    """Every column of a case-A, phi = pi row from g and B, with 1 - G = -expm1(...).
+
+    With s = |alpha|^2, x = s |g|^2 and c = exp(-2 s B) the odd cat (E) has
+    even/odd populations (1 - c)(1 + e^{-2x}) and (1 + c)(1 - e^{-2x}) over
+    2 (1 - e^{-2s}), the even cat (G) the same with c and e^{-2s} negated.
+    """
+    s, x = alpha * alpha, alpha * alpha * abs(g) ** 2
+    den_e, den_g = -2.0 * math.expm1(-2.0 * s), 2.0 * (1.0 + math.exp(-2.0 * s))
+    even_e = -math.expm1(-2.0 * s * depletion) * (1.0 + math.exp(-2.0 * x)) / den_e
+    odd_e = (1.0 + math.exp(-2.0 * s * depletion)) * -math.expm1(-2.0 * x) / den_e
+    even_g = (1.0 + math.exp(-2.0 * s * depletion)) * (1.0 + math.exp(-2.0 * x)) / den_g
+    odd_g = math.expm1(-2.0 * s * depletion) * math.expm1(-2.0 * x) / den_g
+    n_odd = s * (1.0 + math.exp(-2.0 * s)) / -math.expm1(-2.0 * s)
+    return {
+        "gamma_a": math.exp(-2.0 * x), "gamma_b_abs": math.exp(-2.0 * s * depletion),
+        "gamma_b_arg": 0.0,
+        "p_ee": odd_e, "p_eg": even_e, "p_ge": odd_g, "p_gg": even_g, "eta": odd_e - odd_g,
+        "lam_e_plus": even_e, "lam_e_minus": odd_e, "lam_g_plus": even_g, "lam_g_minus": odd_g,
+        "purity_e": even_e**2 + odd_e**2, "purity_g": even_g**2 + odd_g**2,
+        "defect_e": 2.0 * even_e * odd_e, "defect_g": 2.0 * even_g * odd_g,
+        "n_field": abs(g) ** 2 * n_odd, "n_bath": depletion * n_odd,
+    }
+
+
+@pytest.mark.parametrize(
+    "engine,alpha0,t_max,points",
+    [
+        ("master", math.sqrt(3.3), 40.0, 201),  # labels 7e-9 apart at the end
+        ("master", 1e-6, 2.0, 21),
+        ("master", 3e-7, 2.0, 21),
+        ("master", 1e-5, 2.0, 21),
+        ("microscopic", 1e-6, 2.0, 21),
+    ],
+)
+def test_near_vacuum_and_long_time_runs_match_closed_forms(tmp_path, engine, alpha0, t_max, points):
+    cfg = base_config(
+        tmp_path, engine=engine, alpha0={"re": alpha0, "im": 0.0},
+        time={"t_max_over_tc": t_max, "points": points},
+    )
+    if engine == "microscopic":
+        del cfg["master"]
+        cfg["bath"] = {"modes": 201, "half_bandwidth": 50.0, "gamma": 1.0}
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    _, rows = read_csv(tmp_path / "out.csv")
+    times = np.array([row["t"] for row in rows])
+    if engine == "master":
+        g, depletion = mc.me_response(mc.MasterParams(1.0), times)
+    else:
+        g, depletion = mc.response(mc.discretize_flat_band(1.0, 201, 50.0), times)
+    for row, g_t, b_t in zip(rows, g, depletion):
+        for name, expected in case_a_closed_forms(alpha0, complex(g_t), float(b_t)).items():
+            assert abs(row[name] - expected) <= 1e-14, (name, row["t"])
+
+
+def test_exit_3_below_the_norm_floor(tmp_path):
+    # P(E) ~ |alpha0|^2 = 1e-16: a true zero-probability detection
+    cfg = base_config(tmp_path, alpha0={"re": 1e-8, "im": 0.0})
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 3
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 
 

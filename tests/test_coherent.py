@@ -2,10 +2,11 @@
 
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mesocat as mc
@@ -51,6 +52,17 @@ labels_strategy = st.builds(
     st.floats(-2.2, 2.2, allow_nan=False),
     st.floats(-2.2, 2.2, allow_nan=False),
 )
+
+
+@st.composite
+def label_pairs(draw):
+    """Two labels: independent, or the second within 1e-9 to 1e-2 of the first."""
+    l1 = draw(labels_strategy)
+    if draw(st.booleans()):
+        return l1, draw(labels_strategy)
+    separation = 10.0 ** draw(st.floats(-9.0, -2.0))
+    return l1, l1 + separation * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+
 
 ODD_PARITY = mc.PhaseOpSum(((0.5 + 0j, 0.0), (-0.5 + 0j, math.pi)))
 
@@ -160,22 +172,33 @@ def test_normalize_exact_cancellation_is_zero_state():
         mc.normalize(state)
 
 
-def test_normalize_merges_coinciding_branches():
+def test_normalize_keeps_coinciding_branches():
     state = mc.FieldBathSuperposition(
         (mc.Branch(1.0, 1.0), mc.Branch(1.0, 1.0 + 1e-9))
     )
     out = mc.normalize(state)
-    assert len(out.branches) == 1
-    assert abs(out.branches[0].weight) == pytest.approx(1.0, abs=1e-12)
+    assert len(out.branches) == 2
+    assert out.branches[0].weight == pytest.approx(0.5, abs=1e-12)
+    assert mc.coherent.squared_norm(out) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_normalize_near_vacuum_odd_cat():
+    # weights ~ 1/(2|alpha|) cancel; the norm is still exact: N^2 = -1/(2 expm1(-2|alpha|^2))
+    alpha = 3e-7
+    state = mc.FieldBathSuperposition((mc.Branch(0.5, alpha), mc.Branch(-0.5, -alpha)))
+    out = mc.normalize(state)
+    expected = 0.5 * math.sqrt(-2.0 / math.expm1(-2.0 * alpha**2))
+    assert out.branches[0].weight == pytest.approx(expected, rel=1e-14)
+    assert mc.coherent.squared_norm(out) == pytest.approx(1.0, abs=1e-15)
 
 
 @given(
     st.complex_numbers(min_magnitude=0.1, max_magnitude=2, allow_nan=False, allow_infinity=False),
     st.complex_numbers(min_magnitude=0.1, max_magnitude=2, allow_nan=False, allow_infinity=False),
-    labels_strategy,
-    labels_strategy,
+    label_pairs(),
 )
-def test_normalize_reaches_unit_norm(w1, w2, l1, l2):
+def test_normalize_reaches_unit_norm(w1, w2, labels):
+    l1, l2 = labels
     state = mc.FieldBathSuperposition((mc.Branch(w1, l1), mc.Branch(w2, l2)))
     try:
         out = mc.normalize(state)
@@ -224,9 +247,8 @@ def test_reduce_requires_normalized():
 
 
 def test_reduce_merge_boundary_keeps_unit_trace():
-    # two branches whose field labels sit just inside the merge tolerance
-    # but whose bath labels differ: clustering perturbs the cross terms,
-    # and the trace must still come out exactly 1
+    # two field labels 5.9e-8 apart with different bath labels: every
+    # branch is kept, and the trace is 1 without any rescaling
     state = mc.normalize(
         mc.FieldBathSuperposition(
             (
@@ -237,8 +259,8 @@ def test_reduce_merge_boundary_keeps_unit_trace():
         )
     )
     rho = mc.reduce(state)
-    assert len(rho.labels) == 2
-    assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+    assert len(rho.labels) == 3
+    assert rho.trace() == pytest.approx(1.0, abs=1e-15)
 
 
 @given(
@@ -285,8 +307,14 @@ def test_eigenvalues_balanced_mixture():
     assert spec.eigenvalues[1] == pytest.approx(0.5, abs=1e-12)
 
 
+def decohered_pair(l1, l2):
+    """Equal mixture of |l1> and |l2>: no coherence left, K12 = -inf."""
+    no_coherence = np.array([[0.0, -np.inf], [-np.inf, 0.0]], dtype=complex)
+    return mc.ReducedDensity((l1, l2), (math.sqrt(0.5), math.sqrt(0.5)), no_coherence)
+
+
 def test_eigenvalues_fully_decohered_orthogonal():
-    rho = mc.ReducedDensity((7.0 + 0j, -7.0 + 0j), np.diag([0.5, 0.5]).astype(complex))
+    rho = decohered_pair(7.0 + 0j, -7.0 + 0j)
     spec = mc.eigenvalues(rho)
     assert spec.eigenvalues[0] == pytest.approx(0.5, abs=1e-12)
     assert spec.eigenvalues[1] == pytest.approx(0.5, abs=1e-12)
@@ -313,11 +341,12 @@ def test_eigenvectors_orthonormal_in_overlap_metric():
 @given(
     st.complex_numbers(min_magnitude=0.1, max_magnitude=1.5, allow_nan=False, allow_infinity=False),
     st.complex_numbers(min_magnitude=0.1, max_magnitude=1.5, allow_nan=False, allow_infinity=False),
-    labels_strategy,
-    labels_strategy,
+    label_pairs(),
     st.floats(-1.2, 1.2),
 )
-def test_eigenvalue_sum_and_rank_bound(w1, w2, l1, l2, beta):
+@example(w1=0.1 + 0j, w2=0.1 + 0j, labels=(0j, 1e-6j), beta=0.0)
+def test_eigenvalue_sum_and_rank_bound(w1, w2, labels, beta):
+    l1, l2 = labels
     try:
         state = random_two_branch_state(w1, w2, l1, l2, beta=complex(beta, 0))
     except mc.ZeroStateError:
@@ -329,30 +358,68 @@ def test_eigenvalue_sum_and_rank_bound(w1, w2, l1, l2, beta):
     assert sum(1 for lam in spec.eigenvalues if lam > 1e-8) <= len(rho.labels)
 
 
-def test_eigenvalues_merges_coalescing_labels():
-    # labels 5e-8 apart merge into one; trace collapses onto a single ray
-    rho = mc.ReducedDensity(
-        (1.0 + 0j, 1.0 + 5e-8 + 0j),
-        np.array([[0.25, 0.25], [0.25, 0.25]], dtype=complex),
-    )
+def test_eigenvalues_keep_coalescing_labels():
+    # labels 5e-8 apart, full coherence: a pure state over both labels
+    rho = mc.ReducedDensity((1.0 + 0j, 1.0 + 5e-8 + 0j), (0.5, 0.5), np.zeros((2, 2)))
     spec = mc.eigenvalues(rho)
-    assert len(spec.labels) == 1
-    assert spec.eigenvalues[0] == pytest.approx(1.0, abs=1e-6)
+    assert spec.labels == rho.labels
+    assert spec.eigenvalues == pytest.approx((1.0, 0.0), abs=1e-15)
 
 
-def test_eigenvalues_degenerate_span_raises():
-    rho = mc.ReducedDensity(
-        (1.0 + 0j, 1.0 + 3e-7 + 0j),
-        np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex),
-    )
-    with pytest.raises(mc.DegenerateSpanError):
-        mc.eigenvalues(rho)
+def test_eigenvalues_nearly_coincident_mixture_sums_to_one():
+    # an equal mixture of two states 3e-7 apart: (1 +- |<l1|l2>|)/2
+    rho = decohered_pair(1.0 + 0j, 1.0 + 3e-7 + 0j)
+    gap = (1.0 + 3e-7) - 1.0  # exact: the labels' separation as stored
+    lam = mc.eigenvalues(rho).eigenvalues
+    assert sum(lam) == pytest.approx(1.0, abs=1e-15)
+    assert lam[1] == pytest.approx(-0.5 * math.expm1(-0.5 * gap**2), rel=1e-12, abs=0.0)
+
+
+def test_small_eigenvalue_and_defect_keep_their_relative_accuracy():
+    # nearly pure and not diagonal in |l1> +- |l2>; with real labels, weights and
+    # exponent, M S is real and a 50-digit Decimal evaluation is the reference
+    l1, l2, w1, w2, k12 = 0.3, 0.301, 0.6, 0.4, -1e-6
+    rho = mc.ReducedDensity((l1, l2), (w1, w2), [[0.0, k12], [k12, 0.0]])
+    with localcontext(prec=50):
+        dl1, dl2, dw1, dw2, dk = map(Decimal, (l1, l2, w1, w2, k12))
+        s12, m12 = (-((dl1 - dl2) ** 2) / 2).exp(), dw1 * dw2 * dk.exp()
+        tr = dw1**2 + dw2**2 + 2 * m12 * s12
+        det = (dw1**2 * dw2**2 - m12**2) * (1 - s12**2)
+        lam_minus = (tr - (tr * tr - 4 * det).sqrt()) / 2
+        lam_plus, defect = tr - lam_minus, 2 * det / tr**2
+    lam = mc.eigenvalues(rho).eigenvalues
+    assert lam[1] == pytest.approx(float(lam_minus), rel=1e-12, abs=0.0)
+    assert lam[0] == pytest.approx(float(lam_plus), rel=1e-14, abs=0.0)
+    assert mc.idempotency_defect(rho) == pytest.approx(float(defect), rel=1e-12, abs=0.0)
 
 
 def test_eigenvalues_positivity_violation_raises():
-    rho = mc.ReducedDensity((0j, 3.0 + 0j), np.diag([1.5, -0.5]).astype(complex))
+    # |exp(K12)| = e^2 > 1: more coherence than two branches can hold
+    growth = np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)
+    rho = mc.ReducedDensity((0j, 3.0 + 0j), (math.sqrt(0.5), math.sqrt(0.5)), growth)
     with pytest.raises(mc.PositivityError):
         mc.eigenvalues(rho)
+
+
+def test_reduced_density_rejects_bad_exponents():
+    with pytest.raises(mc.InvalidArgumentError):
+        mc.ReducedDensity((0j, 1 + 0j), (1.0, 0.0), [[0.0, 1j], [1j, 0.0]])  # not Hermitian
+    with pytest.raises(mc.InvalidArgumentError):
+        mc.ReducedDensity((0j,), (1.0,), [[0.1]])  # nonzero diagonal
+    with pytest.raises(mc.InvalidArgumentError):
+        mc.ReducedDensity((0j, 1 + 0j), (1.0,), np.zeros((2, 2)))
+
+
+def test_spectra_of_three_labels_are_unsupported():
+    state = mc.normalize(
+        mc.FieldBathSuperposition(tuple(mc.Branch(1.0, l) for l in (0j, 1 + 0j, 1j)))
+    )
+    rho = mc.reduce(state)
+    assert rho.trace() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(mc.UnsupportedInputError):
+        mc.eigenvalues(rho)
+    with pytest.raises(mc.UnsupportedInputError):
+        mc.purity(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +446,19 @@ def test_odd_parity_projector_on_odd_cat():
 
 
 def test_odd_parity_projector_on_vacuum():
-    rho = mc.ReducedDensity((0j,), np.array([[1.0 + 0j]]))
+    rho = mc.ReducedDensity((0j,), (1.0,), np.zeros((1, 1)))
     assert mc.expectation(ODD_PARITY, rho) == pytest.approx(0.0, abs=1e-14)
 
 
 @given(
     st.complex_numbers(min_magnitude=0.1, max_magnitude=1.2, allow_nan=False, allow_infinity=False),
     st.complex_numbers(min_magnitude=0.1, max_magnitude=1.2, allow_nan=False, allow_infinity=False),
-    labels_strategy,
-    labels_strategy,
+    label_pairs(),
     st.floats(-math.pi, math.pi),
     st.floats(-math.pi, math.pi),
 )
-def test_expectation_matches_fock_oracle(w1, w2, l1, l2, p1, p2):
+def test_expectation_matches_fock_oracle(w1, w2, labels, p1, p2):
+    l1, l2 = labels
     try:
         state = mc.normalize(
             mc.FieldBathSuperposition((mc.Branch(w1, l1), mc.Branch(w2, l2)))
@@ -421,11 +488,11 @@ def test_spectral_route_equals_trace_route():
 
 
 def test_purity_and_defect_basics():
-    pure = mc.ReducedDensity((1.0 + 0j,), np.array([[1.0 + 0j]]))
+    pure = mc.ReducedDensity((1.0 + 0j,), (1.0,), np.zeros((1, 1)))
     assert mc.purity(pure) == pytest.approx(1.0, abs=1e-12)
     assert mc.idempotency_defect(pure) == pytest.approx(0.0, abs=1e-12)
 
-    mixed = mc.ReducedDensity((6.0 + 0j, -6.0 + 0j), np.diag([0.5, 0.5]).astype(complex))
+    mixed = decohered_pair(6.0 + 0j, -6.0 + 0j)
     assert mc.idempotency_defect(mixed) == pytest.approx(0.5, abs=1e-10)
 
 

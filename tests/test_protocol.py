@@ -184,14 +184,19 @@ def test_conditional_probabilities_fresh_cats():
 
 def test_conditional_probabilities_fully_decohered():
     params = params_a(math.pi, 3.5 + 0j)
-    rho = mc.ReducedDensity((3.5 + 0j, -3.5 + 0j), np.diag([0.5, 0.5]).astype(complex))
+    no_coherence = np.array([[0.0, -np.inf], [-np.inf, 0.0]], dtype=complex)
+    rho = mc.ReducedDensity((3.5 + 0j, -3.5 + 0j), (math.sqrt(0.5), math.sqrt(0.5)), no_coherence)
     rec = mc.conditional_probabilities(rho, rho, params)
     assert rec.p_ee == pytest.approx(0.5, abs=1e-10)
     assert rec.p_ge == pytest.approx(0.5, abs=1e-10)
     assert rec.eta == pytest.approx(0.0, abs=1e-12)
 
 
-@given(phi_strategy, st.sampled_from(CASES), st.floats(0.3, 1.8), st.floats(0.0, 1.0))
+#: |alpha0| from 1e-8 (near the vacuum, where odd-cat weights cancel) to 1.8
+amp_strategy = st.one_of(st.floats(0.3, 1.8), st.floats(-8.0, -1.0).map(lambda e: 10.0**e))
+
+
+@given(phi_strategy, st.sampled_from(CASES), amp_strategy, st.floats(0.0, 1.0))
 def test_conditional_rows_sum_to_one(phi, case, amp, damp):
     params = mc.ProtocolParams(case, complex(amp, 0), phi)
     try:

@@ -102,6 +102,24 @@ def test_fock_eigenvalues_of_a_non_parity_antipodal_pair(tmp_path, phi):
             assert getattr(f, name) == pytest.approx(getattr(m, name), abs=1e-10)
 
 
+@pytest.mark.parametrize("alpha0", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize(
+    "case,phi", [("a", math.pi), ("a", math.pi / 2), ("b", math.pi / 4), ("b", math.pi / 2)]
+)
+def test_master_and_fock_agree_near_the_vacuum(tmp_path, alpha0, case, phi):
+    # odd-cat weights ~ 1/|alpha0| cancel in every norm, trace and expectation
+    def rows(engine):
+        raw = scenario(tmp_path, engine, alpha0, case, phi, t_max=2.0, points=11)
+        if engine == "fock":
+            raw["fock"] = {"n_max": 12}
+        return runner.run_scenario(parse_scenario(raw))
+
+    names = [n for n in runner.ROW_FIELDS if n == "eta" or n.startswith(("p_", "lam_", "purity_"))]
+    for f, m in zip(rows("fock"), rows("master")):
+        for name in names:
+            assert abs(getattr(f, name) - getattr(m, name)) <= 1e-13, (name, f.t)
+
+
 @pytest.mark.parametrize("bad", [1.1 + 0j, 0.5 + 1e-6j])
 def test_fock_probabilities_are_checked_before_clamping(tmp_path, monkeypatch, capsys, bad):
     path = tmp_path / "fock.json"
