@@ -16,6 +16,11 @@ near the vacuum) or labels coalesce.  Spectra and purities read one
 Hermitian 2x2 matrix in the Cholesky-orthonormalised basis |l_1> +- |l_2>,
 whose Gram entries and determinant are expm1 forms too: no Gram matrix is
 inverted or diagonalised, no label merged and no trace rescaled.
+
+A density may also be a stack, with labels (..., n) and exponents
+(..., n, n), e.g. one per grid time: every function maps over the leading
+axes with the code that serves a single density, and a failed check names
+the first offending index.
 """
 
 from __future__ import annotations
@@ -64,22 +69,19 @@ def _exponent(bra: complex, ket: complex) -> complex:
     return bra.conjugate() * ket - 0.5 * (_abs2(bra) + _abs2(ket))
 
 
-def _expm1(z: complex) -> complex:
-    """exp(z) - 1, accurate for small |z| (cmath has no expm1)."""
-    half = math.sin(0.5 * z.imag)
-    return complex(
-        math.expm1(z.real) * math.cos(z.imag) - 2.0 * half * half,
-        math.exp(z.real) * math.sin(z.imag),
-    )
+def _quadratic_form(a, b, expo):
+    """sum_ij a_i conj(b_j) exp(expo_ij) on leading axes: (sum a)(sum conj b) + an expm1 part."""
+    b = np.conj(b)
+    return a.sum(axis=-1) * b.sum(axis=-1) + np.einsum("...i,...j,...ij", a, b, np.expm1(expo))
 
 
-def _quadratic_form(a, b, expo) -> complex:
-    """sum_ij a_i conj(b_j) exp(expo[i][j]), split as (sum a)(sum conj b) plus an expm1 part."""
-    total = sum(a) * sum(b).conjugate()
-    for ai, row in zip(a, expo):
-        for bj, e in zip(b, row):
-            total += ai * bj.conjugate() * _expm1(e)
-    return complex(total)
+def _require(ok, error: type[Exception], message: str, values) -> None:
+    """Raise ``error`` unless ``ok`` holds everywhere, citing ``values`` at the first failure."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        first = np.unravel_index(np.argmin(ok), ok.shape)
+        where = f" at time index {', '.join(map(str, first))}" if first else ""
+        raise error(f"{message}: {np.asarray(values)[first].tolist()!r}{where}")
 
 
 def overlap(a: complex, b: complex) -> complex:
@@ -167,8 +169,8 @@ class FieldBathSuperposition:
 def squared_norm(state: FieldBathSuperposition) -> float:
     """<psi|psi>: the quadratic form of the weights over the branch overlap exponents."""
     modes = np.array([(br.field, *br.bath) for br in state.branches], dtype=complex)
-    weights = [complex(br.weight) for br in state.branches]
-    return _quadratic_form(weights, weights, _gram_exponents(modes).T.tolist()).real
+    weights = np.array([br.weight for br in state.branches], dtype=complex)
+    return _quadratic_form(weights, weights, _gram_exponents(modes).T).real
 
 
 def normalize(state: FieldBathSuperposition) -> FieldBathSuperposition:
@@ -214,88 +216,98 @@ class _PairForm(NamedTuple):
     """A density of one or two labels as the 2x2 (a, b; conj(b), d), determinant ``det``.
 
     Its basis is e = (|l1> + |l2>, |l1> - |l2>) L^-dag, with L the lower
-    Cholesky factor of the Gram matrix of |l1> +- |l2>.
+    Cholesky factor of the Gram matrix of |l1> +- |l2>; fields span the stack axes.
     """
 
-    a: float
-    b: complex
-    d: float
-    det: float
-    labels: tuple[complex, complex]
-    chol: tuple[float, complex, float]  # L11, L21, L22
+    a: np.ndarray
+    b: np.ndarray
+    d: np.ndarray
+    det: np.ndarray
+    labels: np.ndarray
+    chol: tuple[np.ndarray, np.ndarray, np.ndarray]  # L11, L21, L22
 
-    def label_coefficients(self, v) -> np.ndarray:
-        """Coefficients over ``labels`` of the vector sum_p v[p] e_p."""
+    def label_coefficients(self, v0, v1) -> np.ndarray:
+        """Coefficients over ``labels`` (last axis) of the vector v0 e_0 + v1 e_1."""
         l11, l21, l22 = self.chol
-        y_d = v[1] / l22 if l22 else 0.0  # coinciding labels span one ray
-        y_s = (v[0] - l21.conjugate() * y_d) / l11
-        return np.array([y_s + y_d, y_s - y_d], dtype=complex)
+        # coinciding labels (L22 = 0) span one ray: no difference component
+        y_d = np.divide(v1, l22, out=np.zeros_like(v1), where=l22 != 0.0)
+        y_s = (v0 - np.conj(l21) * y_d) / l11
+        return np.stack([y_s + y_d, y_s - y_d], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
 class ReducedDensity:
-    """Field density rho = sum_ij w_i conj(w_j) exp(K_ij) |labels[i]><labels[j]|.
+    """Field density rho = sum_ij w_i conj(w_j) exp(K_ij) |labels[i]><labels[j]|, or a stack.
 
-    ``weights`` are the w_i; ``expo`` is K, Hermitian with a zero diagonal
-    (K_ij = -inf: no coherence left between branches i and j).
+    ``labels`` has shape (..., n), the leading axes indexing the stack (e.g. a
+    time grid); ``weights`` (the w_i) broadcast against it.  ``expo`` is K,
+    shape (..., n, n), Hermitian with a zero diagonal (K_ij = -inf: no
+    coherence left between branches i and j).
     """
 
-    labels: tuple[complex, ...]
-    weights: tuple[complex, ...]
+    labels: np.ndarray
+    weights: np.ndarray
     expo: np.ndarray
 
     def __post_init__(self):
-        n = len(self.labels)
-        expo = np.array(self.expo, dtype=complex)
-        if len(self.weights) != n or expo.shape != (n, n):
+        labels, weights, expo = (
+            np.array(x, dtype=complex) for x in (self.labels, self.weights, self.expo)
+        )
+        n = labels.shape[-1:]
+        if not n or weights.shape[-1:] != n or expo.shape[-2:] != 2 * n:
             raise InvalidArgumentError("weights and coherence exponents must match the labels")
-        if np.any(np.diag(expo) != 0.0) or not np.array_equal(expo, expo.conj().T):
-            raise InvalidArgumentError("coherence exponent must be Hermitian with a zero diagonal")
-        expo.setflags(write=False)
-        object.__setattr__(self, "expo", expo)
+        zero_diagonal = np.all(np.diagonal(expo, axis1=-2, axis2=-1) == 0.0, axis=-1)
+        hermitian = np.all(expo == np.conj(np.swapaxes(expo, -1, -2)), axis=(-2, -1))
+        _require(zero_diagonal & hermitian, InvalidArgumentError,
+                 "coherence exponent must be Hermitian with a zero diagonal", expo)
+        for name, value in (("labels", labels), ("weights", weights), ("expo", expo)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def coeff(self) -> np.ndarray:
         """Coefficients M_ij = w_i conj(w_j) exp(K_ij) of rho = sum_ij M_ij |l_i><l_j|."""
-        w = np.array(self.weights, dtype=complex)
-        return np.outer(w, w.conj()) * np.exp(self.expo)
+        w = self.weights
+        return w[..., :, None] * np.conj(w)[..., None, :] * np.exp(self.expo)
 
-    def trace(self) -> float:
+    def trace(self):
         """Tr rho = sum_ij w_i conj(w_j) exp(K_ij) <l_j|l_i>."""
         return expectation(PhaseOpSum.identity(), self).real
 
     @functools.cached_property
     def _pair(self) -> _PairForm:
-        if len(self.labels) > 2:
-            raise UnsupportedInputError(f"spectra need one or two labels, got {len(self.labels)}")
+        n = self.labels.shape[-1]
+        if n > 2:
+            raise UnsupportedInputError(f"spectra need one or two labels, got {n}")
         # one label l is read as the pair (l, l) with the second weight zero
-        (l1, l2), (w1, w2) = (*self.labels, self.labels[0])[:2], (*self.weights, 0j)[:2]
-        k12 = complex(self.expo[0, -1])
+        pair, w = [0, -1], self.weights
+        labels, expo = self.labels[..., pair], self.expo[..., pair, :][..., pair]
+        (l1, l2), k12 = np.moveaxis(labels, -1, 0), expo[..., 0, 1]
+        w1, w2 = np.moveaxis(np.concatenate([w, np.zeros_like(w)], axis=-1)[..., :2], -1, 0)
         # rho = sum N_xy |x><y| over |s> = |l1> + |l2>, |d> = |l1> - |l2>
-        expo = [[0j, k12], [k12.conjugate(), 0j]]
-        plus, minus = (w1, w2), (w1, -w2)
+        plus, minus = np.stack([w1, w2], axis=-1), np.stack([w1, -w2], axis=-1)
         n_ss = 0.25 * _quadratic_form(plus, plus, expo).real
         n_dd = 0.25 * _quadratic_form(minus, minus, expo).real
         n_sd = 0.25 * _quadratic_form(plus, minus, expo)
         # their Gram matrix: <s|s> = 4 + 2 Re eps, <d|s> = 2i Im eps with eps = <l1|l2> - 1,
         # determinant det_s = 4 (1 - |<l1|l2>|^2) = -4 expm1(-|l1 - l2|^2)
-        eps, gap = _expm1(_exponent(l1, l2)), math.expm1(-_abs2(l1 - l2))
+        eps, gap = np.expm1(_exponent(l1, l2)), np.expm1(-_abs2(l1 - l2))
         g_ss, g_ds, det_s = 4.0 + 2.0 * eps.real, 2j * eps.imag, -4.0 * gap
-        l11 = math.sqrt(g_ss)
-        l21, l22 = g_ds / l11, math.sqrt(det_s / g_ss)
+        l11 = np.sqrt(g_ss)
+        l21, l22 = g_ds / l11, np.sqrt(det_s / g_ss)
         # (a, b; conj(b), d) = L^dag N L; its determinant is det_s det(M) / 4 with
         # det(M) = -|w1 w2|^2 expm1(2 Re K12)
         a = g_ss * n_ss + 2.0 * (n_sd * g_ds).real + _abs2(g_ds) / g_ss * n_dd
-        b = l22 * (l11 * n_sd + l21.conjugate() * n_dd)
-        det = _abs2(w1 * w2) * gap * math.expm1(2.0 * k12.real)
-        return _PairForm(a, b, det_s / g_ss * n_dd, det, (l1, l2), (l11, l21, l22))
+        b = l22 * (l11 * n_sd + np.conj(l21) * n_dd)
+        det = _abs2(w1 * w2) * gap * np.expm1(2.0 * k12.real)
+        return _PairForm(a, b, det_s / g_ss * n_dd, det, labels, (l11, l21, l22))
 
 
 def _checked_trace(rho: ReducedDensity) -> ReducedDensity:
-    """rho itself once its trace is 1 to roundoff; it is never rescaled."""
+    """rho itself once its trace is 1 to roundoff at every stack index; it is never rescaled."""
     tr = rho.trace()
-    if abs(tr - 1.0) > EIGENVALUE_TOL:
-        raise PositivityError(f"reduced density trace {tr!r} differs from 1 beyond roundoff")
+    _require(np.abs(tr - 1.0) <= EIGENVALUE_TOL, PositivityError,
+             "reduced density trace differs from 1 beyond roundoff", tr)
     return rho
 
 
@@ -309,24 +321,25 @@ def reduce(state: FieldBathSuperposition) -> ReducedDensity:
         raise InvalidArgumentError("reduce() needs a normalized state")
     bath = np.array([br.bath for br in state.branches], dtype=complex)
     rho = ReducedDensity(
-        tuple(br.field for br in state.branches),
-        tuple(br.weight for br in state.branches),
+        [br.field for br in state.branches],
+        [br.weight for br in state.branches],
         _gram_exponents(bath).T,
     )
     return _checked_trace(rho)
 
 
-def _bath_free(state: FieldBathSuperposition, name: str) -> tuple[list, list]:
+def _bath_free(state: FieldBathSuperposition, name: str) -> tuple[np.ndarray, np.ndarray]:
     """(weights, field labels) of a normalized bath-free state."""
     if not state.normalized:
         raise InvalidArgumentError(f"{name}() needs a normalized state")
     if state.n_bath_modes != 0:
         raise InvalidArgumentError(f"{name}() needs a bath-free state")
     brs = state.branches
-    return [complex(br.weight) for br in brs], [complex(br.field) for br in brs]
+    return (np.array([br.weight for br in brs], dtype=complex),
+            np.array([br.field for br in brs], dtype=complex))
 
 
-def damped_density(state: FieldBathSuperposition, g: complex, depletion: float) -> ReducedDensity:
+def damped_density(state: FieldBathSuperposition, g, depletion) -> ReducedDensity:
     """Field density of a bath-free superposition after a linear damping flow.
 
     The flow maps each label a_i to a_i g and leaves the environment with
@@ -338,21 +351,22 @@ def damped_density(state: FieldBathSuperposition, g: complex, depletion: float) 
         K_ij = B log <a_j|a_i> = (conj(a_j) a_i - (|a_i|^2 + |a_j|^2)/2) B,
 
     as reduce(evolve(...)) does with per-mode products; the trace is checked.
+    Arrays of g and B (one shape) give the stack of densities over them.
     """
     weights, labels = _bath_free(state, "damped_density")
-    g, depletion = complex(g), float(depletion)
-    expo = [[depletion * _exponent(aj, ai) for aj in labels] for ai in labels]
-    return _checked_trace(ReducedDensity(tuple(a * g for a in labels), tuple(weights), expo))
+    g, depletion = np.asarray(g, dtype=complex), np.asarray(depletion, dtype=float)
+    expo = depletion[..., None, None] * _gram_exponents(labels).T
+    return _checked_trace(ReducedDensity(np.multiply.outer(g, labels), weights, expo))
 
 
-def damped_occupations(state: FieldBathSuperposition, g, depletion) -> tuple[np.ndarray, np.ndarray]:
+def damped_occupations(state: FieldBathSuperposition, g, depletion) -> tuple[np.ndarray, ...]:
     """(n_field, n_bath) of the damped superposition for arrays of g and B.
 
     With s = |g|^2 + B (1 for a unitary flow) and
     Q = sum_pq conj(w_p a_p) w_q a_q <a_p|a_q>^s, the field holds |g|^2 Q and
     the environment B Q: the closed form of :func:`occupations`.
     """
-    weights, labels = map(np.array, _bath_free(state, "damped_occupations"))
+    weights, labels = _bath_free(state, "damped_occupations")
     g = np.asarray(g, dtype=complex)
     depletion = np.asarray(depletion, dtype=float)
     g2 = g.real**2 + g.imag**2
@@ -364,16 +378,16 @@ def damped_occupations(state: FieldBathSuperposition, g, depletion) -> tuple[np.
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues (descending) and eigenvectors of a reduced density.
+    """Eigenvalues (..., 2), descending, and eigenvectors (..., 2, 2) of a reduced density.
 
-    Eigenvectors are coefficient arrays c over ``labels`` (the pair (l, l)
-    for a one-label density), |v> = sum_i c[i] |labels[i]> with c^dag S c = 1,
-    or zero where the two labels coincide and span one ray.
+    eigenvectors[..., k, :] are coefficients c over ``labels`` (the pair (l, l)
+    for one label), |v> = sum_i c[i] |labels[i]> with c^dag S c = 1, or zero
+    where the two labels coincide and span one ray.
     """
 
-    eigenvalues: tuple[float, ...]
-    eigenvectors: tuple[np.ndarray, ...]
-    labels: tuple[complex, ...]
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    labels: np.ndarray
 
 
 def eigenvalues(rho: ReducedDensity) -> Spectrum:
@@ -386,32 +400,30 @@ def eigenvalues(rho: ReducedDensity) -> Spectrum:
     and more than two labels raise :class:`UnsupportedInputError`.
     """
     m = rho._pair
-    half = 0.5 * math.hypot(m.a - m.d, 2.0 * abs(m.b))
-    mid = 0.5 * (m.a + m.d)
-    top = mid + half
-    lams = (top, min(m.det / top, top) if top else 0.0)
-    if not all(-EIGENVALUE_TOL <= x <= 1.0 + EIGENVALUE_TOL for x in lams):
-        raise PositivityError(f"eigenvalues {lams!r} outside [0, 1] beyond tolerance")
-    # eigenvector of the larger eigenvalue from the row that is not near-singular
-    if half == 0.0:
-        v = (1.0 + 0j, 0j)
-    elif m.a >= m.d:
-        v = (complex(half + 0.5 * (m.a - m.d)), m.b.conjugate())
-    else:
-        v = (m.b, complex(half + 0.5 * (m.d - m.a)))
-    norm = math.hypot(abs(v[0]), abs(v[1]))
-    v = (v[0] / norm, v[1] / norm)
-    vecs = (m.label_coefficients(v), m.label_coefficients((-v[1].conjugate(), v[0].conjugate())))
-    return Spectrum(tuple(min(max(x, 0.0), 1.0) for x in lams), vecs, m.labels)
+    half = 0.5 * np.hypot(m.a - m.d, 2.0 * np.abs(m.b))
+    top = 0.5 * (m.a + m.d) + half
+    low = np.minimum(np.divide(m.det, top, out=np.zeros_like(top), where=top != 0.0), top)
+    lams = np.stack([top, low], axis=-1)
+    _require(np.all((-EIGENVALUE_TOL <= lams) & (lams <= 1.0 + EIGENVALUE_TOL), axis=-1),
+             PositivityError, "eigenvalues outside [0, 1] beyond tolerance", lams)
+    # eigenvector of the larger eigenvalue from the row that is not near-singular;
+    # (1, 0) where the two eigenvalues coincide
+    upper = m.a >= m.d
+    v0 = np.where(half == 0.0, 1.0, np.where(upper, half + 0.5 * (m.a - m.d), m.b))
+    v1 = np.where(half == 0.0, 0.0, np.where(upper, np.conj(m.b), half + 0.5 * (m.d - m.a)))
+    norm = np.hypot(np.abs(v0), np.abs(v1))
+    v0, v1 = v0 / norm, v1 / norm
+    vecs = [m.label_coefficients(v0, v1), m.label_coefficients(-np.conj(v1), np.conj(v0))]
+    return Spectrum(np.clip(lams, 0.0, 1.0), np.stack(vecs, axis=-2), m.labels)
 
 
-def purity(rho: ReducedDensity) -> float:
+def purity(rho: ReducedDensity):
     """Tr rho^2 = (a + d)^2 - 2 det of the 2x2 matrix that :func:`eigenvalues` reads."""
     m = rho._pair
     return (m.a + m.d) ** 2 - 2.0 * m.det
 
 
-def idempotency_defect(rho: ReducedDensity) -> float:
+def idempotency_defect(rho: ReducedDensity):
     """1 - Tr rho^2 of rho / Tr rho: zero iff pure, 2*lam_+*lam_- at unit trace.
 
     Evaluated as 2 det / (Tr rho)^2, which keeps its relative accuracy as
@@ -421,10 +433,10 @@ def idempotency_defect(rho: ReducedDensity) -> float:
     return 2.0 * m.det / (m.a + m.d) ** 2
 
 
-def mean_photon(rho: ReducedDensity) -> float:
+def mean_photon(rho: ReducedDensity):
     """<a^dag a> of the field density: sum_ij w_i conj(w_j) exp(K_ij) conj(l_j) l_i <l_j|l_i>."""
-    wl = [w * l for w, l in zip(rho.weights, rho.labels)]
-    return _op_form(PhaseOpSum.identity(), wl, wl, rho.labels, rho.expo.tolist()).real
+    wl = rho.weights * rho.labels
+    return _op_form(PhaseOpSum.identity(), wl, wl, rho.labels, rho.expo).real
 
 
 # ---------------------------------------------------------------------------
@@ -491,28 +503,23 @@ class PhaseOpSum:
         return sum(w * cmath.exp(1j * p * n) for w, p in self.terms)
 
 
-def _op_form(op: PhaseOpSum, a, b, labels, expo) -> complex:
-    """sum_m w_m sum_ij a_i conj(b_j) exp(expo[i][j]) <l_j|l_i e^{i phase_m}>."""
-    total = 0.0 + 0.0j
-    for w, p in op.terms:
-        rot = cmath.exp(1j * p)
-        full = [
-            [k + _exponent(lj, li * rot) for lj, k in zip(labels, row)]
-            for li, row in zip(labels, expo)
-        ]
-        total += w * _quadratic_form(a, b, full)
-    return total
+def _op_form(op: PhaseOpSum, a, b, labels, expo):
+    """sum_m w_m sum_ij a_i conj(b_j) exp(expo_ij) <l_j|l_i e^{i phase_m}> over any leading axes."""
+    w, phase = (np.array(x) for x in zip(*op.terms))
+    ket = labels[..., None, :, None] * np.exp(1j * phase)[:, None, None]  # (..., m, n, 1)
+    full = expo[..., None, :, :] + _exponent(labels[..., None, None, :], ket)
+    return (_quadratic_form(a[..., None, :], b[..., None, :], full) * w).sum(axis=-1)
 
 
-def expectation(op: PhaseOpSum, rho: ReducedDensity) -> complex:
-    """Tr[op rho], exact via exp(i phi a^dag a)|l> = |l e^{i phi}>.
+def expectation(op: PhaseOpSum, rho: ReducedDensity):
+    """Tr[op rho], exact via exp(i phi a^dag a)|l> = |l e^{i phi}>, over rho's stack axes.
 
     Each term contributes sum_ij w_i conj(w_j) exp(K_ij) <l_j | l_i e^{i phase}>.
     """
-    return _op_form(op, rho.weights, rho.weights, rho.labels, rho.expo.tolist())
+    return _op_form(op, rho.weights, rho.weights, rho.labels, rho.expo)
 
 
-def phase_op_matrix_element(op: PhaseOpSum, labels, bra_coeff, ket_coeff) -> complex:
+def phase_op_matrix_element(op: PhaseOpSum, labels, bra_coeff, ket_coeff):
     """<v_bra| op |v_ket> for vectors given as coefficients over coherent labels."""
-    ket, bra = [complex(c) for c in ket_coeff], [complex(c) for c in bra_coeff]
-    return _op_form(op, ket, bra, [complex(l) for l in labels], [[0.0] * len(ket)] * len(ket))
+    labels, bra, ket = (np.asarray(x, dtype=complex) for x in (labels, bra_coeff, ket_coeff))
+    return _op_form(op, ket, bra, labels, np.zeros(labels.shape + labels.shape[-1:]))

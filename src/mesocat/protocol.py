@@ -34,11 +34,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .coherent import (
     Branch,
     FieldBathSuperposition,
     PhaseOpSum,
     ReducedDensity,
+    _require,
     expectation,
     normalize,
     squared_norm,
@@ -170,37 +173,36 @@ def prepare(
 
 @dataclass(frozen=True)
 class CorrelationRecord:
-    """The four two-atom conditional probabilities and eta = p_ee - p_ge."""
+    """The four two-atom conditional probabilities and eta = p_ee - p_ge.
 
-    p_ee: float
-    p_eg: float
-    p_ge: float
-    p_gg: float
-    eta: float
+    Each probability is given as computed: a number, or an array over the
+    stack axes of the densities (e.g. a time grid).  It must be real and in
+    [0, 1] to roundoff, and is then stored clamped to [0, 1]; p_ee + p_eg and
+    p_ge + p_gg must be 1.  A failed check raises :class:`PositivityError`
+    naming the first offending index.
+    """
+
+    p_ee: float | np.ndarray
+    p_eg: float | np.ndarray
+    p_ge: float | np.ndarray
+    p_gg: float | np.ndarray
 
     def __post_init__(self):
         for name in ("p_ee", "p_eg", "p_ge", "p_gg"):
-            p = getattr(self, name)
-            if not -_PROBABILITY_TOL <= p <= 1.0 + _PROBABILITY_TOL:
-                raise PositivityError(f"{name} = {p!r} outside [0, 1]")
-        if abs(self.p_ee + self.p_eg - 1.0) > _PROBABILITY_TOL:
-            raise PositivityError("p_ee + p_eg != 1 beyond tolerance")
-        if abs(self.p_ge + self.p_gg - 1.0) > _PROBABILITY_TOL:
-            raise PositivityError("p_ge + p_gg != 1 beyond tolerance")
+            p = np.asarray(getattr(self, name), dtype=complex)
+            _require(np.abs(p.imag) <= _PROBABILITY_TOL, PositivityError,
+                     f"probability {name} has an imaginary part", p.imag)
+            _require((-_PROBABILITY_TOL <= p.real) & (p.real <= 1.0 + _PROBABILITY_TOL),
+                     PositivityError, f"probability {name} outside [0, 1]", p.real)
+            object.__setattr__(self, name, np.clip(p.real, 0.0, 1.0))
+        for pair in (("p_ee", "p_eg"), ("p_ge", "p_gg")):
+            total = getattr(self, pair[0]) + getattr(self, pair[1])
+            _require(~(np.abs(total - 1.0) > _PROBABILITY_TOL), PositivityError,
+                     " + ".join(pair) + " != 1 beyond tolerance", total)
 
-
-def checked_probability(val: complex) -> float:
-    """A computed probability, clamped to [0, 1] once it passes the roundoff checks.
-
-    Raises :class:`PositivityError` for an imaginary part or a distance from
-    [0, 1] beyond the tolerance.
-    """
-    val = complex(val)
-    if abs(val.imag) > _PROBABILITY_TOL:
-        raise PositivityError(f"probability has imaginary part {val.imag!r}")
-    if not -_PROBABILITY_TOL <= val.real <= 1.0 + _PROBABILITY_TOL:
-        raise PositivityError(f"probability {val.real!r} outside [0, 1]")
-    return min(max(val.real, 0.0), 1.0)
+    @property
+    def eta(self):
+        return self.p_ee - self.p_ge
 
 
 def conditional_probabilities(
@@ -210,15 +212,10 @@ def conditional_probabilities(
 
     ``rho_e``/``rho_g`` are the trace-normalized field densities at the
     passage time of the second atom, conditioned on detecting the first
-    atom in e/g.
+    atom in e/g; stacks of densities (one per grid time) give arrays.
     """
-    mp_e = measurement_product(params, DetectionOutcome.E)
-    mp_g = measurement_product(params, DetectionOutcome.G)
-    p_ee = checked_probability(expectation(mp_e, rho_e))
-    p_eg = checked_probability(expectation(mp_g, rho_e))
-    p_ge = checked_probability(expectation(mp_e, rho_g))
-    p_gg = checked_probability(expectation(mp_g, rho_g))
-    return CorrelationRecord(p_ee, p_eg, p_ge, p_gg, eta=p_ee - p_ge)
+    ops = [measurement_product(params, outcome) for outcome in DetectionOutcome]  # E, G
+    return CorrelationRecord(*(expectation(op, rho) for rho in (rho_e, rho_g) for op in ops))
 
 
 def eigenvalues_case_a(

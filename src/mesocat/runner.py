@@ -1,9 +1,9 @@
 """Scenario engines: turn one configuration into a time series of observables.
 
-Each grid time yields one :class:`TimeSeriesRow` with the damping factors,
-the four conditional probabilities and eta, the eigenvalue pairs of both
-conditioned densities, purities, occupations and the recurrence flag.
-Times are reported in units of t_c = 1/gamma.
+A run yields one :class:`TimeSeriesRow` per grid time with the damping
+factors, the four conditional probabilities and eta, the eigenvalue pairs
+of both conditioned densities, purities, occupations and the recurrence
+flag.  Times are reported in units of t_c = 1/gamma.
 
 The two analytic engines are one computation.  The prepared field stays a
 superposition of product-coherent branches, so the environment reaches it
@@ -11,10 +11,11 @@ only through the field response g(t) and the depletion B(t): the exact
 discrete bath gives both over the whole grid in one matrix product
 (``bath.response``), the master equation in closed form
 (``lindblad.me_response``).  One row builder turns (g, B) into rows:
-``coherent.damped_density`` gives both conditioned densities at each time;
-gamma_a, gamma_b and the occupations are closed forms in (g, B); the
-probabilities, spectra and purities go through the same checked routines
-as any other density.  The compare summary's short-time defect slopes are
+``coherent.damped_density`` stacks both conditioned densities over the
+grid; gamma_a, gamma_b and the occupations are closed forms in (g, B); the
+probabilities, spectra and purities go once per stack through the same
+checked routines as any single density.  Only building the rows iterates
+over grid times.  The compare summary's short-time defect slopes are
 fitted to rows from the same builder.  The brute-force Fock engine
 applies the exact Kraus map of its Lindblad equation to the prepared
 densities, from t = 0 at each grid time.
@@ -26,12 +27,11 @@ eigenvalue, matching the closed-form pair (the Fock engine reads them off
 the even and odd photon-number blocks).  Otherwise the labels are only
 defined up to ordering and the columns hold the descending values.
 
-Everything runs serially in grid order.
+Everything runs in one thread.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -85,52 +85,48 @@ def time_grid(cfg: ScenarioConfig) -> np.ndarray:
 
 #: Frobenius norm below which a Fock density counts as parity-block-diagonal
 PARITY_BLOCK_TOL = 1e-12
+#: relative accuracy of the Fock engine's gamma_b: rows whose rounding bound exceeds it hold NaN
+FOCK_GAMMA_B_RTOL = 1e-6
 
 
-def _labels_antipodal(labels) -> bool:
-    if len(labels) != 2:
-        return False
-    scale = max(1.0, abs(labels[0]), abs(labels[1]))
-    return abs(labels[0] + labels[1]) < 1e-9 * scale
+def _labels_antipodal(labels) -> np.ndarray:
+    """Whether the two labels (last axis) are opposite, at each stack index."""
+    l0, l1 = labels[..., 0], labels[..., 1]
+    scale = np.maximum(1.0, np.maximum(np.abs(l0), np.abs(l1)))
+    return np.abs(l0 + l1) < 1e-9 * scale
 
 
-def _assign_from_spectrum(spec: coherent.Spectrum) -> tuple[float, float]:
-    lams = list(spec.eigenvalues) + [0.0, 0.0]
-    if _labels_antipodal(spec.labels):
-        plus = minus = None
-        for lam, vec in zip(spec.eigenvalues, spec.eigenvectors):
-            even_parity = (vec[0] * vec[1].conjugate()).real >= 0.0
-            if even_parity and plus is None:
-                plus = lam
-            elif not even_parity and minus is None:
-                minus = lam
-        if plus is not None and minus is not None:
-            return plus, minus
-    return lams[0], lams[1]
+def _assign_from_spectrum(spec: coherent.Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """(lam_plus, lam_minus) over the stack: by eigenvector parity for antipodal labels.
+
+    The even (c0 conj(c1) real part >= 0) eigenvector's eigenvalue is "plus"
+    when the other eigenvector is odd; otherwise the descending order stays.
+    """
+    lams, vecs = spec.eigenvalues, spec.eigenvectors
+    even = (vecs[..., 0] * np.conj(vecs[..., 1])).real >= 0.0
+    swap = _labels_antipodal(spec.labels) & ~even[..., 0] & even[..., 1]
+    return np.where(swap, lams[..., 1], lams[..., 0]), np.where(swap, lams[..., 0], lams[..., 1])
 
 
-def _row(t_tc, g_a, g_b: complex, rec, lam_e, lam_g, purity_defect, n_field, n_bath, recurrence):
-    """One TimeSeriesRow; arguments in ROW_FIELDS order, with gamma_b still complex."""
-    return TimeSeriesRow(
-        float(t_tc), float(g_a), abs(g_b), math.atan2(g_b.imag, g_b.real),
-        rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta, *lam_e, *lam_g,
-        *purity_defect, float(n_field), float(n_bath), bool(recurrence),
-    )
+def _rows(columns) -> list[TimeSeriesRow]:
+    """TimeSeriesRows from one array per column, in ROW_FIELDS order, gamma_b still complex."""
+    t_tc, g_a, g_b, *rest = columns
+    g_b = np.asarray(g_b)
+    columns = (t_tc, g_a, np.abs(g_b), np.arctan2(g_b.imag, g_b.real), *rest)
+    return [TimeSeriesRow(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def _pair_factors(state, g: np.ndarray, depletion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gamma_a = |<a_2 g|a_1 g>| and gamma_b = exp(z B) over the grid; trivial for one branch.
+    """gamma_a = |<a_2 g|a_1 g>| and gamma_b = exp(z B) over the grid of a two-branch state.
 
     z = log <a_2|a_1>, the exponent ``coherent.damped_density`` scales by B.
     """
-    if len(state.branches) == 1:
-        return np.ones(len(g)), np.ones(len(g), dtype=complex)
     z = coherent._exponent(state.branches[1].field, state.branches[0].field)
     return np.abs(np.exp(z * (g.real**2 + g.imag**2))), np.exp(z * depletion)
 
 
 def _analytic_rows(cfg: ScenarioConfig, params, times_tc: np.ndarray) -> list[TimeSeriesRow]:
-    """Rows of the configured analytic engine at the given times (units of t_c)."""
+    """Rows of the configured analytic engine at the given times (t_c), from density stacks."""
     if cfg.engine == "microscopic":
         spec = bathmod.discretize_flat_band(
             cfg.bath.gamma, cfg.bath.modes, cfg.bath.half_bandwidth
@@ -144,20 +140,18 @@ def _analytic_rows(cfg: ScenarioConfig, params, times_tc: np.ndarray) -> list[Ti
         recurrence = np.zeros(len(times), dtype=bool)
     state_e = proto.prepare(params, proto.DetectionOutcome.E)
     state_g = proto.prepare(params, proto.DetectionOutcome.G)
-    g_a, g_b = _pair_factors(state_e, g, depletion)
-    n_field, n_bath = coherent.damped_occupations(state_e, g, depletion)
-    rows = []
-    for i, t_tc in enumerate(times_tc):
-        rho_e = coherent.damped_density(state_e, g[i], depletion[i])
-        rho_g = coherent.damped_density(state_g, g[i], depletion[i])
-        rec = proto.conditional_probabilities(rho_e, rho_g, params)
-        lam_e = _assign_from_spectrum(coherent.eigenvalues(rho_e))
-        lam_g = _assign_from_spectrum(coherent.eigenvalues(rho_g))
-        purity_defect = (coherent.purity(rho_e), coherent.purity(rho_g),
-                         coherent.idempotency_defect(rho_e), coherent.idempotency_defect(rho_g))
-        rows.append(_row(t_tc, g_a[i], complex(g_b[i]), rec, lam_e, lam_g, purity_defect,
-                         n_field[i], n_bath[i], recurrence[i]))
-    return rows
+    rho_e = coherent.damped_density(state_e, g, depletion)
+    rho_g = coherent.damped_density(state_g, g, depletion)
+    rec = proto.conditional_probabilities(rho_e, rho_g, params)
+    return _rows((
+        times_tc, *_pair_factors(state_e, g, depletion),
+        rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta,
+        *_assign_from_spectrum(coherent.eigenvalues(rho_e)),
+        *_assign_from_spectrum(coherent.eigenvalues(rho_g)),
+        coherent.purity(rho_e), coherent.purity(rho_g),
+        coherent.idempotency_defect(rho_e), coherent.idempotency_defect(rho_g),
+        *coherent.damped_occupations(state_e, g, depletion), recurrence,
+    ))
 
 
 def _fock_assign(matrix: np.ndarray, labels_t) -> tuple[float, float]:
@@ -181,17 +175,23 @@ def _fock_assign(matrix: np.ndarray, labels_t) -> tuple[float, float]:
     return tuple(float(min(max(l, 0.0), 1.0)) for l in top)
 
 
-def _fock_gamma_b(matrix, labels_t, weights) -> complex:
-    vecs = [fock.coherent_to_fock(l, matrix.shape[0] - 1).amplitudes for l in labels_t]
-    (p00, p01), (p10, p11) = [[v1.conj() @ matrix @ v2 for v2 in vecs] for v1 in vecs]
-    # det S = 1 - |<l1|l2>|^2, the squared norm of the part of |l2> orthogonal to |l1>
-    det = -math.expm1(-abs(labels_t[0] - labels_t[1]) ** 2)
-    if det <= coherent.NORM_FLOOR:
-        return complex("nan")
-    # coeff = S^-1 P S^-1 with S^-1 = (1, -s; -conj(s), 1) / det and s = <l1|l2>
-    s = coherent.overlap(labels_t[0], labels_t[1])
-    coeff01 = (p01 - s * (p00 + p11) + s * s * p10) / det**2
-    return complex(coeff01 / (weights[0] * weights[1].conjugate()))
+def _fock_gamma_b(p: np.ndarray, labels_t: np.ndarray, weights, n_max: int) -> np.ndarray:
+    """gamma_b over the grid from P_ij = <l_i(t)|rho_e(t)|l_j(t)>, shape (T, 2, 2).
+
+    coeff = S^-1 P S^-1 with S^-1 = (1, -s; -conj(s), 1) / det, s = <l1|l2>
+    and det = 1 - |s|^2.  The numerator cancels down to det^2 coeff01, so the
+    rounding of the P_ij, dot products over n_max + 1 Fock levels and so
+    within (n_max + 1) eps sum|P| of exact, reaches coeff01 divided by det^2.
+    Rows where that bound exceeds FOCK_GAMMA_B_RTOL of |coeff01| hold NaN.
+    """
+    l1, l2 = labels_t[:, 0], labels_t[:, 1]
+    det = -np.expm1(-coherent._abs2(l1 - l2))
+    s = np.exp(coherent._exponent(l1, l2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeff01 = (p[:, 0, 1] - s * (p[:, 0, 0] + p[:, 1, 1]) + s * s * p[:, 1, 0]) / det**2
+        bound = (n_max + 1) * np.finfo(float).eps * np.abs(p).sum(axis=(1, 2)) / det**2
+        accurate = bound / np.abs(coeff01) <= FOCK_GAMMA_B_RTOL
+    return np.where(accurate, coeff01 / (weights[0] * np.conj(weights[1])), np.nan)
 
 
 def _fock_rows(cfg: ScenarioConfig, params: proto.ProtocolParams) -> list[TimeSeriesRow]:
@@ -201,36 +201,34 @@ def _fock_rows(cfg: ScenarioConfig, params: proto.ProtocolParams) -> list[TimeSe
     state_g = proto.prepare(params, proto.DetectionOutcome.G)
     rho0_e = fock.density_from_vector(fock.superposition_vector(state_e, n_max))
     rho0_g = fock.density_from_vector(fock.superposition_vector(state_g, n_max))
-    labels0 = [br.field for br in state_e.branches]
     weights_e = [br.weight for br in state_e.branches]
     t_c = 1.0 / gamma
     n_field_0 = fock.fock_mean_photon(rho0_e)
-    mp_e = proto.measurement_product(params, proto.DetectionOutcome.E)
-    mp_g = proto.measurement_product(params, proto.DetectionOutcome.G)
+    ops = [proto.measurement_product(params, outcome) for outcome in proto.DetectionOutcome]
     grid = time_grid(cfg)
     decay, depletion = lindblad.me_response(lindblad.MasterParams(gamma), grid * t_c)
-    g_a, _ = _pair_factors(state_e, decay, depletion)
+    labels_t = np.multiply.outer(decay, [br.field for br in state_e.branches])
 
-    rows = []
-    for i, t_tc in enumerate(grid):
+    measured, label_products, lams, purities, n_field = [], [], [], [], []
+    for t_tc, labels in zip(grid, labels_t):
         rho_e = fock.lindblad_evolve(rho0_e, gamma, t_tc * t_c)
         rho_g = fock.lindblad_evolve(rho0_g, gamma, t_tc * t_c)
-        p_ee, p_eg, p_ge, p_gg = (
-            proto.checked_probability(fock.fock_measure(op, rho))
-            for rho in (rho_e, rho_g)
-            for op in (mp_e, mp_g)
-        )
-        rec = proto.CorrelationRecord(p_ee, p_eg, p_ge, p_gg, eta=p_ee - p_ge)
-        labels_t = [l * decay[i] for l in labels0]
-        g_b = (_fock_gamma_b(rho_e.matrix, labels_t, weights_e)
-               if len(labels0) == 2 else 1.0 + 0.0j)
-        lam_e = _fock_assign(rho_e.matrix, labels_t)
-        lam_g = _fock_assign(rho_g.matrix, labels_t)
-        pur_e, pur_g = fock.fock_purity(rho_e), fock.fock_purity(rho_g)
-        n_field = fock.fock_mean_photon(rho_e)
-        rows.append(_row(t_tc, g_a[i], g_b, rec, lam_e, lam_g, (pur_e, pur_g, 1 - pur_e, 1 - pur_g),
-                         n_field, n_field_0 - n_field, False))
-    return rows
+        measured.append([fock.fock_measure(op, rho) for rho in (rho_e, rho_g) for op in ops])
+        vecs = [fock.coherent_to_fock(l, n_max).amplitudes for l in labels]
+        label_products.append([[v1.conj() @ rho_e.matrix @ v2 for v2 in vecs] for v1 in vecs])
+        lams.append(_fock_assign(rho_e.matrix, labels) + _fock_assign(rho_g.matrix, labels))
+        purities.append((fock.fock_purity(rho_e), fock.fock_purity(rho_g)))
+        n_field.append(fock.fock_mean_photon(rho_e))
+    rec = proto.CorrelationRecord(*np.transpose(measured))  # checked before they are clamped
+    g_b = _fock_gamma_b(np.array(label_products), labels_t, weights_e, n_max)
+    pur_e, pur_g = np.transpose(purities)
+    n_field = np.array(n_field)
+    return _rows((
+        grid, _pair_factors(state_e, decay, depletion)[0], g_b,
+        rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta, *np.transpose(lams),
+        pur_e, pur_g, 1 - pur_e, 1 - pur_g, n_field, n_field_0 - n_field,
+        np.zeros(len(grid), dtype=bool),
+    ))
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[TimeSeriesRow]:
@@ -268,9 +266,7 @@ def run_compare(cfg: ScenarioConfig) -> tuple[list[TimeSeriesRow], list[TimeSeri
     micro = _analytic_rows(replace(cfg, engine="microscopic"), params, times)
     master = _analytic_rows(replace(cfg, engine="master"), params, times)
     rows_micro, rows_master = micro[: len(grid)], master[: len(grid)]
-    max_gap = max(
-        abs(a.eta - b.eta) for a, b in zip(rows_micro, rows_master)
-    )
+    max_gap = max(abs(a.eta - b.eta) for a, b in zip(rows_micro, rows_master))
     summary = {
         "max_abs_eta_gap": max_gap,
         "defect_slope_micro": _defect_slope(micro[len(grid) :]),

@@ -362,7 +362,7 @@ def test_eigenvalues_keep_coalescing_labels():
     # labels 5e-8 apart, full coherence: a pure state over both labels
     rho = mc.ReducedDensity((1.0 + 0j, 1.0 + 5e-8 + 0j), (0.5, 0.5), np.zeros((2, 2)))
     spec = mc.eigenvalues(rho)
-    assert spec.labels == rho.labels
+    np.testing.assert_array_equal(spec.labels, rho.labels)
     assert spec.eigenvalues == pytest.approx((1.0, 0.0), abs=1e-15)
 
 
@@ -604,3 +604,58 @@ def test_phase_op_canonical_merges_and_wraps():
     w, p = canon.terms[0]
     assert w == pytest.approx(1.0)
     assert p == pytest.approx(math.pi)
+
+
+# ---------------------------------------------------------------------------
+# stacks of densities over a time grid
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        mc.ProtocolParams(Case.CASE_A, complex(math.sqrt(3.3), 0.0), math.pi),
+        mc.ProtocolParams(Case.CASE_B, 1.5 + 0.4j, math.pi / 4),
+    ],
+    ids=["case_a", "case_b"],
+)
+def test_stack_index_matches_single_time_stack(params):
+    # index i of a stacked computation against a length-1 stack and the
+    # unstacked density at (g[i], B[i])
+    g, depletion = mc.me_response(mc.MasterParams(1.0), np.linspace(0.0, 3.0, 31))
+    ops = [mc.measurement_product(params, o) for o in (Out.E, Out.G)]
+    state = mc.prepare(params, Out.E)
+
+    def observables(rho):
+        spec = mc.eigenvalues(rho)
+        return [spec.eigenvalues, spec.eigenvectors, mc.purity(rho), mc.idempotency_defect(rho),
+                rho.trace(), *(mc.expectation(op, rho) for op in ops)]
+
+    stacked = observables(mc.damped_density(state, g, depletion))
+    for i in range(len(g)):
+        one = observables(mc.damped_density(state, g[i : i + 1], depletion[i : i + 1]))
+        bare = observables(mc.damped_density(state, g[i], depletion[i]))
+        for whole, single, scalar in zip(stacked, one, bare):
+            assert np.max(np.abs(whole[i] - single[0])) <= 1e-15
+            assert np.max(np.abs(whole[i] - scalar)) <= 1e-15
+
+
+def test_failed_stacked_checks_name_the_time_index():
+    params = mc.ProtocolParams(Case.CASE_A, 1.2 + 0j, math.pi)
+    state_e, state_g = (mc.prepare(params, o) for o in (Out.E, Out.G))
+    g, depletion = mc.me_response(mc.MasterParams(1.0), np.linspace(0.0, 2.0, 9))
+    rho = mc.damped_density(state_e, g, depletion)
+    # a positive real coherence exponent at index 6: |exp(K12)| > 1
+    expo = np.array(rho.expo)
+    expo[6, 0, 1] = expo[6, 1, 0] = 2.0
+    bad = mc.ReducedDensity(rho.labels, rho.weights, expo)
+    with pytest.raises(mc.PositivityError, match="time index 6$"):
+        mc.eigenvalues(bad)
+    with pytest.raises(mc.PositivityError, match="time index 6$"):
+        mc.conditional_probabilities(bad, mc.damped_density(state_g, g, depletion), params)
+    # a flow that is not unitary at index 3 (|g|^2 + B != 1) breaks the trace
+    depletion[3] *= 0.5
+    with pytest.raises(mc.PositivityError, match="trace .* at time index 3$"):
+        mc.damped_density(state_e, g, depletion)
+    expo[2, 0, 1] = 1j
+    with pytest.raises(mc.InvalidArgumentError, match="Hermitian .* at time index 2$"):
+        mc.ReducedDensity(rho.labels, rho.weights, expo)

@@ -19,3 +19,4 @@ def test_demo_exits_zero(demo, tmp_path):
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr[-2000:]
+    assert not any(tmp_path.iterdir()), "the demo left files in the temp dir"

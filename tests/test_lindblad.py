@@ -72,7 +72,7 @@ def test_me_reduce_at_zero_matches_fresh_reduction():
     state = odd_cat(1.2 + 0j)
     rho0 = mc.reduce(state)
     rho_me = mc.me_reduce(state, MP, 0.0)
-    assert rho_me.labels == rho0.labels
+    np.testing.assert_array_equal(rho_me.labels, rho0.labels)
     np.testing.assert_allclose(rho_me.coeff, rho0.coeff, atol=1e-14)
 
 

@@ -8,7 +8,9 @@ import pytest
 
 import mesocat as mc
 from mesocat import DetectionOutcome as Out
+from mesocat import bath as bathmod
 from mesocat import cli, fock, runner
+from mesocat.coherent import phase_op_matrix_element
 from mesocat.config import parse_scenario
 
 
@@ -127,3 +129,119 @@ def test_fock_probabilities_are_checked_before_clamping(tmp_path, monkeypatch, c
     monkeypatch.setattr(fock, "fock_measure", lambda op, rho: bad)
     assert cli.main(["run", "--config", str(path)]) == 4
     assert "probability" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the stacked row builder
+
+
+@pytest.mark.parametrize("case, phi", [("a", math.pi), ("b", math.pi / 4)])
+def test_stacked_rows_match_per_time_reference(tmp_path, case, phi):
+    # every column against reduce(evolve(...)) at each time on a 21-mode band;
+    # lam_plus of antipodal labels is the eigenvalue of the even-parity eigenvector
+    raw = scenario(tmp_path, "microscopic", 1.5, case, phi)
+    raw["bath"] = {"modes": 21, "half_bandwidth": 10.0, "gamma": 1.0}
+    cfg = parse_scenario(raw)
+    params = runner.scenario_params(cfg)
+    band = mc.discretize_flat_band(1.0, 21, 10.0)
+    times = np.linspace(0.0, 4.0, 17)  # recurrence flags from t > 3.14
+    rows = runner._analytic_rows(cfg, params, times)
+    states = [mc.prepare(params, o) for o in (Out.E, Out.G)]
+    parity = mc.PhaseOpSum(((1.0 + 0j, math.pi),))
+
+    def lam_pair(rho):
+        spec = mc.eigenvalues(rho)
+        if case == "a":
+            even = [phase_op_matrix_element(parity, spec.labels, c, c).real for c in spec.eigenvectors]
+            return tuple(spec.eigenvalues[np.argsort(even)[::-1]])
+        return tuple(spec.eigenvalues)
+
+    for row, t in zip(rows, times):
+        evolved = [mc.evolve(s, band, t) for s in states]
+        rho_e, rho_g = (mc.reduce(e) for e in evolved)
+        rec = mc.conditional_probabilities(rho_e, rho_g, params)
+        g_b = mc.gamma_b(evolved[0])
+        expected = dict(
+            t=t, gamma_a=mc.gamma_a(evolved[0]), gamma_b_abs=abs(g_b),
+            gamma_b_arg=math.atan2(g_b.imag, g_b.real),
+            p_ee=rec.p_ee, p_eg=rec.p_eg, p_ge=rec.p_ge, p_gg=rec.p_gg, eta=rec.eta,
+            purity_e=mc.purity(rho_e), purity_g=mc.purity(rho_g),
+            defect_e=mc.idempotency_defect(rho_e), defect_g=mc.idempotency_defect(rho_g),
+            recurrence_warning=bool(t > bathmod.RECURRENCE_FRACTION * band.recurrence_time),
+        )
+        expected["lam_e_plus"], expected["lam_e_minus"] = lam_pair(rho_e)
+        expected["lam_g_plus"], expected["lam_g_minus"] = lam_pair(rho_g)
+        expected["n_field"], expected["n_bath"] = mc.occupations(evolved[0])
+        assert set(expected) == set(runner.ROW_FIELDS)
+        for name, value in expected.items():
+            assert abs(getattr(row, name) - value) <= 1e-13, (name, t)
+
+
+@pytest.mark.parametrize("points", [11, 201])
+def test_compare_checks_whole_grids_not_rows(tmp_path, monkeypatch, points):
+    # the checked routines run once per density stack, whatever the grid length
+    calls = {"eigenvalues": 0, "conditional_probabilities": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(mc.coherent, "eigenvalues")
+    counted(mc.protocol, "conditional_probabilities")
+    raw = scenario(tmp_path, "microscopic", 1.5, points=points)
+    raw["master"] = {"gamma": 1.0}
+    rows_micro, rows_master, _ = runner.run_compare(parse_scenario(raw, for_compare=True))
+    assert len(rows_micro) == len(rows_master) == points
+    assert calls == {"eigenvalues": 4, "conditional_probabilities": 2}
+
+
+@pytest.mark.parametrize("fault, index", [("exponent", 6), ("trace", 3)])
+def test_failed_check_exits_4_naming_the_time_index(tmp_path, monkeypatch, capsys, fault, index):
+    path = tmp_path / "master.json"
+    path.write_text(json.dumps(scenario(tmp_path, "master", 1.2, t_max=2.0, points=9)))
+    if fault == "exponent":  # a positive real coherence exponent: |exp(K12)| > 1
+        density = mc.coherent.damped_density
+
+        def faulty(state, g, depletion):
+            rho = density(state, g, depletion)
+            expo = np.array(rho.expo)
+            expo[index, 0, 1] = expo[index, 1, 0] = 2.0
+            return mc.ReducedDensity(rho.labels, rho.weights, expo)
+
+        monkeypatch.setattr(mc.coherent, "damped_density", faulty)
+    else:  # a depletion that breaks |g|^2 + B = 1, and so the trace, at one time
+        response = mc.lindblad.me_response
+
+        def faulty(params, times):
+            g, depletion = response(params, times)
+            depletion[index] *= 0.5
+            return g, depletion
+
+        monkeypatch.setattr(mc.lindblad, "me_response", faulty)
+    assert cli.main(["run", "--config", str(path)]) == 4
+    assert capsys.readouterr().err.rstrip().endswith(f"at time index {index}")
+
+
+@pytest.mark.parametrize("case, phi", [("a", math.pi), ("b", math.pi / 4)])
+def test_fock_gamma_b_is_accurate_or_nan_to_36_tc(tmp_path, case, phi):
+    # the label-basis coherence loses digits like eps / det(S)^2 as the labels
+    # damp together; the engine writes NaN rather than a value off by more than 1e-6
+    def rows(engine):
+        return runner.run_scenario(
+            parse_scenario(scenario(tmp_path, engine, 1.0, case, phi, t_max=36.0, points=73))
+        )
+
+    finite = 0
+    for f, m in zip(rows("fock"), rows("master")):
+        if math.isnan(f.gamma_b_abs):
+            assert math.isnan(f.gamma_b_arg) and f.t > 4.0
+            continue
+        finite += 1
+        assert abs(f.gamma_b_abs - m.gamma_b_abs) <= 1e-6 * m.gamma_b_abs, f.t
+        assert abs(f.gamma_b_arg - m.gamma_b_arg) <= 1e-6, f.t
+    assert 8 < finite < 73
