@@ -2,10 +2,11 @@
 
 Everything the analytic engines compute -- state preparation, damping,
 field-bath evolution, measurement, spectra -- is recomputed here from the
-raw matrix representations, deliberately without caching or shortcuts, so
-that agreement between the two routes validates both.  The cost grows
-quickly with amplitude and mode count; this module is for desk-scale checks
-(|alpha|^2 of a few, at most two bath modes), not production sweeps.
+raw matrix representations, deliberately without caching or shortcuts (the
+damping map rebuilds its t-independent tensor on every call and never keeps
+it), so that agreement between the two routes validates both.  Leading axes
+index stacks such as a time grid.  Cost grows fast with amplitude and mode
+count: desk-scale checks only (|alpha|^2 of a few, at most two bath modes).
 """
 
 from __future__ import annotations
@@ -16,30 +17,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpec
-from .coherent import FieldBathSuperposition, PhaseOpSum
+from .coherent import FieldBathSuperposition, PhaseOpSum, _require
 from .errors import CapacityError, InvalidArgumentError, TruncationError
 
 #: Hard cap on the total Hilbert-space dimension of the field+bath oracle.
 DIMENSION_CAP = 1_000_000
 
 
-def required_n_max(amplitude: complex) -> int:
+def required_n_max(amplitude):
     """Truncation rule n_max >= |a|^2 + 8 |a| + 10, erring on the large side.
 
     Parity-sensitive quantities need accurate far tails, hence the wide
-    8-sigma margin over the mean photon number.
+    8-sigma margin over the mean photon number.  Elementwise on arrays.
     """
-    a2 = abs(amplitude) ** 2
-    return math.ceil(a2 + 8.0 * math.sqrt(a2) + 10.0)
+    a2 = np.abs(amplitude) ** 2
+    return np.ceil(a2 + 8.0 * np.sqrt(a2) + 10.0).astype(int)
 
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
     n_max: int
-    amplitudes: np.ndarray
+    amplitudes: np.ndarray  # (..., n_max + 1): leading axes index a stack
 
     def __post_init__(self):
-        if self.amplitudes.shape != (self.n_max + 1,):
+        if self.amplitudes.shape[-1:] != (self.n_max + 1,):
             raise InvalidArgumentError("amplitude vector must have length n_max + 1")
         self.amplitudes.setflags(write=False)
 
@@ -47,26 +48,26 @@ class FockVector:
 @dataclass(frozen=True, eq=False)
 class FockDensity:
     n_max: int
-    matrix: np.ndarray
+    matrix: np.ndarray  # (..., n_max + 1, n_max + 1): leading axes index a stack
 
     def __post_init__(self):
-        if self.matrix.shape != (self.n_max + 1, self.n_max + 1):
+        if self.matrix.shape[-2:] != (self.n_max + 1, self.n_max + 1):
             raise InvalidArgumentError("density matrix must be (n_max+1) square")
         self.matrix.setflags(write=False)
 
 
-def coherent_to_fock(label: complex, n_max: int) -> FockVector:
-    """Expand |label> over number states: c_n = e^{-|a|^2/2} a^n / sqrt(n!)."""
-    if n_max < required_n_max(label):
-        raise TruncationError(
-            f"n_max = {n_max} below the truncation rule {required_n_max(label)} for |{label}|"
-        )
-    amps = np.zeros(n_max + 1, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(label) ** 2)
+def coherent_to_fock(label, n_max: int) -> FockVector:
+    """Expand |label> over number states: c_n = e^{-|a|^2/2} a^n / sqrt(n!), per stack index."""
+    label = np.asarray(label, dtype=complex)
+    need = required_n_max(label)
+    _require(n_max >= need, TruncationError, f"n_max = {n_max} below the truncation rule", need)
+    amps = np.zeros(label.shape + (n_max + 1,), dtype=complex)
+    amps[..., 0] = np.exp(-0.5 * np.abs(label) ** 2)
     for n in range(n_max):
-        amps[n + 1] = amps[n] * label / math.sqrt(n + 1)
-    if abs(amps[n_max]) ** 2 >= 1e-10:
-        raise TruncationError("tail population at the cutoff exceeds the leakage guard")
+        amps[..., n + 1] = amps[..., n] * label / math.sqrt(n + 1)
+    tail = np.abs(amps[..., n_max]) ** 2
+    _require(tail < 1e-10, TruncationError,
+             "tail population at the cutoff exceeds the leakage guard", tail)
     return FockVector(n_max, amps)
 
 
@@ -74,9 +75,7 @@ def superposition_vector(state: FieldBathSuperposition, n_max: int) -> FockVecto
     """Fock vector of a bath-free superposition (weights applied verbatim)."""
     if state.n_bath_modes != 0:
         raise InvalidArgumentError("superposition_vector() is for bath-free states")
-    amps = np.zeros(n_max + 1, dtype=complex)
-    for br in state.branches:
-        amps += br.weight * coherent_to_fock(br.field, n_max).amplitudes
+    amps = sum(br.weight * coherent_to_fock(br.field, n_max).amplitudes for br in state.branches)
     return FockVector(n_max, amps)
 
 
@@ -88,37 +87,49 @@ def annihilation(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
 
 
-def lindblad_evolve(rho, gamma: float, t: float):
+def _kraus_tensor(mat: np.ndarray) -> np.ndarray:
+    """A_l[i, j] = sqrt(C(i+l, l) C(j+l, l)) mat[i+l, j+l]: the only full-size array."""
+    n = len(mat)
+    padded = np.pad(mat, (0, n - 1))
+    row, col = padded.strides
+    # [l, i, j] -> mat[i+l, j+l]: a strided view of the zero-padded copy
+    shifted = np.lib.stride_tricks.as_strided(padded, (n, n, n), (row + col, row, col))
+    l, i = np.ogrid[:n, :n]
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * n - 1)))))
+    log_binom = np.where(i + l < n, log_fact[i + l] - log_fact[l] - log_fact[i], -np.inf)
+    root = np.exp(0.5 * log_binom)  # sqrt C(i+l, l); 0 where K_l leaves no level i
+    tensor = shifted * root[:, :, None]
+    tensor *= root[:, None, :]
+    return tensor.view(float).reshape(n, -1)  # real rows, so a real contraction applies it
+
+
+def lindblad_evolve(rho, gamma: float, t):
     """Exact solution of d rho/dt = gamma (a rho a^dag - {n, rho}/2) after time t.
 
     Zero-temperature damping in Kraus form (Chuang, Leung & Yamamoto 1997,
     PRA 56, 1114; Nielsen & Chuang sec. 8.3.5): rho(t) = sum_l K_l rho K_l^dag
     with <m-l|K_l|m> = sqrt(C(m, l) eta^(m-l) (1 - eta)^l), eta = e^{-gamma t}.
     The map is linear and never raises the photon number, so it is exact on
-    the truncated space and applies to non-Hermitian dyads as well.  Accepts
-    a :class:`FockDensity` or a raw matrix; returns the same kind.
+    the truncated space and applies to non-Hermitian dyads as well.  It is
+    rho(t) = D_t (sum_l (1 - eta)^l A_l) D_t, D_t = diag(eta^(n/2)), with A of
+    :func:`_kraus_tensor`: T times give a (T, N, N) stack from one (T x N) .
+    (N x N^2) product in O(N^3 + T N^2) memory, a scalar t one (N, N) matrix,
+    t = 0 rho itself.  Takes and returns a :class:`FockDensity` or a matrix.
     """
     matrix_input = not isinstance(rho, FockDensity)
-    mat = np.array(rho if matrix_input else rho.matrix, dtype=complex)
-    n_max = mat.shape[0] - 1
+    mat = np.asarray(rho if matrix_input else rho.matrix, dtype=complex)
+    t = np.asarray(t, dtype=float)
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise InvalidArgumentError("gamma must be positive and finite")
-    if t < 0.0 or not math.isfinite(t):
-        raise InvalidArgumentError("t must be nonnegative and finite")
-    depletion = -math.expm1(-gamma * t)  # 1 - eta, accurate for small t
-    if depletion > 0.0:
-        levels = np.arange(n_max + 1)
-        log_fact = np.concatenate(([0.0], np.cumsum(np.log(levels[1:]))))
-        damped = np.zeros_like(mat)
-        for l in range(n_max + 1):  # K_l removes l photons
-            m = levels[l:]
-            # log <m-l|K_l|m>^2 = log C(m, l) + (m - l) log(eta) + l log(1 - eta)
-            log_k2 = (log_fact[m] - log_fact[l] - log_fact[m - l]
-                      - gamma * t * (m - l) + l * math.log(depletion))
-            k = np.exp(0.5 * log_k2)
-            damped[: m.size, : m.size] += np.outer(k, k) * mat[l:, l:]
-        mat = damped
-    return mat if matrix_input else FockDensity(n_max, mat)
+    _require(np.isfinite(t) & (t >= 0), InvalidArgumentError, "t must be nonnegative and finite", t)
+    levels = np.arange(len(mat))
+    powers = (-np.expm1(-gamma * t))[..., None] ** levels  # (1 - eta)^l, accurate for small t
+    # einsum, not BLAS: each row sums l in order, so a scalar t gives its bits in any grid
+    damped = np.einsum("...l,lx->...x", powers, _kraus_tensor(mat)).view(complex)
+    half = np.exp(-0.5 * gamma * np.multiply.outer(t, levels))  # eta^(n/2)
+    damped = damped.reshape(t.shape + mat.shape) * (half[..., :, None] * half[..., None, :])
+    np.copyto(damped, mat, where=(t == 0.0)[..., None, None])  # exact, signed zeros included
+    return damped if matrix_input else FockDensity(len(mat) - 1, damped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +166,7 @@ def hamiltonian_evolve(
     k_modes = spec.n_modes
     if k_modes > 2:
         raise InvalidArgumentError("the brute-force route supports at most 2 bath modes")
-    if t < 0.0 or not math.isfinite(t):
-        raise InvalidArgumentError("t must be nonnegative and finite")
+    _require(np.isfinite(t) & (t >= 0), InvalidArgumentError, "t must be nonnegative and finite", t)
     dims = (field_state.n_max + 1,) + (n_max_per_mode + 1,) * k_modes
     total = math.prod(dims)
     if total > DIMENSION_CAP:
@@ -178,32 +188,26 @@ def hamiltonian_evolve(
         h_mat = h_mat + spec.detunings[k] * number_k
         h_mat = h_mat + spec.couplings[k] * (a_field.conj().T @ b_k + b_k.conj().T @ a_field)
 
-    psi0 = field_state.amplitudes
-    for _ in range(k_modes):
-        vac = np.zeros(n_max_per_mode + 1, dtype=complex)
-        vac[0] = 1.0
-        psi0 = np.kron(psi0, vac)
+    psi0 = np.kron(field_state.amplitudes, np.eye(1, math.prod(dims[1:]))[0])  # bath vacuum
     psi_t = expm_multiply(-1j * h_mat * t, psi0) if t > 0.0 else psi0.copy()
     return MultiModeState(dims, psi_t)
 
 
-def fock_measure(op: PhaseOpSum, rho: FockDensity) -> complex:
-    """Tr[op rho] using the number-basis diagonal values of the operator."""
+def fock_measure(op: PhaseOpSum, rho: FockDensity):
+    """Tr[op rho] using the number-basis diagonal values of the operator, per stack index."""
     levels = np.arange(rho.n_max + 1)
-    values = np.zeros(rho.n_max + 1, dtype=complex)
-    for w, p in op.terms:
-        values += w * np.exp(1j * p * levels)
-    return complex(np.sum(values * np.diag(rho.matrix)))
+    values = sum(w * np.exp(1j * p * levels) for w, p in op.terms)
+    return np.sum(values * np.diagonal(rho.matrix, axis1=-2, axis2=-1), axis=-1)
 
 
 def fock_eigenvalues(rho: FockDensity) -> np.ndarray:
     """Eigenvalues of the density, descending."""
-    return np.linalg.eigvalsh(rho.matrix)[::-1]
+    return np.linalg.eigvalsh(rho.matrix)[..., ::-1]
 
 
-def fock_purity(rho: FockDensity) -> float:
-    return float(np.trace(rho.matrix @ rho.matrix).real)
+def fock_purity(rho: FockDensity):
+    return np.trace(rho.matrix @ rho.matrix, axis1=-2, axis2=-1).real
 
 
-def fock_mean_photon(rho: FockDensity) -> float:
-    return float(np.sum(np.arange(rho.n_max + 1) * np.diag(rho.matrix).real))
+def fock_mean_photon(rho: FockDensity):
+    return np.sum(np.arange(rho.n_max + 1) * np.diagonal(rho.matrix, 0, -2, -1).real, axis=-1)

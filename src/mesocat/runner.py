@@ -14,11 +14,10 @@ discrete bath gives both over the whole grid in one matrix product
 ``coherent.damped_density`` stacks both conditioned densities over the
 grid; gamma_a, gamma_b and the occupations are closed forms in (g, B); the
 probabilities, spectra and purities go once per stack through the same
-checked routines as any single density.  Only building the rows iterates
-over grid times.  The compare summary's short-time defect slopes are
-fitted to rows from the same builder.  The brute-force Fock engine
-applies the exact Kraus map of its Lindblad equation to the prepared
-densities, from t = 0 at each grid time.
+checked routines as any single density.  The compare summary's short-time
+defect slopes are fitted to rows from the same builder.  The Fock engine
+damps each prepared density over the whole grid in one call of its exact
+Kraus map.  Only building the rows iterates over grid times.
 
 Eigenvalue columns: when the two field labels are an antipodal pair (case A
 at phi = pi) lam_plus/lam_minus are assigned by eigenvector parity, i.e. the
@@ -125,19 +124,20 @@ def _pair_factors(state, g: np.ndarray, depletion: np.ndarray) -> tuple[np.ndarr
     return np.abs(np.exp(z * (g.real**2 + g.imag**2))), np.exp(z * depletion)
 
 
-def _analytic_rows(cfg: ScenarioConfig, params, times_tc: np.ndarray) -> list[TimeSeriesRow]:
-    """Rows of the configured analytic engine at the given times (t_c), from density stacks."""
+def _response(cfg: ScenarioConfig, times_tc: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(g, B, recurrence flags) of the configured analytic engine at the given times (t_c)."""
     if cfg.engine == "microscopic":
-        spec = bathmod.discretize_flat_band(
-            cfg.bath.gamma, cfg.bath.modes, cfg.bath.half_bandwidth
-        )
+        spec = bathmod.discretize_flat_band(cfg.bath.gamma, cfg.bath.modes, cfg.bath.half_bandwidth)
         times = times_tc * (1.0 / cfg.bath.gamma)
-        g, depletion = bathmod.response(spec, times)
         recurrence = times > bathmod.RECURRENCE_FRACTION * spec.recurrence_time
-    else:
-        times = times_tc * (1.0 / cfg.master.gamma)
-        g, depletion = lindblad.me_response(lindblad.MasterParams(cfg.master.gamma), times)
-        recurrence = np.zeros(len(times), dtype=bool)
+        return (*bathmod.response(spec, times), recurrence)
+    times = times_tc * (1.0 / cfg.master.gamma)
+    g, depletion = lindblad.me_response(lindblad.MasterParams(cfg.master.gamma), times)
+    return g, depletion, np.zeros(len(times), dtype=bool)
+
+
+def _analytic_rows(params, times_tc, g, depletion, recurrence) -> list[TimeSeriesRow]:
+    """Rows at the given times (t_c) from an analytic engine's response, via density stacks."""
     state_e = proto.prepare(params, proto.DetectionOutcome.E)
     state_g = proto.prepare(params, proto.DetectionOutcome.G)
     rho_e = coherent.damped_density(state_e, g, depletion)
@@ -154,25 +154,25 @@ def _analytic_rows(cfg: ScenarioConfig, params, times_tc: np.ndarray) -> list[Ti
     ))
 
 
-def _fock_assign(matrix: np.ndarray, labels_t) -> tuple[float, float]:
-    """(lam_plus, lam_minus) of a Fock density matrix.
+def _fock_assign(matrix: np.ndarray, labels_t) -> tuple[np.ndarray, np.ndarray]:
+    """(lam_plus, lam_minus) over a stack of Fock density matrices, shape (T, N, N).
 
     Antipodal pair, density block-diagonal in parity (a parity cat; damping
     keeps it so): the top eigenvalues of the even and odd blocks, so no
     vector of a degenerate eigenspace decides the labels.  Other antipodal
     pairs (e.g. |b> - i|-b>): the two largest, swapped if the top eigenvector
-    is odd and the next even.  Otherwise: the two largest eigenvalues.
+    is odd and the next even.  Otherwise: the two largest.  Each time takes its branch.
     """
     antipodal = _labels_antipodal(labels_t)
-    if antipodal and np.linalg.norm(matrix[0::2, 1::2]) < PARITY_BLOCK_TOL:
-        top = [np.linalg.eigvalsh(matrix[p::2, p::2])[-1] for p in (0, 1)]
-    else:
-        lams, vecs = np.linalg.eigh(matrix)
-        top = lams[::-1][:2]
-        parity = (1.0 - 2.0 * (np.arange(len(lams)) % 2)) @ np.abs(vecs[:, ::-1][:, :2]) ** 2
-        if antipodal and parity[0] < 0.0 <= parity[1]:
-            top = top[::-1]
-    return tuple(float(min(max(l, 0.0), 1.0)) for l in top)
+    blocks = antipodal & (np.linalg.norm(matrix[:, 0::2, 1::2], axis=(1, 2)) < PARITY_BLOCK_TOL)
+    top = np.empty((len(matrix), 2))
+    even_odd = matrix[blocks]
+    top[blocks] = np.transpose([np.linalg.eigvalsh(even_odd[:, p::2, p::2])[:, -1] for p in (0, 1)])
+    lams, vecs = np.linalg.eigh(matrix[~blocks])
+    parity = (1.0 - 2.0 * (np.arange(matrix.shape[-1]) % 2)) @ np.abs(vecs[..., -2:]) ** 2
+    swap = (antipodal[~blocks] & (parity[:, 1] < 0.0) & (parity[:, 0] >= 0.0))[:, None]
+    top[~blocks] = np.where(swap, lams[:, -2:], lams[:, :-3:-1])
+    return tuple(np.clip(top, 0.0, 1.0).T)
 
 
 def _fock_gamma_b(p: np.ndarray, labels_t: np.ndarray, weights, n_max: int) -> np.ndarray:
@@ -195,38 +195,27 @@ def _fock_gamma_b(p: np.ndarray, labels_t: np.ndarray, weights, n_max: int) -> n
 
 
 def _fock_rows(cfg: ScenarioConfig, params: proto.ProtocolParams) -> list[TimeSeriesRow]:
-    gamma = cfg.master.gamma
-    n_max = cfg.fock.n_max
-    state_e = proto.prepare(params, proto.DetectionOutcome.E)
-    state_g = proto.prepare(params, proto.DetectionOutcome.G)
-    rho0_e = fock.density_from_vector(fock.superposition_vector(state_e, n_max))
-    rho0_g = fock.density_from_vector(fock.superposition_vector(state_g, n_max))
-    weights_e = [br.weight for br in state_e.branches]
-    t_c = 1.0 / gamma
-    n_field_0 = fock.fock_mean_photon(rho0_e)
-    ops = [proto.measurement_product(params, outcome) for outcome in proto.DetectionOutcome]
-    grid = time_grid(cfg)
-    decay, depletion = lindblad.me_response(lindblad.MasterParams(gamma), grid * t_c)
+    gamma, n_max, grid = cfg.master.gamma, cfg.fock.n_max, time_grid(cfg)
+    state_e, state_g = (proto.prepare(params, outcome) for outcome in proto.DetectionOutcome)
+    rho0_e, rho0_g = (fock.density_from_vector(fock.superposition_vector(state, n_max))
+                      for state in (state_e, state_g))
+    times = grid * (1.0 / gamma)
+    decay, depletion = lindblad.me_response(lindblad.MasterParams(gamma), times)
     labels_t = np.multiply.outer(decay, [br.field for br in state_e.branches])
-
-    measured, label_products, lams, purities, n_field = [], [], [], [], []
-    for t_tc, labels in zip(grid, labels_t):
-        rho_e = fock.lindblad_evolve(rho0_e, gamma, t_tc * t_c)
-        rho_g = fock.lindblad_evolve(rho0_g, gamma, t_tc * t_c)
-        measured.append([fock.fock_measure(op, rho) for rho in (rho_e, rho_g) for op in ops])
-        vecs = [fock.coherent_to_fock(l, n_max).amplitudes for l in labels]
-        label_products.append([[v1.conj() @ rho_e.matrix @ v2 for v2 in vecs] for v1 in vecs])
-        lams.append(_fock_assign(rho_e.matrix, labels) + _fock_assign(rho_g.matrix, labels))
-        purities.append((fock.fock_purity(rho_e), fock.fock_purity(rho_g)))
-        n_field.append(fock.fock_mean_photon(rho_e))
-    rec = proto.CorrelationRecord(*np.transpose(measured))  # checked before they are clamped
-    g_b = _fock_gamma_b(np.array(label_products), labels_t, weights_e, n_max)
-    pur_e, pur_g = np.transpose(purities)
-    n_field = np.array(n_field)
+    rho_e, rho_g = (fock.lindblad_evolve(rho0, gamma, times) for rho0 in (rho0_e, rho0_g))
+    vecs = fock.coherent_to_fock(labels_t, n_max).amplitudes  # (T, 2, N)
+    ops = [proto.measurement_product(params, outcome) for outcome in proto.DetectionOutcome]
+    measured = (fock.fock_measure(op, rho) for rho in (rho_e, rho_g) for op in ops)
+    rec = proto.CorrelationRecord(*measured)  # checked before they are clamped
+    label_products = (vecs.conj() @ rho_e.matrix) @ vecs.transpose(0, 2, 1)
+    g_b = _fock_gamma_b(label_products, labels_t, [br.weight for br in state_e.branches], n_max)
+    pur_e, pur_g = fock.fock_purity(rho_e), fock.fock_purity(rho_g)
+    n_field = fock.fock_mean_photon(rho_e)
     return _rows((
         grid, _pair_factors(state_e, decay, depletion)[0], g_b,
-        rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta, *np.transpose(lams),
-        pur_e, pur_g, 1 - pur_e, 1 - pur_g, n_field, n_field_0 - n_field,
+        rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta,
+        *_fock_assign(rho_e.matrix, labels_t), *_fock_assign(rho_g.matrix, labels_t),
+        pur_e, pur_g, 1 - pur_e, 1 - pur_g, n_field, fock.fock_mean_photon(rho0_e) - n_field,
         np.zeros(len(grid), dtype=bool),
     ))
 
@@ -235,7 +224,8 @@ def run_scenario(cfg: ScenarioConfig) -> list[TimeSeriesRow]:
     """Full time series of one scenario with its configured engine."""
     params = scenario_params(cfg)
     if cfg.engine in ("microscopic", "master"):
-        return _analytic_rows(cfg, params, time_grid(cfg))
+        grid = time_grid(cfg)
+        return _analytic_rows(params, grid, *_response(cfg, grid))
     if cfg.engine == "fock":
         return _fock_rows(cfg, params)
     raise InvalidArgumentError(f"unknown engine {cfg.engine!r}")
@@ -263,8 +253,8 @@ def run_compare(cfg: ScenarioConfig) -> tuple[list[TimeSeriesRow], list[TimeSeri
     params = scenario_params(cfg)
     grid = time_grid(cfg)
     times = np.concatenate([grid, SLOPE_GRID])
-    micro = _analytic_rows(replace(cfg, engine="microscopic"), params, times)
-    master = _analytic_rows(replace(cfg, engine="master"), params, times)
+    micro = _analytic_rows(params, times, *_response(replace(cfg, engine="microscopic"), times))
+    master = _analytic_rows(params, times, *_response(replace(cfg, engine="master"), times))
     rows_micro, rows_master = micro[: len(grid)], master[: len(grid)]
     max_gap = max(abs(a.eta - b.eta) for a, b in zip(rows_micro, rows_master))
     summary = {
@@ -281,6 +271,12 @@ def run_compare(cfg: ScenarioConfig) -> tuple[list[TimeSeriesRow], list[TimeSeri
 def run_sweep(
     cfg: ScenarioConfig, param: str, values: list[float]
 ) -> list[tuple[float, list[TimeSeriesRow]]]:
-    """One scenario per swept value, ordered by value."""
+    """One scenario per swept value, ordered by value; a phi or alpha0_re sweep
+    computes an analytic engine's response (g, B) once, for this call only."""
     ordered = sorted(values)
-    return [(v, run_scenario(apply_sweep_value(cfg, param, v))) for v in ordered]
+    if cfg.engine == "fock" or param == "gamma":
+        return [(v, run_scenario(apply_sweep_value(cfg, param, v))) for v in ordered]
+    grid = time_grid(cfg)
+    response = _response(cfg, grid)
+    swept = [scenario_params(apply_sweep_value(cfg, param, v)) for v in ordered]
+    return [(v, _analytic_rows(params, grid, *response)) for v, params in zip(ordered, swept)]

@@ -132,18 +132,22 @@ def liouvillian(n_max, gamma):
 
 
 def test_lindblad_kraus_map_matches_generator_exponential():
-    # independent of me_dyad_factor: expm of the (n+1)^2 x (n+1)^2 generator itself
+    # independent of me_dyad_factor: expm of the (n+1)^2 x (n+1)^2 generator itself,
+    # against both the scalar-t and the whole-grid form of the map
     n_max, gamma = 19, 1.3
     cat = fock.density_from_vector(fock.superposition_vector(odd_cat(1.0 + 0j), n_max))
     va = fock.coherent_to_fock(0.7 + 0.4j, n_max).amplitudes
     vb = fock.coherent_to_fock(-0.6 + 0.5j, n_max).amplitudes
     generator = liouvillian(n_max, gamma)
-    for t in (0.0, 0.04, 0.5, 2.7):
+    inputs = (cat.matrix, np.outer(va, vb.conj()))
+    times = (0.0, 0.04, 0.5, 2.7)
+    grids = [fock.lindblad_evolve(rho0, gamma, np.array(times)) for rho0 in inputs]
+    for k, t in enumerate(times):
         flow = expm(generator * t)
-        for rho0 in (cat.matrix, np.outer(va, vb.conj())):
+        for rho0, grid in zip(inputs, grids):
             reference = (flow @ rho0.ravel()).reshape(rho0.shape)
-            kraus = fock.lindblad_evolve(rho0, gamma, t)
-            assert np.max(np.abs(kraus - reference)) <= 1e-12
+            assert np.max(np.abs(fock.lindblad_evolve(rho0, gamma, t) - reference)) <= 1e-12
+            assert np.max(np.abs(grid[k] - reference)) <= 1e-12
         damped = fock.lindblad_evolve(cat, gamma, t)
         assert isinstance(damped, fock.FockDensity)
         assert np.trace(damped.matrix).real == pytest.approx(1.0, abs=1e-13)
@@ -154,6 +158,78 @@ def test_lindblad_rejects_bad_arguments():
     for gamma, t in ((1.0, -0.1), (1.0, math.inf), (1.0, math.nan), (0.0, 0.1), (-1.0, 0.1)):
         with pytest.raises(mc.InvalidArgumentError):
             fock.lindblad_evolve(rho0, gamma, t)
+
+
+# ---------------------------------------------------------------------------
+# the damping map on whole time grids
+
+
+def grid_inputs(n_max=19):
+    """An odd cat (Hermitian) and a dyad |a><b| (not Hermitian), as raw matrices."""
+    cat = fock.density_from_vector(fock.superposition_vector(odd_cat(1.0 + 0j), n_max)).matrix
+    va = fock.coherent_to_fock(0.7 + 0.4j, n_max).amplitudes
+    vb = fock.coherent_to_fock(-0.6 + 0.5j, n_max).amplitudes
+    return cat, np.outer(va, vb.conj())
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_lindblad_grid_is_the_stack_of_scalar_calls(which):
+    # the scalar call is the T = 1 case of the same contraction, to the bit
+    rho0 = grid_inputs()[which]
+    times = np.array([0.0, 1e-9, 0.02, 0.3, 1.0, 2.5, 7.0, 40.0])
+    grid = fock.lindblad_evolve(rho0, 1.3, times)
+    assert grid.shape == (len(times),) + rho0.shape
+    for k, t in enumerate(times):
+        assert grid[k].tobytes() == fock.lindblad_evolve(rho0, 1.3, t).tobytes()
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_lindblad_grid_shapes_and_exact_zero_times(which):
+    rho0 = grid_inputs()[which]
+    n = len(rho0)
+    assert fock.lindblad_evolve(rho0, 1.0, np.float64(0.3)).shape == (n, n)
+    assert fock.lindblad_evolve(rho0, 1.0, np.array(0.3)).shape == (n, n)
+    assert fock.lindblad_evolve(rho0, 1.0, [0.3]).shape == (1, n, n)
+    assert fock.lindblad_evolve(rho0, 1.0, 0.0).tobytes() == rho0.tobytes()
+    grid = fock.lindblad_evolve(rho0, 1.0, [0.5, 0.0, 1.0, 0.0])
+    for k in (1, 3):
+        assert grid[k].tobytes() == rho0.tobytes()
+    density = fock.lindblad_evolve(fock.FockDensity(n - 1, rho0), 1.0, [0.5, 0.0])
+    assert isinstance(density, fock.FockDensity) and density.matrix.shape == (2, n, n)
+
+
+@pytest.mark.parametrize("bad", [-0.1, -1e-300, math.inf, -math.inf, math.nan])
+def test_lindblad_grid_rejects_any_bad_time_naming_its_index(bad):
+    rho0 = grid_inputs()[1]
+    for index in (0, 3):
+        times = np.linspace(0.0, 2.0, 5)
+        times[index] = bad
+        with pytest.raises(mc.InvalidArgumentError, match=f"at time index {index}$"):
+            fock.lindblad_evolve(rho0, 1.0, times)
+
+
+def test_stacked_readouts_match_single_matrices():
+    rho0 = fock.density_from_vector(fock.superposition_vector(odd_cat(1.0 + 0j), 19))
+    stack = fock.lindblad_evolve(rho0, 1.0, np.linspace(0.0, 2.0, 5))
+    op = mc.measurement_product(mc.ProtocolParams(Case.CASE_B, 1.0 + 0j, 0.8), Out.E)
+    labels = np.array([[0.9, -0.3j], [0.1 + 0.2j, 0.8]])
+    vectors = fock.coherent_to_fock(labels, 19).amplitudes
+    assert vectors.shape == (2, 2, 20)
+    for k, matrix in enumerate(stack.matrix):
+        single = fock.FockDensity(19, matrix)
+        assert fock.fock_measure(op, stack)[k] == fock.fock_measure(op, single)
+        assert fock.fock_purity(stack)[k] == fock.fock_purity(single)
+        assert fock.fock_mean_photon(stack)[k] == fock.fock_mean_photon(single)
+        assert np.array_equal(fock.fock_eigenvalues(stack)[k], fock.fock_eigenvalues(single))
+    for index in np.ndindex(labels.shape):
+        single = fock.coherent_to_fock(labels[index], 19).amplitudes
+        assert np.array_equal(vectors[index], single)
+
+
+def test_coherent_to_fock_truncation_names_the_stack_index():
+    labels = np.array([0.5, 1.0, 3.0, 0.2])
+    with pytest.raises(mc.TruncationError, match="at time index 2$"):
+        fock.coherent_to_fock(labels, 19)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 import mesocat as mc
 from mesocat import DetectionOutcome as Out
 from mesocat import bath as bathmod
-from mesocat import cli, fock, runner
+from mesocat import cli, config, fock, runner
 from mesocat.coherent import phase_op_matrix_element
 from mesocat.config import parse_scenario
 
@@ -145,7 +145,7 @@ def test_stacked_rows_match_per_time_reference(tmp_path, case, phi):
     params = runner.scenario_params(cfg)
     band = mc.discretize_flat_band(1.0, 21, 10.0)
     times = np.linspace(0.0, 4.0, 17)  # recurrence flags from t > 3.14
-    rows = runner._analytic_rows(cfg, params, times)
+    rows = runner._analytic_rows(params, times, *runner._response(cfg, times))
     states = [mc.prepare(params, o) for o in (Out.E, Out.G)]
     parity = mc.PhaseOpSum(((1.0 + 0j, math.pi),))
 
@@ -198,6 +198,150 @@ def test_compare_checks_whole_grids_not_rows(tmp_path, monkeypatch, points):
     rows_micro, rows_master, _ = runner.run_compare(parse_scenario(raw, for_compare=True))
     assert len(rows_micro) == len(rows_master) == points
     assert calls == {"eigenvalues": 4, "conditional_probabilities": 2}
+
+
+@pytest.mark.parametrize("points", [11, 201])
+def test_fock_evolves_whole_grids_not_rows(tmp_path, monkeypatch, points):
+    # one damping-map call per conditioned density, whatever the grid length
+    calls = []
+    evolve = fock.lindblad_evolve
+
+    def counted(rho, gamma, t):
+        calls.append(np.shape(t))
+        return evolve(rho, gamma, t)
+
+    monkeypatch.setattr(fock, "lindblad_evolve", counted)
+    rows = runner.run_scenario(parse_scenario(scenario(tmp_path, "fock", 1.0, points=points)))
+    assert len(rows) == points
+    assert calls == [(points,), (points,)]
+
+
+def fock_rows_per_time(cfg):
+    """Fock-engine columns built one grid time at a time from scalar calls (test reference)."""
+    params = runner.scenario_params(cfg)
+    n_max = cfg.fock.n_max
+    states = [mc.prepare(params, o) for o in (Out.E, Out.G)]
+    rho0 = [fock.density_from_vector(fock.superposition_vector(s, n_max)) for s in states]
+    ops = [mc.measurement_product(params, o) for o in (Out.E, Out.G)]
+    weights = [br.weight for br in states[0].branches]
+    parity = 1.0 - 2.0 * (np.arange(n_max + 1) % 2)
+    n_field_0 = fock.fock_mean_photon(rho0[0])
+    blocks_used, columns = [], []
+    for t in runner.time_grid(cfg):
+        rho = [fock.lindblad_evolve(r, 1.0, t) for r in rho0]
+        p = [fock.fock_measure(op, r) for r in rho for op in ops]
+        labels = np.array([br.field * math.exp(-t / 2) for br in states[0].branches])
+        vecs = [fock.coherent_to_fock(label, n_max).amplitudes for label in labels]
+        products = np.array([[v1.conj() @ rho[0].matrix @ v2 for v2 in vecs] for v1 in vecs])
+        g_b = runner._fock_gamma_b(products[None], labels[None], weights, n_max)[0]
+        lams = []
+        for r in rho:
+            matrix = r.matrix
+            antipodal = abs(labels[0] + labels[1]) < 1e-9 * max(1.0, *np.abs(labels))
+            blocks = antipodal and np.linalg.norm(matrix[0::2, 1::2]) < runner.PARITY_BLOCK_TOL
+            blocks_used.append(blocks)
+            if blocks:
+                top = [np.linalg.eigvalsh(matrix[k::2, k::2])[-1] for k in (0, 1)]
+            else:
+                values, vectors = np.linalg.eigh(matrix)
+                top = list(values[::-1][:2])
+                signs = parity @ np.abs(vectors[:, ::-1][:, :2]) ** 2
+                if antipodal and signs[0] < 0.0 <= signs[1]:
+                    top = top[::-1]
+            lams += [min(max(v, 0.0), 1.0) for v in top]
+        purity = [fock.fock_purity(r) for r in rho]
+        n_field = fock.fock_mean_photon(rho[0])
+        columns.append(dict(
+            gamma_b_abs=abs(g_b), gamma_b_arg=math.atan2(g_b.imag, g_b.real),
+            p_ee=p[0].real, p_eg=p[1].real, p_ge=p[2].real, p_gg=p[3].real,
+            eta=p[0].real - p[2].real,
+            lam_e_plus=lams[0], lam_e_minus=lams[1], lam_g_plus=lams[2], lam_g_minus=lams[3],
+            purity_e=purity[0], purity_g=purity[1], defect_e=1 - purity[0], defect_g=1 - purity[1],
+            n_field=n_field, n_bath=n_field_0 - n_field,
+        ))
+    return columns, blocks_used
+
+
+@pytest.mark.parametrize(
+    "case, phi, blocks", [("a", math.pi, True), ("b", math.pi / 4, False), ("b", math.pi / 2, False)]
+)
+def test_stacked_fock_rows_match_per_time_reference(tmp_path, case, phi, blocks):
+    # case A at pi takes the parity-block path; case B at pi/2 is antipodal but
+    # not parity-block-diagonal, so it takes the eigh path with the parity swap
+    cfg = parse_scenario(scenario(tmp_path, "fock", 1.0, case, phi, t_max=2.0, points=9))
+    expected, blocks_used = fock_rows_per_time(cfg)
+    assert set(blocks_used) == {blocks}
+    for row, want in zip(runner.run_scenario(cfg), expected):
+        for name, value in want.items():
+            assert abs(getattr(row, name) - value) <= 1e-13, (name, row.t)
+
+
+def test_fock_assign_picks_the_branch_per_time():
+    # one stack: time 0 is parity-block-diagonal (block path); time 1 carries an
+    # off-parity coherence (eigh path) and its mostly odd top vector is "minus"
+    v_plus, v_minus = (fock.coherent_to_fock(1.0, 19).amplitudes.real,
+                       fock.coherent_to_fock(-1.0, 19).amplitudes.real)
+    even, odd = v_plus + v_minus, v_plus - v_minus
+    even, odd = even / np.linalg.norm(even), odd / np.linalg.norm(odd)
+    blocks = 0.3 * np.outer(even, even) + 0.7 * np.outer(odd, odd)
+    coherent = blocks + 0.05 * (np.outer(even, odd) + np.outer(odd, even))
+    plus, minus = runner._fock_assign(np.array([blocks, coherent]), np.array([[1.0, -1.0]] * 2))
+    low, high = np.linalg.eigvalsh([[0.3, 0.05], [0.05, 0.7]])
+    assert (plus[0], minus[0]) == pytest.approx((0.3, 0.7), abs=1e-14)
+    assert (plus[1], minus[1]) == pytest.approx((low, high), abs=1e-14)
+
+
+@pytest.mark.parametrize("index", [0, 4])
+def test_fock_bad_probability_exits_4_naming_the_time_index(tmp_path, monkeypatch, capsys, index):
+    path = tmp_path / "fock.json"
+    path.write_text(json.dumps(scenario(tmp_path, "fock", 1.0, t_max=0.5, points=6)))
+    measure = fock.fock_measure
+
+    def faulty(op, rho):
+        values = np.array(measure(op, rho))
+        values[index] = 1.5
+        return values
+
+    monkeypatch.setattr(fock, "fock_measure", faulty)
+    assert cli.main(["run", "--config", str(path)]) == 4
+    assert capsys.readouterr().err.rstrip().endswith(f"outside [0, 1]: 1.5 at time index {index}")
+
+
+def test_fock_truncation_failure_names_the_time_index(tmp_path, monkeypatch, capsys):
+    # a field label far beyond the cutoff at one grid time
+    path = tmp_path / "fock.json"
+    path.write_text(json.dumps(scenario(tmp_path, "fock", 1.0, t_max=0.5, points=6)))
+    response = mc.lindblad.me_response
+
+    def faulty(params, times):
+        g, depletion = response(params, times)
+        g[3] = 5.0
+        return g, depletion
+
+    monkeypatch.setattr(mc.lindblad, "me_response", faulty)
+    assert cli.main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "truncation rule" in err and err.rstrip().endswith("at time index 3, 0")
+
+
+@pytest.mark.parametrize("param, responses", [("phi", 1), ("alpha0_re", 1), ("gamma", 8)])
+def test_sweep_computes_the_response_once_per_band(tmp_path, monkeypatch, param, responses):
+    # phi and alpha0_re leave the band alone, so one eigendecomposition serves every value
+    calls = []
+    response = bathmod.response
+
+    def counted(spec, times):
+        calls.append(spec)
+        return response(spec, times)
+
+    cfg = parse_scenario(scenario(tmp_path, "microscopic", 1.2, "b", 0.7, t_max=2.0, points=21))
+    values = [0.4 + 0.1 * k for k in range(8)]
+    monkeypatch.setattr(bathmod, "response", counted)
+    swept = runner.run_sweep(cfg, param, values)
+    assert len(calls) == responses
+    fresh = [runner.run_scenario(config.apply_sweep_value(cfg, param, v)) for v in values]
+    assert [v for v, _ in swept] == values
+    assert [rows for _, rows in swept] == fresh
 
 
 @pytest.mark.parametrize("fault, index", [("exponent", 6), ("trace", 3)])
