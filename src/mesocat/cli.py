@@ -13,8 +13,13 @@ sweep    one run per value of --param (phi, alpha0_re or gamma), rows
 Outputs are CSV (header row, snake_case columns, '.' decimal separator, 17
 significant digits so doubles round-trip exactly) or JSON (array of row
 objects with the same field names).  Identical configs produce byte-identical
-files.  After writing, the file is re-read and every row is re-checked
-against the probability and conservation identities.
+files.  The runner hands over one array per column, and the file is written
+from those columns.  After writing, the self-audit re-reads the file into
+columns: every CSV row must hold one cell per header name, every cell must be
+a number or true/false, else the audit names the line and column.  It then
+re-checks the probability and conservation identities over whole columns,
+per sweep value, and names the first failing row by its index within that
+sweep value.
 
 Exit codes: 0 success; 1 other domain error (reported on stderr); 2 config
 schema violation; 3 zero-probability state preparation; 4 positivity
@@ -32,6 +37,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from .config import SWEEPABLE, load_scenario
 from .errors import AuditError, ConfigError, MesocatError, PositivityError, ZeroStateError
 from .runner import ROW_FIELDS, run_compare, run_scenario, run_sweep
@@ -40,119 +47,137 @@ log = logging.getLogger("mesocat")
 
 _PROB_SUM_TOL = 1e-9
 _OCCUPATION_TOL = 1e-8
+_PROBABILITIES = ("p_ee", "p_eg", "p_ge", "p_gg")
 
 
-def _format_value(val) -> str:
-    if isinstance(val, bool):
-        return "true" if val else "false"
-    return f"{val:.17g}"
+def _write_table(cfg_output, table: dict) -> None:
+    """CSV: the header, then one %-template per row ("%.17g", true/false).  JSON: row objects."""
+    fieldnames, columns = list(table), list(table.values())
+    width, n = len(columns), len(columns[0])
+    with open(cfg_output.path, "w", encoding="utf-8", newline="\n") as fh:
+        if cfg_output.format == "json":
+            rows = zip(*(col.tolist() for col in columns))
+            fh.write(json.dumps([dict(zip(fieldnames, row)) for row in rows], indent=1) + "\n")
+            return
+        template = ",".join("%s" if col.dtype == bool else "%.17g" for col in columns) + "\n"
+        cells = [None] * (width * n)  # row-major: column j fills every width-th cell from j
+        for j, col in enumerate(columns):
+            col = np.where(col, "true", "false") if col.dtype == bool else col
+            cells[j::width] = col.tolist()
+        fh.write(",".join(fieldnames) + "\n" + template * n % tuple(cells))
 
 
-def _write_csv(path: str, fieldnames, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(row[name]) for name in fieldnames) + "\n")
+def _read_back(cfg_output, fieldnames) -> dict:
+    """The written file as float columns (true/false read as 1/0), {} if it holds no rows.
 
-
-def _write_json(path: str, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(rows, fh, indent=1)
-        fh.write("\n")
-
-
-def _write_rows(cfg_output, fieldnames, rows: list[dict]) -> None:
-    if cfg_output.format == "csv":
-        _write_csv(cfg_output.path, fieldnames, rows)
-    else:
-        _write_json(cfg_output.path, rows)
-
-
-def _read_back(cfg_output, fieldnames) -> list[dict]:
+    A CSV row with the wrong number of cells, or a cell that is not a number,
+    is an AuditError naming its line and column.
+    """
     with open(cfg_output.path, encoding="utf-8") as fh:
         if cfg_output.format == "json":
-            return json.load(fh)
-        header = fh.readline().strip().split(",")
-        if header != list(fieldnames):
-            raise AuditError("self-audit: header mismatch")
-        rows = []
-        for line in fh:
-            cells = line.strip().split(",")
-            row = {}
-            for name, cell in zip(header, cells):
-                row[name] = cell == "true" if cell in ("true", "false") else float(cell)
-            rows.append(row)
-        return rows
+            try:
+                rows = json.load(fh)
+                columns = {name: np.array([r[name] for r in rows]) for name in fieldnames}
+            except (ValueError, KeyError, TypeError) as exc:
+                raise AuditError(f"self-audit: unreadable JSON rows ({exc!r})") from None
+            bad = [name for name, col in columns.items() if col.dtype.kind not in "bif"]
+            if bad:
+                raise AuditError(f"self-audit: JSON column {bad[0]} holds a non-number")
+            return {name: col.astype(float) for name, col in columns.items()} if rows else {}
+        header, *lines = fh.read().split("\n")
+    if header.split(",") != list(fieldnames):
+        raise AuditError("self-audit: header mismatch")
+    if lines and not lines[-1]:
+        lines.pop()  # the newline that ends the last row
+    width, widths = len(fieldnames), [line.count(",") + 1 for line in lines]
+    if widths.count(width) != len(widths):
+        i, n = next((i, n) for i, n in enumerate(widths) if n != width)
+        where = f"column {fieldnames[n]} is missing" if n < width else "a cell past the last column"
+        raise AuditError(f"self-audit: line {i + 2} has {n} cells, not {width}: {where}")
+    if not lines:
+        return {}
+    cells = ",".join(lines).split(",")
+    for j in range(width):
+        if set(cells[j::width]) <= {"true", "false"}:
+            cells[j::width] = map({"true": "1", "false": "0"}.get, cells[j::width])
+    try:
+        values = np.array(list(map(float, cells))).reshape(len(lines), width)
+    except ValueError:
+        for k, cell in enumerate(cells):  # find the cell that failed
+            try:
+                float(cell)
+            except ValueError:
+                at = f"line {k // width + 2}, column {fieldnames[k % width]}"
+                raise AuditError(f"self-audit: {at}: not a number: {cell!r}") from None
+    return dict(zip(fieldnames, values.T))
 
 
-def _audit_rows(rows: list[dict], suffix: str, conserved: bool) -> None:
-    """Re-check the written identities for one engine's column group."""
-    n0 = None
-    for idx, row in enumerate(rows):
-        p_ee, p_eg = row["p_ee" + suffix], row["p_eg" + suffix]
-        p_ge, p_gg = row["p_ge" + suffix], row["p_gg" + suffix]
-        for name in ("p_ee", "p_eg", "p_ge", "p_gg"):
-            val = row[name + suffix]
-            if not -1e-9 <= val <= 1.0 + 1e-9:
-                raise AuditError(f"self-audit: {name}{suffix} out of range in row {idx}")
-        if abs(p_ee + p_eg - 1.0) > _PROB_SUM_TOL or abs(p_ge + p_gg - 1.0) > _PROB_SUM_TOL:
-            raise AuditError(f"self-audit: probability rows do not sum to 1 in row {idx}")
-        if abs(row["eta" + suffix] - (p_ee - p_ge)) > _PROB_SUM_TOL:
-            raise AuditError(f"self-audit: eta inconsistent in row {idx}")
-        if conserved:
-            total = row["n_field" + suffix] + row["n_bath" + suffix]
-            if n0 is None:
-                n0 = total
-            elif abs(total - n0) > _OCCUPATION_TOL:
-                raise AuditError(f"self-audit: occupation drifts in row {idx}")
+def _audit_rows(table: dict, suffix: str, conserved: bool) -> None:
+    """Re-check the written identities for one engine's column group, whole columns at once.
+
+    Names the first failing row by its index in `table`, with the first
+    identity it breaks in this order: each probability's range, the row sums,
+    eta, and (if conserved) the drift of n_field + n_bath from row 0.  A NaN
+    fails the range check and passes the others.
+    """
+    p_ee, p_eg, p_ge, p_gg = probs = [table[name + suffix] for name in _PROBABILITIES]
+    checks = [(f"{name}{suffix} out of range", ~((p >= -1e-9) & (p <= 1.0 + 1e-9)))
+              for name, p in zip(_PROBABILITIES, probs)]
+    off = (np.abs(p_ee + p_eg - 1.0) > _PROB_SUM_TOL) | (np.abs(p_ge + p_gg - 1.0) > _PROB_SUM_TOL)
+    checks.append(("probability rows do not sum to 1", off))
+    eta_off = np.abs(table["eta" + suffix] - (p_ee - p_ge)) > _PROB_SUM_TOL
+    checks.append(("eta inconsistent", eta_off))
+    if conserved:
+        total = table["n_field" + suffix] + table["n_bath" + suffix]
+        checks.append(("occupation drifts", np.abs(total - total[0]) > _OCCUPATION_TOL))
+    failed = np.array([bad for _, bad in checks])
+    rows = np.flatnonzero(failed.any(axis=0))
+    if rows.size:
+        raise AuditError(f"self-audit: {checks[np.argmax(failed[:, rows[0]])][0]} in row {rows[0]}")
 
 
 def _audit_output(cfg_output, fieldnames, groups) -> None:
-    """groups: list of (suffix, conserved) column groups present in the file."""
-    rows = _read_back(cfg_output, fieldnames)
-    if not rows:
+    """groups: list of (suffix, conserved) column groups present in the file.
+
+    Rows that share a sweep_value form one chunk, audited on its own.
+    """
+    table = _read_back(cfg_output, fieldnames)
+    if not table:
         raise AuditError("self-audit: no rows written")
-    by_sweep: dict = {}
-    for row in rows:
-        by_sweep.setdefault(row.get("sweep_value"), []).append(row)
-    for chunk in by_sweep.values():
-        for suffix, conserved in groups:
-            _audit_rows(chunk, suffix, conserved)
+    chunks = [slice(None)]
+    if "sweep_value" in table:
+        _, first, inverse = np.unique(
+            table["sweep_value"], return_index=True, return_inverse=True, equal_nan=False
+        )
+        chunks = [inverse == k for k in np.argsort(first)]
+    with np.errstate(invalid="ignore"):
+        for chunk in chunks:
+            for suffix, conserved in groups:
+                _audit_rows({name: col[chunk] for name, col in table.items()}, suffix, conserved)
 
 
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.config)
-    rows = [row.as_dict() for row in run_scenario(cfg)]
-    _write_rows(cfg.output, ROW_FIELDS, rows)
+    table = run_scenario(cfg)
+    _write_table(cfg.output, table)
     _audit_output(cfg.output, ROW_FIELDS, [("", cfg.engine == "microscopic")])
-    log.info("wrote %d rows to %s", len(rows), cfg.output.path)
+    log.info("wrote %d rows to %s", len(table["t"]), cfg.output.path)
     return 0
-
-
-def _compare_fieldnames():
-    names = ["t"]
-    for suffix in ("_micro", "_me"):
-        names.extend(name + suffix for name in ROW_FIELDS if name != "t")
-    return names
 
 
 def _cmd_compare(args) -> int:
     cfg = load_scenario(args.config, for_compare=True)
-    rows_micro, rows_master, summary = run_compare(cfg)
-    fieldnames = _compare_fieldnames()
-    joint = []
-    for a, b in zip(rows_micro, rows_master):
-        row = {"t": a.t}
-        row.update({k + "_micro": v for k, v in a.as_dict().items() if k != "t"})
-        row.update({k + "_me": v for k, v in b.as_dict().items() if k != "t"})
-        joint.append(row)
-    _write_rows(cfg.output, fieldnames, joint)
+    micro, master, summary = run_compare(cfg)
+    joint = {"t": micro["t"]}
+    for suffix, table in (("_micro", micro), ("_me", master)):
+        joint.update((name + suffix, col) for name, col in table.items() if name != "t")
+    _write_table(cfg.output, joint)
     summary_path = cfg.output.path + ".summary.json"
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
-    _audit_output(cfg.output, fieldnames, [("_micro", True), ("_me", False)])
-    log.info("wrote %d joint rows to %s and %s", len(joint), cfg.output.path, summary_path)
+    _audit_output(cfg.output, list(joint), [("_micro", True), ("_me", False)])
+    log.info("wrote %d joint rows to %s and %s", len(joint["t"]), cfg.output.path, summary_path)
     return 0
 
 
@@ -174,16 +199,12 @@ def _cmd_sweep(args) -> int:
     values = _parse_sweep_values(args.values)
     cfg = load_scenario(args.config)
     results = run_sweep(cfg, args.param, values)
-    fieldnames = ["sweep_value", *ROW_FIELDS]
-    rows = []
-    for value, series in results:
-        for row in series:
-            tagged = {"sweep_value": value}
-            tagged.update(row.as_dict())
-            rows.append(tagged)
-    _write_rows(cfg.output, fieldnames, rows)
-    _audit_output(cfg.output, fieldnames, [("", cfg.engine == "microscopic")])
-    log.info("wrote %d rows (%d sweep values) to %s", len(rows), len(values), cfg.output.path)
+    lengths = [len(table["t"]) for _, table in results]
+    joint = {"sweep_value": np.repeat([value for value, _ in results], lengths)}
+    joint.update((name, np.concatenate([t[name] for _, t in results])) for name in ROW_FIELDS)
+    _write_table(cfg.output, joint)
+    _audit_output(cfg.output, list(joint), [("", cfg.engine == "microscopic")])
+    log.info("wrote %d rows (%d sweep values) to %s", sum(lengths), len(values), cfg.output.path)
     return 0
 
 

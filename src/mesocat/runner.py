@@ -1,23 +1,24 @@
 """Scenario engines: turn one configuration into a time series of observables.
 
-A run yields one :class:`TimeSeriesRow` per grid time with the damping
-factors, the four conditional probabilities and eta, the eigenvalue pairs
-of both conditioned densities, purities, occupations and the recurrence
-flag.  Times are reported in units of t_c = 1/gamma.
+A run yields one column table: a dict holding a 1-d array over the grid
+per ``ROW_FIELDS`` name, with the damping factors, the four conditional
+probabilities and eta, the eigenvalue pairs of both conditioned densities,
+purities, occupations and the recurrence flag.  Times are reported in units
+of t_c = 1/gamma.
 
 The two analytic engines are one computation.  The prepared field stays a
 superposition of product-coherent branches, so the environment reaches it
 only through the field response g(t) and the depletion B(t): the exact
-discrete bath gives both over the whole grid in one matrix product
+discrete bath gives both over the whole grid in two real matrix products
 (``bath.response``), the master equation in closed form
-(``lindblad.me_response``).  One row builder turns (g, B) into rows:
+(``lindblad.me_response``).  One table builder turns (g, B) into columns:
 ``coherent.damped_density`` stacks both conditioned densities over the
 grid; gamma_a, gamma_b and the occupations are closed forms in (g, B); the
 probabilities, spectra and purities go once per stack through the same
 checked routines as any single density.  The compare summary's short-time
-defect slopes are fitted to rows from the same builder.  The Fock engine
-damps each prepared density over the whole grid in one call of its exact
-Kraus map.  Only building the rows iterates over grid times.
+defect slopes and eta gap are taken from columns of the same builder.  The
+Fock engine damps each prepared density over the whole grid in one call of
+its exact Kraus map.  Nothing on the run path iterates over grid times.
 
 Eigenvalue columns: when the two field labels are an antipodal pair (case A
 at phi = pi) lam_plus/lam_minus are assigned by eigenvector parity, i.e. the
@@ -31,7 +32,7 @@ Everything runs in one thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,35 +42,13 @@ from . import protocol as proto
 from .config import ScenarioConfig, apply_sweep_value
 from .errors import InvalidArgumentError
 
-@dataclass(frozen=True)
-class TimeSeriesRow:
-    t: float
-    gamma_a: float
-    gamma_b_abs: float
-    gamma_b_arg: float
-    p_ee: float
-    p_eg: float
-    p_ge: float
-    p_gg: float
-    eta: float
-    lam_e_plus: float
-    lam_e_minus: float
-    lam_g_plus: float
-    lam_g_minus: float
-    purity_e: float
-    purity_g: float
-    defect_e: float
-    defect_g: float
-    n_field: float
-    n_bath: float
-    recurrence_warning: bool
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in ROW_FIELDS}
-
-
-#: column order of every output table: the TimeSeriesRow fields
-ROW_FIELDS = tuple(f.name for f in fields(TimeSeriesRow))
+#: column order of every output table
+ROW_FIELDS = (
+    "t", "gamma_a", "gamma_b_abs", "gamma_b_arg", "p_ee", "p_eg", "p_ge", "p_gg", "eta",
+    "lam_e_plus", "lam_e_minus", "lam_g_plus", "lam_g_minus", "purity_e", "purity_g",
+    "defect_e", "defect_g", "n_field", "n_bath", "recurrence_warning",
+)
 
 
 def scenario_params(cfg: ScenarioConfig) -> proto.ProtocolParams:
@@ -107,12 +86,11 @@ def _assign_from_spectrum(spec: coherent.Spectrum) -> tuple[np.ndarray, np.ndarr
     return np.where(swap, lams[..., 1], lams[..., 0]), np.where(swap, lams[..., 0], lams[..., 1])
 
 
-def _rows(columns) -> list[TimeSeriesRow]:
-    """TimeSeriesRows from one array per column, in ROW_FIELDS order, gamma_b still complex."""
+def _table(columns) -> dict[str, np.ndarray]:
+    """The column table from one array per column, in ROW_FIELDS order, gamma_b still complex."""
     t_tc, g_a, g_b, *rest = columns
-    g_b = np.asarray(g_b)
     columns = (t_tc, g_a, np.abs(g_b), np.arctan2(g_b.imag, g_b.real), *rest)
-    return [TimeSeriesRow(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
+    return dict(zip(ROW_FIELDS, map(np.asarray, columns)))
 
 
 def _pair_factors(state, g: np.ndarray, depletion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,14 +114,14 @@ def _response(cfg: ScenarioConfig, times_tc: np.ndarray) -> tuple[np.ndarray, ..
     return g, depletion, np.zeros(len(times), dtype=bool)
 
 
-def _analytic_rows(params, times_tc, g, depletion, recurrence) -> list[TimeSeriesRow]:
-    """Rows at the given times (t_c) from an analytic engine's response, via density stacks."""
+def _analytic_table(params, times_tc, g, depletion, recurrence) -> dict[str, np.ndarray]:
+    """The table at the given times (t_c) from an analytic engine's response, via density stacks."""
     state_e = proto.prepare(params, proto.DetectionOutcome.E)
     state_g = proto.prepare(params, proto.DetectionOutcome.G)
     rho_e = coherent.damped_density(state_e, g, depletion)
     rho_g = coherent.damped_density(state_g, g, depletion)
     rec = proto.conditional_probabilities(rho_e, rho_g, params)
-    return _rows((
+    return _table((
         times_tc, *_pair_factors(state_e, g, depletion),
         rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta,
         *_assign_from_spectrum(coherent.eigenvalues(rho_e)),
@@ -194,7 +172,7 @@ def _fock_gamma_b(p: np.ndarray, labels_t: np.ndarray, weights, n_max: int) -> n
     return np.where(accurate, coeff01 / (weights[0] * np.conj(weights[1])), np.nan)
 
 
-def _fock_rows(cfg: ScenarioConfig, params: proto.ProtocolParams) -> list[TimeSeriesRow]:
+def _fock_table(cfg: ScenarioConfig, params: proto.ProtocolParams) -> dict[str, np.ndarray]:
     gamma, n_max, grid = cfg.master.gamma, cfg.fock.n_max, time_grid(cfg)
     state_e, state_g = (proto.prepare(params, outcome) for outcome in proto.DetectionOutcome)
     rho0_e, rho0_g = (fock.density_from_vector(fock.superposition_vector(state, n_max))
@@ -211,7 +189,7 @@ def _fock_rows(cfg: ScenarioConfig, params: proto.ProtocolParams) -> list[TimeSe
     g_b = _fock_gamma_b(label_products, labels_t, [br.weight for br in state_e.branches], n_max)
     pur_e, pur_g = fock.fock_purity(rho_e), fock.fock_purity(rho_g)
     n_field = fock.fock_mean_photon(rho_e)
-    return _rows((
+    return _table((
         grid, _pair_factors(state_e, decay, depletion)[0], g_b,
         rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta,
         *_fock_assign(rho_e.matrix, labels_t), *_fock_assign(rho_g.matrix, labels_t),
@@ -220,14 +198,14 @@ def _fock_rows(cfg: ScenarioConfig, params: proto.ProtocolParams) -> list[TimeSe
     ))
 
 
-def run_scenario(cfg: ScenarioConfig) -> list[TimeSeriesRow]:
-    """Full time series of one scenario with its configured engine."""
+def run_scenario(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
+    """Column table of one scenario's full time series with its configured engine."""
     params = scenario_params(cfg)
     if cfg.engine in ("microscopic", "master"):
         grid = time_grid(cfg)
-        return _analytic_rows(params, grid, *_response(cfg, grid))
+        return _analytic_table(params, grid, *_response(cfg, grid))
     if cfg.engine == "fock":
-        return _fock_rows(cfg, params)
+        return _fock_table(cfg, params)
     raise InvalidArgumentError(f"unknown engine {cfg.engine!r}")
 
 
@@ -238,13 +216,13 @@ def run_scenario(cfg: ScenarioConfig) -> list[TimeSeriesRow]:
 SLOPE_GRID = np.logspace(-3.0, -2.0, 9)
 
 
-def _defect_slope(rows: list[TimeSeriesRow]) -> float:
-    """Fitted log-log slope of defect_e against t over rows on SLOPE_GRID."""
-    return float(np.polyfit(np.log(SLOPE_GRID), np.log([r.defect_e for r in rows]), 1)[0])
+def _defect_slope(defect_e: np.ndarray) -> float:
+    """Fitted log-log slope of defect_e against t on SLOPE_GRID."""
+    return float(np.polyfit(np.log(SLOPE_GRID), np.log(defect_e), 1)[0])
 
 
-def run_compare(cfg: ScenarioConfig) -> tuple[list[TimeSeriesRow], list[TimeSeriesRow], dict]:
-    """Run the microscopic and master engines on one scenario, plus a summary.
+def run_compare(cfg: ScenarioConfig) -> tuple[dict, dict, dict]:
+    """Tables of the microscopic and master engines on one scenario, plus a summary.
 
     The summary reports the largest |eta_micro - eta_master| over the grid
     and the fitted log-log short-time slopes of defect_e for both engines on
@@ -253,24 +231,23 @@ def run_compare(cfg: ScenarioConfig) -> tuple[list[TimeSeriesRow], list[TimeSeri
     params = scenario_params(cfg)
     grid = time_grid(cfg)
     times = np.concatenate([grid, SLOPE_GRID])
-    micro = _analytic_rows(params, times, *_response(replace(cfg, engine="microscopic"), times))
-    master = _analytic_rows(params, times, *_response(replace(cfg, engine="master"), times))
-    rows_micro, rows_master = micro[: len(grid)], master[: len(grid)]
-    max_gap = max(abs(a.eta - b.eta) for a, b in zip(rows_micro, rows_master))
+    micro = _analytic_table(params, times, *_response(replace(cfg, engine="microscopic"), times))
+    master = _analytic_table(params, times, *_response(replace(cfg, engine="master"), times))
+    n = len(grid)
     summary = {
-        "max_abs_eta_gap": max_gap,
-        "defect_slope_micro": _defect_slope(micro[len(grid) :]),
-        "defect_slope_master": _defect_slope(master[len(grid) :]),
+        "max_abs_eta_gap": float(np.max(np.abs(micro["eta"][:n] - master["eta"][:n]))),
+        "defect_slope_micro": _defect_slope(micro["defect_e"][n:]),
+        "defect_slope_master": _defect_slope(master["defect_e"][n:]),
         "slope_grid_t_over_tc": [float(SLOPE_GRID[0]), float(SLOPE_GRID[-1])],
         "grid_points": cfg.time.points,
         "t_max_over_tc": cfg.time.t_max_over_tc,
     }
-    return rows_micro, rows_master, summary
+    return ({k: c[:n] for k, c in micro.items()}, {k: c[:n] for k, c in master.items()}, summary)
 
 
 def run_sweep(
     cfg: ScenarioConfig, param: str, values: list[float]
-) -> list[tuple[float, list[TimeSeriesRow]]]:
+) -> list[tuple[float, dict[str, np.ndarray]]]:
     """One scenario per swept value, ordered by value; a phi or alpha0_re sweep
     computes an analytic engine's response (g, B) once, for this call only."""
     ordered = sorted(values)
@@ -279,4 +256,4 @@ def run_sweep(
     grid = time_grid(cfg)
     response = _response(cfg, grid)
     swept = [scenario_params(apply_sweep_value(cfg, param, v)) for v in ordered]
-    return [(v, _analytic_rows(params, grid, *response)) for v, params in zip(ordered, swept)]
+    return [(v, _analytic_table(params, grid, *response)) for v, params in zip(ordered, swept)]

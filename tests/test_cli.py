@@ -12,7 +12,7 @@ import pytest
 
 import mesocat as mc
 from mesocat import cli, runner
-from mesocat.config import apply_sweep_value, load_scenario, parse_scenario
+from mesocat.config import OutputConfig, apply_sweep_value, load_scenario, parse_scenario
 
 
 def base_config(tmp_path, **overrides):
@@ -481,6 +481,281 @@ def test_audit_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert "error: self-audit: no rows written" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        ("short", "line 3 has 17 cells, not 20: column n_field is missing"),
+        ("extra", "line 4 has 21 cells, not 20: a cell past the last column"),
+        ("text", "line 5, column p_ge: not a number: 'abc'"),
+        ("blank", "line 3 has 1 cells, not 20: column gamma_a is missing"),
+    ],
+)
+def test_malformed_read_back_exits_1_naming_line_and_column(
+    tmp_path, monkeypatch, capsys, corrupt, message
+):
+    # a short row used to pass the audit (zip truncates it); a bad cell escaped as a ValueError
+    write = cli._write_table
+
+    def corrupting(cfg_output, table):
+        write(cfg_output, table)
+        with open(cfg_output.path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        if corrupt == "short":
+            lines[2] = ",".join(lines[2].split(",")[:-3])
+        elif corrupt == "extra":
+            lines[3] += ",0.5"
+        elif corrupt == "text":
+            cells = lines[4].split(",")
+            cells[runner.ROW_FIELDS.index("p_ge")] = "abc"
+            lines[4] = ",".join(cells)
+        else:
+            lines.insert(2, "")
+        with open(cfg_output.path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines))
+
+    monkeypatch.setattr(cli, "_write_table", corrupting)
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["run", "--config", path]) == 1
+    assert capsys.readouterr().err.strip() == f"error: self-audit: {message}"
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        ("missing", "unreadable JSON rows (KeyError('p_ge'))"),
+        ("text", "JSON column p_ge holds a non-number"),
+        ("null", "JSON column p_ge holds a non-number"),
+    ],
+)
+def test_malformed_json_read_back_exits_1(tmp_path, monkeypatch, capsys, corrupt, message):
+    write = cli._write_table
+
+    def corrupting(cfg_output, table):
+        write(cfg_output, table)
+        with open(cfg_output.path, encoding="utf-8") as fh:
+            rows = json.load(fh)
+        if corrupt == "missing":
+            del rows[2]["p_ge"]
+        else:
+            rows[4]["p_ge"] = "abc" if corrupt == "text" else None
+        with open(cfg_output.path, "w", encoding="utf-8") as fh:
+            json.dump(rows, fh)
+
+    monkeypatch.setattr(cli, "_write_table", corrupting)
+    cfg = base_config(tmp_path, output={"format": "json", "path": str(tmp_path / "out.json")})
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err.strip() == f"error: self-audit: {message}"
+
+
+def test_writer_formats_like_the_scalar_cells(tmp_path):
+    # nan, signed zeros, infinities and subnormals exactly as f"{v:.17g}"; bools as true/false
+    values = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -2.5, 1 / 3]
+    table = {"flag": np.arange(len(values)) % 3 == 0, "x": np.array(values)}
+    fieldnames = ["flag", "x"]
+    for fmt in ("csv", "json"):
+        cfg_output = OutputConfig(fmt, str(tmp_path / f"t.{fmt}"))
+        cli._write_table(cfg_output, table)
+        text = (tmp_path / f"t.{fmt}").read_text()
+        rows = [{"flag": bool(f), "x": x} for f, x in zip(table["flag"], values)]
+        if fmt == "csv":
+            lines = [f"{scalar_cell(row['flag'])},{scalar_cell(row['x'])}\n" for row in rows]
+            assert text == "flag,x\n" + "".join(lines)
+        else:
+            assert text == json.dumps(rows, indent=1) + "\n"
+        back = cli._read_back(cfg_output, fieldnames)
+        np.testing.assert_array_equal(back["x"], values)
+        assert list(np.signbit(back["x"])) == [math.copysign(1.0, v) < 0 for v in values]
+        np.testing.assert_array_equal(back["flag"], table["flag"].astype(float))
+
+
+def scalar_cell(value):
+    """One CSV cell as the writer formatted it value by value (reference)."""
+    return ("true" if value else "false") if isinstance(value, bool) else f"{value:.17g}"
+
+
+def library_rows(command, cfg, param=None, values=None):
+    """The rows a command writes, built one row at a time from the library's tables (reference)."""
+
+    def as_dicts(table):
+        return [dict(zip(table, row)) for row in zip(*(col.tolist() for col in table.values()))]
+
+    if command == "run":
+        return as_dicts(runner.run_scenario(cfg))
+    if command == "compare":
+        micro, master, _ = runner.run_compare(cfg)
+        return [
+            {"t": a["t"], **{k + "_micro": v for k, v in a.items() if k != "t"},
+             **{k + "_me": v for k, v in b.items() if k != "t"}}
+            for a, b in zip(as_dicts(micro), as_dicts(master))
+        ]
+    swept = runner.run_sweep(cfg, param, values)
+    return [{"sweep_value": value, **row} for value, table in swept for row in as_dicts(table)]
+
+
+BAND_51 = {"modes": 51, "half_bandwidth": 20.0, "gamma": 1.0}
+WRITER_CASES = {
+    "master": ("run", dict(case="b", phi=0.7), None),
+    "recurrence": (
+        "run", dict(engine="microscopic", bath={"modes": 21, "half_bandwidth": 10.0, "gamma": 1.0},
+                    time={"t_max_over_tc": 4.0, "points": 17}), None),
+    "fock-nan": (
+        "run", dict(engine="fock", alpha0={"re": 1.0, "im": 0.0}, fock={"n_max": 19},
+                    time={"t_max_over_tc": 36.0, "points": 73}), None),
+    "compare": ("compare", dict(engine="microscopic", bath=BAND_51), None),
+    "sweep-phi": ("sweep", dict(engine="microscopic", case="b", bath=BAND_51), "phi"),
+    "sweep-gamma": ("sweep", dict(case="b", phi=0.7), "gamma"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", list(WRITER_CASES))
+def test_written_cells_equal_the_library_values(tmp_path, name, fmt):
+    command, overrides, param = WRITER_CASES[name]
+    raw = base_config(tmp_path, **overrides)
+    raw["output"] = {"format": fmt, "path": str(tmp_path / f"out.{fmt}")}
+    if raw["engine"] == "microscopic" and command != "compare":
+        raw.pop("master")
+    path = write_config(tmp_path, raw)
+    values = [0.4, 1.1, 0.7, 0.5, 0.9, 0.6, 1.0, 0.8]
+    extra = ["--param", param, "--values", ",".join(map(str, values))] if param else []
+    assert cli.main([command, "--config", path, *extra]) == 0
+    cfg = load_scenario(path, for_compare=command == "compare")
+    rows = library_rows(command, cfg, param, values)
+    text = (tmp_path / f"out.{fmt}").read_text()
+    if fmt == "json":
+        assert text == json.dumps(rows, indent=1) + "\n"
+    else:
+        lines = [",".join(rows[0])] + [",".join(map(scalar_cell, row.values())) for row in rows]
+        assert text == "\n".join(lines) + "\n"
+    flags = [v for row in rows for k, v in row.items() if k.startswith("recurrence_warning")]
+    nans = [v for row in rows for v in row.values() if isinstance(v, float) and math.isnan(v)]
+    assert any(flags) == (name == "recurrence") and bool(nans) == (name == "fock-nan")
+
+
+def scalar_audit(path, groups):
+    """The self-audit one row at a time over row dicts, as the CLI once ran it (reference)."""
+    _, rows = read_csv(path)
+    chunks = {}
+    for row in rows:
+        chunks.setdefault(row.get("sweep_value"), []).append(row)
+    for chunk in chunks.values():
+        for suffix, conserved in groups:
+            n0 = None
+            for idx, row in enumerate(chunk):
+                p_ee, p_eg = row["p_ee" + suffix], row["p_eg" + suffix]
+                p_ge, p_gg = row["p_ge" + suffix], row["p_gg" + suffix]
+                for name in ("p_ee", "p_eg", "p_ge", "p_gg"):
+                    if not -1e-9 <= row[name + suffix] <= 1.0 + 1e-9:
+                        raise mc.AuditError(f"self-audit: {name}{suffix} out of range in row {idx}")
+                if abs(p_ee + p_eg - 1.0) > 1e-9 or abs(p_ge + p_gg - 1.0) > 1e-9:
+                    raise mc.AuditError(
+                        f"self-audit: probability rows do not sum to 1 in row {idx}"
+                    )
+                if abs(row["eta" + suffix] - (p_ee - p_ge)) > 1e-9:
+                    raise mc.AuditError(f"self-audit: eta inconsistent in row {idx}")
+                if conserved:
+                    total = row["n_field" + suffix] + row["n_bath" + suffix]
+                    if n0 is None:
+                        n0 = total
+                    elif abs(total - n0) > 1e-8:
+                        raise mc.AuditError(f"self-audit: occupation drifts in row {idx}")
+
+
+def shifted(delta):
+    return lambda v: v + delta
+
+
+AUDIT_FAULTS = {
+    "range": [("p_eg", 3, lambda v: 1.5)],
+    "row-sum": [("p_eg", 3, shifted(1e-6))],
+    "eta": [("eta", 3, shifted(1e-6))],
+    "drift": [("n_bath", 3, shifted(1e-6))],
+    "drift-from-row-0": [("n_field", 0, shifted(1e-6))],
+    "nan-probability": [("p_gg", 3, lambda v: math.nan)],
+    "nan-eta-passes": [("eta", 3, lambda v: math.nan)],
+    "nan-occupation-passes": [("n_bath", 3, lambda v: math.nan)],
+    "nan-first-occupation-passes": [
+        ("n_field", 0, lambda v: math.nan), ("n_bath", 4, shifted(1.0))
+    ],
+    "first-row-wins": [("p_ee", 4, lambda v: -0.5), ("n_bath", 2, shifted(1e-6))],
+    "first-check-wins": [("n_bath", 3, shifted(1e-6)), ("eta", 3, shifted(1e-6))],
+    "last-row": [("eta", 5, shifted(1e-3))],
+}
+
+
+@pytest.mark.parametrize("fault", list(AUDIT_FAULTS))
+def test_column_audit_matches_the_scalar_audit(tmp_path, fault):
+    # faults in the second chunk of a sweep file: same verdict, message and in-chunk row index
+    raw = base_config(tmp_path, engine="microscopic", case="b", phi=0.7, bath=BAND_51)
+    raw.pop("master")
+    raw["time"] = {"t_max_over_tc": 2.0, "points": 6}
+    path = write_config(tmp_path, raw)
+    argv = ["sweep", "--config", path, "--param", "phi", "--values", "0.5,0.7,0.9"]
+    assert cli.main(argv) == 0
+    out = tmp_path / "out.csv"
+    header, *lines = out.read_text().splitlines()
+    for column, row, change in AUDIT_FAULTS[fault]:
+        cells = lines[6 + row].split(",")
+        j = header.split(",").index(column)
+        cells[j] = f"{change(float(cells[j])):.17g}"
+        lines[6 + row] = ",".join(cells)
+    out.write_text("\n".join([header, *lines]) + "\n")
+    cfg_output, fieldnames = load_scenario(path).output, header.split(",")
+    verdicts = []
+    for audit in (lambda: scalar_audit(out, [("", True)]),
+                  lambda: cli._audit_output(cfg_output, fieldnames, [("", True)])):
+        try:
+            audit()
+            verdicts.append("passes")
+        except mc.AuditError as exc:
+            verdicts.append(str(exc))
+    assert verdicts[0] == verdicts[1]
+    assert (verdicts[0] == "passes") == ("passes" in fault)
+
+
+@pytest.mark.parametrize(
+    "command, engine, extra",
+    [
+        ("run", "master", []),
+        ("run", "microscopic", []),
+        ("run", "fock", []),
+        ("compare", "microscopic", []),
+        ("sweep", "microscopic", ["--param", "phi", "--values", "0.5,1,2"]),
+        ("sweep", "master", ["--param", "gamma", "--values", "0.5,1,2"]),
+    ],
+)
+def test_cli_path_makes_no_python_call_per_row(tmp_path, command, engine, extra):
+    # the same Python function calls at 11 and 201 grid points: no per-row objects or
+    # dicts, no per-cell formatting and no per-row audit between the engine and the file
+    def calls(points):
+        raw = base_config(tmp_path, engine=engine, alpha0={"re": 1.0, "im": 0.0})
+        raw["time"] = {"t_max_over_tc": 2.0, "points": points}
+        if engine == "microscopic":
+            raw["bath"] = BAND_51
+            if command != "compare":
+                raw.pop("master")
+        if engine == "fock":
+            raw["fock"] = {"n_max": 19}
+        argv = [command, "--config", write_config(tmp_path, raw), *extra]
+        assert cli.main(argv) == 0  # warm: lazy imports and caches
+        counts = {}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                key = (frame.f_code.co_filename, frame.f_code.co_name)
+                counts[key] = counts.get(key, 0) + 1
+
+        sys.setprofile(profile)
+        try:
+            code = cli.main(argv)
+        finally:
+            sys.setprofile(None)
+        assert code == 0
+        return counts
+
+    assert calls(11) == calls(201)
+
+
 @pytest.mark.parametrize("value, reported", [("loud", True), ("debug", False), ("INFO", False)])
 def test_invalid_log_level_is_reported(tmp_path, monkeypatch, caplog, value, reported):
     path = write_config(tmp_path, base_config(tmp_path))
@@ -494,7 +769,7 @@ def test_csv_floats_round_trip(tmp_path):
     path = write_config(tmp_path, base_config(tmp_path))
     assert cli.main(["run", "--config", path]) == 0
     _, rows = read_csv(tmp_path / "out.csv")
-    recomputed = runner.run_scenario(load_scenario(path))
-    for parsed, exact in zip(rows, recomputed):
-        assert parsed["eta"] == exact.eta  # 17 significant digits round-trip
-        assert parsed["p_gg"] == exact.p_gg
+    table = runner.run_scenario(load_scenario(path))
+    for parsed, eta, p_gg in zip(rows, table["eta"], table["p_gg"]):
+        assert parsed["eta"] == eta  # 17 significant digits round-trip
+        assert parsed["p_gg"] == p_gg

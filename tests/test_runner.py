@@ -1,7 +1,8 @@
-"""Scenario engines: the shared row builder against the per-mode reference, the Fock engine."""
+"""Scenario engines: the shared table builder against the per-mode reference, the Fock engine."""
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,12 @@ from mesocat import bath as bathmod
 from mesocat import cli, config, fock, runner
 from mesocat.coherent import phase_op_matrix_element
 from mesocat.config import parse_scenario
+
+
+def as_rows(table):
+    """A column table as one namespace per time, for attribute access."""
+    values = zip(*(col.tolist() for col in table.values()))
+    return [SimpleNamespace(**dict(zip(table, row))) for row in values]
 
 
 def scenario(tmp_path, engine, alpha0=math.sqrt(2.0), case="a", phi=math.pi, t_max=1.0, points=5):
@@ -37,7 +44,7 @@ def test_microscopic_rows_match_per_mode_reference(tmp_path, flat_band_201, case
     cfg = parse_scenario(scenario(tmp_path, "microscopic", 1.5, case, phi, t_max=1.7, points=6))
     params = runner.scenario_params(cfg)
     state_e = mc.prepare(params, Out.E)
-    for row in runner.run_scenario(cfg):
+    for row in as_rows(runner.run_scenario(cfg)):
         evolved = mc.evolve(state_e, flat_band_201, row.t)
         g_b = mc.gamma_b(evolved)
         n_field, n_bath = mc.occupations(evolved)
@@ -56,7 +63,7 @@ def test_master_rows_match_me_reduce(tmp_path):
     labels = [br.field for br in state_e.branches]
     mp = mc.MasterParams(1.0)
     n_field_0 = mc.mean_photon(mc.reduce(state_e))
-    for row in runner.run_scenario(cfg):
+    for row in as_rows(runner.run_scenario(cfg)):
         rho_e = mc.me_reduce(state_e, mp, row.t)
         rho_g = mc.me_reduce(mc.prepare(params, Out.G), mp, row.t)
         rec = mc.conditional_probabilities(rho_e, rho_g, params)
@@ -70,7 +77,7 @@ def test_master_rows_match_me_reduce(tmp_path):
 
 def test_run_scenario_is_deterministic(tmp_path):
     cfg = parse_scenario(scenario(tmp_path, "microscopic", points=7))
-    assert runner.run_scenario(cfg) == runner.run_scenario(cfg)
+    assert as_rows(runner.run_scenario(cfg)) == as_rows(runner.run_scenario(cfg))
 
 
 @pytest.mark.parametrize("alpha0", np.linspace(0.5, 1.0, 11))
@@ -78,7 +85,7 @@ def test_fock_labels_eigenvalues_by_parity_at_time_zero(tmp_path, alpha0):
     # the odd cat after E is pure: all but one eigenvalue vanish, and the
     # plus/minus labels must not depend on eigh's choice inside that zero space
     cfg = parse_scenario(scenario(tmp_path, "fock", alpha0, t_max=0.001, points=2))
-    row = runner.run_scenario(cfg)[0]
+    row = as_rows(runner.run_scenario(cfg))[0]
     ga0 = math.exp(-2.0 * alpha0**2)
     lam_e = mc.eigenvalues_case_a(ga0, 1.0, ga0, Out.E)
     lam_g = mc.eigenvalues_case_a(ga0, 1.0, ga0, Out.G)
@@ -90,11 +97,11 @@ def test_fock_labels_eigenvalues_by_parity_at_time_zero(tmp_path, alpha0):
 def test_fock_eigenvalues_of_a_non_parity_antipodal_pair(tmp_path, phi):
     # case B at phi = pi/2 (mod pi) prepares |beta> -+ i|-beta>: antipodal labels,
     # but no parity eigenstate, so the parity blocks do not hold its spectrum
-    fock_rows = runner.run_scenario(
-        parse_scenario(scenario(tmp_path, "fock", 1.0, "b", phi, t_max=0.3, points=4))
-    )
-    master_rows = runner.run_scenario(
-        parse_scenario(scenario(tmp_path, "master", 1.0, "b", phi, t_max=0.3, points=4))
+    fock_rows, master_rows = (
+        as_rows(runner.run_scenario(
+            parse_scenario(scenario(tmp_path, engine, 1.0, "b", phi, t_max=0.3, points=4))
+        ))
+        for engine in ("fock", "master")
     )
     assert fock_rows[0].lam_e_plus == pytest.approx(1.0, abs=1e-12)
     for f, m in zip(fock_rows, master_rows):
@@ -114,7 +121,7 @@ def test_master_and_fock_agree_near_the_vacuum(tmp_path, alpha0, case, phi):
         raw = scenario(tmp_path, engine, alpha0, case, phi, t_max=2.0, points=11)
         if engine == "fock":
             raw["fock"] = {"n_max": 12}
-        return runner.run_scenario(parse_scenario(raw))
+        return as_rows(runner.run_scenario(parse_scenario(raw)))
 
     names = [n for n in runner.ROW_FIELDS if n == "eta" or n.startswith(("p_", "lam_", "purity_"))]
     for f, m in zip(rows("fock"), rows("master")):
@@ -132,7 +139,7 @@ def test_fock_probabilities_are_checked_before_clamping(tmp_path, monkeypatch, c
 
 
 # ---------------------------------------------------------------------------
-# the stacked row builder
+# the stacked table builder
 
 
 @pytest.mark.parametrize("case, phi", [("a", math.pi), ("b", math.pi / 4)])
@@ -145,7 +152,7 @@ def test_stacked_rows_match_per_time_reference(tmp_path, case, phi):
     params = runner.scenario_params(cfg)
     band = mc.discretize_flat_band(1.0, 21, 10.0)
     times = np.linspace(0.0, 4.0, 17)  # recurrence flags from t > 3.14
-    rows = runner._analytic_rows(params, times, *runner._response(cfg, times))
+    rows = as_rows(runner._analytic_table(params, times, *runner._response(cfg, times)))
     states = [mc.prepare(params, o) for o in (Out.E, Out.G)]
     parity = mc.PhaseOpSum(((1.0 + 0j, math.pi),))
 
@@ -195,8 +202,8 @@ def test_compare_checks_whole_grids_not_rows(tmp_path, monkeypatch, points):
     counted(mc.protocol, "conditional_probabilities")
     raw = scenario(tmp_path, "microscopic", 1.5, points=points)
     raw["master"] = {"gamma": 1.0}
-    rows_micro, rows_master, _ = runner.run_compare(parse_scenario(raw, for_compare=True))
-    assert len(rows_micro) == len(rows_master) == points
+    micro, master, _ = runner.run_compare(parse_scenario(raw, for_compare=True))
+    assert len(micro["t"]) == len(master["t"]) == points
     assert calls == {"eigenvalues": 4, "conditional_probabilities": 2}
 
 
@@ -211,8 +218,8 @@ def test_fock_evolves_whole_grids_not_rows(tmp_path, monkeypatch, points):
         return evolve(rho, gamma, t)
 
     monkeypatch.setattr(fock, "lindblad_evolve", counted)
-    rows = runner.run_scenario(parse_scenario(scenario(tmp_path, "fock", 1.0, points=points)))
-    assert len(rows) == points
+    table = runner.run_scenario(parse_scenario(scenario(tmp_path, "fock", 1.0, points=points)))
+    assert len(table["t"]) == points
     assert calls == [(points,), (points,)]
 
 
@@ -271,7 +278,7 @@ def test_stacked_fock_rows_match_per_time_reference(tmp_path, case, phi, blocks)
     cfg = parse_scenario(scenario(tmp_path, "fock", 1.0, case, phi, t_max=2.0, points=9))
     expected, blocks_used = fock_rows_per_time(cfg)
     assert set(blocks_used) == {blocks}
-    for row, want in zip(runner.run_scenario(cfg), expected):
+    for row, want in zip(as_rows(runner.run_scenario(cfg)), expected):
         for name, value in want.items():
             assert abs(getattr(row, name) - value) <= 1e-13, (name, row.t)
 
@@ -341,7 +348,7 @@ def test_sweep_computes_the_response_once_per_band(tmp_path, monkeypatch, param,
     assert len(calls) == responses
     fresh = [runner.run_scenario(config.apply_sweep_value(cfg, param, v)) for v in values]
     assert [v for v, _ in swept] == values
-    assert [rows for _, rows in swept] == fresh
+    assert [as_rows(table) for _, table in swept] == [as_rows(table) for table in fresh]
 
 
 @pytest.mark.parametrize("fault, index", [("exponent", 6), ("trace", 3)])
@@ -376,9 +383,9 @@ def test_fock_gamma_b_is_accurate_or_nan_to_36_tc(tmp_path, case, phi):
     # the label-basis coherence loses digits like eps / det(S)^2 as the labels
     # damp together; the engine writes NaN rather than a value off by more than 1e-6
     def rows(engine):
-        return runner.run_scenario(
+        return as_rows(runner.run_scenario(
             parse_scenario(scenario(tmp_path, engine, 1.0, case, phi, t_max=36.0, points=73))
-        )
+        ))
 
     finite = 0
     for f, m in zip(rows("fock"), rows("master")):
