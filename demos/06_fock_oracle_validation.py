@@ -2,9 +2,9 @@
 
 Every closed form in this package can be recomputed the slow way: expand
 states over number levels, build the coupling Hamiltonian as a sparse
-matrix (or apply the Lindblad equation's exact Kraus map), and evolve.  At desk scale the
-two routes agree to a few parts in 1e-7, which is the whole point of
-keeping the slow one around.
+matrix (or apply the exact Kraus map of the damping flow at the master
+equation's response), and evolve.  At desk scale the two routes agree to a
+few parts in 1e-7, which is the whole point of keeping the slow one around.
 """
 
 import math
@@ -43,7 +43,7 @@ dyad0 = np.outer(
     fock.coherent_to_fock(a, n_big).amplitudes,
     fock.coherent_to_fock(b, n_big).amplitudes.conj(),
 )
-dyad_t = fock.lindblad_evolve(dyad0, gamma, t)
+dyad_t = fock.damp(dyad0, *mc.me_response(mp, t))
 target = mc.me_dyad_factor(a, b, mp, t) * np.outer(
     fock.coherent_to_fock(mc.me_amplitude(a, mp, t), n_big).amplitudes,
     fock.coherent_to_fock(mc.me_amplitude(b, mp, t), n_big).amplitudes.conj(),

@@ -19,7 +19,7 @@ Schema (see README for the prose version)::
     }
 
 Sections per engine: microscopic -> bath; master -> master; fock -> fock
-and master (the brute-force route solves the same master equation).
+and master (the Fock oracle damps at the master equation's response (g, B)).
 ``compare`` runs need both bath and master and accept engine values
 "microscopic" or "master" (the field is ignored there).  All times are in
 units of t_c = 1/gamma.  ``fock.dt`` is optional and ignored: the Fock
@@ -79,12 +79,6 @@ class ScenarioConfig:
     bath: BathConfig | None = None
     master: MasterConfig | None = None
     fock: FockConfig | None = None
-
-    def decay_rate(self) -> float:
-        """The gamma that defines the time unit t_c for this scenario."""
-        if self.engine == "microscopic":
-            return self.bath.gamma
-        return self.master.gamma
 
 
 def _require_keys(obj: dict, path: str, required: set[str], optional: set[str] = frozenset()):

@@ -3,9 +3,9 @@
 Everything the analytic engines compute -- state preparation, damping,
 field-bath evolution, measurement, spectra -- is recomputed here from the
 raw matrix representations, deliberately without caching or shortcuts (the
-damping map rebuilds its t-independent tensor on every call and never keeps
-it), so that agreement between the two routes validates both.  Leading axes
-index stacks such as a time grid.  Cost grows fast with amplitude and mode
+damping map rebuilds its response-independent tensor on every call and never
+keeps it), so that agreement between the two routes validates both.  Leading
+axes index stacks such as a time grid.  Cost grows fast with amplitude and mode
 count: desk-scale checks only (|alpha|^2 of a few, at most two bath modes).
 """
 
@@ -103,32 +103,31 @@ def _kraus_tensor(mat: np.ndarray) -> np.ndarray:
     return tensor.view(float).reshape(n, -1)  # real rows, so a real contraction applies it
 
 
-def lindblad_evolve(rho, gamma: float, t):
-    """Exact solution of d rho/dt = gamma (a rho a^dag - {n, rho}/2) after time t.
+def damp(rho, g, depletion):
+    """Field density after the damping flow with response g and depletion B.
 
-    Zero-temperature damping in Kraus form (Chuang, Leung & Yamamoto 1997,
-    PRA 56, 1114; Nielsen & Chuang sec. 8.3.5): rho(t) = sum_l K_l rho K_l^dag
-    with <m-l|K_l|m> = sqrt(C(m, l) eta^(m-l) (1 - eta)^l), eta = e^{-gamma t}.
-    The map is linear and never raises the photon number, so it is exact on
-    the truncated space and applies to non-Hermitian dyads as well.  It is
-    rho(t) = D_t (sum_l (1 - eta)^l A_l) D_t, D_t = diag(eta^(n/2)), with A of
-    :func:`_kraus_tensor`: T times give a (T, N, N) stack from one (T x N) .
-    (N x N^2) product in O(N^3 + T N^2) memory, a scalar t one (N, N) matrix,
-    t = 0 rho itself.  Takes and returns a :class:`FockDensity` or a matrix.
+    A vacuum environment acts on the field as a pure-loss channel and a phase,
+    sum_l K_l rho K_l^dag with <m-l|K_l|m> = sqrt(C(m, l)) g^(m-l) B^(l/2)
+    (Chuang, Leung & Yamamoto 1997, PRA 56, 1114; Nielsen & Chuang sec. 8.3.5),
+    for the (g, B) of ``lindblad.me_response`` or ``bath.response``.  It is
+    linear and never raises the photon number, so it is exact on the truncated
+    space and applies to non-Hermitian dyads.  It is D (sum_l B^l A_l) D^dag,
+    D = diag(g^n), A of :func:`_kraus_tensor`: T values of (g, B) give a
+    (T, N, N) stack from one (T x N) . (N x N^2) product in O(N^3 + T N^2)
+    memory, scalars one (N, N) matrix, g = 1 and B = 0 rho itself.  Takes and
+    returns a :class:`FockDensity` or a matrix.
     """
     matrix_input = not isinstance(rho, FockDensity)
     mat = np.asarray(rho if matrix_input else rho.matrix, dtype=complex)
-    t = np.asarray(t, dtype=float)
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise InvalidArgumentError("gamma must be positive and finite")
-    _require(np.isfinite(t) & (t >= 0), InvalidArgumentError, "t must be nonnegative and finite", t)
+    g, depletion = np.asarray(g), np.asarray(depletion, dtype=float)
     levels = np.arange(len(mat))
-    powers = (-np.expm1(-gamma * t))[..., None] ** levels  # (1 - eta)^l, accurate for small t
-    # einsum, not BLAS: each row sums l in order, so a scalar t gives its bits in any grid
-    damped = np.einsum("...l,lx->...x", powers, _kraus_tensor(mat)).view(complex)
-    half = np.exp(-0.5 * gamma * np.multiply.outer(t, levels))  # eta^(n/2)
-    damped = damped.reshape(t.shape + mat.shape) * (half[..., :, None] * half[..., None, :])
-    np.copyto(damped, mat, where=(t == 0.0)[..., None, None])  # exact, signed zeros included
+    # einsum, not BLAS: each row sums l in order, so scalar (g, B) give their bits in any grid
+    damped = np.einsum("...l,lx->...x", depletion[..., None] ** levels, _kraus_tensor(mat))
+    powers = g[..., None] ** levels
+    damped = damped.view(complex).reshape(depletion.shape + mat.shape) * (
+        powers[..., :, None] * powers.conj()[..., None, :])
+    identity = (g == 1.0) & (depletion == 0.0)
+    np.copyto(damped, mat, where=identity[..., None, None])  # exact, signed zeros included
     return damped if matrix_input else FockDensity(len(mat) - 1, damped)
 
 

@@ -10,8 +10,8 @@ the unique trace-preserving factor compatible with the damping of the
 amplitudes (it is the ratio <b|a> / <b_t|a_t>).  For opposite amplitudes
 (a, b) = (alpha, -alpha) it reduces to exp(-2 |alpha|^2 (1 - e^{-gamma t})),
 the damping factor of the even/odd superpositions; for general pairs --
-needed by the case-B protocol -- it is validated against a brute-force
-Fock-space Kraus map in the test suite rather than assumed.
+needed by the case-B protocol -- it is validated against the Fock-space
+damping map ``fock.damp`` at these (g, B) in the test suite rather than assumed.
 
 No bath modes appear here: gamma = 1/t_c is the only dissipation parameter.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import FieldBathSuperposition, ReducedDensity, damped_density
+from .coherent import FieldBathSuperposition, ReducedDensity, _require, damped_density
 from .errors import InvalidArgumentError
 
 
@@ -40,10 +40,8 @@ class MasterParams:
 
 
 def me_amplitude(alpha0: complex, params: MasterParams, t: float) -> complex:
-    """alpha(t) = alpha(0) exp(-gamma t / 2); the intensity decays as e^{-gamma t}."""
-    if t < 0.0 or not math.isfinite(t):
-        raise InvalidArgumentError("t must be nonnegative and finite")
-    return alpha0 * math.exp(-0.5 * params.gamma * t)
+    """alpha(t) = alpha(0) g(t), g of :func:`me_response`; the intensity decays as e^{-gamma t}."""
+    return alpha0 * float(me_response(params, t)[0])
 
 
 def me_dyad_factor(a: complex, b: complex, params: MasterParams, t: float) -> complex:
@@ -52,11 +50,8 @@ def me_dyad_factor(a: complex, b: complex, params: MasterParams, t: float) -> co
     Equals 1 for a == b (diagonal dyads keep their trace) and never
     exceeds 1 in magnitude.
     """
-    if t < 0.0 or not math.isfinite(t):
-        raise InvalidArgumentError("t must be nonnegative and finite")
-    depletion = -math.expm1(-params.gamma * t)  # 1 - e^{-gamma t}, accurate for small t
-    expo = (b.conjugate() * a - 0.5 * (abs(a) ** 2 + abs(b) ** 2)) * depletion
-    return cmath.exp(expo)
+    log_overlap = b.conjugate() * a - 0.5 * (abs(a) ** 2 + abs(b) ** 2)  # log <b|a>
+    return cmath.exp(log_overlap * float(me_response(params, t)[1]))  # <b|a>^B
 
 
 def me_response(params: MasterParams, times) -> tuple[np.ndarray, np.ndarray]:
@@ -66,8 +61,8 @@ def me_response(params: MasterParams, times) -> tuple[np.ndarray, np.ndarray]:
     of this module is ``coherent.damped_density`` at these (g, B).
     """
     times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)) or np.any(times < 0.0):
-        raise InvalidArgumentError("t must be nonnegative and finite")
+    _require(np.isfinite(times) & (times >= 0), InvalidArgumentError,
+             "t must be nonnegative and finite", times)
     return np.exp(-0.5 * params.gamma * times), -np.expm1(-params.gamma * times)
 
 

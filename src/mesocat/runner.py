@@ -6,19 +6,17 @@ probabilities and eta, the eigenvalue pairs of both conditioned densities,
 purities, occupations and the recurrence flag.  Times are reported in units
 of t_c = 1/gamma.
 
-The two analytic engines are one computation.  The prepared field stays a
-superposition of product-coherent branches, so the environment reaches it
-only through the field response g(t) and the depletion B(t): the exact
-discrete bath gives both over the whole grid in two real matrix products
-(``bath.response``), the master equation in closed form
-(``lindblad.me_response``).  One table builder turns (g, B) into columns:
-``coherent.damped_density`` stacks both conditioned densities over the
-grid; gamma_a, gamma_b and the occupations are closed forms in (g, B); the
-probabilities, spectra and purities go once per stack through the same
-checked routines as any single density.  The compare summary's short-time
-defect slopes and eta gap are taken from columns of the same builder.  The
-Fock engine damps each prepared density over the whole grid in one call of
-its exact Kraus map.  Nothing on the run path iterates over grid times.
+The environment reaches the prepared field only through the field response
+g(t) and the depletion B(t), which ``_response`` gives over the whole grid
+for every engine: the exact discrete bath in two real matrix products
+(``bath.response``), the master equation, which the Fock engine shares, in
+closed form (``lindblad.me_response``).  The analytic table builder stacks
+both conditioned densities with ``coherent.damped_density``; gamma_a,
+gamma_b and the occupations are closed forms in (g, B); the probabilities,
+spectra and purities go once per stack through the same checked routines as
+any single density.  The compare summary is taken from its columns.  The
+Fock table damps each prepared Fock density in one ``fock.damp`` call.
+Nothing iterates over grid times.
 
 Eigenvalue columns: when the two field labels are an antipodal pair (case A
 at phi = pi) lam_plus/lam_minus are assigned by eigenvector parity, i.e. the
@@ -39,7 +37,7 @@ import numpy as np
 from . import bath as bathmod
 from . import coherent, fock, lindblad
 from . import protocol as proto
-from .config import ScenarioConfig, apply_sweep_value
+from .config import ENGINES, ScenarioConfig, apply_sweep_value
 from .errors import InvalidArgumentError
 
 
@@ -103,7 +101,7 @@ def _pair_factors(state, g: np.ndarray, depletion: np.ndarray) -> tuple[np.ndarr
 
 
 def _response(cfg: ScenarioConfig, times_tc: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(g, B, recurrence flags) of the configured analytic engine at the given times (t_c)."""
+    """(g, B, recurrence flags) at the given times (t_c): the master's unless microscopic."""
     if cfg.engine == "microscopic":
         spec = bathmod.discretize_flat_band(cfg.bath.gamma, cfg.bath.modes, cfg.bath.half_bandwidth)
         times = times_tc * (1.0 / cfg.bath.gamma)
@@ -116,10 +114,8 @@ def _response(cfg: ScenarioConfig, times_tc: np.ndarray) -> tuple[np.ndarray, ..
 
 def _analytic_table(params, times_tc, g, depletion, recurrence) -> dict[str, np.ndarray]:
     """The table at the given times (t_c) from an analytic engine's response, via density stacks."""
-    state_e = proto.prepare(params, proto.DetectionOutcome.E)
-    state_g = proto.prepare(params, proto.DetectionOutcome.G)
-    rho_e = coherent.damped_density(state_e, g, depletion)
-    rho_g = coherent.damped_density(state_g, g, depletion)
+    state_e, state_g = (proto.prepare(params, outcome) for outcome in proto.DetectionOutcome)
+    rho_e, rho_g = (coherent.damped_density(state, g, depletion) for state in (state_e, state_g))
     rec = proto.conditional_probabilities(rho_e, rho_g, params)
     return _table((
         times_tc, *_pair_factors(state_e, g, depletion),
@@ -172,15 +168,13 @@ def _fock_gamma_b(p: np.ndarray, labels_t: np.ndarray, weights, n_max: int) -> n
     return np.where(accurate, coeff01 / (weights[0] * np.conj(weights[1])), np.nan)
 
 
-def _fock_table(cfg: ScenarioConfig, params: proto.ProtocolParams) -> dict[str, np.ndarray]:
-    gamma, n_max, grid = cfg.master.gamma, cfg.fock.n_max, time_grid(cfg)
+def _fock_table(n_max, params, times_tc, g, depletion, recurrence) -> dict[str, np.ndarray]:
+    """The table at the given times (t_c) from the Fock densities damped at a response (g, B)."""
     state_e, state_g = (proto.prepare(params, outcome) for outcome in proto.DetectionOutcome)
     rho0_e, rho0_g = (fock.density_from_vector(fock.superposition_vector(state, n_max))
                       for state in (state_e, state_g))
-    times = grid * (1.0 / gamma)
-    decay, depletion = lindblad.me_response(lindblad.MasterParams(gamma), times)
-    labels_t = np.multiply.outer(decay, [br.field for br in state_e.branches])
-    rho_e, rho_g = (fock.lindblad_evolve(rho0, gamma, times) for rho0 in (rho0_e, rho0_g))
+    labels_t = np.multiply.outer(g, [br.field for br in state_e.branches])
+    rho_e, rho_g = (fock.damp(rho0, g, depletion) for rho0 in (rho0_e, rho0_g))
     vecs = fock.coherent_to_fock(labels_t, n_max).amplitudes  # (T, 2, N)
     ops = [proto.measurement_product(params, outcome) for outcome in proto.DetectionOutcome]
     measured = (fock.fock_measure(op, rho) for rho in (rho_e, rho_g) for op in ops)
@@ -190,23 +184,28 @@ def _fock_table(cfg: ScenarioConfig, params: proto.ProtocolParams) -> dict[str, 
     pur_e, pur_g = fock.fock_purity(rho_e), fock.fock_purity(rho_g)
     n_field = fock.fock_mean_photon(rho_e)
     return _table((
-        grid, _pair_factors(state_e, decay, depletion)[0], g_b,
+        times_tc, _pair_factors(state_e, g, depletion)[0], g_b,
         rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta,
         *_fock_assign(rho_e.matrix, labels_t), *_fock_assign(rho_g.matrix, labels_t),
         pur_e, pur_g, 1 - pur_e, 1 - pur_g, n_field, fock.fock_mean_photon(rho0_e) - n_field,
-        np.zeros(len(grid), dtype=bool),
+        recurrence,
     ))
+
+
+def _tables(cfg: ScenarioConfig, swept: list[proto.ProtocolParams]) -> list[dict[str, np.ndarray]]:
+    """One column table per protocol, all from the configured engine's one response (g, B)."""
+    if cfg.engine not in ENGINES:
+        raise InvalidArgumentError(f"unknown engine {cfg.engine!r}")
+    grid = time_grid(cfg)
+    response = _response(cfg, grid)
+    if cfg.engine == "fock":
+        return [_fock_table(cfg.fock.n_max, params, grid, *response) for params in swept]
+    return [_analytic_table(params, grid, *response) for params in swept]
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     """Column table of one scenario's full time series with its configured engine."""
-    params = scenario_params(cfg)
-    if cfg.engine in ("microscopic", "master"):
-        grid = time_grid(cfg)
-        return _analytic_table(params, grid, *_response(cfg, grid))
-    if cfg.engine == "fock":
-        return _fock_table(cfg, params)
-    raise InvalidArgumentError(f"unknown engine {cfg.engine!r}")
+    return _tables(cfg, [scenario_params(cfg)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +248,9 @@ def run_sweep(
     cfg: ScenarioConfig, param: str, values: list[float]
 ) -> list[tuple[float, dict[str, np.ndarray]]]:
     """One scenario per swept value, ordered by value; a phi or alpha0_re sweep
-    computes an analytic engine's response (g, B) once, for this call only."""
+    computes the response (g, B) once, for this call only."""
     ordered = sorted(values)
-    if cfg.engine == "fock" or param == "gamma":
+    if param == "gamma":
         return [(v, run_scenario(apply_sweep_value(cfg, param, v))) for v in ordered]
-    grid = time_grid(cfg)
-    response = _response(cfg, grid)
     swept = [scenario_params(apply_sweep_value(cfg, param, v)) for v in ordered]
-    return [(v, _analytic_table(params, grid, *response)) for v, params in zip(ordered, swept)]
+    return list(zip(ordered, _tables(cfg, swept)))

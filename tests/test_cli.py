@@ -58,7 +58,6 @@ def test_parse_minimal_master_config(tmp_path):
     cfg = parse_scenario(base_config(tmp_path))
     assert cfg.engine == "master"
     assert cfg.alpha0 == complex(math.sqrt(2.0), 0.0)
-    assert cfg.decay_rate() == 1.0
 
 
 def test_phi_from_coupling_triple(tmp_path):

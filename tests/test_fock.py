@@ -12,6 +12,7 @@ from mesocat import ProtocolCase as Case
 from mesocat import fock
 
 RNG = np.random.default_rng(20260810)
+MP = mc.MasterParams(1.0)
 
 
 def odd_cat(alpha0, n_bath_modes=0):
@@ -61,20 +62,19 @@ def test_coherent_to_fock_truncation_guard():
 
 
 # ---------------------------------------------------------------------------
-# exact Lindblad damping map (Kraus form)
+# the damping map (Kraus form) at the master equation's (g, B): the exact Lindblad flow
 
 
 def test_lindblad_vacuum_fixed_point():
     rho0 = fock.density_from_vector(fock.coherent_to_fock(0.0, 10))
-    rho = fock.lindblad_evolve(rho0, gamma=1.0, t=0.5)
+    rho = fock.damp(rho0, *mc.me_response(MP, 0.5))
     np.testing.assert_allclose(rho.matrix, rho0.matrix, atol=1e-12)
 
 
 def test_lindblad_coherent_stays_coherent():
     n_max = 19
     rho0 = fock.density_from_vector(fock.coherent_to_fock(1.0, n_max))
-    gamma, t = 1.0, 0.5
-    rho = fock.lindblad_evolve(rho0, gamma, t)
+    rho = fock.damp(rho0, *mc.me_response(MP, 0.5))
     target = fock.coherent_to_fock(math.exp(-0.25), n_max).amplitudes
     fidelity = np.real(target.conj() @ rho.matrix @ target)
     assert fidelity >= 1.0 - 1e-7
@@ -89,7 +89,7 @@ def test_lindblad_cat_off_diagonal_damping():
     state = odd_cat(alpha0)
     rho0 = fock.density_from_vector(fock.superposition_vector(state, n_max))
     gamma, t = 1.0, 0.35
-    rho = fock.lindblad_evolve(rho0, gamma, t)
+    rho = fock.damp(rho0, *mc.me_response(MP, t))
 
     labels_t = [br.field * math.exp(-gamma * t / 2) for br in state.branches]
     vecs = [fock.coherent_to_fock(l, n_max).amplitudes for l in labels_t]
@@ -111,8 +111,8 @@ def test_lindblad_dyad_factor_oracle():
         gt = RNG.uniform(0.05, 1.5)
         va = fock.coherent_to_fock(a, n_max).amplitudes
         vb = fock.coherent_to_fock(b, n_max).amplitudes
-        dyad = fock.lindblad_evolve(np.outer(va, vb.conj()), gamma, gt)
         mpars = mc.MasterParams(gamma)
+        dyad = fock.damp(np.outer(va, vb.conj()), *mc.me_response(mpars, gt))
         target = mc.me_dyad_factor(a, b, mpars, gt) * np.outer(
             fock.coherent_to_fock(mc.me_amplitude(a, mpars, gt), n_max).amplitudes,
             fock.coherent_to_fock(mc.me_amplitude(b, mpars, gt), n_max).amplitudes.conj(),
@@ -133,31 +133,50 @@ def liouvillian(n_max, gamma):
 
 def test_lindblad_kraus_map_matches_generator_exponential():
     # independent of me_dyad_factor: expm of the (n+1)^2 x (n+1)^2 generator itself,
-    # against both the scalar-t and the whole-grid form of the map
+    # against both the scalar and the whole-grid form of the map at the me_response (g, B)
     n_max, gamma = 19, 1.3
+    mp = mc.MasterParams(gamma)
     cat = fock.density_from_vector(fock.superposition_vector(odd_cat(1.0 + 0j), n_max))
     va = fock.coherent_to_fock(0.7 + 0.4j, n_max).amplitudes
     vb = fock.coherent_to_fock(-0.6 + 0.5j, n_max).amplitudes
     generator = liouvillian(n_max, gamma)
     inputs = (cat.matrix, np.outer(va, vb.conj()))
     times = (0.0, 0.04, 0.5, 2.7)
-    grids = [fock.lindblad_evolve(rho0, gamma, np.array(times)) for rho0 in inputs]
+    grids = [fock.damp(rho0, *mc.me_response(mp, times)) for rho0 in inputs]
     for k, t in enumerate(times):
         flow = expm(generator * t)
         for rho0, grid in zip(inputs, grids):
             reference = (flow @ rho0.ravel()).reshape(rho0.shape)
-            assert np.max(np.abs(fock.lindblad_evolve(rho0, gamma, t) - reference)) <= 1e-12
+            assert np.max(np.abs(fock.damp(rho0, *mc.me_response(mp, t)) - reference)) <= 1e-12
             assert np.max(np.abs(grid[k] - reference)) <= 1e-12
-        damped = fock.lindblad_evolve(cat, gamma, t)
+        damped = fock.damp(cat, *mc.me_response(mp, t))
         assert isinstance(damped, fock.FockDensity)
         assert np.trace(damped.matrix).real == pytest.approx(1.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.7])
+@pytest.mark.parametrize("outcome", [Out.E, Out.G])
+def test_damp_at_the_bath_response_matches_the_coherent_algebra(flat_band_201, outcome, shift):
+    # the band symmetric about resonance gives a real g; shifted by 0.7 gamma it
+    # gives a complex g (Im g ~ 3e-3, a Lamb shift), which checks the conj(g)^n factor
+    band = mc.BathSpec(flat_band_201.detunings + shift, flat_band_201.couplings, 1.0)
+    n_max = 29
+    state = mc.prepare(mc.ProtocolParams(Case.CASE_B, 1.3 + 0j, math.pi / 4), outcome)
+    rho0 = fock.density_from_vector(fock.superposition_vector(state, n_max))
+    g, depletion = mc.response(band, np.array([0.3, 1.0, 3.0]))
+    assert np.max(np.abs(g.imag)) > 1e-3 if shift else np.max(np.abs(g.imag)) < 1e-14
+    damped = fock.damp(rho0, g, depletion)
+    rho = mc.damped_density(state, g, depletion)
+    vecs = fock.coherent_to_fock(rho.labels, n_max).amplitudes  # (T, 2, N)
+    expected = vecs.transpose(0, 2, 1) @ rho.coeff @ vecs.conj()
+    assert np.max(np.abs(damped.matrix - expected)) <= 1e-13
+
+
 def test_lindblad_rejects_bad_arguments():
-    rho0 = fock.density_from_vector(fock.coherent_to_fock(0.5, 15))
-    for gamma, t in ((1.0, -0.1), (1.0, math.inf), (1.0, math.nan), (0.0, 0.1), (-1.0, 0.1)):
+    # the damping map takes no time: the times are checked where (g, B) are made
+    for t in (-0.1, math.inf, math.nan):
         with pytest.raises(mc.InvalidArgumentError):
-            fock.lindblad_evolve(rho0, gamma, t)
+            mc.me_response(MP, t)
 
 
 # ---------------------------------------------------------------------------
@@ -177,40 +196,45 @@ def test_lindblad_grid_is_the_stack_of_scalar_calls(which):
     # the scalar call is the T = 1 case of the same contraction, to the bit
     rho0 = grid_inputs()[which]
     times = np.array([0.0, 1e-9, 0.02, 0.3, 1.0, 2.5, 7.0, 40.0])
-    grid = fock.lindblad_evolve(rho0, 1.3, times)
+    g, depletion = mc.me_response(mc.MasterParams(1.3), times)
+    grid = fock.damp(rho0, g, depletion)
     assert grid.shape == (len(times),) + rho0.shape
-    for k, t in enumerate(times):
-        assert grid[k].tobytes() == fock.lindblad_evolve(rho0, 1.3, t).tobytes()
+    for k in range(len(times)):
+        assert grid[k].tobytes() == fock.damp(rho0, g[k], depletion[k]).tobytes()
 
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_lindblad_grid_shapes_and_exact_zero_times(which):
     rho0 = grid_inputs()[which]
     n = len(rho0)
-    assert fock.lindblad_evolve(rho0, 1.0, np.float64(0.3)).shape == (n, n)
-    assert fock.lindblad_evolve(rho0, 1.0, np.array(0.3)).shape == (n, n)
-    assert fock.lindblad_evolve(rho0, 1.0, [0.3]).shape == (1, n, n)
-    assert fock.lindblad_evolve(rho0, 1.0, 0.0).tobytes() == rho0.tobytes()
-    grid = fock.lindblad_evolve(rho0, 1.0, [0.5, 0.0, 1.0, 0.0])
+    assert fock.damp(rho0, *mc.me_response(MP, np.float64(0.3))).shape == (n, n)
+    assert fock.damp(rho0, *mc.me_response(MP, np.array(0.3))).shape == (n, n)
+    assert fock.damp(rho0, *mc.me_response(MP, [0.3])).shape == (1, n, n)
+    assert fock.damp(rho0, 0.9, 0.19).shape == (n, n)
+    assert fock.damp(rho0, *mc.me_response(MP, 0.0)).tobytes() == rho0.tobytes()
+    assert fock.damp(rho0, 1.0, 0.0).tobytes() == rho0.tobytes()
+    grid = fock.damp(rho0, *mc.me_response(MP, [0.5, 0.0, 1.0, 0.0]))
     for k in (1, 3):
         assert grid[k].tobytes() == rho0.tobytes()
-    density = fock.lindblad_evolve(fock.FockDensity(n - 1, rho0), 1.0, [0.5, 0.0])
+    density = fock.damp(fock.FockDensity(n - 1, rho0), *mc.me_response(MP, [0.5, 0.0]))
     assert isinstance(density, fock.FockDensity) and density.matrix.shape == (2, n, n)
+    # B = 0 with a pure phase g is a rotation, not the identity
+    phase = 1j ** np.arange(n)
+    assert np.array_equal(fock.damp(rho0, 1j, 0.0), rho0 * np.outer(phase, phase.conj()))
 
 
 @pytest.mark.parametrize("bad", [-0.1, -1e-300, math.inf, -math.inf, math.nan])
 def test_lindblad_grid_rejects_any_bad_time_naming_its_index(bad):
-    rho0 = grid_inputs()[1]
     for index in (0, 3):
         times = np.linspace(0.0, 2.0, 5)
         times[index] = bad
         with pytest.raises(mc.InvalidArgumentError, match=f"at time index {index}$"):
-            fock.lindblad_evolve(rho0, 1.0, times)
+            mc.me_response(MP, times)
 
 
 def test_stacked_readouts_match_single_matrices():
     rho0 = fock.density_from_vector(fock.superposition_vector(odd_cat(1.0 + 0j), 19))
-    stack = fock.lindblad_evolve(rho0, 1.0, np.linspace(0.0, 2.0, 5))
+    stack = fock.damp(rho0, *mc.me_response(MP, np.linspace(0.0, 2.0, 5)))
     op = mc.measurement_product(mc.ProtocolParams(Case.CASE_B, 1.0 + 0j, 0.8), Out.E)
     labels = np.array([[0.9, -0.3j], [0.1 + 0.2j, 0.8]])
     vectors = fock.coherent_to_fock(labels, 19).amplitudes

@@ -211,13 +211,13 @@ def test_compare_checks_whole_grids_not_rows(tmp_path, monkeypatch, points):
 def test_fock_evolves_whole_grids_not_rows(tmp_path, monkeypatch, points):
     # one damping-map call per conditioned density, whatever the grid length
     calls = []
-    evolve = fock.lindblad_evolve
+    damp = fock.damp
 
-    def counted(rho, gamma, t):
-        calls.append(np.shape(t))
-        return evolve(rho, gamma, t)
+    def counted(rho, g, depletion):
+        calls.append(np.shape(depletion))
+        return damp(rho, g, depletion)
 
-    monkeypatch.setattr(fock, "lindblad_evolve", counted)
+    monkeypatch.setattr(fock, "damp", counted)
     table = runner.run_scenario(parse_scenario(scenario(tmp_path, "fock", 1.0, points=points)))
     assert len(table["t"]) == points
     assert calls == [(points,), (points,)]
@@ -235,7 +235,7 @@ def fock_rows_per_time(cfg):
     n_field_0 = fock.fock_mean_photon(rho0[0])
     blocks_used, columns = [], []
     for t in runner.time_grid(cfg):
-        rho = [fock.lindblad_evolve(r, 1.0, t) for r in rho0]
+        rho = [fock.damp(r, *mc.me_response(mc.MasterParams(1.0), t)) for r in rho0]
         p = [fock.fock_measure(op, r) for r in rho for op in ops]
         labels = np.array([br.field * math.exp(-t / 2) for br in states[0].branches])
         vecs = [fock.coherent_to_fock(label, n_max).amplitudes for label in labels]
@@ -331,19 +331,29 @@ def test_fock_truncation_failure_names_the_time_index(tmp_path, monkeypatch, cap
     assert "truncation rule" in err and err.rstrip().endswith("at time index 3, 0")
 
 
-@pytest.mark.parametrize("param, responses", [("phi", 1), ("alpha0_re", 1), ("gamma", 8)])
-def test_sweep_computes_the_response_once_per_band(tmp_path, monkeypatch, param, responses):
-    # phi and alpha0_re leave the band alone, so one eigendecomposition serves every value
+@pytest.mark.parametrize("engine, param, responses", [
+    pytest.param(engine, param, responses, id=f"{param}-{responses}" if engine == "microscopic"
+                 else f"{engine}-{param}-{responses}")
+    for engine in ("microscopic", "fock")
+    for param, responses in (("phi", 1), ("alpha0_re", 1), ("gamma", 8))
+])
+def test_sweep_computes_the_response_once_per_band(tmp_path, monkeypatch, engine, param, responses):
+    # phi and alpha0_re leave the band alone, so one eigendecomposition serves every value;
+    # the fock engine damps at the master response, so it counts me_response calls
     calls = []
-    response = bathmod.response
+    module, name = (bathmod, "response") if engine == "microscopic" else (mc.lindblad, "me_response")
+    response = getattr(module, name)
 
-    def counted(spec, times):
-        calls.append(spec)
-        return response(spec, times)
+    def counted(*args):
+        calls.append(args)
+        return response(*args)
 
-    cfg = parse_scenario(scenario(tmp_path, "microscopic", 1.2, "b", 0.7, t_max=2.0, points=21))
+    raw = scenario(tmp_path, engine, 1.2, "b", 0.7, t_max=2.0, points=21)
+    if engine == "fock":
+        raw["fock"]["n_max"] = 29  # alpha0 1.2 needs 22
+    cfg = parse_scenario(raw)
     values = [0.4 + 0.1 * k for k in range(8)]
-    monkeypatch.setattr(bathmod, "response", counted)
+    monkeypatch.setattr(module, name, counted)
     swept = runner.run_sweep(cfg, param, values)
     assert len(calls) == responses
     fresh = [runner.run_scenario(config.apply_sweep_value(cfg, param, v)) for v in values]
