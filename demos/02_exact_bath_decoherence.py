@@ -33,12 +33,12 @@ for t in np.linspace(0.0, 2.0, 11):
     sg = mc.evolve(state_g, bath, t)
     rho_e, rho_g = mc.reduce(se), mc.reduce(sg)
     rec = mc.conditional_probabilities(rho_e, rho_g, params)
-    resp = mc.propagate(bath, t)
+    g, _ = mc.propagate(bath, t)
     lam_p, lam_m = mc.eigenvalues_case_a(
         mc.gamma_a(se), abs(mc.gamma_b(se)), ga_0, Out.E
     )
     n_f, n_b = mc.occupations(se)
-    print(f"    {t:5.2f}   {abs(resp.g)**2:8.4f}   {abs(mc.gamma_b(se)):8.5f}  "
+    print(f"    {t:5.2f}   {abs(g)**2:8.4f}   {abs(mc.gamma_b(se)):8.5f}  "
           f"{rec.eta:7.4f}   {lam_p:7.4f}   {lam_m:7.4f}   {mc.idempotency_defect(rho_e):8.5f}   {n_f + n_b:10.6f}")
 
 print()

@@ -18,9 +18,11 @@ mp = mc.MasterParams(gamma=1.0)
 
 print("== Dyad damping factors ==")
 a = 1.5 + 0.0j
+pair = mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, a), mc.Branch(1.0, -a))))
 for t in (0.1, 0.5, 2.0):
-    same = mc.me_dyad_factor(a, a, mp, t)
-    cross = mc.me_dyad_factor(a, -a, mp, t)
+    # coefficient factors exp(K) of |a><a| and |-a><a| in the damped density
+    factors = np.exp(mc.damped_density(pair, *mc.me_response(mp, t)).expo)
+    same, cross = factors[0, 0], factors[1, 0]
     print(f"  t = {t:4.1f} t_c: diagonal dyad {same.real:.6f}, "
           f"opposite-amplitude dyad {cross.real:.6f}")
 print("diagonal dyads keep weight 1 (trace preservation); the cross dyad")
@@ -37,7 +39,9 @@ etas = []
 print("     t/tc      eta      exp(-2|a|^2(1-e^-t))")
 for t in ts:
     rec = mc.conditional_probabilities(
-        mc.me_reduce(st_e, mp, t), mc.me_reduce(st_g, mp, t), params
+        mc.damped_density(st_e, *mc.me_response(mp, t)),
+        mc.damped_density(st_g, *mc.me_response(mp, t)),
+        params,
     )
     closed = math.exp(-2.0 * alpha2 * (1.0 - math.exp(-t)))
     etas.append(rec.eta)
@@ -47,7 +51,9 @@ fit_ts = np.linspace(1e-3, 0.02, 10)
 fit_etas = []
 for t in fit_ts:
     rec = mc.conditional_probabilities(
-        mc.me_reduce(st_e, mp, t), mc.me_reduce(st_g, mp, t), params
+        mc.damped_density(st_e, *mc.me_response(mp, t)),
+        mc.damped_density(st_g, *mc.me_response(mp, t)),
+        params,
     )
     fit_etas.append(rec.eta)
 slope = np.polyfit(fit_ts, np.log(fit_etas), 1)[0]

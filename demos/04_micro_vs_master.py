@@ -28,7 +28,7 @@ print("      t/tc     defect (exact)   defect (master)")
 micro, master = [], []
 for t in ts:
     d_micro = mc.idempotency_defect(mc.reduce(mc.evolve(st_e, bath, t)))
-    d_master = mc.idempotency_defect(mc.me_reduce(st_e, mp, t))
+    d_master = mc.idempotency_defect(mc.damped_density(st_e, *mc.me_response(mp, t)))
     micro.append(d_micro)
     master.append(d_master)
     print(f"    {t:7.4f}     {d_micro:11.3e}     {d_master:11.3e}")
@@ -46,7 +46,9 @@ for t in np.linspace(0.1, 2.0, 11):
         mc.reduce(mc.evolve(st_e, bath, t)), mc.reduce(mc.evolve(st_g, bath, t)), params
     )
     rec_me = mc.conditional_probabilities(
-        mc.me_reduce(st_e, mp, t), mc.me_reduce(st_g, mp, t), params
+        mc.damped_density(st_e, *mc.me_response(mp, t)),
+        mc.damped_density(st_g, *mc.me_response(mp, t)),
+        params,
     )
     gap = abs(rec_micro.eta - rec_me.eta)
     if gap > worst[1]:

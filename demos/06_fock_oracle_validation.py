@@ -26,9 +26,9 @@ vec = fock.superposition_vector(state, n_max)
 print("     t    eigenvalues (labels)      eigenvalues (Fock)        |diff|")
 for t in (0.4, 1.2, 2.0):
     exact = mc.eigenvalues(mc.reduce(mc.evolve(state, spec, t))).eigenvalues
-    oracle = fock.fock_eigenvalues(
-        fock.hamiltonian_evolve(vec, spec, t, n_max_per_mode=n_max).reduced_field_density()
-    )[:2]
+    oracle = np.linalg.eigvalsh(
+        fock.hamiltonian_evolve(vec, spec, t, n_max_per_mode=n_max).reduced_field_density().matrix
+    )[::-1][:2]
     diff = max(abs(a - b) for a, b in zip(exact, oracle))
     print(f"   {t:4.1f}   ({exact[0]:.6f}, {exact[1]:.6f})   "
           f"({oracle[0]:.6f}, {oracle[1]:.6f})   {diff:.1e}")
@@ -43,10 +43,14 @@ dyad0 = np.outer(
     fock.coherent_to_fock(a, n_big).amplitudes,
     fock.coherent_to_fock(b, n_big).amplitudes.conj(),
 )
-dyad_t = fock.damp(dyad0, *mc.me_response(mp, t))
-target = mc.me_dyad_factor(a, b, mp, t) * np.outer(
-    fock.coherent_to_fock(mc.me_amplitude(a, mp, t), n_big).amplitudes,
-    fock.coherent_to_fock(mc.me_amplitude(b, mp, t), n_big).amplitudes.conj(),
+g, depletion = mc.me_response(mp, t)
+dyad_t = fock.damp(dyad0, g, depletion)
+# the factor of |a><b| is the coherence exp(K_10) of the damped pair |b> + |a>
+pair = mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, b), mc.Branch(1.0, a))))
+factor = np.exp(mc.damped_density(pair, g, depletion).expo[1, 0])
+target = factor * np.outer(
+    fock.coherent_to_fock(a * complex(g), n_big).amplitudes,
+    fock.coherent_to_fock(b * complex(g), n_big).amplitudes.conj(),
 )
 print(f"dyad |{a}><{b}| evolved for t = {t} t_c:")
 print(f"largest entry difference vs closed form: {np.max(np.abs(dyad_t - target)):.2e}")
@@ -54,7 +58,7 @@ print(f"largest entry difference vs closed form: {np.max(np.abs(dyad_t - target)
 print()
 print("== Rank stays two ==")
 rho = fock.hamiltonian_evolve(vec, spec, 1.0, n_max_per_mode=n_max).reduced_field_density()
-lams = fock.fock_eigenvalues(rho)
+lams = np.linalg.eigvalsh(rho.matrix)[::-1]
 print(f"top eigenvalues: {lams[0]:.6f}, {lams[1]:.6f}; third largest: {lams[2]:.2e}")
 print("the reduced field density lives in the two-dimensional span of the")
 print("branch amplitudes at every time, however many levels the oracle keeps.")

@@ -16,7 +16,7 @@ coherent   exact coherent-state algebra: overlaps, reduced densities in a
 protocol   Ramsey/dispersive measurement operators, state preparation,
            conditional probabilities, closed-form eigenvalues
 bath       discretized bath, exact linear amplitude flow, damping factors
-lindblad   closed-form zero-temperature master-equation evolution
+lindblad   closed-form zero-temperature master-equation response
 fock       brute-force truncated-Fock-space reference implementations
 runner     scenario engines producing observable time series
 config     scenario configuration schema
@@ -25,7 +25,6 @@ cli        `mesocat run|compare|sweep` command-line entry points
 
 from .bath import (
     BathSpec,
-    ResponseFunctions,
     discretize_flat_band,
     evolve,
     excitation_sum,
@@ -36,9 +35,7 @@ from .bath import (
 )
 from .coherent import (
     Branch,
-    CoherentLabel,
     FieldBathSuperposition,
-    GramMatrix,
     PhaseOpSum,
     ReducedDensity,
     Spectrum,
@@ -46,7 +43,6 @@ from .coherent import (
     damped_occupations,
     eigenvalues,
     expectation,
-    gram,
     idempotency_defect,
     mean_photon,
     normalize,
@@ -66,7 +62,7 @@ from .errors import (
     UnsupportedInputError,
     ZeroStateError,
 )
-from .lindblad import MasterParams, me_amplitude, me_dyad_factor, me_reduce, me_response
+from .lindblad import MasterParams, me_response
 from .protocol import (
     CorrelationRecord,
     DetectionOutcome,
@@ -74,7 +70,6 @@ from .protocol import (
     ProtocolParams,
     conditional_probabilities,
     eigenvalues_case_a,
-    eta_spectral_case_a,
     measurement_product,
     prepare,
     preparation_probability,

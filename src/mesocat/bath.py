@@ -119,45 +119,19 @@ def discretize_flat_band(target_gamma: float, modes: int, half_bandwidth: float)
     return BathSpec(detunings, np.full(modes, coupling), target_gamma)
 
 
-@dataclass(frozen=True, eq=False)
-class ResponseFunctions:
-    """Linear-flow response at one time: alpha(t) = alpha(0) g, beta_k(t) = alpha(0) f[k].
+def propagate(spec: BathSpec, t: float) -> tuple[complex, np.ndarray]:
+    """Exact (g, f) at time t via the cached Hermitian eigendecomposition.
 
-    Unitarity of the one-excitation flow guarantees |g|^2 + sum |f_k|^2 = 1.
-    ``recurrence_warning`` flags times beyond half the recurrence time,
-    where the discrete bath no longer mimics a continuum (the results stay
-    exact for the discrete model itself).
+    alpha(t) = alpha(0) g and beta_k(t) = alpha(0) f[k]; unitarity of the
+    one-excitation flow guarantees |g|^2 + sum_k |f_k|^2 = 1.
     """
-
-    time: float
-    g: complex
-    f: np.ndarray
-    recurrence_warning: bool = False
-
-    def __post_init__(self):
-        self.f.setflags(write=False)
-
-    def excitation_fraction(self) -> float:
-        """sum_k |f_k|^2 = 1 - |g|^2 up to roundoff."""
-        return float(np.sum(np.abs(self.f) ** 2))
-
-
-def propagate(spec: BathSpec, t: float) -> ResponseFunctions:
-    """Exact response at time t via the cached Hermitian eigendecomposition."""
     if t < 0.0 or not math.isfinite(t):
         raise InvalidArgumentError("t must be nonnegative and finite")
     if t == 0.0:
-        return ResponseFunctions(
-            time=0.0, g=1.0 + 0.0j, f=np.zeros(spec.n_modes, dtype=complex)
-        )
+        return 1.0 + 0.0j, np.zeros(spec.n_modes, dtype=complex)
     w, v, v0 = spec._eig
     amp = v @ (np.exp(-1j * w * t) * v0)
-    return ResponseFunctions(
-        time=t,
-        g=complex(amp[0]),
-        f=amp[1:].copy(),
-        recurrence_warning=t > RECURRENCE_FRACTION * spec.recurrence_time,
-    )
+    return complex(amp[0]), amp[1:].copy()
 
 
 #: grid times per matrix product in :func:`response`; bounds its memory to O(modes * block)
@@ -208,9 +182,9 @@ def evolve(state: FieldBathSuperposition, spec: BathSpec, t: float) -> FieldBath
     for br in state.branches:
         if any(b != 0 for b in br.bath):
             raise UnsupportedInputError("initial bath labels must all be zero")
-    resp = propagate(spec, t)
+    g, f = propagate(spec, t)
     branches = tuple(
-        Branch(br.weight, br.field * resp.g, tuple(br.field * resp.f))
+        Branch(br.weight, br.field * g, tuple(br.field * f))
         for br in state.branches
     )
     return FieldBathSuperposition(branches, normalized=True)

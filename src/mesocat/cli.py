@@ -190,6 +190,8 @@ def _parse_sweep_values(text: str) -> list[float]:
             values.append(float(piece))
         except ValueError as exc:
             raise ConfigError("sweep.values", f"not a number: {piece!r}") from exc
+        if not np.isfinite(values[-1]):
+            raise ConfigError("sweep.values", f"must be finite, got {piece!r}")
     return values
 
 

@@ -40,9 +40,6 @@ from .errors import (
     ZeroStateError,
 )
 
-#: A coherent state is named by its complex amplitude.
-CoherentLabel = complex
-
 #: Roundoff allowance for eigenvalues just outside [0, 1] and traces away from 1.
 EIGENVALUE_TOL = 1e-10
 #: Squared norms at or below this count as the zero state.
@@ -103,26 +100,6 @@ def _gram_exponents(labels: np.ndarray) -> np.ndarray:
     expo = -0.5 * (norms[:, None] + norms[None, :]) + cross
     np.fill_diagonal(expo, 0.0)  # the self-overlap exponent is identically zero
     return 0.5 * (expo + expo.conj().T)  # Hermitian to the bit whatever the summation order
-
-
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Pairwise coherent-state overlaps <l_i|l_j> for a list of labels."""
-
-    labels: tuple[complex, ...]
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-
-def gram(labels) -> GramMatrix:
-    """Gram (overlap) matrix of a non-empty list of coherent labels."""
-    labels = tuple(_as_finite_complex(l, "label") for l in labels)
-    if not labels:
-        raise InvalidArgumentError("gram() needs at least one label")
-    entries = np.exp(_gram_exponents(np.asarray(labels, dtype=complex)))
-    return GramMatrix(labels, entries)
 
 
 # ---------------------------------------------------------------------------

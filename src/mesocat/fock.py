@@ -199,11 +199,6 @@ def fock_measure(op: PhaseOpSum, rho: FockDensity):
     return np.sum(values * np.diagonal(rho.matrix, axis1=-2, axis2=-1), axis=-1)
 
 
-def fock_eigenvalues(rho: FockDensity) -> np.ndarray:
-    """Eigenvalues of the density, descending."""
-    return np.linalg.eigvalsh(rho.matrix)[..., ::-1]
-
-
 def fock_purity(rho: FockDensity):
     return np.trace(rho.matrix @ rho.matrix, axis1=-2, axis2=-1).real
 

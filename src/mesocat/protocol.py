@@ -70,52 +70,21 @@ def outcome_sign(outcome: DetectionOutcome) -> float:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Scenario parameters: level scheme, initial field amplitude, phase shift.
+    """Scenario parameters: level scheme, initial field amplitude, phase shift phi.
 
-    ``phi`` is the primary parameter.  When the microscopic triple
-    (rabi, detuning, interaction_time) is supplied as well, it must
-    reproduce phi = rabi^2 * interaction_time / detuning to 1e-12.
+    A config may give phi as the coupling triple rabi^2 * t_int / detuning;
+    ``config`` converts it, so only phi arrives here.
     """
 
     case: ProtocolCase
     alpha0: complex
     phi: float
-    rabi: float | None = None
-    detuning: float | None = None
-    interaction_time: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.phi):
             raise InvalidArgumentError("phi must be finite")
         if not (math.isfinite(self.alpha0.real) and math.isfinite(self.alpha0.imag)):
             raise InvalidArgumentError("alpha0 must be finite")
-        triple = (self.rabi, self.detuning, self.interaction_time)
-        if any(v is not None for v in triple):
-            if any(v is None for v in triple):
-                raise InvalidArgumentError(
-                    "rabi, detuning and interaction_time must be given together"
-                )
-            if self.detuning == 0:
-                raise InvalidArgumentError("detuning must be nonzero")
-            implied = self.rabi**2 * self.interaction_time / self.detuning
-            if abs(implied - self.phi) > 1e-12:
-                raise InvalidArgumentError(
-                    f"phi={self.phi!r} inconsistent with rabi^2*t/detuning={implied!r}"
-                )
-
-    @classmethod
-    def from_coupling(
-        cls,
-        case: ProtocolCase,
-        alpha0: complex,
-        rabi: float,
-        detuning: float,
-        interaction_time: float,
-    ) -> "ProtocolParams":
-        if detuning == 0:
-            raise InvalidArgumentError("detuning must be nonzero")
-        phi = rabi**2 * interaction_time / detuning
-        return cls(case, alpha0, phi, rabi, detuning, interaction_time)
 
 
 def reduced_op(params: ProtocolParams, outcome: DetectionOutcome) -> PhaseOpSum:
@@ -241,11 +210,6 @@ def eigenvalues_case_a(
     lam_plus = (1.0 + gamma_a_t) * (1.0 + s * gamma_b_t) / denom
     lam_minus = (1.0 - gamma_a_t) * (1.0 - s * gamma_b_t) / denom
     return lam_plus, lam_minus
-
-
-def eta_spectral_case_a(lam_e_minus: float, lam_g_minus: float) -> float:
-    """eta from the separately measured quantities P_ee = lam_e^- and P_ge = lam_g^-."""
-    return lam_e_minus - lam_g_minus
 
 
 def small_overlap_case_b(

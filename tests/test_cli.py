@@ -325,10 +325,14 @@ def test_exit_2_on_schema_violation(tmp_path, capsys):
     assert "bath" in capsys.readouterr().err
 
 
-def test_exit_2_on_unknown_sweep_param(tmp_path):
+def test_exit_2_on_unknown_sweep_param(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tmp_path))
     assert cli.main(["sweep", "--config", path, "--param", "nope", "--values", "1"]) == 2
     assert cli.main(["sweep", "--config", path, "--param", "phi", "--values", ""]) == 2
+    for param in ("phi", "alpha0_re", "gamma"):
+        for values in ("nan", "inf,0.5", "1e400"):
+            assert cli.main(["sweep", "--config", path, "--param", param, "--values", values]) == 2
+            assert "sweep.values: must be finite" in capsys.readouterr().err
 
 
 def test_exit_3_on_zero_probability_preparation(tmp_path, capsys):

@@ -60,19 +60,27 @@ def test_master_rows_match_me_reduce(tmp_path):
     cfg = parse_scenario(scenario(tmp_path, "master", 1.5, "b", 0.7, t_max=2.0, points=6))
     params = runner.scenario_params(cfg)
     state_e = mc.prepare(params, Out.E)
-    labels = [br.field for br in state_e.branches]
     mp = mc.MasterParams(1.0)
     n_field_0 = mc.mean_photon(mc.reduce(state_e))
     for row in as_rows(runner.run_scenario(cfg)):
-        rho_e = mc.me_reduce(state_e, mp, row.t)
-        rho_g = mc.me_reduce(mc.prepare(params, Out.G), mp, row.t)
+        rho_e = mc.damped_density(state_e, *mc.me_response(mp, row.t))
+        rho_g = mc.damped_density(mc.prepare(params, Out.G), *mc.me_response(mp, row.t))
         rec = mc.conditional_probabilities(rho_e, rho_g, params)
-        g_b = mc.me_dyad_factor(labels[0], labels[1], mp, row.t)
+        g_b = np.exp(rho_e.expo[1, 0])
         assert abs(row.eta - rec.eta) < 1e-13
         assert abs(row.gamma_b_abs - abs(g_b)) < 1e-13
         assert abs(row.n_field - mc.mean_photon(rho_e)) < 1e-13
         assert abs(row.n_bath - (n_field_0 - mc.mean_photon(rho_e))) < 1e-13
         assert not row.recurrence_warning
+
+
+@pytest.mark.parametrize("engine", ["microscopic", "master", "fock"])
+def test_response_flags_times_beyond_the_recurrence_fraction(tmp_path, flat_band_201, engine):
+    # the band of `scenario`; only a discrete bath recurs
+    limit = bathmod.RECURRENCE_FRACTION * flat_band_201.recurrence_time
+    cfg = parse_scenario(scenario(tmp_path, engine))
+    _, _, flags = runner._response(cfg, np.array([0.0, 0.9 * limit, 1.1 * limit]))
+    assert flags.tolist() == [False, False, engine == "microscopic"]
 
 
 def test_run_scenario_is_deterministic(tmp_path):
