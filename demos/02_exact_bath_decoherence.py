@@ -33,12 +33,13 @@ for t in np.linspace(0.0, 2.0, 11):
     sg = mc.evolve(state_g, bath, t)
     rho_e, rho_g = mc.reduce(se), mc.reduce(sg)
     rec = mc.conditional_probabilities(rho_e, rho_g, params)
-    g, _ = mc.propagate(bath, t)
-    lam_p, lam_m = mc.eigenvalues_case_a(
-        mc.gamma_a(se), abs(mc.gamma_b(se)), ga_0, Out.E
-    )
-    n_f, n_b = mc.occupations(se)
-    print(f"    {t:5.2f}   {abs(g)**2:8.4f}   {abs(mc.gamma_b(se)):8.5f}  "
+    g, f = mc.propagate(bath, t)
+    b1, b2 = se.branches
+    gamma_a = abs(mc.overlap(b2.field, b1.field))
+    gamma_b = abs(math.prod(mc.overlap(x, y) for x, y in zip(b2.bath, b1.bath)))
+    lam_p, lam_m = mc.eigenvalues_case_a(gamma_a, gamma_b, ga_0, Out.E)
+    n_f, n_b = mc.damped_occupations(state_e, g, np.sum(np.abs(f) ** 2))
+    print(f"    {t:5.2f}   {abs(g)**2:8.4f}   {gamma_b:8.5f}  "
           f"{rec.eta:7.4f}   {lam_p:7.4f}   {lam_m:7.4f}   {mc.idempotency_defect(rho_e):8.5f}   {n_f + n_b:10.6f}")
 
 print()

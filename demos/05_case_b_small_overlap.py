@@ -36,7 +36,8 @@ for t in np.linspace(0.0, 0.25, 11):
     se = mc.evolve(st_e, bath, t)
     sg = mc.evolve(st_g, bath, t)
     rec = mc.conditional_probabilities(mc.reduce(se), mc.reduce(sg), params)
-    eta_approx, gb_mag, theta = mc.small_overlap_case_b(mc.excitation_sum(se), phi)
+    excitation = sum(abs(b) ** 2 for b in se.branches[0].bath)  # sum_k |beta_k(t)|^2
+    eta_approx, gb_mag, theta = mc.small_overlap_case_b(excitation, phi)
     ov = abs(mc.overlap(se.branches[0].field, se.branches[1].field))
     print(f"    {t:5.3f}     {ov:9.2e}      {rec.eta:+9.6f}      {eta_approx:+9.6f}      {theta:6.3f}")
 

@@ -15,7 +15,7 @@ coherent   exact coherent-state algebra: overlaps, reduced densities in a
            non-orthogonal basis, spectra, purity, phase-diagonal operators
 protocol   Ramsey/dispersive measurement operators, state preparation,
            conditional probabilities, closed-form eigenvalues
-bath       discretized bath, exact linear amplitude flow, damping factors
+bath       discretized bath, exact linear amplitude flow from its secular spectrum
 lindblad   closed-form zero-temperature master-equation response
 fock       brute-force truncated-Fock-space reference implementations
 runner     scenario engines producing observable time series
@@ -27,9 +27,6 @@ from .bath import (
     BathSpec,
     discretize_flat_band,
     evolve,
-    excitation_sum,
-    gamma_a,
-    gamma_b,
     propagate,
     response,
 )
@@ -44,9 +41,7 @@ from .coherent import (
     eigenvalues,
     expectation,
     idempotency_defect,
-    mean_photon,
     normalize,
-    occupations,
     overlap,
     purity,
     reduce,

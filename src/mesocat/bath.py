@@ -11,10 +11,11 @@ amplitudes follow the linear flow
 Starting from an empty bath, every branch amplitude is proportional to the
 initial field amplitude: alpha(t) = alpha(0) g(t), beta_k(t) = alpha(0) f_k(t),
 where (g, f) is column zero of exp(-i H t) for the (K+1)x(K+1) one-excitation
-matrix.  The Hermitian eigendecomposition is computed once per bath and
-cached, so each time point costs one matrix-vector product, and a whole
-time grid two real ones (:func:`response`).  The tests check this
-against an independent matrix exponential of the same matrix.
+matrix.  That matrix is an arrowhead and is never formed: its eigenvalues
+are the roots of F(lam) = lam + sum_k g_k^2 / (D_k - lam) (Bunch, Nielsen &
+Sorensen, Numer. Math. 31, 31, 1978; the iteration of LAPACK dlaed4, R.-C. Li,
+LAWN 89, 1994), with field weights r_j = 1 / F'(lam_j).  The tests check
+this against eigh and expm of the matrix.
 """
 
 from __future__ import annotations
@@ -26,11 +27,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .coherent import Branch, FieldBathSuperposition, overlap
-from .errors import InvalidArgumentError, UnsupportedInputError
+from .coherent import Branch, FieldBathSuperposition
+from .errors import AuditError, InvalidArgumentError, UnsupportedInputError
 
 #: Fraction of the recurrence time beyond which results stop mimicking a continuum.
 RECURRENCE_FRACTION = 0.5
+#: roots solved and summed at a time; bounds memory to O(modes * ROOT_BLOCK)
+ROOT_BLOCK = 128
+#: sweeps after which a root that meets neither stopping rule is an AuditError
+MAX_SWEEPS = 100
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,9 +93,26 @@ class BathSpec:
         return h
 
     @cached_property
-    def _eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        w, v = np.linalg.eigh(self.one_excitation_matrix())
-        return w, v, v[0, :].conj()
+    def _spectrum(self) -> tuple[np.ndarray, ...]:
+        """(distinct detunings w, root origin in w, offset, residue); coincident modes merge.
+
+        sum_j r_j lam_j^n (n = 0, 1, 2) must be 1, 0 and sum g_k^2 to within
+        sum_j r_j a_j^n ((34 + roots) eps + 4 s_j), a_j = |w[origin]| + |tau|:
+        lam_j is known to eps a_j + s_j |tau| (s_j the solver's slack), which moves
+        r_j by 2 s_j as |F''| <= 2 F' / |tau|; r_j is good to 32 ulps, a sum to 1 a term.
+        """
+        w, mode = np.unique(self.detunings, return_inverse=True)
+        c2 = np.bincount(mode, weights=self.couplings**2)
+        blocks = np.split(np.arange(w.size + 1), range(ROOT_BLOCK, w.size + 1, ROOT_BLOCK))
+        solved = zip(*(_solve_block(w, c2, j) for j in blocks))
+        origin, tau, residue, slack = map(np.concatenate, solved)
+        lam, size = w[origin] + tau, np.abs(w[origin]) + np.abs(tau)
+        bound = residue * ((35 + w.size) * EPS + 4.0 * slack)
+        for n, exact in enumerate((1.0, 0.0, c2.sum())):
+            terms = residue * lam**n
+            if not abs(terms.sum() - exact) <= np.sum(bound * size**n):
+                raise AuditError(f"bath spectrum: moment {n} is {terms.sum()!r}, not {exact!r}")
+        return w, origin, tau, residue
 
 
 def discretize_flat_band(target_gamma: float, modes: int, half_bandwidth: float) -> BathSpec:
@@ -119,49 +142,97 @@ def discretize_flat_band(target_gamma: float, modes: int, half_bandwidth: float)
     return BathSpec(detunings, np.full(modes, coupling), target_gamma)
 
 
-def propagate(spec: BathSpec, t: float) -> tuple[complex, np.ndarray]:
-    """Exact (g, f) at time t via the cached Hermitian eigendecomposition.
+def _solve_block(w: np.ndarray, c2: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(origin, offset, residue, s) of the roots j of F, sorted distinct poles w of weights c2.
 
-    alpha(t) = alpha(0) g and beta_k(t) = alpha(0) f[k]; unitarity of the
-    one-excitation flow guarantees |g|^2 + sum_k |f_k|^2 = 1.
+    Root j lies between w[j - 1] and w[j], roots 0 and m beyond the band.  An
+    iterate lam = w[origin] + tau, origin the nearer pole, keeps lam - w_k to
+    full relative accuracy.  A step keeps the origin's term of F and fits F
+    and F' with a pole at the gap's far end (outside the band: with lam); a
+    step out of the bracket bisects it.  A root stops when |F| is within
+    rounding, or its bracket within 4 roundings of tau; s bounds its error / |tau|.
+    """
+    m = w.size
+    outer, side = (j == 0) | (j == m), np.where(j == 0, -1.0, 1.0)
+    origin = np.where(j == m, m - 1, np.maximum(j - 1, 0))
+    gap = w[np.minimum(j, m - 1)] - w[origin]
+    # beyond the band F changes sign within sqrt(sum c2) + max(0, -side w) of the end pole
+    end = np.where(outer, side * (np.sqrt(c2.sum()) + np.maximum(0.0, -side * w[origin])), gap)
+    tau, lo, hi = np.where(outer, end, 0.5 * end), np.minimum(end, 0.0), np.maximum(end, 0.0)
+    residue, s, done = np.empty(j.size), np.empty(j.size), np.zeros(j.size, dtype=bool)
+    buffers = np.empty((2, j.size, m))
+    for sweep in range(MAX_SWEEPS):
+        k = np.flatnonzero(~done)
+        if not k.size:
+            return origin, tau, residue, s
+        t, (inv, q) = tau[k], buffers[:, :k.size]
+        np.subtract(w[origin[k], None], w, out=inv)
+        np.divide(1.0, np.add(inv, t[:, None], out=inv), out=inv)  # 1 / (lam - w_k)
+        np.multiply(inv, c2, out=q)
+        lam, q_sum = w[origin[k]] + t, q.sum(axis=1)
+        f, df = lam - q_sum, 1.0 + np.multiply(q, inv, out=inv).sum(axis=1)
+        tol = EPS * (8.0 * (np.abs(lam) + np.abs(q, out=q).sum(axis=1)) + np.abs(t) * df)
+        stop = (np.abs(f) <= tol) | (hi[k] - lo[k] <= 4.0 * EPS * np.abs(t))
+        residue[k], s[k], done[k] = 1.0 / df, tol / (df * np.abs(t)) + 4.0 * EPS, stop
+        lo[k], hi[k] = np.where(f < 0.0, t, lo[k]), np.where(f > 0.0, t, hi[k])
+        if sweep == 0:  # a root above its gap's midpoint is measured from the upper pole
+            up = ~outer[k] & (f < 0.0)
+            origin[k], shift = origin[k] + up, np.where(up, gap[k], 0.0)
+            t, lo[k], hi[k] = t - shift, lo[k] - shift, hi[k] - shift
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pole = c2[origin[k]] / t  # the origin's term; the rest: c + weight / (far - eta)
+            far = np.where(origin[k] == j[k] - 1, gap[k], -gap[k]) - t
+            weight = far * far * (df - pole / t)
+            c = f + pole - weight / far
+            a, b = c * (far - t) + pole * t + weight, -t * far * f
+            disc = np.sqrt(np.abs(a * a - 4.0 * c * b))
+            step = t + np.where(a > 0.0, 2.0 * b / (a + disc), (a - disc) / (2.0 * c))
+            weight = t * t * (df - 1.0)  # outside: y^2 + beta y - weight = 0, y on tau's side
+            beta, sgn = f - t + weight / t, side[k]
+            disc = np.sqrt(beta * beta + 4.0 * weight)
+            y = np.where(sgn * beta > 0.0, 2.0 * weight / (beta + sgn * disc),
+                         (sgn * disc - beta) / 2.0)
+            step = np.where(outer[k], y, step)
+        inside = (lo[k] < step) & (step < hi[k])
+        tau[k] = np.where(stop, t, np.where(inside, step, 0.5 * (lo[k] + hi[k])))
+    raise AuditError(f"bath spectrum: roots not converged after {MAX_SWEEPS} sweeps")
+
+
+def propagate(spec: BathSpec, t: float) -> tuple[complex, np.ndarray]:
+    """Exact (g, f) at time t: alpha(t) = alpha(0) g and beta_k(t) = alpha(0) f[k].
+
+    g = sum_j r_j e^{-i lam_j t} and f_k = g_k sum_j r_j e^{-i lam_j t} / (lam_j - D_k).
     """
     if t < 0.0 or not math.isfinite(t):
         raise InvalidArgumentError("t must be nonnegative and finite")
     if t == 0.0:
         return 1.0 + 0.0j, np.zeros(spec.n_modes, dtype=complex)
-    w, v, v0 = spec._eig
-    amp = v @ (np.exp(-1j * w * t) * v0)
-    return complex(amp[0]), amp[1:].copy()
-
-
-#: grid times per matrix product in :func:`response`; bounds its memory to O(modes * block)
-RESPONSE_BLOCK = 256
+    w, origin, tau, residue = spec._spectrum
+    amp = residue * np.exp(-1j * (w[origin] + tau) * t)
+    f = np.zeros(spec.n_modes, dtype=complex)
+    for i in range(0, amp.size, ROOT_BLOCK):
+        block = slice(i, i + ROOT_BLOCK)
+        delta = np.subtract.outer(w[origin[block]], spec.detunings) + tau[block, None]
+        f += np.einsum("j,jk->k", amp[block], 1.0 / delta)
+    return complex(amp.sum()), spec.couplings * f
 
 
 def response(spec: BathSpec, times) -> tuple[np.ndarray, np.ndarray]:
     """Field response g(t) and bath depletion B(t) = sum_k |f_k(t)|^2 over a time grid.
 
-    Two real matrix products per block of RESPONSE_BLOCK times on the cached
-    eigendecomposition, one for cos(w t) and one for sin(w t): the
-    eigenvectors are real, so no complex product is needed.  B is summed over
-    the modes, not taken as 1 - |g|^2, so |g|^2 + B = 1 remains a check of
-    the flow's unitarity.  Times equal to zero give g = 1 and B = 0 exactly.
+    With h = sum_j r_j expm1(-i lam_j t) = sum_j r_j (-2 sin^2(lam_j t/2) - i sin(lam_j t)),
+    g = 1 + h and B = 1 - |g|^2 = -2 Re h - |h|^2, exact at t = 0 and without
+    cancellation at short times; O(modes * times) work, and no BLAS call.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0.0):
         raise InvalidArgumentError("times must be a 1-d array of nonnegative finite values")
-    w, v, v0 = spec._eig
-    g = np.empty(len(times), dtype=complex)
-    depletion = np.empty(len(times))
-    for start in range(0, len(times), RESPONSE_BLOCK):
-        block = slice(start, start + RESPONSE_BLOCK)
-        phase = np.outer(w, times[block])
-        re, im = v @ (np.cos(phase) * v0[:, None]), v @ (np.sin(phase) * v0[:, None])
-        g[block] = re[0] - 1j * im[0]
-        depletion[block] = np.sum(re[1:] ** 2 + im[1:] ** 2, axis=0)
-    at_zero = times == 0.0
-    g[at_zero], depletion[at_zero] = 1.0, 0.0
-    return g, depletion
+    w, origin, tau, residue = spec._spectrum
+    lam, h = w[origin] + tau, np.zeros(len(times), dtype=complex)
+    for i in range(0, lam.size, ROOT_BLOCK):
+        phase, r = np.multiply.outer(lam[i:i + ROOT_BLOCK], times), residue[i:i + ROOT_BLOCK]
+        h -= np.einsum("j,jt->t", r, 2.0 * np.sin(0.5 * phase) ** 2 + 1j * np.sin(phase))
+    return 1.0 + h, -2.0 * h.real - (h.real**2 + h.imag**2)
 
 
 def evolve(state: FieldBathSuperposition, spec: BathSpec, t: float) -> FieldBathSuperposition:
@@ -188,33 +259,3 @@ def evolve(state: FieldBathSuperposition, spec: BathSpec, t: float) -> FieldBath
         for br in state.branches
     )
     return FieldBathSuperposition(branches, normalized=True)
-
-
-def _two_branches(state: FieldBathSuperposition) -> tuple[Branch, Branch]:
-    if len(state.branches) != 2:
-        raise InvalidArgumentError("this diagnostic needs exactly two branches")
-    return state.branches[0], state.branches[1]
-
-
-def gamma_a(state: FieldBathSuperposition) -> float:
-    """|<field_2|field_1>|, the magnitude of the field-branch overlap."""
-    b1, b2 = _two_branches(state)
-    return abs(overlap(b2.field, b1.field))
-
-
-def gamma_b(state: FieldBathSuperposition) -> complex:
-    """prod_k <bath_2,k|bath_1,k>: the bath-induced damping of the field coherence.
-
-    Real for opposite-amplitude branches (case A); complex in general.
-    """
-    b1, b2 = _two_branches(state)
-    val = 1.0 + 0.0j
-    for x, y in zip(b2.bath, b1.bath):
-        val *= overlap(x, y)
-    return val
-
-
-def excitation_sum(state: FieldBathSuperposition) -> float:
-    """sum_k |beta_k(t)|^2 transferred to the bath (equal for both branches)."""
-    b1, _ = _two_branches(state)
-    return float(sum(abs(b) ** 2 for b in b1.bath))

@@ -17,16 +17,16 @@ files.  The runner hands over one array per column, and the file is written
 from those columns.  After writing, the self-audit re-reads the file into
 columns: every CSV row must hold one cell per header name, every cell must be
 a number or true/false, else the audit names the line and column.  It then
-re-checks the probability and conservation identities over whole columns,
-per sweep value, and names the first failing row by its index within that
-sweep value.
+re-checks the probability identities over whole columns, per sweep value,
+and names the first failing row by its index within that sweep value.
+Before that, a microscopic bath's spectrum must meet its exact moments.
 
 Exit codes: 0 success; 1 other domain error (reported on stderr); 2 config
 schema violation; 3 zero-probability state preparation; 4 positivity
-violation; a failed self-audit is a domain error (exit 1).  The only
-environment variable honored is MESOCAT_LOG (debug | info | warning | error
-| critical, default warning; any other value is reported and ignored); it
-changes verbosity only, never results.
+violation; a failed self-check (bath moments or audit) is a domain error
+(exit 1).  The only environment variable honored is MESOCAT_LOG (debug | info
+| warning | error | critical, default warning; any other value is reported
+and ignored); it changes verbosity only, never results.
 """
 
 from __future__ import annotations
@@ -46,25 +46,26 @@ from .runner import ROW_FIELDS, run_compare, run_scenario, run_sweep
 log = logging.getLogger("mesocat")
 
 _PROB_SUM_TOL = 1e-9
-_OCCUPATION_TOL = 1e-8
 _PROBABILITIES = ("p_ee", "p_eg", "p_ge", "p_gg")
 
 
 def _write_table(cfg_output, table: dict) -> None:
-    """CSV: the header, then one %-template per row ("%.17g", true/false).  JSON: row objects."""
+    """One %-template per row: CSV "%.17g" and true/false, JSON as json.dumps(rows, indent=1)."""
     fieldnames, columns = list(table), list(table.values())
     width, n = len(columns), len(columns[0])
+    cells = [None] * (width * n)  # row-major: column j fills every width-th cell from j
+    for j, col in enumerate(columns):
+        if cfg_output.format == "json":
+            cells[j::width] = json.dumps(col.tolist())[1:-1].split(", ")
+        else:
+            cells[j::width] = (np.where(col, "true", "false") if col.dtype == bool else col).tolist()
     with open(cfg_output.path, "w", encoding="utf-8", newline="\n") as fh:
         if cfg_output.format == "json":
-            rows = zip(*(col.tolist() for col in columns))
-            fh.write(json.dumps([dict(zip(fieldnames, row)) for row in rows], indent=1) + "\n")
-            return
-        template = ",".join("%s" if col.dtype == bool else "%.17g" for col in columns) + "\n"
-        cells = [None] * (width * n)  # row-major: column j fills every width-th cell from j
-        for j, col in enumerate(columns):
-            col = np.where(col, "true", "false") if col.dtype == bool else col
-            cells[j::width] = col.tolist()
-        fh.write(",".join(fieldnames) + "\n" + template * n % tuple(cells))
+            row = " {\n" + ",\n".join(f"  {json.dumps(name)}: %s" for name in fieldnames) + "\n }"
+            fh.write("[\n" + ",\n".join([row] * n) % tuple(cells) + "\n]\n")
+        else:
+            template = ",".join("%s" if col.dtype == bool else "%.17g" for col in columns) + "\n"
+            fh.write(",".join(fieldnames) + "\n" + template * n % tuple(cells))
 
 
 def _read_back(cfg_output, fieldnames) -> dict:
@@ -112,13 +113,12 @@ def _read_back(cfg_output, fieldnames) -> dict:
     return dict(zip(fieldnames, values.T))
 
 
-def _audit_rows(table: dict, suffix: str, conserved: bool) -> None:
+def _audit_rows(table: dict, suffix: str) -> None:
     """Re-check the written identities for one engine's column group, whole columns at once.
 
     Names the first failing row by its index in `table`, with the first
-    identity it breaks in this order: each probability's range, the row sums,
-    eta, and (if conserved) the drift of n_field + n_bath from row 0.  A NaN
-    fails the range check and passes the others.
+    identity it breaks in this order: each probability's range, the row
+    sums, and eta.  A NaN fails the range check and passes the others.
     """
     p_ee, p_eg, p_ge, p_gg = probs = [table[name + suffix] for name in _PROBABILITIES]
     checks = [(f"{name}{suffix} out of range", ~((p >= -1e-9) & (p <= 1.0 + 1e-9)))
@@ -127,17 +127,14 @@ def _audit_rows(table: dict, suffix: str, conserved: bool) -> None:
     checks.append(("probability rows do not sum to 1", off))
     eta_off = np.abs(table["eta" + suffix] - (p_ee - p_ge)) > _PROB_SUM_TOL
     checks.append(("eta inconsistent", eta_off))
-    if conserved:
-        total = table["n_field" + suffix] + table["n_bath" + suffix]
-        checks.append(("occupation drifts", np.abs(total - total[0]) > _OCCUPATION_TOL))
     failed = np.array([bad for _, bad in checks])
     rows = np.flatnonzero(failed.any(axis=0))
     if rows.size:
         raise AuditError(f"self-audit: {checks[np.argmax(failed[:, rows[0]])][0]} in row {rows[0]}")
 
 
-def _audit_output(cfg_output, fieldnames, groups) -> None:
-    """groups: list of (suffix, conserved) column groups present in the file.
+def _audit_output(cfg_output, fieldnames, suffixes) -> None:
+    """suffixes: the column groups present in the file, one per engine.
 
     Rows that share a sweep_value form one chunk, audited on its own.
     """
@@ -152,15 +149,15 @@ def _audit_output(cfg_output, fieldnames, groups) -> None:
         chunks = [inverse == k for k in np.argsort(first)]
     with np.errstate(invalid="ignore"):
         for chunk in chunks:
-            for suffix, conserved in groups:
-                _audit_rows({name: col[chunk] for name, col in table.items()}, suffix, conserved)
+            for suffix in suffixes:
+                _audit_rows({name: col[chunk] for name, col in table.items()}, suffix)
 
 
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     table = run_scenario(cfg)
     _write_table(cfg.output, table)
-    _audit_output(cfg.output, ROW_FIELDS, [("", cfg.engine == "microscopic")])
+    _audit_output(cfg.output, ROW_FIELDS, [""])
     log.info("wrote %d rows to %s", len(table["t"]), cfg.output.path)
     return 0
 
@@ -176,7 +173,7 @@ def _cmd_compare(args) -> int:
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
-    _audit_output(cfg.output, list(joint), [("_micro", True), ("_me", False)])
+    _audit_output(cfg.output, list(joint), ["_micro", "_me"])
     log.info("wrote %d joint rows to %s and %s", len(joint["t"]), cfg.output.path, summary_path)
     return 0
 
@@ -205,7 +202,7 @@ def _cmd_sweep(args) -> int:
     joint = {"sweep_value": np.repeat([value for value, _ in results], lengths)}
     joint.update((name, np.concatenate([t[name] for _, t in results])) for name in ROW_FIELDS)
     _write_table(cfg.output, joint)
-    _audit_output(cfg.output, list(joint), [("", cfg.engine == "microscopic")])
+    _audit_output(cfg.output, list(joint), [""])
     log.info("wrote %d rows (%d sweep values) to %s", sum(lengths), len(values), cfg.output.path)
     return 0
 

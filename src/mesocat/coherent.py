@@ -164,27 +164,6 @@ def normalize(state: FieldBathSuperposition) -> FieldBathSuperposition:
     return FieldBathSuperposition(scaled, normalized=True)
 
 
-def occupations(state: FieldBathSuperposition) -> tuple[float, float]:
-    """Mean photon number of the field mode and summed bath occupation.
-
-    Their sum is conserved under the excitation-preserving field-bath
-    coupling, which makes this the natural conservation check.
-    """
-    if not state.normalized:
-        raise InvalidArgumentError("occupations() needs a normalized state")
-    n_field = 0.0 + 0.0j
-    n_bath = 0.0 + 0.0j
-    for b1 in state.branches:
-        for b2 in state.branches:
-            modes = zip((b1.field, *b1.bath), (b2.field, *b2.bath))
-            w = b1.weight.conjugate() * b2.weight * math.prod(overlap(x, y) for x, y in modes)
-            n_field += w * b1.field.conjugate() * b2.field
-            n_bath += w * sum(
-                (x.conjugate() * y for x, y in zip(b1.bath, b2.bath)), 0.0 + 0.0j
-            )
-    return n_field.real, n_bath.real
-
-
 # ---------------------------------------------------------------------------
 # reduced densities
 
@@ -341,7 +320,7 @@ def damped_occupations(state: FieldBathSuperposition, g, depletion) -> tuple[np.
 
     With s = |g|^2 + B (1 for a unitary flow) and
     Q = sum_pq conj(w_p a_p) w_q a_q <a_p|a_q>^s, the field holds |g|^2 Q and
-    the environment B Q: the closed form of :func:`occupations`.
+    the environment B Q: the closed form of the per-mode occupations.
     """
     weights, labels = _bath_free(state, "damped_occupations")
     g = np.asarray(g, dtype=complex)
@@ -408,12 +387,6 @@ def idempotency_defect(rho: ReducedDensity):
     """
     m = rho._pair
     return 2.0 * m.det / (m.a + m.d) ** 2
-
-
-def mean_photon(rho: ReducedDensity):
-    """<a^dag a> of the field density: sum_ij w_i conj(w_j) exp(K_ij) conj(l_j) l_i <l_j|l_i>."""
-    wl = rho.weights * rho.labels
-    return _op_form(PhaseOpSum.identity(), wl, wl, rho.labels, rho.expo).real
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +467,3 @@ def expectation(op: PhaseOpSum, rho: ReducedDensity):
     Each term contributes sum_ij w_i conj(w_j) exp(K_ij) <l_j | l_i e^{i phase}>.
     """
     return _op_form(op, rho.weights, rho.weights, rho.labels, rho.expo)
-
-
-def phase_op_matrix_element(op: PhaseOpSum, labels, bra_coeff, ket_coeff):
-    """<v_bra| op |v_ket> for vectors given as coefficients over coherent labels."""
-    labels, bra, ket = (np.asarray(x, dtype=complex) for x in (labels, bra_coeff, ket_coeff))
-    return _op_form(op, ket, bra, labels, np.zeros(labels.shape + labels.shape[-1:]))

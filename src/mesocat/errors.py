@@ -34,7 +34,7 @@ class UnsupportedInputError(MesocatError):
 
 
 class AuditError(MesocatError):
-    """A written output file fails the CLI's read-back self-audit."""
+    """A run fails a self-check: the bath spectrum's moments, or the read-back of a written file."""
 
 
 class ConfigError(MesocatError):

@@ -42,8 +42,8 @@ class MasterParams:
 def me_response(params: MasterParams, times) -> tuple[np.ndarray, np.ndarray]:
     """g(t) = e^{-gamma t/2} and depletion B(t) = 1 - e^{-gamma t} over a time grid.
 
-    The master equation's counterpart of ``bath.response``: its field
-    densities are ``coherent.damped_density`` at these (g, B).
+    The counterpart of the discrete bath's secular-spectrum ``bath.response``:
+    its field densities are ``coherent.damped_density`` at these (g, B).
     """
     times = np.asarray(times, dtype=float)
     _require(np.isfinite(times) & (times >= 0), InvalidArgumentError,

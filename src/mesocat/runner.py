@@ -8,9 +8,9 @@ of t_c = 1/gamma.
 
 The environment reaches the prepared field only through the field response
 g(t) and the depletion B(t), which ``_response`` gives over the whole grid
-for every engine: the exact discrete bath in two real matrix products
-(``bath.response``), the master equation, which the Fock engine shares, in
-closed form (``lindblad.me_response``).  The analytic table builder stacks
+for every engine: the exact discrete bath from its moment-checked secular
+spectrum (``bath.response``), the master equation, which the Fock engine
+shares, in closed form (``lindblad.me_response``).  The analytic table builder stacks
 both conditioned densities with ``coherent.damped_density``; gamma_a,
 gamma_b and the occupations are closed forms in (g, B); the probabilities,
 spectra and purities go once per stack through the same checked routines as
@@ -25,7 +25,7 @@ eigenvalue, matching the closed-form pair (the Fock engine reads them off
 the even and odd photon-number blocks).  Otherwise the labels are only
 defined up to ordering and the columns hold the descending values.
 
-Everything runs in one thread.
+Everything runs in one thread, and the microscopic response makes no BLAS call.
 """
 
 from __future__ import annotations

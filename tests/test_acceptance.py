@@ -21,8 +21,11 @@ import pytest
 
 import mesocat as mc
 from mesocat import cli, fock
+from mesocat.config import parse_scenario
+from mesocat.runner import run_compare
 from mesocat import DetectionOutcome as Out
 from mesocat import ProtocolCase as Case
+from reference import excitation_sum, gamma_a, gamma_b, phase_op_matrix_element
 
 GAMMA = 1.0
 HALF_BANDWIDTH = 50.0  # of the flat_band_201 fixture, in units of gamma
@@ -81,11 +84,11 @@ def test_criterion_1_trace_and_positivity(flat_band_201):
 def test_criterion_2_conservation(flat_band_201):
     params = case_a_pi(1.3 + 0.2j)
     state = mc.prepare(params, Out.E)
-    ga_0 = mc.gamma_a(mc.evolve(state, flat_band_201, 0.0))
+    ga_0 = gamma_a(mc.evolve(state, flat_band_201, 0.0))
     worst_gamma = worst_unitarity = 0.0
     for t in np.linspace(0.0, 3.0, 61):
         out = mc.evolve(state, flat_band_201, t)
-        worst_gamma = max(worst_gamma, abs(mc.gamma_a(out) * abs(mc.gamma_b(out)) - ga_0))
+        worst_gamma = max(worst_gamma, abs(gamma_a(out) * abs(gamma_b(out)) - ga_0))
         g, f = mc.propagate(flat_band_201, t)
         worst_unitarity = max(worst_unitarity, abs(abs(g) ** 2 + np.sum(np.abs(f) ** 2) - 1.0))
     report(
@@ -110,7 +113,7 @@ def test_criterion_3_closed_form_eigenvalues(flat_band_201):
             for t in np.linspace(0.0, 3.0, 31):
                 evolved = mc.evolve(state, flat_band_201, t)
                 closed = mc.eigenvalues_case_a(
-                    mc.gamma_a(evolved), abs(mc.gamma_b(evolved)), ga_0, outcome
+                    gamma_a(evolved), abs(gamma_b(evolved)), ga_0, outcome
                 )
                 numeric = mc.eigenvalues(mc.reduce(evolved)).eigenvalues
                 diff = max(
@@ -122,8 +125,6 @@ def test_criterion_3_closed_form_eigenvalues(flat_band_201):
 
 
 def test_criterion_4_measurement_identities(flat_band_201):
-    from mesocat.coherent import phase_op_matrix_element
-
     worst_prob = worst_elem = 0.0
     for alpha0 in (1.0 + 0j, 1.6 + 0j):
         params = case_a_pi(alpha0)
@@ -134,8 +135,8 @@ def test_criterion_4_measurement_identities(flat_band_201):
             se, sg = mc.evolve(st_e, flat_band_201, t), mc.evolve(st_g, flat_band_201, t)
             rho_e, rho_g = mc.reduce(se), mc.reduce(sg)
             rec = mc.conditional_probabilities(rho_e, rho_g, params)
-            lam_e = mc.eigenvalues_case_a(mc.gamma_a(se), abs(mc.gamma_b(se)), ga_0, Out.E)[1]
-            lam_g = mc.eigenvalues_case_a(mc.gamma_a(sg), abs(mc.gamma_b(sg)), ga_0, Out.G)[1]
+            lam_e = mc.eigenvalues_case_a(gamma_a(se), abs(gamma_b(se)), ga_0, Out.E)[1]
+            lam_g = mc.eigenvalues_case_a(gamma_a(sg), abs(gamma_b(sg)), ga_0, Out.G)[1]
             worst_prob = max(
                 worst_prob,
                 abs(rec.p_ee - lam_e),
@@ -279,7 +280,7 @@ def test_criterion_8_small_overlap_case_b(flat_band_201):
         if abs(mc.overlap(se.branches[0].field, se.branches[1].field)) >= 1e-3:
             continue
         rec = mc.conditional_probabilities(mc.reduce(se), mc.reduce(sg), params)
-        eta_approx = mc.small_overlap_case_b(mc.excitation_sum(se), params.phi)[0]
+        eta_approx = mc.small_overlap_case_b(excitation_sum(se), params.phi)[0]
         worst = max(worst, abs(rec.eta - eta_approx))
         checked += 1
 
@@ -342,6 +343,33 @@ def test_criterion_9_regime_agreement(flat_band_201):
         f"max |eta_micro - eta_me(gamma', t - tau)| = {gap:.4f} "
         f"(gamma' = {gamma_markov:.4f}, tau = {slip:.4f} t_c); "
         f"bare max |eta_micro - eta_me(gamma, t)| = {bare_gap:.4f}",
+    )
+
+
+def test_continuum_limit_eta_gap_falls_with_bandwidth():
+    """Micro-versus-bare-master eta gap at a fixed mode spacing of 0.5/t_c (ROADMAP item 2).
+
+    Criterion 9's band is the W = 50 member of this family.  At fixed
+    spacing the recurrence time stays 4 pi t_c, and the band's departure
+    from the master equation, of order gamma / (pi W), shrinks like 1/W, so
+    quadrupling W must more than halve the gap (1/W predicts a quarter).
+    The grid is criterion 9's: 39 points to 2 t_c.
+    """
+    gaps = []
+    for half_bandwidth in (100, 200, 400):
+        raw = {
+            "case": "a", "alpha0": {"re": ALPHA33.real, "im": 0.0}, "phi": math.pi,
+            "engine": "microscopic", "master": {"gamma": GAMMA},
+            "bath": {"modes": 4 * half_bandwidth + 1, "half_bandwidth": float(half_bandwidth),
+                     "gamma": GAMMA},
+            "time": {"t_max_over_tc": 2.0, "points": 39},
+            "output": {"format": "csv", "path": "unused.csv"},
+        }
+        gaps.append(run_compare(parse_scenario(raw, for_compare=True))[2]["max_abs_eta_gap"])
+    report(
+        "continuum limit",
+        gaps[0] > gaps[1] > gaps[2] and gaps[2] < gaps[0] / 2,
+        "max |eta_micro - eta_me| at W = 100, 200, 400: " + ", ".join(f"{g:.4f}" for g in gaps),
     )
 
 

@@ -10,6 +10,7 @@ import mesocat as mc
 from mesocat import DetectionOutcome as Out
 from mesocat import ProtocolCase as Case
 from mesocat import bath as bathmod
+from reference import excitation_sum, gamma_a, gamma_b, occupations
 
 
 def odd_cat(alpha0=1.0 + 0j):
@@ -79,16 +80,105 @@ def test_response_matches_propagate_over_a_grid(flat_band_201):
         assert abs(g_t) ** 2 + b_t == pytest.approx(1.0, abs=1e-12)
 
 
-def test_response_blocks_join_across_block_boundaries(flat_band_201):
-    # a zero in the second block too, and a last block shorter than the rest
-    times = np.linspace(0.0, 3.0, 2 * bathmod.RESPONSE_BLOCK + 3)
-    times[bathmod.RESPONSE_BLOCK + 1] = 0.0
-    g, depletion = mc.response(flat_band_201, times)
-    assert g[bathmod.RESPONSE_BLOCK + 1] == 1.0 and depletion[bathmod.RESPONSE_BLOCK + 1] == 0.0
-    for i in (1, bathmod.RESPONSE_BLOCK - 1, bathmod.RESPONSE_BLOCK, len(times) - 1):
-        g_ref, f_ref = mc.propagate(flat_band_201, times[i])
-        assert abs(g[i] - g_ref) < 1e-13
-        assert abs(depletion[i] - np.sum(np.abs(f_ref) ** 2)) < 1e-13
+def eigh_response(spec, times):
+    """(g, B) from eigh of the one-excitation matrix, B summed over the modes (reference)."""
+    w, v = np.linalg.eigh(spec.one_excitation_matrix())
+    amp = v @ (np.exp(-1j * np.outer(w, times)) * v[0][:, None])
+    return amp[0], np.sum(np.abs(amp[1:]) ** 2, axis=0)
+
+
+# detunings out of order; COINCIDENT repeats 0.5 and -1.0 twice and 3.0 three times
+UNSORTED = (np.array([3.0, -1.0, 0.5, 2.0, -2.5, 0.0, 1.5]),
+            np.array([0.3, 0.2, 0.4, 0.1, 0.5, 0.25, 0.15]))
+COINCIDENT = (np.array([0.5, 3.0, -1.0, 0.5, 3.0, 2.0, -1.0, 3.0]),
+              np.array([0.3, 0.2, 0.4, 0.1, 0.5, 0.25, 0.15, 0.35]))
+RESPONSE_CASES = {
+    "1-mode": lambda: mc.BathSpec(np.array([0.0]), np.array([0.7]), 1.0),
+    "11-modes": lambda: mc.discretize_flat_band(1.0, 11, 12.0),
+    "201-modes": lambda: mc.discretize_flat_band(1.0, 201, 50.0),
+    # W = 50 keeps eigh's own phase error, ~eps W t, below 1e-13 at t = 40
+    "2001-modes": lambda: mc.discretize_flat_band(1.0, 2001, 50.0),
+    "unsorted": lambda: mc.BathSpec(*UNSORTED, 1.0),
+    "coincident": lambda: mc.BathSpec(*COINCIDENT, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(RESPONSE_CASES))
+def test_response_matches_eigh_of_the_one_excitation_matrix(case):
+    spec = RESPONSE_CASES[case]()
+    times = np.linspace(0.0, 40.0, 81)
+    g, depletion = mc.response(spec, times)
+    g_ref, b_ref = eigh_response(spec, times)
+    assert np.max(np.abs(g - g_ref)) < 1e-13
+    assert np.max(np.abs(depletion - b_ref)) < 1e-13
+    assert g[0] == 1.0 and depletion[0] == 0.0
+    if case == "1-mode":
+        np.testing.assert_allclose(g, np.cos(0.7 * times), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(depletion, np.sin(0.7 * times) ** 2, rtol=0, atol=1e-13)
+
+
+# roots far from their nearest detuning, or next to a weakly coupled one; a moment bound
+# of 32 ulps of r_j lam_j^n fails on far-band and far-mode (n = 1) and on weak-poles (n = 0)
+HARD_BATHS = {
+    "far-band": (np.linspace(997.0, 1003.0, 41), np.full(41, 0.05)),
+    "far-mode": (np.array([300.0]), np.array([0.01])),
+    "cluster": (np.array([-1.0, -1.0 + 1e-10, -1.0 + 2e-10, 2.0, 2.0 + 1e-11, 5.0]),
+                np.array([0.3, 0.2, 0.1, 0.4, 0.5, 0.05])),
+    "weak-poles": (np.array([56.064, -1.014, 71.218, -0.179, 0.129, -1.149]),
+                   np.array([2.7539, 0.1044, 0.0004, 0.9542, 0.0051, 0.0007])),
+}
+
+
+@pytest.mark.parametrize("case", list(HARD_BATHS))
+def test_moment_check_passes_roots_that_are_hard_to_place(case):
+    # eigh itself is good to a few eps ||H|| in each eigenvalue, so to that times t in g
+    spec = mc.BathSpec(*HARD_BATHS[case], 1.0)
+    times = np.linspace(0.0, 20.0, 41)
+    g, depletion = mc.response(spec, times)
+    g_ref, b_ref = eigh_response(spec, times)
+    norm = np.abs(np.linalg.eigvalsh(spec.one_excitation_matrix())).max()
+    bound = 4.0 * np.finfo(float).eps * norm * times[-1]
+    assert np.max(np.abs(g - g_ref)) < bound and np.max(np.abs(depletion - b_ref)) < bound
+
+
+def test_coincident_detunings_act_as_one_merged_mode():
+    det, cpl = COINCIDENT
+    merged_det = np.unique(det)
+    merged_cpl = np.array([math.sqrt(np.sum(cpl[det == d] ** 2)) for d in merged_det])
+    times = np.linspace(0.0, 40.0, 81)
+    g, depletion = mc.response(mc.BathSpec(det, cpl, 1.0), times)
+    g_merged, b_merged = mc.response(mc.BathSpec(merged_det, merged_cpl, 1.0), times)
+    assert np.max(np.abs(g - g_merged)) < 1e-14
+    assert np.max(np.abs(depletion - b_merged)) < 1e-14
+
+
+def test_response_blocks_join_across_block_boundaries(monkeypatch):
+    # roots in three blocks, the last one shorter; a zero time after the first
+    modes = 2 * bathmod.ROOT_BLOCK + 1
+    times = np.linspace(0.0, 3.0, 13)
+    times[7] = 0.0
+    g, depletion = mc.response(mc.discretize_flat_band(1.0, modes, 40.0), times)
+    assert g[7] == 1.0 and depletion[7] == 0.0
+    monkeypatch.setattr(bathmod, "ROOT_BLOCK", modes + 1)
+    spec = mc.discretize_flat_band(1.0, modes, 40.0)
+    g_one, b_one = mc.response(spec, times)  # every root in one block
+    g_ref, b_ref = eigh_response(spec, times)
+    assert np.max(np.abs(g - g_one)) < 1e-15 and np.max(np.abs(depletion - b_one)) < 1e-15
+    assert np.max(np.abs(g - g_ref)) < 1e-13 and np.max(np.abs(depletion - b_ref)) < 1e-13
+
+
+def test_response_memory_stays_below_one_dense_matrix():
+    import tracemalloc
+
+    spec = mc.discretize_flat_band(1.0, 2001, 500.0)
+    times = np.linspace(0.0, 4.0, 201)
+    tracemalloc.start()
+    try:
+        mc.response(spec, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (spec.n_modes + 1) ** 2 * 8
 
 
 @pytest.mark.parametrize("times", [[-0.1, 0.5], [0.2, math.inf], [[0.1]]])
@@ -120,7 +210,9 @@ def expm_response(spec, t):
 
 def test_integrator_matches_exact(flat_band_201, resonant_single_mode):
     small = mc.discretize_flat_band(1.0, 11, 12.0)
-    for spec, t in ((resonant_single_mode, 1.3), (small, 0.8), (flat_band_201, 0.7)):
+    coincident = mc.BathSpec(*COINCIDENT, 1.0)
+    cases = ((resonant_single_mode, 1.3), (small, 0.8), (flat_band_201, 0.7), (coincident, 2.1))
+    for spec, t in cases:
         g_ref, f_ref = expm_response(spec, t)
         g, f = mc.propagate(spec, t)
         assert abs(g - g_ref) < 1e-12
@@ -162,7 +254,7 @@ def test_evolve_resonant_quarter_period_swaps_field_into_bath(resonant_single_mo
     for br in out.branches:
         assert abs(br.field) < 1e-12
         assert abs(br.bath[0]) == pytest.approx(1.0, abs=1e-12)
-    assert mc.gamma_b(out) == pytest.approx(math.exp(-2.0), abs=1e-12)
+    assert gamma_b(out) == pytest.approx(math.exp(-2.0), abs=1e-12)
 
 
 def test_evolve_norm_and_occupation_conserved(flat_band_201):
@@ -171,9 +263,9 @@ def test_evolve_norm_and_occupation_conserved(flat_band_201):
     for t in (0.2, 0.8, 1.9):
         out = mc.evolve(state, flat_band_201, t)
         assert mc.coherent.squared_norm(out) == pytest.approx(1.0, abs=1e-10)
-        n_field, n_bath = mc.occupations(out)
+        n_field, n_bath = occupations(out)
         assert n_field + n_bath == pytest.approx(
-            sum(mc.occupations(mc.evolve(state, flat_band_201, 0.0))), abs=1e-8
+            sum(occupations(mc.evolve(state, flat_band_201, 0.0))), abs=1e-8
         )
 
 
@@ -205,22 +297,22 @@ def test_evolve_requires_normalized(resonant_single_mode):
 
 def test_gammas_at_time_zero(resonant_single_mode):
     out = mc.evolve(odd_cat(), resonant_single_mode, 0.0)
-    assert mc.gamma_b(out) == pytest.approx(1.0, abs=1e-14)
-    assert mc.excitation_sum(out) == pytest.approx(0.0, abs=1e-14)
-    assert mc.gamma_a(out) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert gamma_b(out) == pytest.approx(1.0, abs=1e-14)
+    assert excitation_sum(out) == pytest.approx(0.0, abs=1e-14)
+    assert gamma_a(out) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_gamma_conservation_identity(flat_band_201):
     state = odd_cat(1.4 + 0j)
-    ga_0 = mc.gamma_a(mc.evolve(state, flat_band_201, 0.0))
+    ga_0 = gamma_a(mc.evolve(state, flat_band_201, 0.0))
     for t in np.linspace(0.0, 2.5, 11):
         out = mc.evolve(state, flat_band_201, t)
-        assert mc.gamma_a(out) * abs(mc.gamma_b(out)) == pytest.approx(ga_0, abs=1e-10)
+        assert gamma_a(out) * abs(gamma_b(out)) == pytest.approx(ga_0, abs=1e-10)
 
 
 def test_gamma_diagnostics_need_two_branches(resonant_single_mode):
     single = mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, 1.0, (0j,)),)))
-    for fn in (mc.gamma_a, mc.gamma_b, mc.excitation_sum):
+    for fn in (gamma_a, gamma_b, excitation_sum):
         with pytest.raises(mc.InvalidArgumentError):
             fn(single)
 
@@ -230,6 +322,6 @@ def test_short_time_coherence_loss_is_quadratic(flat_band_201):
     losses = []
     for t in ts:
         out = mc.evolve(odd_cat(1.0 + 0j), flat_band_201, t)
-        losses.append(1.0 - abs(mc.gamma_b(out)))
+        losses.append(1.0 - abs(gamma_b(out)))
     slope = np.polyfit(np.log(ts), np.log(losses), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)

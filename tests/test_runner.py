@@ -11,8 +11,8 @@ import mesocat as mc
 from mesocat import DetectionOutcome as Out
 from mesocat import bath as bathmod
 from mesocat import cli, config, fock, runner
-from mesocat.coherent import phase_op_matrix_element
 from mesocat.config import parse_scenario
+from reference import gamma_a, gamma_b, mean_photon, occupations, phase_op_matrix_element
 
 
 def as_rows(table):
@@ -46,9 +46,9 @@ def test_microscopic_rows_match_per_mode_reference(tmp_path, flat_band_201, case
     state_e = mc.prepare(params, Out.E)
     for row in as_rows(runner.run_scenario(cfg)):
         evolved = mc.evolve(state_e, flat_band_201, row.t)
-        g_b = mc.gamma_b(evolved)
-        n_field, n_bath = mc.occupations(evolved)
-        assert abs(row.gamma_a - mc.gamma_a(evolved)) < 1e-13
+        g_b = gamma_b(evolved)
+        n_field, n_bath = occupations(evolved)
+        assert abs(row.gamma_a - gamma_a(evolved)) < 1e-13
         assert abs(row.gamma_b_abs - abs(g_b)) < 1e-13
         assert abs(row.gamma_b_arg - math.atan2(g_b.imag, g_b.real)) < 1e-13
         assert abs(row.n_field - n_field) < 1e-13
@@ -61,7 +61,7 @@ def test_master_rows_match_me_reduce(tmp_path):
     params = runner.scenario_params(cfg)
     state_e = mc.prepare(params, Out.E)
     mp = mc.MasterParams(1.0)
-    n_field_0 = mc.mean_photon(mc.reduce(state_e))
+    n_field_0 = mean_photon(mc.reduce(state_e))
     for row in as_rows(runner.run_scenario(cfg)):
         rho_e = mc.damped_density(state_e, *mc.me_response(mp, row.t))
         rho_g = mc.damped_density(mc.prepare(params, Out.G), *mc.me_response(mp, row.t))
@@ -69,8 +69,8 @@ def test_master_rows_match_me_reduce(tmp_path):
         g_b = np.exp(rho_e.expo[1, 0])
         assert abs(row.eta - rec.eta) < 1e-13
         assert abs(row.gamma_b_abs - abs(g_b)) < 1e-13
-        assert abs(row.n_field - mc.mean_photon(rho_e)) < 1e-13
-        assert abs(row.n_bath - (n_field_0 - mc.mean_photon(rho_e))) < 1e-13
+        assert abs(row.n_field - mean_photon(rho_e)) < 1e-13
+        assert abs(row.n_bath - (n_field_0 - mean_photon(rho_e))) < 1e-13
         assert not row.recurrence_warning
 
 
@@ -175,9 +175,9 @@ def test_stacked_rows_match_per_time_reference(tmp_path, case, phi):
         evolved = [mc.evolve(s, band, t) for s in states]
         rho_e, rho_g = (mc.reduce(e) for e in evolved)
         rec = mc.conditional_probabilities(rho_e, rho_g, params)
-        g_b = mc.gamma_b(evolved[0])
+        g_b = gamma_b(evolved[0])
         expected = dict(
-            t=t, gamma_a=mc.gamma_a(evolved[0]), gamma_b_abs=abs(g_b),
+            t=t, gamma_a=gamma_a(evolved[0]), gamma_b_abs=abs(g_b),
             gamma_b_arg=math.atan2(g_b.imag, g_b.real),
             p_ee=rec.p_ee, p_eg=rec.p_eg, p_ge=rec.p_ge, p_gg=rec.p_gg, eta=rec.eta,
             purity_e=mc.purity(rho_e), purity_g=mc.purity(rho_g),
@@ -186,7 +186,7 @@ def test_stacked_rows_match_per_time_reference(tmp_path, case, phi):
         )
         expected["lam_e_plus"], expected["lam_e_minus"] = lam_pair(rho_e)
         expected["lam_g_plus"], expected["lam_g_minus"] = lam_pair(rho_g)
-        expected["n_field"], expected["n_bath"] = mc.occupations(evolved[0])
+        expected["n_field"], expected["n_bath"] = occupations(evolved[0])
         assert set(expected) == set(runner.ROW_FIELDS)
         for name, value in expected.items():
             assert abs(getattr(row, name) - value) <= 1e-13, (name, t)
