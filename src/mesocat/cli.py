@@ -6,7 +6,8 @@ run      one scenario with its configured engine; writes the time series.
 compare  the same scenario through the microscopic and master engines;
          writes a joint table (columns suffixed _micro/_me) plus a JSON
          summary next to it (output path + ".summary.json") holding the
-         largest |eta| gap and the fitted short-time defect slopes.
+         largest |eta| gap and the fitted short-time defect slopes.  A failed
+         check's time index counts micro grid, micro slope grid, master grid, master slope grid.
 sweep    one run per value of --param (phi, alpha0_re or gamma), rows
          tagged with a leading sweep_value column, ordered by value.
 

@@ -14,9 +14,9 @@ shares, in closed form (``lindblad.me_response``).  The analytic table builder s
 both conditioned densities with ``coherent.damped_density``; gamma_a,
 gamma_b and the occupations are closed forms in (g, B); the probabilities,
 spectra and purities go once per stack through the same checked routines as
-any single density.  The compare summary is taken from its columns.  The
-Fock table damps each prepared Fock density in one ``fock.damp`` call.
-Nothing iterates over grid times.
+any single density.  ``run_compare`` builds one such table over both
+engines' responses stacked along the time axis.  The Fock table damps each
+prepared Fock density in one ``fock.damp`` call.  Nothing iterates over grid times.
 
 Eigenvalue columns: when the two field labels are an antipodal pair (case A
 at phi = pi) lam_plus/lam_minus are assigned by eigenvector parity, i.e. the
@@ -223,16 +223,15 @@ def _defect_slope(defect_e: np.ndarray) -> float:
 def run_compare(cfg: ScenarioConfig) -> tuple[dict, dict, dict]:
     """Tables of the microscopic and master engines on one scenario, plus a summary.
 
-    The summary reports the largest |eta_micro - eta_master| over the grid
-    and the fitted log-log short-time slopes of defect_e for both engines on
-    the dedicated grid t/t_c in [1e-3, 1e-2] (quadratic vs linear onset).
+    One table is built over both engines' stacked responses at the grid and SLOPE_GRID.
+    The summary holds the largest |eta_micro - eta_master| over the grid and both
+    engines' fitted log-log slopes of defect_e on SLOPE_GRID (quadratic vs linear onset).
     """
-    params = scenario_params(cfg)
-    grid = time_grid(cfg)
-    times = np.concatenate([grid, SLOPE_GRID])
-    micro = _analytic_table(params, times, *_response(replace(cfg, engine="microscopic"), times))
-    master = _analytic_table(params, times, *_response(replace(cfg, engine="master"), times))
-    n = len(grid)
+    params, n = scenario_params(cfg), cfg.time.points
+    times = np.concatenate([time_grid(cfg), SLOPE_GRID])
+    both = [_response(replace(cfg, engine=engine), times) for engine in ("microscopic", "master")]
+    table = _analytic_table(params, np.tile(times, 2), *map(np.concatenate, zip(*both)))
+    micro, master = ({k: c.reshape(2, -1)[i] for k, c in table.items()} for i in (0, 1))
     summary = {
         "max_abs_eta_gap": float(np.max(np.abs(micro["eta"][:n] - master["eta"][:n]))),
         "defect_slope_micro": _defect_slope(micro["defect_e"][n:]),

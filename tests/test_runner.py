@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -194,7 +195,8 @@ def test_stacked_rows_match_per_time_reference(tmp_path, case, phi):
 
 @pytest.mark.parametrize("points", [11, 201])
 def test_compare_checks_whole_grids_not_rows(tmp_path, monkeypatch, points):
-    # the checked routines run once per density stack, whatever the grid length
+    # both engines' responses share one density stack, so each checked routine
+    # runs once per conditioned density, whatever the grid length
     calls = {"eigenvalues": 0, "conditional_probabilities": 0}
 
     def counted(module, name):
@@ -212,7 +214,42 @@ def test_compare_checks_whole_grids_not_rows(tmp_path, monkeypatch, points):
     raw["master"] = {"gamma": 1.0}
     micro, master, _ = runner.run_compare(parse_scenario(raw, for_compare=True))
     assert len(micro["t"]) == len(master["t"]) == points
-    assert calls == {"eigenvalues": 4, "conditional_probabilities": 2}
+    assert calls == {"eigenvalues": 2, "conditional_probabilities": 1}
+
+
+# (scenario arguments, bath replacing the 201-mode band); a 21-mode band over
+# W = 5 recurs near 12.6 t_c, so its late rows are flagged
+COMPARE_CASES = {
+    "case-a-pi": (dict(case="a", phi=math.pi), None),
+    "case-b-pi-4": (dict(case="b", phi=math.pi / 4), None),
+    "band-21-recurring": (dict(case="a", phi=math.pi / 2, t_max=12.0, points=25),
+                          {"modes": 21, "half_bandwidth": 5.0, "gamma": 1.0}),
+}
+
+
+@pytest.mark.filterwarnings("ignore:half_bandwidth below")
+@pytest.mark.parametrize("case", list(COMPARE_CASES))
+def test_compare_stack_equals_each_engine_table_bit_for_bit(tmp_path, case):
+    kwargs, bath = COMPARE_CASES[case]
+    raw = scenario(tmp_path, "microscopic", 1.5, **kwargs)
+    raw["master"] = {"gamma": 1.0}
+    if bath:
+        raw["bath"] = bath
+    cfg = parse_scenario(raw, for_compare=True)
+    micro, master, summary = runner.run_compare(cfg)
+    params, n = runner.scenario_params(cfg), cfg.time.points
+    times = np.concatenate([runner.time_grid(cfg), runner.SLOPE_GRID])
+    alone = {engine: runner._analytic_table(
+        params, times, *runner._response(replace(cfg, engine=engine), times))
+        for engine in ("microscopic", "master")}
+    for table, own in ((micro, alone["microscopic"]), (master, alone["master"])):
+        assert list(table) == list(own)
+        for name, column in table.items():  # bytes, so NaN and signed zeros count
+            assert column.dtype == own[name].dtype, name
+            assert column.tobytes() == own[name][:n].tobytes(), name
+    assert summary["defect_slope_micro"] == runner._defect_slope(alone["microscopic"]["defect_e"][n:])
+    assert summary["defect_slope_master"] == runner._defect_slope(alone["master"]["defect_e"][n:])
+    assert micro["recurrence_warning"].any() == (bath is not None)
 
 
 @pytest.mark.parametrize("points", [11, 201])
@@ -394,6 +431,31 @@ def test_failed_check_exits_4_naming_the_time_index(tmp_path, monkeypatch, capsy
         monkeypatch.setattr(mc.lindblad, "me_response", faulty)
     assert cli.main(["run", "--config", str(path)]) == 4
     assert capsys.readouterr().err.rstrip().endswith(f"at time index {index}")
+
+
+@pytest.mark.parametrize("engine, index", [
+    ("microscopic", 2), ("microscopic", 9 + 3), ("master", 2), ("master", 9 + 3),
+])
+def test_compare_names_a_failed_row_by_its_index_in_the_stack(
+        tmp_path, monkeypatch, capsys, engine, index):
+    # rows count the micro grid, the micro slope grid, then the same two for master;
+    # index 9 + 3 is the fourth slope-grid time after the 9-point grid
+    raw = scenario(tmp_path, "microscopic", 1.2, t_max=2.0, points=9)
+    raw["master"] = {"gamma": 1.0}
+    path = tmp_path / "compare.json"
+    path.write_text(json.dumps(raw))
+    module, name = (bathmod, "response") if engine == "microscopic" else (mc.lindblad, "me_response")
+    response = getattr(module, name)
+
+    def faulty(params, times):  # a depletion that breaks |g|^2 + B = 1, and so the trace
+        g, depletion = response(params, times)
+        depletion[index] *= 0.5
+        return g, depletion
+
+    monkeypatch.setattr(module, name, faulty)
+    assert cli.main(["compare", "--config", str(path)]) == 4
+    stacked = index + (9 + len(runner.SLOPE_GRID) if engine == "master" else 0)
+    assert capsys.readouterr().err.rstrip().endswith(f"at time index {stacked}")
 
 
 @pytest.mark.parametrize("case, phi", [("a", math.pi), ("b", math.pi / 4)])
