@@ -40,8 +40,9 @@ print("at phi = pi this is the odd-photon-number projector.")
 
 print()
 print("== Perfect correlation at t = 0 ==")
-rho_e = mc.reduce(mc.prepare(params, Out.E))
-rho_g = mc.reduce(mc.prepare(params, Out.G))
+# the field densities before any damping: response g = 1, depletion B = 0
+rho_e = mc.damped_density(mc.prepare(params, Out.E), 1.0, 0.0)
+rho_g = mc.damped_density(mc.prepare(params, Out.G), 1.0, 0.0)
 rec = mc.conditional_probabilities(rho_e, rho_g, params)
 print(f"P_ee = {rec.p_ee:.6f}   P_eg = {rec.p_eg:.6f}")
 print(f"P_ge = {rec.p_ge:.6f}   P_gg = {rec.p_gg:.6f}")

@@ -25,12 +25,9 @@ st_g = mc.prepare(params, Out.G)
 print("== Short times: quadratic vs linear onset of mixedness ==")
 ts = np.logspace(-3, -2, 7)
 print("      t/tc     defect (exact)   defect (master)")
-micro, master = [], []
-for t in ts:
-    d_micro = mc.idempotency_defect(mc.reduce(mc.evolve(st_e, bath, t)))
-    d_master = mc.idempotency_defect(mc.damped_density(st_e, *mc.me_response(mp, t)))
-    micro.append(d_micro)
-    master.append(d_master)
+micro = mc.idempotency_defect(mc.damped_density(st_e, *mc.response(bath, ts)))
+master = mc.idempotency_defect(mc.damped_density(st_e, *mc.me_response(mp, ts)))
+for t, d_micro, d_master in zip(ts, micro, master):
     print(f"    {t:7.4f}     {d_micro:11.3e}     {d_master:11.3e}")
 slope_micro = np.polyfit(np.log(ts), np.log(micro), 1)[0]
 slope_master = np.polyfit(np.log(ts), np.log(master), 1)[0]
@@ -41,19 +38,16 @@ print()
 print("== Damped region: the correlation signals almost agree ==")
 print("     t/tc    eta (exact)   eta (master)      gap")
 worst = (0.0, 0.0)
-for t in np.linspace(0.1, 2.0, 11):
-    rec_micro = mc.conditional_probabilities(
-        mc.reduce(mc.evolve(st_e, bath, t)), mc.reduce(mc.evolve(st_g, bath, t)), params
-    )
-    rec_me = mc.conditional_probabilities(
-        mc.damped_density(st_e, *mc.me_response(mp, t)),
-        mc.damped_density(st_g, *mc.me_response(mp, t)),
-        params,
-    )
-    gap = abs(rec_micro.eta - rec_me.eta)
+times = np.linspace(0.1, 2.0, 11)
+etas = []
+for response in (mc.response(bath, times), mc.me_response(mp, times)):
+    rho_e, rho_g = (mc.damped_density(state, *response) for state in (st_e, st_g))
+    etas.append(mc.conditional_probabilities(rho_e, rho_g, params).eta)
+for t, eta_micro, eta_me in zip(times, *etas):
+    gap = abs(eta_micro - eta_me)
     if gap > worst[1]:
         worst = (t, gap)
-    print(f"    {t:5.2f}    {rec_micro.eta:9.5f}     {rec_me.eta:9.5f}    {gap:8.5f}")
+    print(f"    {t:5.2f}    {eta_micro:9.5f}     {eta_me:9.5f}    {gap:8.5f}")
 
 print()
 print(f"largest gap {worst[1]:.4f} at t = {worst[0]:.2f} t_c.  The flat band's")

@@ -32,14 +32,15 @@ print(f"alpha0 = {alpha0}, phi = pi/4: branch overlap at t=0 is "
       f"{abs(mc.overlap(st_e.branches[0].field, st_e.branches[1].field)):.2e}")
 print()
 print("     t/tc   branch overlap   eta (exact)   eta (closed form)   theta")
-for t in np.linspace(0.0, 0.25, 11):
-    se = mc.evolve(st_e, bath, t)
-    sg = mc.evolve(st_g, bath, t)
-    rec = mc.conditional_probabilities(mc.reduce(se), mc.reduce(sg), params)
-    excitation = sum(abs(b) ** 2 for b in se.branches[0].bath)  # sum_k |beta_k(t)|^2
+times = np.linspace(0.0, 0.25, 11)
+g, depletion = mc.response(bath, times)
+rho_e, rho_g = (mc.damped_density(state, g, depletion) for state in (st_e, st_g))
+eta = mc.conditional_probabilities(rho_e, rho_g, params).eta
+for i, t in enumerate(times):
+    excitation = alpha0**2 * depletion[i]  # sum_k |beta_k(t)|^2 = |alpha0|^2 B(t)
     eta_approx, gb_mag, theta = mc.small_overlap_case_b(excitation, phi)
-    ov = abs(mc.overlap(se.branches[0].field, se.branches[1].field))
-    print(f"    {t:5.3f}     {ov:9.2e}      {rec.eta:+9.6f}      {eta_approx:+9.6f}      {theta:6.3f}")
+    ov = abs(mc.overlap(*rho_e.labels[i]))
+    print(f"    {t:5.3f}     {ov:9.2e}      {eta[i]:+9.6f}      {eta_approx:+9.6f}      {theta:6.3f}")
 
 print()
 print("The phase theta rotates eta through zero and slightly negative before")
@@ -52,7 +53,7 @@ mp_e = mc.measurement_product(params_half, Out.E)
 print("measurement operator values on number states:",
       [round(mp_e.value_at(n).real, 6) for n in range(4)])
 st_half = mc.prepare(params_half, Out.E)
-rho = mc.reduce(mc.evolve(st_half, bath, 0.8))
-print(f"P_ee at any time: {mc.expectation(mp_e, rho).real:.12f}")
+rho = mc.damped_density(st_half, *mc.response(bath, [0.8]))
+print(f"P_ee at any time: {mc.expectation(mp_e, rho)[0].real:.12f}")
 print("cos((2n+1) pi/2) vanishes for every n, so the product is the identity")
 print("over 2 and the second atom carries no information at all.")

@@ -5,31 +5,26 @@ interaction prepares a superposition of two coherent states conditioned on
 the detection of a first atom; the field then decoheres through an
 excitation-conserving coupling to a zero-temperature bath (solved exactly)
 or through the equivalent Lindblad master equation (solved in closed form);
+either reaches the field only through its response g(t) and depletion B(t);
 a second atom finally probes the field, and the two-atom conditional
 probabilities yield the correlation signal eta = P_ee - P_ge, which
 measures the eigenvalues of the field's reduced density.
 
 Modules
 -------
-coherent   exact coherent-state algebra: overlaps, reduced densities in a
-           non-orthogonal basis, spectra, purity, phase-diagonal operators
+coherent   exact coherent-state algebra: overlaps, the field density damped
+           at (g, B), spectra, purity, phase-diagonal operators
 protocol   Ramsey/dispersive measurement operators, state preparation,
            conditional probabilities, closed-form eigenvalues
-bath       discretized bath, exact linear amplitude flow from its secular spectrum
+bath       discretized bath, its exact response (g, B) from its secular spectrum
 lindblad   closed-form zero-temperature master-equation response
-fock       brute-force truncated-Fock-space reference implementations
+fock       brute-force truncated-Fock states and the damping map at (g, B)
 runner     scenario engines producing observable time series
 config     scenario configuration schema
 cli        `mesocat run|compare|sweep` command-line entry points
 """
 
-from .bath import (
-    BathSpec,
-    discretize_flat_band,
-    evolve,
-    propagate,
-    response,
-)
+from .bath import BathSpec, discretize_flat_band, response
 from .coherent import (
     Branch,
     FieldBathSuperposition,
@@ -44,11 +39,9 @@ from .coherent import (
     normalize,
     overlap,
     purity,
-    reduce,
 )
 from .errors import (
     AuditError,
-    CapacityError,
     ConfigError,
     InvalidArgumentError,
     MesocatError,

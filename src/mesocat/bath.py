@@ -11,11 +11,13 @@ amplitudes follow the linear flow
 Starting from an empty bath, every branch amplitude is proportional to the
 initial field amplitude: alpha(t) = alpha(0) g(t), beta_k(t) = alpha(0) f_k(t),
 where (g, f) is column zero of exp(-i H t) for the (K+1)x(K+1) one-excitation
-matrix.  That matrix is an arrowhead and is never formed: its eigenvalues
-are the roots of F(lam) = lam + sum_k g_k^2 / (D_k - lam) (Bunch, Nielsen &
-Sorensen, Numer. Math. 31, 31, 1978; the iteration of LAPACK dlaed4, R.-C. Li,
-LAWN 89, 1994), with field weights r_j = 1 / F'(lam_j).  The tests check
-this against eigh and expm of the matrix.
+matrix.  The field sees the bath only through g and the depletion
+B = sum_k |f_k|^2 (``coherent.damped_density``), which :func:`response` gives
+over a time grid.  The matrix is an arrowhead and is never formed: its
+eigenvalues are the roots of F(lam) = lam + sum_k g_k^2 / (D_k - lam) (Bunch,
+Nielsen & Sorensen, Numer. Math. 31, 31, 1978; the iteration of LAPACK dlaed4,
+R.-C. Li, LAWN 89, 1994), with field weights r_j = 1 / F'(lam_j).  The tests
+check this against eigh and expm of the matrix.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coherent import Branch, FieldBathSuperposition
-from .errors import AuditError, InvalidArgumentError, UnsupportedInputError
+from .errors import AuditError, InvalidArgumentError
 
 #: Fraction of the recurrence time beyond which results stop mimicking a continuum.
 RECURRENCE_FRACTION = 0.5
@@ -83,14 +84,6 @@ class BathSpec:
         if d_min <= 0.0:
             raise InvalidArgumentError("detunings must not all coincide")
         return 2.0 * math.pi / d_min
-
-    def one_excitation_matrix(self) -> np.ndarray:
-        k = self.n_modes
-        h = np.zeros((k + 1, k + 1))
-        h[0, 1:] = self.couplings
-        h[1:, 0] = self.couplings
-        h[np.arange(1, k + 1), np.arange(1, k + 1)] = self.detunings
-        return h
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, ...]:
@@ -198,25 +191,6 @@ def _solve_block(w: np.ndarray, c2: np.ndarray, j: np.ndarray) -> tuple[np.ndarr
     raise AuditError(f"bath spectrum: roots not converged after {MAX_SWEEPS} sweeps")
 
 
-def propagate(spec: BathSpec, t: float) -> tuple[complex, np.ndarray]:
-    """Exact (g, f) at time t: alpha(t) = alpha(0) g and beta_k(t) = alpha(0) f[k].
-
-    g = sum_j r_j e^{-i lam_j t} and f_k = g_k sum_j r_j e^{-i lam_j t} / (lam_j - D_k).
-    """
-    if t < 0.0 or not math.isfinite(t):
-        raise InvalidArgumentError("t must be nonnegative and finite")
-    if t == 0.0:
-        return 1.0 + 0.0j, np.zeros(spec.n_modes, dtype=complex)
-    w, origin, tau, residue = spec._spectrum
-    amp = residue * np.exp(-1j * (w[origin] + tau) * t)
-    f = np.zeros(spec.n_modes, dtype=complex)
-    for i in range(0, amp.size, ROOT_BLOCK):
-        block = slice(i, i + ROOT_BLOCK)
-        delta = np.subtract.outer(w[origin[block]], spec.detunings) + tau[block, None]
-        f += np.einsum("j,jk->k", amp[block], 1.0 / delta)
-    return complex(amp.sum()), spec.couplings * f
-
-
 def response(spec: BathSpec, times) -> tuple[np.ndarray, np.ndarray]:
     """Field response g(t) and bath depletion B(t) = sum_k |f_k(t)|^2 over a time grid.
 
@@ -234,28 +208,3 @@ def response(spec: BathSpec, times) -> tuple[np.ndarray, np.ndarray]:
         h -= np.einsum("j,jt->t", r, 2.0 * np.sin(0.5 * phase) ** 2 + 1j * np.sin(phase))
     return 1.0 + h, -2.0 * h.real - (h.real**2 + h.imag**2)
 
-
-def evolve(state: FieldBathSuperposition, spec: BathSpec, t: float) -> FieldBathSuperposition:
-    """Propagate a superposition whose bath starts empty.
-
-    Each branch maps |a_i> prod_k |0> to |a_i g(t)> prod_k |a_i f_k(t)| with
-    the weight unchanged (the flow is unitary, so normalization survives).
-    Branches may carry either no bath labels or all-zero labels matching the
-    bath size; anything else is outside the zero-temperature model.
-    """
-    if not state.normalized:
-        raise InvalidArgumentError("evolve() needs a normalized state")
-    n_bath = state.n_bath_modes
-    if n_bath not in (0, spec.n_modes):
-        raise UnsupportedInputError(
-            f"state carries {n_bath} bath labels but the bath has {spec.n_modes} modes"
-        )
-    for br in state.branches:
-        if any(b != 0 for b in br.bath):
-            raise UnsupportedInputError("initial bath labels must all be zero")
-    g, f = propagate(spec, t)
-    branches = tuple(
-        Branch(br.weight, br.field * g, tuple(br.field * f))
-        for br in state.branches
-    )
-    return FieldBathSuperposition(branches, normalized=True)

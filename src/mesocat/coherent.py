@@ -1,8 +1,10 @@
 """Exact algebra of coherent-state superpositions in a non-orthogonal basis.
 
 A coherent state of one oscillator mode is named by its complex amplitude.
-Joint field+bath states are finite lists of weighted product-coherent
-branches, and every inner product reduces to the closed-form overlap
+A prepared field state is a finite list of weighted coherent branches, its
+environment empty; a linear damping flow with response g and depletion B
+(``damped_density``) leaves a field density over the labels a_i g.  Every
+inner product reduces to the closed-form overlap
 <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a)*b), so norms, reduced densities,
 spectra, purities and expectation values of phase-diagonal operators are
 all evaluated exactly -- no Fock truncation anywhere in this module.
@@ -56,14 +58,17 @@ def _as_finite_complex(z, name: str) -> complex:
 
 
 def _abs2(z: complex) -> float:
-    # z.real**2 + z.imag**2, bit-identical to the real part of conj(z)*z,
-    # so self-overlap exponents come out exactly 0.
     return z.real * z.real + z.imag * z.imag
 
 
 def _exponent(bra: complex, ket: complex) -> complex:
-    """log <bra|ket> = conj(bra) ket - (|bra|^2 + |ket|^2)/2."""
-    return bra.conjugate() * ket - 0.5 * (_abs2(bra) + _abs2(ket))
+    """log <bra|ket> = conj(bra) ket - (|bra|^2 + |ket|^2)/2 = -|bra - ket|^2/2 + i Im(conj(bra) ket).
+
+    The second form keeps the real part's relative accuracy for labels close
+    together far from the vacuum, is 0 for bra == ket and flips the sign of its
+    imaginary part exactly when bra and ket swap.
+    """
+    return -0.5 * _abs2(bra - ket) + 1j * (bra.real * ket.imag - bra.imag * ket.real)
 
 
 def _quadratic_form(a, b, expo):
@@ -93,13 +98,8 @@ def overlap(a: complex, b: complex) -> complex:
 
 
 def _gram_exponents(labels: np.ndarray) -> np.ndarray:
-    """E[p, q] = log <l_p|l_q> for labels of one mode, or rows of product labels over several."""
-    labels = labels.reshape(len(labels), -1)
-    norms = (labels.real**2 + labels.imag**2).sum(axis=1)
-    cross = (np.conj(labels)[:, None, :] * labels[None, :, :]).sum(axis=2)
-    expo = -0.5 * (norms[:, None] + norms[None, :]) + cross
-    np.fill_diagonal(expo, 0.0)  # the self-overlap exponent is identically zero
-    return 0.5 * (expo + expo.conj().T)  # Hermitian to the bit whatever the summation order
+    """E[p, q] = log <l_p|l_q> for the labels of one mode: Hermitian with a zero diagonal."""
+    return _exponent(labels[:, None], labels[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -108,19 +108,18 @@ def _gram_exponents(labels: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Branch:
-    """One weighted product-coherent term: weight * |field> prod_k |bath_k>."""
+    """One weighted coherent term of the field: weight * |field>."""
 
     weight: complex
     field: complex
-    bath: tuple[complex, ...] = ()
 
 
 @dataclass(frozen=True)
 class FieldBathSuperposition:
-    """Finite superposition of product-coherent branches of one field mode plus bath.
+    """Finite superposition of coherent branches of one field mode, its environment empty.
 
-    ``normalized`` is set by :func:`normalize` and preserved by unitary
-    evolution; operations that require unit norm check the flag.
+    ``normalized`` is set by :func:`normalize`; operations that require unit
+    norm check the flag.
     """
 
     branches: tuple[Branch, ...]
@@ -129,25 +128,24 @@ class FieldBathSuperposition:
     def __post_init__(self):
         if not self.branches:
             raise InvalidArgumentError("state needs at least one branch")
-        n_bath = len(self.branches[0].bath)
         for br in self.branches:
             _as_finite_complex(br.weight, "weight")
             _as_finite_complex(br.field, "field label")
-            if len(br.bath) != n_bath:
-                raise InvalidArgumentError("bath label count must be uniform across branches")
-            for b in br.bath:
-                _as_finite_complex(b, "bath label")
 
-    @property
-    def n_bath_modes(self) -> int:
-        return len(self.branches[0].bath)
+
+def _weights_labels(state: FieldBathSuperposition, caller: str = "") -> tuple[np.ndarray, ...]:
+    """(weights, field labels) of a state, which must be normalized if a caller is named."""
+    if caller and not state.normalized:
+        raise InvalidArgumentError(f"{caller}() needs a normalized state")
+    brs = state.branches
+    return (np.array([br.weight for br in brs], dtype=complex),
+            np.array([br.field for br in brs], dtype=complex))
 
 
 def squared_norm(state: FieldBathSuperposition) -> float:
     """<psi|psi>: the quadratic form of the weights over the branch overlap exponents."""
-    modes = np.array([(br.field, *br.bath) for br in state.branches], dtype=complex)
-    weights = np.array([br.weight for br in state.branches], dtype=complex)
-    return _quadratic_form(weights, weights, _gram_exponents(modes).T).real
+    weights, labels = _weights_labels(state)
+    return _quadratic_form(weights, weights, _gram_exponents(labels).T).real
 
 
 def normalize(state: FieldBathSuperposition) -> FieldBathSuperposition:
@@ -160,7 +158,7 @@ def normalize(state: FieldBathSuperposition) -> FieldBathSuperposition:
     if nrm2 <= NORM_FLOOR:
         raise ZeroStateError(f"state norm^2 = {nrm2:.3e} is at or below the floor")
     scale = 1.0 / math.sqrt(nrm2)
-    scaled = tuple(Branch(br.weight * scale, br.field, br.bath) for br in state.branches)
+    scaled = tuple(Branch(br.weight * scale, br.field) for br in state.branches)
     return FieldBathSuperposition(scaled, normalized=True)
 
 
@@ -267,34 +265,6 @@ def _checked_trace(rho: ReducedDensity) -> ReducedDensity:
     return rho
 
 
-def reduce(state: FieldBathSuperposition) -> ReducedDensity:
-    """Trace the bath out of a normalized superposition.
-
-    Each branch keeps its field label and weight; exp(K[p, q]) is the
-    product of bath overlaps prod_k <bath_q,k|bath_p,k>.
-    """
-    if not state.normalized:
-        raise InvalidArgumentError("reduce() needs a normalized state")
-    bath = np.array([br.bath for br in state.branches], dtype=complex)
-    rho = ReducedDensity(
-        [br.field for br in state.branches],
-        [br.weight for br in state.branches],
-        _gram_exponents(bath).T,
-    )
-    return _checked_trace(rho)
-
-
-def _bath_free(state: FieldBathSuperposition, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, field labels) of a normalized bath-free state."""
-    if not state.normalized:
-        raise InvalidArgumentError(f"{name}() needs a normalized state")
-    if state.n_bath_modes != 0:
-        raise InvalidArgumentError(f"{name}() needs a bath-free state")
-    brs = state.branches
-    return (np.array([br.weight for br in brs], dtype=complex),
-            np.array([br.field for br in brs], dtype=complex))
-
-
 def damped_density(state: FieldBathSuperposition, g, depletion) -> ReducedDensity:
     """Field density of a bath-free superposition after a linear damping flow.
 
@@ -306,10 +276,10 @@ def damped_density(state: FieldBathSuperposition, g, depletion) -> ReducedDensit
 
         K_ij = B log <a_j|a_i> = (conj(a_j) a_i - (|a_i|^2 + |a_j|^2)/2) B,
 
-    as reduce(evolve(...)) does with per-mode products; the trace is checked.
-    Arrays of g and B (one shape) give the stack of densities over them.
+    the log of the environment overlap prod_k <a_j f_k|a_i f_k>; the trace is
+    checked.  Arrays of g and B (one shape) give the stack of densities over them.
     """
-    weights, labels = _bath_free(state, "damped_density")
+    weights, labels = _weights_labels(state, "damped_density")
     g, depletion = np.asarray(g, dtype=complex), np.asarray(depletion, dtype=float)
     expo = depletion[..., None, None] * _gram_exponents(labels).T
     return _checked_trace(ReducedDensity(np.multiply.outer(g, labels), weights, expo))
@@ -322,7 +292,7 @@ def damped_occupations(state: FieldBathSuperposition, g, depletion) -> tuple[np.
     Q = sum_pq conj(w_p a_p) w_q a_q <a_p|a_q>^s, the field holds |g|^2 Q and
     the environment B Q: the closed form of the per-mode occupations.
     """
-    weights, labels = _bath_free(state, "damped_occupations")
+    weights, labels = _weights_labels(state, "damped_occupations")
     g = np.asarray(g, dtype=complex)
     depletion = np.asarray(depletion, dtype=float)
     g2 = g.real**2 + g.imag**2

@@ -25,10 +25,6 @@ class TruncationError(MesocatError):
     """A Fock-space cutoff is too small for the requested amplitude."""
 
 
-class CapacityError(MesocatError):
-    """A brute-force computation would exceed the documented size limits."""
-
-
 class UnsupportedInputError(MesocatError):
     """The input is valid in principle but outside this implementation's scope."""
 

@@ -1,12 +1,12 @@
 """Brute-force truncated-Fock-space reference implementations.
 
-Everything the analytic engines compute -- state preparation, damping,
-field-bath evolution, measurement, spectra -- is recomputed here from the
-raw matrix representations, deliberately without caching or shortcuts (the
+Everything the analytic engines compute -- state preparation, damping at a
+response (g, B), measurement, spectra -- is recomputed here from the raw
+matrix representations, deliberately without caching or shortcuts (the
 damping map rebuilds its response-independent tensor on every call and never
 keeps it), so that agreement between the two routes validates both.  Leading
-axes index stacks such as a time grid.  Cost grows fast with amplitude and mode
-count: desk-scale checks only (|alpha|^2 of a few, at most two bath modes).
+axes index stacks such as a time grid.  Cost grows fast with amplitude:
+desk-scale checks only (|alpha|^2 of a few).
 """
 
 from __future__ import annotations
@@ -16,12 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec
 from .coherent import FieldBathSuperposition, PhaseOpSum, _require
-from .errors import CapacityError, InvalidArgumentError, TruncationError
-
-#: Hard cap on the total Hilbert-space dimension of the field+bath oracle.
-DIMENSION_CAP = 1_000_000
+from .errors import InvalidArgumentError, TruncationError
 
 
 def required_n_max(amplitude):
@@ -72,19 +68,13 @@ def coherent_to_fock(label, n_max: int) -> FockVector:
 
 
 def superposition_vector(state: FieldBathSuperposition, n_max: int) -> FockVector:
-    """Fock vector of a bath-free superposition (weights applied verbatim)."""
-    if state.n_bath_modes != 0:
-        raise InvalidArgumentError("superposition_vector() is for bath-free states")
+    """Fock vector of a superposition (weights applied verbatim)."""
     amps = sum(br.weight * coherent_to_fock(br.field, n_max).amplitudes for br in state.branches)
     return FockVector(n_max, amps)
 
 
 def density_from_vector(vec: FockVector) -> FockDensity:
     return FockDensity(vec.n_max, np.outer(vec.amplitudes, vec.amplitudes.conj()))
-
-
-def annihilation(n_max: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
 
 
 def _kraus_tensor(mat: np.ndarray) -> np.ndarray:
@@ -115,10 +105,9 @@ def damp(rho, g, depletion):
     D = diag(g^n), A of :func:`_kraus_tensor`: T values of (g, B) give a
     (T, N, N) stack from one (T x N) . (N x N^2) product in O(N^3 + T N^2)
     memory, scalars one (N, N) matrix, g = 1 and B = 0 rho itself.  Takes and
-    returns a :class:`FockDensity` or a matrix.
+    returns matrices.
     """
-    matrix_input = not isinstance(rho, FockDensity)
-    mat = np.asarray(rho if matrix_input else rho.matrix, dtype=complex)
+    mat = np.asarray(rho, dtype=complex)
     g, depletion = np.asarray(g), np.asarray(depletion, dtype=float)
     levels = np.arange(len(mat))
     # einsum, not BLAS: each row sums l in order, so scalar (g, B) give their bits in any grid
@@ -128,68 +117,7 @@ def damp(rho, g, depletion):
         powers[..., :, None] * powers.conj()[..., None, :])
     identity = (g == 1.0) & (depletion == 0.0)
     np.copyto(damped, mat, where=identity[..., None, None])  # exact, signed zeros included
-    return damped if matrix_input else FockDensity(len(mat) - 1, damped)
-
-
-@dataclass(frozen=True, eq=False)
-class MultiModeState:
-    """Flat state vector over (field, bath_1, ..., bath_K) number bases."""
-
-    dims: tuple[int, ...]
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes.setflags(write=False)
-
-    def reduced_field_density(self) -> FockDensity:
-        block = self.amplitudes.reshape(self.dims[0], -1)
-        return FockDensity(self.dims[0] - 1, block @ block.conj().T)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def hamiltonian_evolve(
-    field_state: FockVector, spec: BathSpec, t: float, n_max_per_mode: int
-) -> MultiModeState:
-    """Unitary field+bath evolution in the rotating frame, bath starting empty.
-
-    H = sum_k D_k b_k^dag b_k + sum_k g_k (a^dag b_k + b_k^dag a), built as a
-    sparse matrix and applied with a Krylov matrix exponential.  Limited to
-    two bath modes and DIMENSION_CAP total states.  scipy is imported here,
-    not at module level, so the command-line path never loads it.
-    """
-    from scipy.sparse import csr_matrix, identity, kron
-    from scipy.sparse.linalg import expm_multiply
-
-    k_modes = spec.n_modes
-    if k_modes > 2:
-        raise InvalidArgumentError("the brute-force route supports at most 2 bath modes")
-    _require(np.isfinite(t) & (t >= 0), InvalidArgumentError, "t must be nonnegative and finite", t)
-    dims = (field_state.n_max + 1,) + (n_max_per_mode + 1,) * k_modes
-    total = math.prod(dims)
-    if total > DIMENSION_CAP:
-        raise CapacityError(f"total dimension {total} exceeds {DIMENSION_CAP}")
-
-    def mode_op(op: np.ndarray, which: int):
-        factors = [identity(d, format="csr") for d in dims]
-        factors[which] = csr_matrix(op)
-        out = factors[0]
-        for f in factors[1:]:
-            out = kron(out, f, format="csr")
-        return out
-
-    a_field = mode_op(annihilation(field_state.n_max), 0)
-    h_mat = csr_matrix((total, total), dtype=complex)
-    for k in range(k_modes):
-        b_k = mode_op(annihilation(n_max_per_mode), k + 1)
-        number_k = (b_k.conj().T @ b_k).tocsr()
-        h_mat = h_mat + spec.detunings[k] * number_k
-        h_mat = h_mat + spec.couplings[k] * (a_field.conj().T @ b_k + b_k.conj().T @ a_field)
-
-    psi0 = np.kron(field_state.amplitudes, np.eye(1, math.prod(dims[1:]))[0])  # bath vacuum
-    psi_t = expm_multiply(-1j * h_mat * t, psi0) if t > 0.0 else psi0.copy()
-    return MultiModeState(dims, psi_t)
+    return damped
 
 
 def fock_measure(op: PhaseOpSum, rho: FockDensity):

@@ -29,7 +29,6 @@ the correlation signal is eta = P_ee - P_ge.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -97,14 +96,13 @@ def reduced_op(params: ProtocolParams, outcome: DetectionOutcome) -> PhaseOpSum:
     return PhaseOpSum(((scalar, phi), (0.5 * s + 0.0j, -phi)))
 
 
-@functools.lru_cache(maxsize=256)
 def measurement_product(params: ProtocolParams, outcome: DetectionOutcome) -> PhaseOpSum:
     """The positive operator U^dag U whose trace gives detection probabilities.
 
     Case A reduces to (1 + s cos(phi n))/2 and case B to
     (1 + s cos((2n+1) phi))/2 with s = outcome_sign; expanded here into
-    exponential terms through the operator algebra.  Cached: every row of a
-    run asks for the same two operators, and the result is immutable.
+    exponential terms through the operator algebra.  A table asks for each
+    operator once per conditioned density, so it is not cached.
     """
     u = reduced_op(params, outcome)
     return (u.adjoint() * u).canonical()
@@ -112,32 +110,27 @@ def measurement_product(params: ProtocolParams, outcome: DetectionOutcome) -> Ph
 
 def preparation_probability(params: ProtocolParams, outcome: DetectionOutcome) -> float:
     """Probability that the first atom is detected in ``outcome``."""
-    state = _unnormalized_prepared(params, outcome, n_bath_modes=0)
-    return squared_norm(state)
+    return squared_norm(_unnormalized_prepared(params, outcome))
 
 
 def _unnormalized_prepared(
-    params: ProtocolParams, outcome: DetectionOutcome, n_bath_modes: int
+    params: ProtocolParams, outcome: DetectionOutcome
 ) -> FieldBathSuperposition:
-    vacuum = (0.0 + 0.0j,) * n_bath_modes
     branches = tuple(
-        Branch(w, params.alpha0 * cmath.exp(1j * p), vacuum)
-        for w, p in reduced_op(params, outcome).terms
+        Branch(w, params.alpha0 * cmath.exp(1j * p)) for w, p in reduced_op(params, outcome).terms
     )
     return FieldBathSuperposition(branches)
 
 
-def prepare(
-    params: ProtocolParams, outcome: DetectionOutcome, n_bath_modes: int = 0
-) -> FieldBathSuperposition:
-    """Field+bath state right after the first atom is detected in ``outcome``.
+def prepare(params: ProtocolParams, outcome: DetectionOutcome) -> FieldBathSuperposition:
+    """Field state right after the first atom is detected in ``outcome``.
 
-    The bath starts in the zero-temperature ground state, so every branch
-    carries all-zero bath labels.  Raises :class:`ZeroStateError` when the
-    detection branch has vanishing probability (e.g. case A on the vacuum
-    with outcome E).
+    The bath starts in the zero-temperature ground state, which the damping
+    flows (``coherent.damped_density``) assume.  Raises :class:`ZeroStateError`
+    when the detection branch has vanishing probability (e.g. case A on the
+    vacuum with outcome E).
     """
-    return normalize(_unnormalized_prepared(params, outcome, n_bath_modes))
+    return normalize(_unnormalized_prepared(params, outcome))
 
 
 @dataclass(frozen=True)
@@ -187,28 +180,32 @@ def conditional_probabilities(
     return CorrelationRecord(*(expectation(op, rho) for rho in (rho_e, rho_g) for op in ops))
 
 
-def eigenvalues_case_a(
-    gamma_a_t: float, gamma_b_t: float, gamma_a_0: float, outcome: DetectionOutcome
-) -> tuple[float, float]:
+def eigenvalues_case_a(alpha0: complex, g, depletion, outcome: DetectionOutcome) -> tuple:
     """Closed-form eigenvalue pair (lam_plus, lam_minus) for case A at phi = pi.
 
-    lam_+- = (1 +- G_a(t)) (1 +- s G_b(t)) / (2 (1 + s G_a(0))),
-    s = outcome_sign; the eigenvectors are |alpha(t)> +- |-alpha(t)>.  The
-    denominator sign is fixed by trace normalization together with the
-    conservation identity G_a(t) G_b(t) = G_a(0); the eigenvalue sum is
-    (1 + s G_a(t) G_b(t)) / (1 + s G_a(0)).
+    lam_+- = (1 +- G_a(t)) (1 +- s G_b(t)) / (2 (1 + s G_a(0))), s = outcome_sign,
+    at the response g and depletion B: G_a(t) = e^{-x |g|^2}, G_b(t) = e^{-x B}
+    and G_a(0) = e^{-x} with x = 2 |alpha0|^2.  The eigenvectors are
+    |alpha(t)> +- |-alpha(t)>, and the eigenvalue sum is
+    (1 + s G_a(t) G_b(t)) / (1 + s G_a(0)).  Every 1 +- G is formed with
+    expm1, so the pair keeps its relative accuracy near the vacuum.  Arrays of
+    g and B give arrays.
     """
-    for name, g in (("gamma_a_t", gamma_a_t), ("gamma_b_t", gamma_b_t), ("gamma_a_0", gamma_a_0)):
-        if not 0.0 <= g <= 1.0:
-            raise InvalidArgumentError(f"{name} = {g!r} outside [0, 1]")
-    s = outcome_sign(outcome)
-    denom = 2.0 * (1.0 + s * gamma_a_0)
+    g2 = np.abs(g) ** 2
+    depletion = np.asarray(depletion, dtype=float)
+    _require(depletion >= 0.0, InvalidArgumentError, "depletion must be nonnegative", depletion)
+    x, s = 2.0 * abs(alpha0) ** 2, outcome_sign(outcome)
+
+    def one_plus(sign, log_g):  # 1 + sign e^{log_g} for log_g <= 0; 0.0 - keeps zeros unsigned
+        return 2.0 + np.expm1(log_g) if sign > 0 else 0.0 - np.expm1(log_g)
+
+    denom = 2.0 * one_plus(s, -x)
     if denom <= 1e-14:
         raise ZeroStateError(
             "degenerate preparation: the detection branch has vanishing probability"
         )
-    lam_plus = (1.0 + gamma_a_t) * (1.0 + s * gamma_b_t) / denom
-    lam_minus = (1.0 - gamma_a_t) * (1.0 - s * gamma_b_t) / denom
+    lam_plus = one_plus(1.0, -x * g2) * one_plus(s, -x * depletion) / denom
+    lam_minus = one_plus(-1.0, -x * g2) * one_plus(-s, -x * depletion) / denom
     return lam_plus, lam_minus
 
 

@@ -174,7 +174,8 @@ def _fock_table(n_max, params, times_tc, g, depletion, recurrence) -> dict[str, 
     rho0_e, rho0_g = (fock.density_from_vector(fock.superposition_vector(state, n_max))
                       for state in (state_e, state_g))
     labels_t = np.multiply.outer(g, [br.field for br in state_e.branches])
-    rho_e, rho_g = (fock.damp(rho0, g, depletion) for rho0 in (rho0_e, rho0_g))
+    rho_e, rho_g = (fock.FockDensity(n_max, fock.damp(rho0.matrix, g, depletion))
+                    for rho0 in (rho0_e, rho0_g))
     vecs = fock.coherent_to_fock(labels_t, n_max).amplitudes  # (T, 2, N)
     ops = [proto.measurement_product(params, outcome) for outcome in proto.DetectionOutcome]
     measured = (fock.fock_measure(op, rho) for rho in (rho_e, rho_g) for op in ops)

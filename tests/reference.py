@@ -1,70 +1,184 @@
-"""Reference functions the library's run path does not use (test references).
+"""Reference computations the library's run path does not use (test references).
 
-The per-mode diagnostics read the occupations, Gamma_a, Gamma_b and the
-transferred excitation off the labels of a state such as
-:func:`mesocat.evolve` returns, one mode at a time, independently of the
-stacked (g, B) closed forms the engines use.  ``mean_photon`` and
-``phase_op_matrix_element`` evaluate a density or a pair of coefficient
-vectors through the same quadratic form as ``coherent.expectation``.
+The per-mode route carries each branch as a plain tuple (weight, field, bath),
+the bath an array of one coherent label per mode.  :func:`evolve` moves the
+labels of a prepared state along the exact linear flow, and :func:`reduce`
+traces the bath out mode by mode.  The flow comes from ONE ``eigh`` of the
+one-excitation matrix, refined in long double (:func:`eigenpairs`), and shares
+no code with the secular spectrum of ``mesocat.bath``.  The diagnostics read
+the occupations, Gamma_a, Gamma_b and the transferred excitation off such
+branches.  :func:`hamiltonian_state` is the brute-force field+bath oracle.
+``mean_photon`` and ``phase_op_matrix_element`` evaluate a density or a pair of
+coefficient vectors through the same quadratic form as ``coherent.expectation``.
 """
 
+import functools
 import math
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 import mesocat as mc
-from mesocat.coherent import PhaseOpSum, ReducedDensity, _op_form
+from mesocat.coherent import NORM_FLOOR, PhaseOpSum, ReducedDensity, _op_form
+
+#: eigenvector columns refined at a time; bounds the long-double work arrays
+COLUMN_BLOCK = 256
 
 
-def occupations(state) -> tuple[float, float]:
+def one_excitation_matrix(spec) -> np.ndarray:
+    """H = (0, c^T; c, diag(D)) over the field and the bath modes, one excitation."""
+    h = np.diag(np.concatenate(([0.0], spec.detunings)))
+    h[0, 1:] = h[1:, 0] = spec.couplings
+    return h
+
+
+@functools.lru_cache(maxsize=4)
+def eigenpairs(spec) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, v): eigenvalues (long double) and eigenvectors of H from one eigh, refined.
+
+    eigh's eigenvalues are off by about eps |H|, a phase error that grows with t,
+    and its vectors by about eps |H| / gap.  Each eigenvalue becomes the Rayleigh
+    quotient v^T H v / v^T v of its vector, whose error is second order in the
+    vector's, and each vector one step of inverse iteration, (H - lam) x = v; both
+    in long double.  The arrowhead gives H v and the solve in O(M) per vector: a
+    pivot that is exactly zero (lam on a pole, or on the root of the Schur
+    complement) becomes eps |H|, as in LAPACK's inverse iteration.
+    """
+    _, vectors = np.linalg.eigh(one_excitation_matrix(spec))
+    c, w = (x.astype(np.longdouble)[:, None] for x in (spec.couplings, spec.detunings))
+    tiny = np.finfo(np.longdouble).eps * (np.abs(w).max() + np.sqrt(np.sum(c * c)))
+    lam = np.empty(len(vectors), dtype=np.longdouble)
+    for j in range(0, len(vectors), COLUMN_BLOCK):
+        v = vectors[:, j:j + COLUMN_BLOCK].astype(np.longdouble)
+        hv = np.vstack([(c * v[1:]).sum(axis=0), c * v[0] + w * v[1:]])
+        lam[j:j + COLUMN_BLOCK] = mu = (v * hv).sum(axis=0) / (v * v).sum(axis=0)
+        d = w - mu  # the pivots diag(D) - lam of the bath modes, then the Schur complement
+        d[d == 0.0] = tiny
+        schur = -mu - (c * c / d).sum(axis=0)
+        schur[schur == 0.0] = tiny
+        x0 = (v[0] - (c * v[1:] / d).sum(axis=0)) / schur
+        x = np.vstack([x0, (v[1:] - c * x0) / d])
+        vectors[:, j:j + COLUMN_BLOCK] = x / np.sqrt((x * x).sum(axis=0))
+    return lam, vectors
+
+
+def flow(spec, times) -> tuple[np.ndarray, np.ndarray]:
+    """(g, f) over times (T,) and (T, M): column zero of exp(-i H t), summed over eigenpairs."""
+    lam, v = eigenpairs(spec)
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(times, dtype=np.longdouble), lam))
+    amp = (phases.astype(complex) * v[0]) @ v.T
+    return amp[:, 0], amp[:, 1:]
+
+
+def eigh_response(spec, times) -> tuple[np.ndarray, np.ndarray]:
+    """(g, B) over times, B = sum_k |f_k|^2 summed over the modes."""
+    g, f = flow(spec, times)
+    return g, np.sum(f.real**2 + f.imag**2, axis=1)
+
+
+def hamiltonian_state(vector, spec, t: float, n_bath: int) -> np.ndarray:
+    """Field+bath state at time t from a field Fock vector, the bath starting empty.
+
+    H = sum_k D_k b_k^dag b_k + g_k (a^dag b_k + b_k^dag a), built as a sparse
+    matrix over n_bath + 1 levels per mode and applied with a Krylov exponential.
+    The amplitudes come shaped (field level, bath levels): psi psi^dag is the
+    field density.
+    """
+    dims = (len(vector),) + (n_bath + 1,) * spec.n_modes
+
+    def mode_op(which):
+        factors = [sparse.identity(d, format="csr") for d in dims]
+        factors[which] = sparse.diags(np.sqrt(np.arange(1.0, dims[which])), 1, format="csr")
+        return functools.reduce(lambda x, y: sparse.kron(x, y, format="csr"), factors)
+
+    a = mode_op(0)
+    h = sparse.csr_matrix(a.shape, dtype=complex)
+    for k, (detuning, coupling) in enumerate(zip(spec.detunings, spec.couplings)):
+        b = mode_op(k + 1)
+        h = h + detuning * (b.T @ b) + coupling * (a.T @ b + b.T @ a)
+    psi = np.kron(vector, np.eye(1, math.prod(dims[1:]))[0])  # bath vacuum
+    return expm_multiply(-1j * t * h, psi).reshape(dims[0], -1)
+
+
+# ---------------------------------------------------------------------------
+# per-mode branches (weight, field, bath)
+
+
+def evolve(state, spec, t: float) -> list[tuple]:
+    """Branches of a normalized prepared state after time t: |a> |0> to |a g> prod_k |a f_k>."""
+    if not state.normalized:
+        raise mc.InvalidArgumentError("evolve() needs a normalized state")
+    (g,), (f,) = flow(spec, [t])
+    return [(br.weight, br.field * g, br.field * f) for br in state.branches]
+
+
+def _exponents(modes) -> np.ndarray:
+    """K[p, q] = log <m_q|m_p> for rows m of product-coherent labels, over all modes."""
+    m = np.array(modes, dtype=complex)
+    norms = np.sum(m.real**2 + m.imag**2, axis=1)
+    k = m @ m.conj().T - 0.5 * (norms[:, None] + norms[None, :])
+    np.fill_diagonal(k, 0.0)
+    return 0.5 * (k + k.conj().T)
+
+
+def normalize(branches) -> list[tuple]:
+    """Branches scaled to unit norm, the branch overlaps taken over the field and every mode."""
+    w = np.array([b[0] for b in branches], dtype=complex)
+    k = _exponents([(field, *bath) for _, field, bath in branches])
+    nrm2 = (abs(w.sum()) ** 2 + w @ np.expm1(k) @ w.conj()).real
+    if nrm2 <= NORM_FLOOR:
+        raise mc.ZeroStateError(f"state norm^2 = {nrm2:.3e} is at or below the floor")
+    return [(weight / math.sqrt(nrm2), field, bath) for weight, field, bath in branches]
+
+
+def reduce(branches) -> ReducedDensity:
+    """Field density of normalized branches, the bath traced out as a product over modes."""
+    weights, fields, baths = zip(*branches)
+    return ReducedDensity(fields, weights, _exponents(baths))
+
+
+def occupations(branches) -> tuple[float, float]:
     """Mean photon number of the field mode and summed bath occupation.
 
     Their sum is conserved under the excitation-preserving field-bath
     coupling, which makes this the natural conservation check.
     """
-    if not state.normalized:
-        raise mc.InvalidArgumentError("occupations() needs a normalized state")
-    n_field = 0.0 + 0.0j
-    n_bath = 0.0 + 0.0j
-    for b1 in state.branches:
-        for b2 in state.branches:
-            modes = zip((b1.field, *b1.bath), (b2.field, *b2.bath))
-            w = b1.weight.conjugate() * b2.weight * math.prod(mc.overlap(x, y) for x, y in modes)
-            n_field += w * b1.field.conjugate() * b2.field
-            n_bath += w * sum(
-                (x.conjugate() * y for x, y in zip(b1.bath, b2.bath)), 0.0 + 0.0j
-            )
-    return n_field.real, n_bath.real
+    n_field = n_bath = 0.0
+    for w1, a1, b1 in branches:
+        for w2, a2, b2 in branches:
+            modes = zip((a1, *b1), (a2, *b2))
+            w = w1.conjugate() * w2 * math.prod(mc.overlap(x, y) for x, y in modes)
+            n_field += (w * a1.conjugate() * a2).real
+            n_bath += (w * np.vdot(b1, b2)).real
+    return n_field, n_bath
 
 
-def _two_branches(state):
-    if len(state.branches) != 2:
+def _two_branches(branches):
+    if len(branches) != 2:
         raise mc.InvalidArgumentError("this diagnostic needs exactly two branches")
-    return state.branches[0], state.branches[1]
+    return branches
 
 
-def gamma_a(state) -> float:
+def gamma_a(branches) -> float:
     """|<field_2|field_1>|, the magnitude of the field-branch overlap."""
-    b1, b2 = _two_branches(state)
-    return abs(mc.overlap(b2.field, b1.field))
+    (_, a1, _), (_, a2, _) = _two_branches(branches)
+    return abs(mc.overlap(a2, a1))
 
 
-def gamma_b(state) -> complex:
+def gamma_b(branches) -> complex:
     """prod_k <bath_2,k|bath_1,k>: the bath-induced damping of the field coherence.
 
     Real for opposite-amplitude branches (case A); complex in general.
     """
-    b1, b2 = _two_branches(state)
-    val = 1.0 + 0.0j
-    for x, y in zip(b2.bath, b1.bath):
-        val *= mc.overlap(x, y)
-    return val
+    (_, _, b1), (_, _, b2) = _two_branches(branches)
+    return math.prod((mc.overlap(x, y) for x, y in zip(b2, b1)), start=1.0 + 0.0j)
 
 
-def excitation_sum(state) -> float:
+def excitation_sum(branches) -> float:
     """sum_k |beta_k(t)|^2 transferred to the bath (equal for both branches)."""
-    b1, _ = _two_branches(state)
-    return float(sum(abs(b) ** 2 for b in b1.bath))
+    (_, _, bath), _ = _two_branches(branches)
+    return float(np.sum(np.abs(bath) ** 2))
 
 
 def mean_photon(rho: ReducedDensity):

@@ -25,7 +25,16 @@ from mesocat.config import parse_scenario
 from mesocat.runner import run_compare
 from mesocat import DetectionOutcome as Out
 from mesocat import ProtocolCase as Case
-from reference import excitation_sum, gamma_a, gamma_b, phase_op_matrix_element
+from reference import (
+    evolve,
+    excitation_sum,
+    flow,
+    gamma_a,
+    gamma_b,
+    hamiltonian_state,
+    phase_op_matrix_element,
+    reduce,
+)
 
 GAMMA = 1.0
 HALF_BANDWIDTH = 50.0  # of the flat_band_201 fixture, in units of gamma
@@ -40,10 +49,6 @@ def report(criterion: str, ok: bool, detail: str = ""):
 
 def case_a_pi(alpha0):
     return mc.ProtocolParams(Case.CASE_A, alpha0, math.pi)
-
-
-def evolved_density(params, outcome, spec, t):
-    return mc.reduce(mc.evolve(mc.prepare(params, outcome), spec, t))
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +72,7 @@ def test_criterion_1_trace_and_positivity(flat_band_201):
             continue
         for state in states:
             if engine == "microscopic":
-                rho = mc.reduce(mc.evolve(state, flat_band_201, t))
+                rho = reduce(evolve(state, flat_band_201, t))
             else:
                 rho = mc.damped_density(state, *mc.me_response(mp, t))
             worst_trace = max(worst_trace, abs(rho.trace() - 1.0))
@@ -84,12 +89,12 @@ def test_criterion_1_trace_and_positivity(flat_band_201):
 def test_criterion_2_conservation(flat_band_201):
     params = case_a_pi(1.3 + 0.2j)
     state = mc.prepare(params, Out.E)
-    ga_0 = gamma_a(mc.evolve(state, flat_band_201, 0.0))
+    ga_0 = gamma_a(evolve(state, flat_band_201, 0.0))
     worst_gamma = worst_unitarity = 0.0
     for t in np.linspace(0.0, 3.0, 61):
-        out = mc.evolve(state, flat_band_201, t)
+        out = evolve(state, flat_band_201, t)
         worst_gamma = max(worst_gamma, abs(gamma_a(out) * abs(gamma_b(out)) - ga_0))
-        g, f = mc.propagate(flat_band_201, t)
+        (g,), (f,) = flow(flat_band_201, [t])
         worst_unitarity = max(worst_unitarity, abs(abs(g) ** 2 + np.sum(np.abs(f) ** 2) - 1.0))
     report(
         "2 conservation identities",
@@ -102,20 +107,18 @@ def test_criterion_3_closed_form_eigenvalues(flat_band_201):
     worst = 0.0
     for alpha0 in (0.8 + 0j, 1.3 + 0j, 1.8 + 0j):
         params = case_a_pi(alpha0)
-        ga_0 = math.exp(-2.0 * abs(alpha0) ** 2)
         for outcome in (Out.E, Out.G):
             state = mc.prepare(params, outcome)
             # exact {0, 1} at t = 0
-            lam0 = mc.eigenvalues_case_a(ga_0, 1.0, ga_0, outcome)
+            lam0 = mc.eigenvalues_case_a(alpha0, 1.0, 0.0, outcome)
             assert abs(sorted(lam0)[0] - 0.0) <= 1e-12 and abs(sorted(lam0)[1] - 1.0) <= 1e-12
-            numeric0 = mc.eigenvalues(mc.reduce(state)).eigenvalues
+            numeric0 = mc.eigenvalues(mc.damped_density(state, 1.0, 0.0)).eigenvalues
             assert abs(numeric0[0] - 1.0) <= 1e-12 and abs(numeric0[1]) <= 1e-12
             for t in np.linspace(0.0, 3.0, 31):
-                evolved = mc.evolve(state, flat_band_201, t)
-                closed = mc.eigenvalues_case_a(
-                    gamma_a(evolved), abs(gamma_b(evolved)), ga_0, outcome
-                )
-                numeric = mc.eigenvalues(mc.reduce(evolved)).eigenvalues
+                evolved = evolve(state, flat_band_201, t)
+                (g,), (f,) = flow(flat_band_201, [t])
+                closed = mc.eigenvalues_case_a(alpha0, g, np.sum(np.abs(f) ** 2), outcome)
+                numeric = mc.eigenvalues(reduce(evolved)).eigenvalues
                 diff = max(
                     abs(a - b)
                     for a, b in zip(sorted(closed, reverse=True), numeric[:2])
@@ -128,15 +131,16 @@ def test_criterion_4_measurement_identities(flat_band_201):
     worst_prob = worst_elem = 0.0
     for alpha0 in (1.0 + 0j, 1.6 + 0j):
         params = case_a_pi(alpha0)
-        ga_0 = math.exp(-2.0 * abs(alpha0) ** 2)
         mp_e = mc.measurement_product(params, Out.E)
         st_e, st_g = mc.prepare(params, Out.E), mc.prepare(params, Out.G)
         for t in np.linspace(0.0, 2.5, 11):
-            se, sg = mc.evolve(st_e, flat_band_201, t), mc.evolve(st_g, flat_band_201, t)
-            rho_e, rho_g = mc.reduce(se), mc.reduce(sg)
+            se, sg = evolve(st_e, flat_band_201, t), evolve(st_g, flat_band_201, t)
+            rho_e, rho_g = reduce(se), reduce(sg)
             rec = mc.conditional_probabilities(rho_e, rho_g, params)
-            lam_e = mc.eigenvalues_case_a(gamma_a(se), abs(gamma_b(se)), ga_0, Out.E)[1]
-            lam_g = mc.eigenvalues_case_a(gamma_a(sg), abs(gamma_b(sg)), ga_0, Out.G)[1]
+            (g,), (f,) = flow(flat_band_201, [t])
+            response = (g, np.sum(np.abs(f) ** 2))
+            lam_e = mc.eigenvalues_case_a(alpha0, *response, Out.E)[1]
+            lam_g = mc.eigenvalues_case_a(alpha0, *response, Out.G)[1]
             worst_prob = max(
                 worst_prob,
                 abs(rec.p_ee - lam_e),
@@ -204,10 +208,10 @@ def test_criterion_6_oracle_equivalence(resonant_single_mode):
         rhos_exact, rhos_oracle = {}, {}
         for outcome in (Out.E, Out.G):
             state = mc.prepare(params, outcome)
-            rhos_exact[outcome] = mc.reduce(mc.evolve(state, spec, t))
-            vec = fock.superposition_vector(state, n_max)
-            out = fock.hamiltonian_evolve(vec, spec, t, n_max_per_mode=n_max)
-            rhos_oracle[outcome] = out.reduced_field_density()
+            rhos_exact[outcome] = reduce(evolve(state, spec, t))
+            vec = fock.superposition_vector(state, n_max).amplitudes
+            psi = hamiltonian_state(vec, spec, t, n_max)
+            rhos_oracle[outcome] = fock.FockDensity(n_max, psi @ psi.conj().T)
         for outcome in (Out.E, Out.G):
             for second in (Out.E, Out.G):
                 op = mc.measurement_product(params, second)
@@ -237,7 +241,7 @@ def test_criterion_6_oracle_equivalence(resonant_single_mode):
         rho0 = fock.density_from_vector(fock.superposition_vector(state, n_max))
         for t in (0.25, 0.6):
             rho_me = mc.damped_density(state, *mc.me_response(mp, t))
-            rho_oracle = fock.damp(rho0, *mc.me_response(mp, t))
+            rho_oracle = fock.FockDensity(n_max, fock.damp(rho0.matrix, *mc.me_response(mp, t)))
             for second in (Out.E, Out.G):
                 op = mc.measurement_product(params, second)
                 worst = max(
@@ -256,7 +260,7 @@ def test_criterion_7_short_time_contrast(flat_band_201):
     state = mc.prepare(params, Out.E)
     ts = np.logspace(-3, -2, 9)
     micro = [
-        mc.idempotency_defect(mc.reduce(mc.evolve(state, flat_band_201, t))) for t in ts
+        mc.idempotency_defect(reduce(evolve(state, flat_band_201, t))) for t in ts
     ]
     mp = mc.MasterParams(GAMMA)
     master = [mc.idempotency_defect(mc.damped_density(state, *mc.me_response(mp, t))) for t in ts]
@@ -275,11 +279,11 @@ def test_criterion_8_small_overlap_case_b(flat_band_201):
     worst = 0.0
     checked = 0
     for t in np.linspace(0.0, 0.25, 11):
-        se = mc.evolve(st_e, flat_band_201, t)
-        sg = mc.evolve(st_g, flat_band_201, t)
-        if abs(mc.overlap(se.branches[0].field, se.branches[1].field)) >= 1e-3:
+        se = evolve(st_e, flat_band_201, t)
+        sg = evolve(st_g, flat_band_201, t)
+        if abs(mc.overlap(se[0][1], se[1][1])) >= 1e-3:
             continue
-        rec = mc.conditional_probabilities(mc.reduce(se), mc.reduce(sg), params)
+        rec = mc.conditional_probabilities(reduce(se), reduce(sg), params)
         eta_approx = mc.small_overlap_case_b(excitation_sum(se), params.phi)[0]
         worst = max(worst, abs(rec.eta - eta_approx))
         checked += 1
@@ -289,7 +293,7 @@ def test_criterion_8_small_overlap_case_b(flat_band_201):
     worst_half = 0.0
     st_half = mc.prepare(params_half, Out.E)
     for t in np.linspace(0.0, 2.0, 9):
-        rho = mc.reduce(mc.evolve(st_half, flat_band_201, t))
+        rho = reduce(evolve(st_half, flat_band_201, t))
         worst_half = max(worst_half, abs(mc.expectation(mp_e, rho).real - 0.5))
     report(
         "8 small-overlap case b",
@@ -321,8 +325,8 @@ def test_criterion_9_regime_agreement(flat_band_201):
     gap = bare_gap = 0.0
     for t in np.linspace(0.1, 2.0, 39):
         eta_micro = mc.conditional_probabilities(
-            mc.reduce(mc.evolve(st_e, flat_band_201, t)),
-            mc.reduce(mc.evolve(st_g, flat_band_201, t)),
+            reduce(evolve(st_e, flat_band_201, t)),
+            reduce(evolve(st_g, flat_band_201, t)),
             params,
         ).eta
         eta_me = mc.conditional_probabilities(

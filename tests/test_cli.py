@@ -1,11 +1,14 @@
 """Config schema, CLI subcommands, output formats, determinism, exit codes."""
 
+import ast
+import gc
 import json
 import logging
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +253,21 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_no_library_module_imports_scipy():
+    # scipy is a test dependency only: no module of the package may import it, at any depth
+    found = []
+    for path in sorted(Path(mc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "scipy"]
+    assert found == []
+
+
 # ---------------------------------------------------------------------------
 # near-vacuum and long-time runs against the case-A closed forms
 
@@ -419,11 +437,9 @@ def test_compare_outputs_joint_table_and_summary(tmp_path):
 
 
 def test_microscopic_run_path_forms_no_one_excitation_matrix(tmp_path, monkeypatch):
-    # compare and an 8-value phi sweep succeed with the (M+1)^2 matrix made unavailable,
-    # and no Hermitian eigensolver sees an operand the size of the band
-    def unavailable(self):
-        raise AssertionError("the run path built the one-excitation matrix")
-
+    # the library has no (M+1)^2 matrix to build, and in compare and an 8-value phi
+    # sweep no Hermitian eigensolver sees an operand the size of the band
+    assert not hasattr(mc.BathSpec, "one_excitation_matrix")
     sizes = []
 
     def recording(solver):
@@ -432,7 +448,6 @@ def test_microscopic_run_path_forms_no_one_excitation_matrix(tmp_path, monkeypat
             return solver(a, *args, **kwargs)
         return solve
 
-    monkeypatch.setattr(mc.BathSpec, "one_excitation_matrix", unavailable)
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     cfg = base_config(tmp_path, engine="microscopic", bath=BAND_51)
@@ -793,11 +808,14 @@ def test_cli_path_makes_no_python_call_per_row(tmp_path, command, engine, extra)
                 key = (frame.f_code.co_filename, frame.f_code.co_name)
                 counts[key] = counts.get(key, 0) + 1
 
+        # a collection run in the window would add the gc callbacks of whatever is imported
+        gc.disable()
         sys.setprofile(profile)
         try:
             code = cli.main(argv)
         finally:
             sys.setprofile(None)
+            gc.enable()
         assert code == 0
         return counts
 

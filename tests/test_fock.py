@@ -10,26 +10,31 @@ import mesocat as mc
 from mesocat import DetectionOutcome as Out
 from mesocat import ProtocolCase as Case
 from mesocat import fock
+from reference import evolve, hamiltonian_state, reduce
 
 RNG = np.random.default_rng(20260810)
 MP = mc.MasterParams(1.0)
 
 
-def odd_cat(alpha0, n_bath_modes=0):
+def odd_cat(alpha0):
     params = mc.ProtocolParams(Case.CASE_A, alpha0, math.pi)
-    return mc.prepare(params, Out.E, n_bath_modes=n_bath_modes)
+    return mc.prepare(params, Out.E)
 
 
-def multimode_vector(state, n_field, n_mode):
-    """Fock expansion of a field+bath superposition (test-side helper)."""
-    dims = (n_field + 1,) + (n_mode + 1,) * state.n_bath_modes
-    out = np.zeros(math.prod(dims), dtype=complex)
-    for br in state.branches:
-        vec = fock.coherent_to_fock(br.field, n_field).amplitudes
-        for b in br.bath:
+def multimode_vector(branches, n_field, n_mode):
+    """Fock expansion of per-mode branches (weight, field, bath) (test-side helper)."""
+    out = 0.0
+    for weight, field, bath in branches:
+        vec = fock.coherent_to_fock(field, n_field).amplitudes
+        for b in bath:
             vec = np.kron(vec, fock.coherent_to_fock(complex(b), n_mode).amplitudes)
-        out += br.weight * vec
+        out = out + weight * vec
     return out
+
+
+def field_density(psi):
+    """The field density psi psi^dag of a state shaped (field level, bath levels)."""
+    return fock.FockDensity(len(psi) - 1, psi @ psi.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -66,19 +71,19 @@ def test_coherent_to_fock_truncation_guard():
 
 
 def test_lindblad_vacuum_fixed_point():
-    rho0 = fock.density_from_vector(fock.coherent_to_fock(0.0, 10))
+    rho0 = fock.density_from_vector(fock.coherent_to_fock(0.0, 10)).matrix
     rho = fock.damp(rho0, *mc.me_response(MP, 0.5))
-    np.testing.assert_allclose(rho.matrix, rho0.matrix, atol=1e-12)
+    np.testing.assert_allclose(rho, rho0, atol=1e-12)
 
 
 def test_lindblad_coherent_stays_coherent():
     n_max = 19
-    rho0 = fock.density_from_vector(fock.coherent_to_fock(1.0, n_max))
+    rho0 = fock.density_from_vector(fock.coherent_to_fock(1.0, n_max)).matrix
     rho = fock.damp(rho0, *mc.me_response(MP, 0.5))
     target = fock.coherent_to_fock(math.exp(-0.25), n_max).amplitudes
-    fidelity = np.real(target.conj() @ rho.matrix @ target)
+    fidelity = np.real(target.conj() @ rho @ target)
     assert fidelity >= 1.0 - 1e-7
-    assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-8)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
 
 
 def test_lindblad_cat_off_diagonal_damping():
@@ -89,11 +94,11 @@ def test_lindblad_cat_off_diagonal_damping():
     state = odd_cat(alpha0)
     rho0 = fock.density_from_vector(fock.superposition_vector(state, n_max))
     gamma, t = 1.0, 0.35
-    rho = fock.damp(rho0, *mc.me_response(MP, t))
+    rho = fock.damp(rho0.matrix, *mc.me_response(MP, t))
 
     labels_t = [br.field * math.exp(-gamma * t / 2) for br in state.branches]
     vecs = [fock.coherent_to_fock(l, n_max).amplitudes for l in labels_t]
-    proj = np.array([[v1.conj() @ rho.matrix @ v2 for v2 in vecs] for v1 in vecs])
+    proj = np.array([[v1.conj() @ rho @ v2 for v2 in vecs] for v1 in vecs])
     s = np.array([[mc.overlap(p, q) for q in labels_t] for p in labels_t])
     coeff = np.linalg.solve(s, proj) @ np.linalg.inv(s)
     w0, w1 = state.branches[0].weight, state.branches[1].weight
@@ -128,7 +133,7 @@ def liouvillian(n_max, gamma):
 
     vec(A rho B) = (A kron B^T) vec(rho), and a is real, so (a^dag)^T = a.
     """
-    a_op = fock.annihilation(n_max)
+    a_op = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
     eye = np.eye(n_max + 1)
     number = np.diag(np.arange(n_max + 1.0))
     return gamma * (np.kron(a_op, a_op) - 0.5 * (np.kron(number, eye) + np.kron(eye, number)))
@@ -152,9 +157,8 @@ def test_lindblad_kraus_map_matches_generator_exponential():
             reference = (flow @ rho0.ravel()).reshape(rho0.shape)
             assert np.max(np.abs(fock.damp(rho0, *mc.me_response(mp, t)) - reference)) <= 1e-12
             assert np.max(np.abs(grid[k] - reference)) <= 1e-12
-        damped = fock.damp(cat, *mc.me_response(mp, t))
-        assert isinstance(damped, fock.FockDensity)
-        assert np.trace(damped.matrix).real == pytest.approx(1.0, abs=1e-13)
+        damped = fock.damp(cat.matrix, *mc.me_response(mp, t))
+        assert np.trace(damped).real == pytest.approx(1.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.7])
@@ -168,11 +172,11 @@ def test_damp_at_the_bath_response_matches_the_coherent_algebra(flat_band_201, o
     rho0 = fock.density_from_vector(fock.superposition_vector(state, n_max))
     g, depletion = mc.response(band, np.array([0.3, 1.0, 3.0]))
     assert np.max(np.abs(g.imag)) > 1e-3 if shift else np.max(np.abs(g.imag)) < 1e-14
-    damped = fock.damp(rho0, g, depletion)
+    damped = fock.damp(rho0.matrix, g, depletion)
     rho = mc.damped_density(state, g, depletion)
     vecs = fock.coherent_to_fock(rho.labels, n_max).amplitudes  # (T, 2, N)
     expected = vecs.transpose(0, 2, 1) @ rho.coeff @ vecs.conj()
-    assert np.max(np.abs(damped.matrix - expected)) <= 1e-13
+    assert np.max(np.abs(damped - expected)) <= 1e-13
 
 
 def test_lindblad_rejects_bad_arguments():
@@ -219,8 +223,8 @@ def test_lindblad_grid_shapes_and_exact_zero_times(which):
     grid = fock.damp(rho0, *mc.me_response(MP, [0.5, 0.0, 1.0, 0.0]))
     for k in (1, 3):
         assert grid[k].tobytes() == rho0.tobytes()
-    density = fock.damp(fock.FockDensity(n - 1, rho0), *mc.me_response(MP, [0.5, 0.0]))
-    assert isinstance(density, fock.FockDensity) and density.matrix.shape == (2, n, n)
+    density = fock.FockDensity(n - 1, fock.damp(rho0, *mc.me_response(MP, [0.5, 0.0])))
+    assert density.matrix.shape == (2, n, n) and density.matrix[1].tobytes() == rho0.tobytes()
     # B = 0 with a pure phase g is a rotation, not the identity
     phase = 1j ** np.arange(n)
     assert np.array_equal(fock.damp(rho0, 1j, 0.0), rho0 * np.outer(phase, phase.conj()))
@@ -237,7 +241,7 @@ def test_lindblad_grid_rejects_any_bad_time_naming_its_index(bad):
 
 def test_stacked_readouts_match_single_matrices():
     rho0 = fock.density_from_vector(fock.superposition_vector(odd_cat(1.0 + 0j), 19))
-    stack = fock.damp(rho0, *mc.me_response(MP, np.linspace(0.0, 2.0, 5)))
+    stack = fock.FockDensity(19, fock.damp(rho0.matrix, *mc.me_response(MP, np.linspace(0.0, 2.0, 5))))
     op = mc.measurement_product(mc.ProtocolParams(Case.CASE_B, 1.0 + 0j, 0.8), Out.E)
     labels = np.array([[0.9, -0.3j], [0.1 + 0.2j, 0.8]])
     vectors = fock.coherent_to_fock(labels, 19).amplitudes
@@ -263,19 +267,18 @@ def test_coherent_to_fock_truncation_names_the_stack_index():
 
 
 def test_hamiltonian_evolve_identity_at_zero(resonant_single_mode):
-    v = fock.coherent_to_fock(1.0, 19)
-    out = fock.hamiltonian_evolve(v, resonant_single_mode, 0.0, n_max_per_mode=19)
-    block = out.amplitudes.reshape(out.dims)
-    np.testing.assert_allclose(block[:, 0], v.amplitudes, atol=1e-12)
+    v = fock.coherent_to_fock(1.0, 19).amplitudes
+    psi = hamiltonian_state(v, resonant_single_mode, 0.0, 19)
+    np.testing.assert_allclose(psi[:, 0], v, atol=1e-12)
 
 
 def test_hamiltonian_evolve_coherent_follows_linear_flow(resonant_single_mode):
     n_max = 19
-    v = fock.coherent_to_fock(1.0, n_max)
+    v = fock.coherent_to_fock(1.0, n_max).amplitudes
     for t in (0.4, 1.1):
-        out = fock.hamiltonian_evolve(v, resonant_single_mode, t, n_max_per_mode=n_max)
-        assert out.norm() == pytest.approx(1.0, abs=1e-9)
-        rho = out.reduced_field_density()
+        psi = hamiltonian_state(v, resonant_single_mode, t, n_max)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-9)
+        rho = field_density(psi)
         target = fock.coherent_to_fock(math.cos(0.7 * t), n_max).amplitudes
         fidelity = np.real(target.conj() @ rho.matrix @ target)
         assert fidelity >= 1.0 - 1e-6
@@ -285,11 +288,11 @@ def test_hamiltonian_evolve_matches_label_engine_eigenvalues(resonant_single_mod
     alpha0 = 1.0 + 0j
     n_max = fock.required_n_max(alpha0)
     state = odd_cat(alpha0)
-    vec = fock.superposition_vector(state, n_max)
+    vec = fock.superposition_vector(state, n_max).amplitudes
     for t in (0.5, 1.3):
-        out = fock.hamiltonian_evolve(vec, resonant_single_mode, t, n_max_per_mode=n_max)
-        oracle = np.linalg.eigvalsh(out.reduced_field_density().matrix)[::-1]
-        exact = mc.eigenvalues(mc.reduce(mc.evolve(state, resonant_single_mode, t)))
+        psi = hamiltonian_state(vec, resonant_single_mode, t, n_max)
+        oracle = np.linalg.eigvalsh(field_density(psi).matrix)[::-1]
+        exact = mc.eigenvalues(reduce(evolve(state, resonant_single_mode, t)))
         np.testing.assert_allclose(oracle[:2], exact.eigenvalues, atol=1e-6)
         assert np.all(oracle[2:] < 1e-8)  # rank stays two
 
@@ -299,24 +302,12 @@ def test_hamiltonian_evolve_two_modes_matches_label_engine():
     alpha0 = 0.9 + 0j
     n_max = fock.required_n_max(alpha0)
     state = odd_cat(alpha0)
-    vec = fock.superposition_vector(state, n_max)
+    vec = fock.superposition_vector(state, n_max).amplitudes
     t = 0.8
-    out = fock.hamiltonian_evolve(vec, spec, t, n_max_per_mode=n_max)
-    evolved = mc.evolve(state, spec, t)
-    target = multimode_vector(evolved, n_max, n_max)
-    fidelity = abs(np.vdot(target, out.amplitudes)) ** 2
+    psi = hamiltonian_state(vec, spec, t, n_max)
+    target = multimode_vector(evolve(state, spec, t), n_max, n_max)
+    fidelity = abs(np.vdot(target, psi.ravel())) ** 2
     assert fidelity >= 1.0 - 1e-6
-
-
-def test_hamiltonian_evolve_capacity_limits():
-    spec3 = mc.BathSpec(np.zeros(3), np.full(3, 0.3), target_gamma=1.0)
-    v = fock.coherent_to_fock(0.5, 15)
-    with pytest.raises(mc.InvalidArgumentError):
-        fock.hamiltonian_evolve(v, spec3, 0.1, n_max_per_mode=15)
-    spec2 = mc.BathSpec(np.zeros(2), np.full(2, 0.3), target_gamma=1.0)
-    big = fock.coherent_to_fock(0.5, 120)
-    with pytest.raises(mc.CapacityError):
-        fock.hamiltonian_evolve(big, spec2, 0.1, n_max_per_mode=120)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +336,9 @@ def test_fock_probabilities_match_exact_engine(resonant_single_mode):
     probs = {}
     for outcome in (Out.E, Out.G):
         state = mc.prepare(params, outcome)
-        vec = fock.superposition_vector(state, n_max)
-        out = fock.hamiltonian_evolve(vec, resonant_single_mode, t, n_max_per_mode=n_max)
-        rho_oracle = out.reduced_field_density()
-        rho_exact = mc.reduce(mc.evolve(state, resonant_single_mode, t))
+        vec = fock.superposition_vector(state, n_max).amplitudes
+        rho_oracle = field_density(hamiltonian_state(vec, resonant_single_mode, t, n_max))
+        rho_exact = reduce(evolve(state, resonant_single_mode, t))
         for second in (Out.E, Out.G):
             op = mc.measurement_product(params, second)
             p_oracle = fock.fock_measure(op, rho_oracle).real
@@ -360,8 +350,8 @@ def test_fock_probabilities_match_exact_engine(resonant_single_mode):
         )
     eta_oracle = probs[(Out.E, Out.E)] - probs[(Out.G, Out.E)]
     rec = mc.conditional_probabilities(
-        mc.reduce(mc.evolve(mc.prepare(params, Out.E), resonant_single_mode, t)),
-        mc.reduce(mc.evolve(mc.prepare(params, Out.G), resonant_single_mode, t)),
+        reduce(evolve(mc.prepare(params, Out.E), resonant_single_mode, t)),
+        reduce(evolve(mc.prepare(params, Out.G), resonant_single_mode, t)),
         params,
     )
     assert eta_oracle == pytest.approx(rec.eta, abs=1e-6)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import mesocat as mc
 from mesocat import DetectionOutcome as Out
 from mesocat import ProtocolCase as Case
-from reference import gamma_b
+from reference import evolve, gamma_b
 
 MP = mc.MasterParams(1.0)
 
@@ -76,7 +76,7 @@ def test_dyad_factor_bounded(a, b, t):
 
 def test_me_reduce_at_zero_matches_fresh_reduction():
     state = odd_cat(1.2 + 0j)
-    rho0 = mc.reduce(state)
+    rho0 = mc.damped_density(state, 1.0, 0.0)
     rho_me = mc.damped_density(state, *mc.me_response(MP, 0.0))
     np.testing.assert_array_equal(rho_me.labels, rho0.labels)
     np.testing.assert_allclose(rho_me.coeff, rho0.coeff, atol=1e-14)
@@ -87,7 +87,7 @@ def test_me_reduce_matches_dyad_factor_formula(outcome):
     # the closed form: labels damped by e^{-t/2}, and the coefficient of
     # |a><b| times exp[(conj(b) a - (|a|^2 + |b|^2)/2) (1 - e^{-t})]
     state = mc.prepare(mc.ProtocolParams(Case.CASE_B, 1.3 + 0.2j, 0.9), outcome)
-    rho0 = mc.reduce(state)
+    rho0 = mc.damped_density(state, 1.0, 0.0)
     for t in (0.0, 0.05, 0.7, 3.0):
         rho = mc.damped_density(state, *mc.me_response(MP, t))
         labels = [l * math.exp(-0.5 * t) for l in rho0.labels]
@@ -128,16 +128,12 @@ def test_me_reduce_preserves_trace(t, amp, phi):
 
 
 def test_me_eigenvalues_match_closed_form():
-    a2 = 1.7
-    alpha0 = complex(math.sqrt(a2), 0)
-    ga_0 = math.exp(-2.0 * a2)
+    alpha0 = complex(math.sqrt(1.7), 0)
     for outcome in (Out.E, Out.G):
         state = mc.prepare(mc.ProtocolParams(Case.CASE_A, alpha0, math.pi), outcome)
         for t in (0.0, 0.2, 0.9, 2.4):
             rho = mc.damped_density(state, *mc.me_response(MP, t))
-            ga_t = math.exp(-2.0 * a2 * math.exp(-t))
-            gb_t = math.exp(-2.0 * a2 * (1.0 - math.exp(-t)))
-            lam = mc.eigenvalues_case_a(ga_t, gb_t, ga_0, outcome)
+            lam = mc.eigenvalues_case_a(alpha0, math.exp(-0.5 * t), -math.expm1(-t), outcome)
             numeric = mc.eigenvalues(rho).eigenvalues
             assert sorted(lam, reverse=True) == pytest.approx(list(numeric), abs=1e-10)
 
@@ -157,7 +153,7 @@ def test_me_matches_microscopic_damping_at_weak_amplitude(flat_band_201):
     alpha0 = complex(math.sqrt(0.5), 0)
     state = odd_cat(alpha0)
     for t in np.linspace(0.1, 2.0, 10):
-        micro = abs(gamma_b(mc.evolve(state, flat_band_201, t)))
+        micro = abs(gamma_b(evolve(state, flat_band_201, t)))
         me = math.exp(-2.0 * 0.5 * (1.0 - math.exp(-t)))
         assert micro == pytest.approx(me, rel=0.02)
 

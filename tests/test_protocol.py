@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mesocat as mc
 from mesocat import DetectionOutcome as Out
 from mesocat import ProtocolCase as Case
-from reference import excitation_sum, gamma_a, gamma_b, phase_op_matrix_element
+from reference import evolve, excitation_sum, flow, phase_op_matrix_element, reduce
 
 CASES = [Case.CASE_A, Case.CASE_B]
 OUTCOMES = [Out.E, Out.G]
@@ -131,12 +132,6 @@ def test_prepare_case_b_g_branch_phases():
     assert b1.weight / b2.weight == pytest.approx(cmath.exp(1j * phi), abs=1e-12)
 
 
-def test_prepare_with_bath_modes_puts_vacuum_labels():
-    state = mc.prepare(params_a(math.pi), Out.G, n_bath_modes=3)
-    assert state.n_bath_modes == 3
-    assert all(b == 0 for br in state.branches for b in br.bath)
-
-
 def test_prepare_vacuum_case_a_e_is_zero_state():
     with pytest.raises(mc.ZeroStateError):
         mc.prepare(params_a(math.pi, 0.0 + 0j), Out.E)
@@ -155,8 +150,7 @@ def test_preparation_probabilities_sum_to_one(phi, case, amp):
 
 def test_conditional_probabilities_fresh_cats():
     params = params_a(math.pi, math.sqrt(2) + 0j)
-    rho_e = mc.reduce(mc.prepare(params, Out.E))
-    rho_g = mc.reduce(mc.prepare(params, Out.G))
+    rho_e, rho_g = (mc.damped_density(mc.prepare(params, o), 1.0, 0.0) for o in (Out.E, Out.G))
     rec = mc.conditional_probabilities(rho_e, rho_g, params)
     assert rec.p_ee == pytest.approx(1.0, abs=1e-12)
     assert rec.p_ge == pytest.approx(0.0, abs=1e-12)
@@ -199,55 +193,86 @@ def test_conditional_rows_sum_to_one(phi, case, amp, damp):
 
 
 def test_eigenvalues_case_a_fresh_state():
-    g0 = math.exp(-2.0)
-    lam_p, lam_m = mc.eigenvalues_case_a(g0, 1.0, g0, Out.E)
+    lam_p, lam_m = mc.eigenvalues_case_a(1.0, 1.0, 0.0, Out.E)
     assert lam_p == 0.0
     assert lam_m == 1.0
 
 
 def test_eigenvalues_case_a_long_time_limit():
     # the field relaxes to vacuum: G_a -> 1, G_b -> G_a(0)
-    g0 = math.exp(-2.0)
-    lam_p, lam_m = mc.eigenvalues_case_a(1.0, g0, g0, Out.E)
+    lam_p, lam_m = mc.eigenvalues_case_a(1.0, 0.0, 1.0, Out.E)
     assert lam_p == pytest.approx(1.0, abs=1e-14)
     assert lam_m == pytest.approx(0.0, abs=1e-14)
 
 
 def test_eigenvalues_case_a_balanced_point():
-    lam_p, lam_m = mc.eigenvalues_case_a(math.exp(-2), math.exp(-2), math.exp(-4), Out.E)
+    # G_a(t) = G_b(t) = e^{-2}, G_a(0) = e^{-4}
+    lam_p, lam_m = mc.eigenvalues_case_a(math.sqrt(2.0), math.sqrt(0.5), 0.5, Out.E)
     assert lam_p == pytest.approx(0.5, abs=1e-12)
     assert lam_m == pytest.approx(0.5, abs=1e-12)
 
 
 @given(
-    st.floats(0.0, 0.999),
+    st.floats(0.03, 2.0),
     st.floats(0.0, 1.0),
-    st.floats(0.0, 0.999),
+    st.floats(0.0, 1.0),
     st.sampled_from(OUTCOMES),
 )
-def test_eigenvalues_case_a_sum_identity(ga_t, gb_t, ga_0, outcome):
+def test_eigenvalues_case_a_sum_identity(alpha0, g, depletion, outcome):
     s = mc.protocol.outcome_sign(outcome)
-    lam_p, lam_m = mc.eigenvalues_case_a(ga_t, gb_t, ga_0, outcome)
-    assert lam_p + lam_m == pytest.approx((1 + s * ga_t * gb_t) / (1 + s * ga_0), abs=1e-12)
+    x = 2.0 * alpha0**2
+    lam_p, lam_m = mc.eigenvalues_case_a(alpha0, g, depletion, outcome)
+    total = (1 + s * math.exp(-x * (g * g + depletion))) / (1 + s * math.exp(-x))
+    assert lam_p + lam_m == pytest.approx(total, abs=1e-12)
     assert lam_p >= 0 and lam_m >= 0
 
 
 def test_eigenvalues_case_a_degenerate_preparation():
     with pytest.raises(mc.ZeroStateError):
-        mc.eigenvalues_case_a(1.0, 1.0, 1.0, Out.E)
+        mc.eigenvalues_case_a(0.0, 1.0, 0.0, Out.E)
+
+
+@pytest.mark.parametrize("outcome", OUTCOMES)
+def test_eigenvalues_case_a_keeps_relative_accuracy_near_the_vacuum(outcome):
+    # a 50-digit evaluation of the same closed form at the same (g, B) is the reference
+    times = np.array([1e-6, 0.5, 40.0])
+    g, depletion = mc.me_response(mc.MasterParams(1.0), times)
+    s = int(mc.protocol.outcome_sign(outcome))
+    worst = 0.0
+    with mpmath.workdps(50):
+        for alpha0 in (1e-6, 1e-3, 1.0, 1.8):
+            lam = mc.eigenvalues_case_a(alpha0, g, depletion, outcome)
+            x = 2 * mpmath.mpf(alpha0) ** 2
+            for k in range(len(times)):
+                g_a = mpmath.exp(-x * mpmath.mpf(g[k]) ** 2)
+                g_b = mpmath.exp(-x * mpmath.mpf(depletion[k]))
+                denom = 2 * (1 + s * mpmath.exp(-x))
+                exact = ((1 + g_a) * (1 + s * g_b) / denom, (1 - g_a) * (1 - s * g_b) / denom)
+                for value, ref in zip((lam[0][k], lam[1][k]), exact):
+                    worst = max(worst, float(abs(value - ref) / ref))
+    assert worst <= 1e-13
+
+
+def test_eigenvalues_case_a_stacks_over_arrays():
+    g, depletion = mc.me_response(mc.MasterParams(1.0), np.linspace(0.0, 3.0, 7))
+    for outcome in OUTCOMES:
+        stacked = mc.eigenvalues_case_a(1.3, g, depletion, outcome)
+        for k in range(len(g)):
+            single = mc.eigenvalues_case_a(1.3, g[k], depletion[k], outcome)
+            assert (stacked[0][k], stacked[1][k]) == single
+    with pytest.raises(mc.InvalidArgumentError, match="at time index 2$"):
+        mc.eigenvalues_case_a(1.3, g, np.where(np.arange(7) == 2, -0.1, depletion), Out.E)
 
 
 def test_eigenvalues_case_a_matches_numeric(resonant_single_mode):
     params = params_a(math.pi, 1.3 + 0j)
-    ga_0 = math.exp(-2.0 * abs(params.alpha0) ** 2)
     for outcome in OUTCOMES:
         state0 = mc.prepare(params, outcome)
         for t in (0.0, 0.3, 0.9, 1.7):
-            state = mc.evolve(state0, resonant_single_mode, t)
-            ga_t = gamma_a(state)
-            gb_t = abs(gamma_b(state))
-            lam_p, lam_m = mc.eigenvalues_case_a(ga_t, gb_t, ga_0, outcome)
-            numeric = mc.eigenvalues(mc.reduce(state)).eigenvalues
+            state = evolve(state0, resonant_single_mode, t)
+            (g,), (f,) = flow(resonant_single_mode, [t])
+            lam_p, lam_m = mc.eigenvalues_case_a(params.alpha0, g, np.sum(np.abs(f) ** 2), outcome)
+            numeric = mc.eigenvalues(reduce(state)).eigenvalues
             assert sorted((lam_p, lam_m), reverse=True) == pytest.approx(
                 list(numeric[:2]), abs=1e-9
             )
@@ -258,10 +283,9 @@ def test_eta_spectral_matches_damping_factor_in_small_overlap():
     # coherence damping factor exp(-2|alpha0|^2 (1 - e^{-gamma t}))
     a2, gt = 3.3, 0.1
     gb = math.exp(-2.0 * a2 * (1.0 - math.exp(-gt)))
-    ga_t = math.exp(-2.0 * a2 * math.exp(-gt))
-    ga_0 = math.exp(-2.0 * a2)
-    lam_e = mc.eigenvalues_case_a(ga_t, gb, ga_0, Out.E)[1]
-    lam_g = mc.eigenvalues_case_a(ga_t, gb, ga_0, Out.G)[1]
+    response = (math.exp(-0.5 * gt), 1.0 - math.exp(-gt))
+    lam_e = mc.eigenvalues_case_a(math.sqrt(a2), *response, Out.E)[1]
+    lam_g = mc.eigenvalues_case_a(math.sqrt(a2), *response, Out.G)[1]
     eta = lam_e - lam_g
     assert eta == pytest.approx(0.5336, abs=1e-4)
     assert eta == pytest.approx(gb, abs=1e-4)
@@ -271,8 +295,8 @@ def test_measurement_diagonal_in_eigenbasis_case_a(resonant_single_mode):
     # at phi = pi the parity-type product takes values exactly 0 and 1 on
     # the even/odd eigenvectors
     params = params_a(math.pi, 1.1 + 0j)
-    state = mc.evolve(mc.prepare(params, Out.E), resonant_single_mode, 0.6)
-    spec = mc.eigenvalues(mc.reduce(state))
+    state = evolve(mc.prepare(params, Out.E), resonant_single_mode, 0.6)
+    spec = mc.eigenvalues(reduce(state))
     mp_e = mc.measurement_product(params, Out.E)
     values = sorted(
         phase_op_matrix_element(mp_e, spec.labels, c, c).real for c in spec.eigenvectors
@@ -283,14 +307,15 @@ def test_measurement_diagonal_in_eigenbasis_case_a(resonant_single_mode):
 
 def test_p_ee_equals_lam_e_minus(resonant_single_mode):
     params = params_a(math.pi, 1.2 + 0j)
-    ga_0 = math.exp(-2.0 * abs(params.alpha0) ** 2)
     st_e = mc.prepare(params, Out.E)
     st_g = mc.prepare(params, Out.G)
     for t in (0.0, 0.4, 1.1):
-        se, sg = mc.evolve(st_e, resonant_single_mode, t), mc.evolve(st_g, resonant_single_mode, t)
-        rec = mc.conditional_probabilities(mc.reduce(se), mc.reduce(sg), params)
-        lam_e = mc.eigenvalues_case_a(gamma_a(se), abs(gamma_b(se)), ga_0, Out.E)[1]
-        lam_g = mc.eigenvalues_case_a(gamma_a(sg), abs(gamma_b(sg)), ga_0, Out.G)[1]
+        se, sg = evolve(st_e, resonant_single_mode, t), evolve(st_g, resonant_single_mode, t)
+        rec = mc.conditional_probabilities(reduce(se), reduce(sg), params)
+        (g,), (f,) = flow(resonant_single_mode, [t])
+        response = (g, np.sum(np.abs(f) ** 2))
+        lam_e = mc.eigenvalues_case_a(params.alpha0, *response, Out.E)[1]
+        lam_g = mc.eigenvalues_case_a(params.alpha0, *response, Out.G)[1]
         assert rec.p_ee == pytest.approx(lam_e, abs=1e-9)
         assert rec.p_ge == pytest.approx(lam_g, abs=1e-9)
         assert rec.eta == pytest.approx(lam_e - lam_g, abs=1e-9)
@@ -333,11 +358,11 @@ def test_small_overlap_matches_exact_engine(flat_band_201):
     st_g = mc.prepare(params, Out.G)
     checked = 0
     for t in np.linspace(0.0, 0.25, 6):
-        se = mc.evolve(st_e, flat_band_201, t)
-        sg = mc.evolve(st_g, flat_band_201, t)
-        if abs(mc.overlap(se.branches[0].field, se.branches[1].field)) >= 1e-3:
+        se = evolve(st_e, flat_band_201, t)
+        sg = evolve(st_g, flat_band_201, t)
+        if abs(mc.overlap(se[0][1], se[1][1])) >= 1e-3:
             continue
-        rec = mc.conditional_probabilities(mc.reduce(se), mc.reduce(sg), params)
+        rec = mc.conditional_probabilities(reduce(se), reduce(sg), params)
         eta_approx, _, _ = mc.small_overlap_case_b(excitation_sum(se), phi)
         assert rec.eta == pytest.approx(eta_approx, abs=5e-3)
         checked += 1

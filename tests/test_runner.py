@@ -13,7 +13,15 @@ from mesocat import DetectionOutcome as Out
 from mesocat import bath as bathmod
 from mesocat import cli, config, fock, runner
 from mesocat.config import parse_scenario
-from reference import gamma_a, gamma_b, mean_photon, occupations, phase_op_matrix_element
+from reference import (
+    evolve,
+    gamma_a,
+    gamma_b,
+    mean_photon,
+    occupations,
+    phase_op_matrix_element,
+    reduce,
+)
 
 
 def as_rows(table):
@@ -46,7 +54,7 @@ def test_microscopic_rows_match_per_mode_reference(tmp_path, flat_band_201, case
     params = runner.scenario_params(cfg)
     state_e = mc.prepare(params, Out.E)
     for row in as_rows(runner.run_scenario(cfg)):
-        evolved = mc.evolve(state_e, flat_band_201, row.t)
+        evolved = evolve(state_e, flat_band_201, row.t)
         g_b = gamma_b(evolved)
         n_field, n_bath = occupations(evolved)
         assert abs(row.gamma_a - gamma_a(evolved)) < 1e-13
@@ -54,7 +62,7 @@ def test_microscopic_rows_match_per_mode_reference(tmp_path, flat_band_201, case
         assert abs(row.gamma_b_arg - math.atan2(g_b.imag, g_b.real)) < 1e-13
         assert abs(row.n_field - n_field) < 1e-13
         assert abs(row.n_bath - n_bath) < 1e-13
-        assert abs(row.purity_e - mc.purity(mc.reduce(evolved))) < 1e-13
+        assert abs(row.purity_e - mc.purity(reduce(evolved))) < 1e-13
 
 
 def test_master_rows_match_me_reduce(tmp_path):
@@ -62,7 +70,7 @@ def test_master_rows_match_me_reduce(tmp_path):
     params = runner.scenario_params(cfg)
     state_e = mc.prepare(params, Out.E)
     mp = mc.MasterParams(1.0)
-    n_field_0 = mean_photon(mc.reduce(state_e))
+    n_field_0 = mean_photon(mc.damped_density(state_e, 1.0, 0.0))
     for row in as_rows(runner.run_scenario(cfg)):
         rho_e = mc.damped_density(state_e, *mc.me_response(mp, row.t))
         rho_g = mc.damped_density(mc.prepare(params, Out.G), *mc.me_response(mp, row.t))
@@ -95,9 +103,8 @@ def test_fock_labels_eigenvalues_by_parity_at_time_zero(tmp_path, alpha0):
     # plus/minus labels must not depend on eigh's choice inside that zero space
     cfg = parse_scenario(scenario(tmp_path, "fock", alpha0, t_max=0.001, points=2))
     row = as_rows(runner.run_scenario(cfg))[0]
-    ga0 = math.exp(-2.0 * alpha0**2)
-    lam_e = mc.eigenvalues_case_a(ga0, 1.0, ga0, Out.E)
-    lam_g = mc.eigenvalues_case_a(ga0, 1.0, ga0, Out.G)
+    lam_e = mc.eigenvalues_case_a(alpha0, 1.0, 0.0, Out.E)
+    lam_g = mc.eigenvalues_case_a(alpha0, 1.0, 0.0, Out.G)
     assert (row.lam_e_plus, row.lam_e_minus) == pytest.approx(lam_e, abs=1e-10)
     assert (row.lam_g_plus, row.lam_g_minus) == pytest.approx(lam_g, abs=1e-10)
 
@@ -153,7 +160,7 @@ def test_fock_probabilities_are_checked_before_clamping(tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("case, phi", [("a", math.pi), ("b", math.pi / 4)])
 def test_stacked_rows_match_per_time_reference(tmp_path, case, phi):
-    # every column against reduce(evolve(...)) at each time on a 21-mode band;
+    # every column against the per-mode reduce(evolve(...)) at each time on a 21-mode band;
     # lam_plus of antipodal labels is the eigenvalue of the even-parity eigenvector
     raw = scenario(tmp_path, "microscopic", 1.5, case, phi)
     raw["bath"] = {"modes": 21, "half_bandwidth": 10.0, "gamma": 1.0}
@@ -173,8 +180,8 @@ def test_stacked_rows_match_per_time_reference(tmp_path, case, phi):
         return tuple(spec.eigenvalues)
 
     for row, t in zip(rows, times):
-        evolved = [mc.evolve(s, band, t) for s in states]
-        rho_e, rho_g = (mc.reduce(e) for e in evolved)
+        evolved = [evolve(s, band, t) for s in states]
+        rho_e, rho_g = (reduce(e) for e in evolved)
         rec = mc.conditional_probabilities(rho_e, rho_g, params)
         g_b = gamma_b(evolved[0])
         expected = dict(
@@ -280,7 +287,8 @@ def fock_rows_per_time(cfg):
     n_field_0 = fock.fock_mean_photon(rho0[0])
     blocks_used, columns = [], []
     for t in runner.time_grid(cfg):
-        rho = [fock.damp(r, *mc.me_response(mc.MasterParams(1.0), t)) for r in rho0]
+        response = mc.me_response(mc.MasterParams(1.0), t)
+        rho = [fock.FockDensity(n_max, fock.damp(r.matrix, *response)) for r in rho0]
         p = [fock.fock_measure(op, r) for r in rho for op in ops]
         labels = np.array([br.field * math.exp(-t / 2) for br in states[0].branches])
         vecs = [fock.coherent_to_fock(label, n_max).amplitudes for label in labels]
