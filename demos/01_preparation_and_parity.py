@@ -9,6 +9,8 @@ before any decoherence happens.
 
 import math
 
+import numpy as np
+
 import mesocat as mc
 from mesocat import DetectionOutcome as Out
 from mesocat import ProtocolCase as Case
@@ -32,18 +34,17 @@ print("odd/even combinations of |alpha> and |-alpha>.")
 
 print()
 print("== What the second atom measures ==")
-mp_e = mc.measurement_product(params, Out.E)
+weights, phases = mc.measurement_product(params, Out.E)  # U+U = sum_m w_m exp(i phase_m n)
 print("detection operator for outcome e, evaluated on number states:")
 for n in range(6):
-    print(f"    <n={n}| U+U |n={n}> = {mp_e.value_at(n).real:.3f}")
+    print(f"    <n={n}| U+U |n={n}> = {np.sum(weights * np.exp(1j * phases * n)).real:.3f}")
 print("at phi = pi this is the odd-photon-number projector.")
 
 print()
 print("== Perfect correlation at t = 0 ==")
 # the field densities before any damping: response g = 1, depletion B = 0
-rho_e = mc.damped_density(mc.prepare(params, Out.E), 1.0, 0.0)
-rho_g = mc.damped_density(mc.prepare(params, Out.G), 1.0, 0.0)
-rec = mc.conditional_probabilities(rho_e, rho_g, params)
+rho = mc.damped_density([mc.prepare(params, Out.E), mc.prepare(params, Out.G)], 1.0, 0.0)
+rec = mc.conditional_probabilities(rho, params)
 print(f"P_ee = {rec.p_ee:.6f}   P_eg = {rec.p_eg:.6f}")
 print(f"P_ge = {rec.p_ge:.6f}   P_gg = {rec.p_gg:.6f}")
 print(f"correlation signal eta = P_ee - P_ge = {rec.eta:.6f}")

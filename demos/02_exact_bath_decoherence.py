@@ -29,12 +29,12 @@ state_g = mc.prepare(params, Out.G)
 
 times = np.linspace(0.0, 2.0, 11)
 g, depletion = mc.response(bath, times)
-rho_e, rho_g = (mc.damped_density(state, g, depletion) for state in (state_e, state_g))
-rec = mc.conditional_probabilities(rho_e, rho_g, params)
+rho = mc.damped_density([state_e, state_g], g, depletion)  # axes (time, outcome)
+rec = mc.conditional_probabilities(rho, params)
 gamma_b = np.exp(-2.0 * alpha0**2 * depletion)  # |<-alpha f|alpha f>| over the modes
 lam_p, lam_m = mc.eigenvalues_case_a(alpha0, g, depletion, Out.E)
 n_f, n_b = mc.damped_occupations(state_e, g, depletion)
-defect = mc.idempotency_defect(rho_e)
+defect = mc.idempotency_defect(rho)[:, 0]
 
 print()
 print("     t/tc   |g(t)|^2     Gamma_b      eta    lam_e(+)  lam_e(-)   defect_e   n_field+n_bath")

@@ -38,11 +38,7 @@ ts = np.linspace(0.0, 0.5, 11)
 etas = []
 print("     t/tc      eta      exp(-2|a|^2(1-e^-t))")
 for t in ts:
-    rec = mc.conditional_probabilities(
-        mc.damped_density(st_e, *mc.me_response(mp, t)),
-        mc.damped_density(st_g, *mc.me_response(mp, t)),
-        params,
-    )
+    rec = mc.conditional_probabilities(mc.damped_density([st_e, st_g], *mc.me_response(mp, t)), params)
     closed = math.exp(-2.0 * alpha2 * (1.0 - math.exp(-t)))
     etas.append(rec.eta)
     print(f"    {t:5.2f}   {rec.eta:8.5f}        {closed:8.5f}")
@@ -50,11 +46,7 @@ for t in ts:
 fit_ts = np.linspace(1e-3, 0.02, 10)
 fit_etas = []
 for t in fit_ts:
-    rec = mc.conditional_probabilities(
-        mc.damped_density(st_e, *mc.me_response(mp, t)),
-        mc.damped_density(st_g, *mc.me_response(mp, t)),
-        params,
-    )
+    rec = mc.conditional_probabilities(mc.damped_density([st_e, st_g], *mc.me_response(mp, t)), params)
     fit_etas.append(rec.eta)
 slope = np.polyfit(fit_ts, np.log(fit_etas), 1)[0]
 print()

@@ -41,8 +41,7 @@ worst = (0.0, 0.0)
 times = np.linspace(0.1, 2.0, 11)
 etas = []
 for response in (mc.response(bath, times), mc.me_response(mp, times)):
-    rho_e, rho_g = (mc.damped_density(state, *response) for state in (st_e, st_g))
-    etas.append(mc.conditional_probabilities(rho_e, rho_g, params).eta)
+    etas.append(mc.conditional_probabilities(mc.damped_density([st_e, st_g], *response), params).eta)
 for t, eta_micro, eta_me in zip(times, *etas):
     gap = abs(eta_micro - eta_me)
     if gap > worst[1]:

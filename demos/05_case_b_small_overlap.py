@@ -34,12 +34,12 @@ print()
 print("     t/tc   branch overlap   eta (exact)   eta (closed form)   theta")
 times = np.linspace(0.0, 0.25, 11)
 g, depletion = mc.response(bath, times)
-rho_e, rho_g = (mc.damped_density(state, g, depletion) for state in (st_e, st_g))
-eta = mc.conditional_probabilities(rho_e, rho_g, params).eta
+rho = mc.damped_density([st_e, st_g], g, depletion)  # axes (time, outcome)
+eta = mc.conditional_probabilities(rho, params).eta
 for i, t in enumerate(times):
     excitation = alpha0**2 * depletion[i]  # sum_k |beta_k(t)|^2 = |alpha0|^2 B(t)
     eta_approx, gb_mag, theta = mc.small_overlap_case_b(excitation, phi)
-    ov = abs(mc.overlap(*rho_e.labels[i]))
+    ov = abs(mc.overlap(*rho.labels[i, 0]))
     print(f"    {t:5.3f}     {ov:9.2e}      {eta[i]:+9.6f}      {eta_approx:+9.6f}      {theta:6.3f}")
 
 print()
@@ -49,9 +49,9 @@ print("the coherence dies: dephasing and decoherence compete in case B.")
 print()
 print("== phi = pi/2 is special ==")
 params_half = mc.ProtocolParams(Case.CASE_B, 1.5 + 0j, math.pi / 2)
-mp_e = mc.measurement_product(params_half, Out.E)
+mp_e = mc.measurement_product(params_half, Out.E)  # (weights, phases)
 print("measurement operator values on number states:",
-      [round(mp_e.value_at(n).real, 6) for n in range(4)])
+      [round(float(np.sum(mp_e[0] * np.exp(1j * mp_e[1] * n)).real), 6) for n in range(4)])
 st_half = mc.prepare(params_half, Out.E)
 rho = mc.damped_density(st_half, *mc.response(bath, [0.8]))
 print(f"P_ee at any time: {mc.expectation(mp_e, rho)[0].real:.12f}")

@@ -13,7 +13,7 @@ measures the eigenvalues of the field's reduced density.
 Modules
 -------
 coherent   exact coherent-state algebra: overlaps, the field density damped
-           at (g, B), spectra, purity, phase-diagonal operators
+           at (g, B), spectra, purity, (weights, phases) operators
 protocol   Ramsey/dispersive measurement operators, state preparation,
            conditional probabilities, closed-form eigenvalues
 bath       discretized bath, its exact response (g, B) from its secular spectrum
@@ -28,7 +28,6 @@ from .bath import BathSpec, discretize_flat_band, response
 from .coherent import (
     Branch,
     FieldBathSuperposition,
-    PhaseOpSum,
     ReducedDensity,
     Spectrum,
     damped_density,

@@ -33,7 +33,8 @@ from .errors import AuditError, InvalidArgumentError
 
 #: Fraction of the recurrence time beyond which results stop mimicking a continuum.
 RECURRENCE_FRACTION = 0.5
-#: roots solved and summed at a time; bounds memory to O(modes * ROOT_BLOCK)
+#: roots summed at a time, and solved at a time in bands whose roots do not all fit in the
+#: solver buffers of ROOT_BLOCK roots at 2001 modes; bounds memory to O(modes * ROOT_BLOCK)
 ROOT_BLOCK = 128
 #: sweeps after which a root that meets neither stopping rule is an AuditError
 MAX_SWEEPS = 100
@@ -96,7 +97,8 @@ class BathSpec:
         """
         w, mode = np.unique(self.detunings, return_inverse=True)
         c2 = np.bincount(mode, weights=self.couplings**2)
-        blocks = np.split(np.arange(w.size + 1), range(ROOT_BLOCK, w.size + 1, ROOT_BLOCK))
+        block = w.size + 1 if (w.size + 1) * w.size <= ROOT_BLOCK * 2001 else ROOT_BLOCK
+        blocks = np.split(np.arange(w.size + 1), range(block, w.size + 1, block))
         solved = zip(*(_solve_block(w, c2, j) for j in blocks))
         origin, tau, residue, slack = map(np.concatenate, solved)
         lam, size = w[origin] + tau, np.abs(w[origin]) + np.abs(tau)
@@ -195,7 +197,7 @@ def response(spec: BathSpec, times) -> tuple[np.ndarray, np.ndarray]:
     """Field response g(t) and bath depletion B(t) = sum_k |f_k(t)|^2 over a time grid.
 
     With h = sum_j r_j expm1(-i lam_j t) = sum_j r_j (-2 sin^2(lam_j t/2) - i sin(lam_j t)),
-    g = 1 + h and B = 1 - |g|^2 = -2 Re h - |h|^2, exact at t = 0 and without
+    g = 1 + h and B = 1 - |g|^2 = -2 Re h - |h|^2, exact at t = 0 (B = +0) and without
     cancellation at short times; O(modes * times) work, and no BLAS call.
     """
     times = np.asarray(times, dtype=float)
@@ -206,5 +208,5 @@ def response(spec: BathSpec, times) -> tuple[np.ndarray, np.ndarray]:
     for i in range(0, lam.size, ROOT_BLOCK):
         phase, r = np.multiply.outer(lam[i:i + ROOT_BLOCK], times), residue[i:i + ROOT_BLOCK]
         h -= np.einsum("j,jt->t", r, 2.0 * np.sin(0.5 * phase) ** 2 + 1j * np.sin(phase))
-    return 1.0 + h, -2.0 * h.real - (h.real**2 + h.imag**2)
+    return 1.0 + h, -2.0 * h.real - (h.real**2 + h.imag**2) + 0.0  # + 0.0: no -0 at h = 0
 

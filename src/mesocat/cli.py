@@ -98,19 +98,22 @@ def _read_back(cfg_output, fieldnames) -> dict:
         raise AuditError(f"self-audit: line {i + 2} has {n} cells, not {width}: {where}")
     if not lines:
         return {}
-    cells = ",".join(lines).split(",")
-    for j in range(width):
-        if set(cells[j::width]) <= {"true", "false"}:
-            cells[j::width] = map({"true": "1", "false": "0"}.get, cells[j::width])
+    flags = [j for j, cell in enumerate(lines[0].split(",")) if cell in ("true", "false")]
     try:
-        values = np.array(list(map(float, cells))).reshape(len(lines), width)
-    except ValueError:
-        for k, cell in enumerate(cells):  # find the cell that failed
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                            converters=dict.fromkeys(flags, {"true": 1.0, "false": 0.0}.__getitem__))
+    except ValueError:  # numpy's C reader takes a subset of what float() reads: read cell by cell
+        cells = ",".join(lines).split(",")
+        for j in range(width):  # a column of true/false cells only
+            if set(cells[j::width]) <= {"true", "false"}:
+                cells[j::width] = map({"true": "1", "false": "0"}.get, cells[j::width])
+        for k, cell in enumerate(cells):  # find the cell that fails
             try:
                 float(cell)
             except ValueError:
                 at = f"line {k // width + 2}, column {fieldnames[k % width]}"
                 raise AuditError(f"self-audit: {at}: not a number: {cell!r}") from None
+        values = np.array(list(map(float, cells))).reshape(len(lines), width)
     return dict(zip(fieldnames, values.T))
 
 

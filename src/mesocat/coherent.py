@@ -20,9 +20,11 @@ whose Gram entries and determinant are expm1 forms too: no Gram matrix is
 inverted or diagonalised, no label merged and no trace rescaled.
 
 A density may also be a stack, with labels (..., n) and exponents
-(..., n, n), e.g. one per grid time: every function maps over the leading
-axes with the code that serves a single density, and a failed check names
-the first offending index.
+(..., n, n): every function maps over the leading axes with the code that
+serves a single density.  The run path's stack has the axes (time, protocol,
+first-atom outcome), and a failed check names the first offending time
+index, reducing over the trailing ``batch`` axes.  A phase-diagonal operator
+sum_m w_m exp(i phase_m a^dag a) is the array pair (weights, phases), (..., m).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,8 +49,6 @@ from .errors import (
 EIGENVALUE_TOL = 1e-10
 #: Squared norms at or below this count as the zero state.
 NORM_FLOOR = 1e-14
-
-_TWO_PI = 2.0 * math.pi
 
 
 def _as_finite_complex(z, name: str) -> complex:
@@ -71,18 +72,32 @@ def _exponent(bra: complex, ket: complex) -> complex:
     return -0.5 * _abs2(bra - ket) + 1j * (bra.real * ket.imag - bra.imag * ket.real)
 
 
-def _quadratic_form(a, b, expo):
-    """sum_ij a_i conj(b_j) exp(expo_ij) on leading axes: (sum a)(sum conj b) + an expm1 part."""
+def _product(x, y) -> np.ndarray:
+    """x * y rounded product by product, as for complex scalars (numpy's array multiply fuses
+    multiply-adds): the pair form's bits then do not depend on how densities are stacked."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _quadratic_form(a, b, em1, product=operator.mul):
+    """sum_ij a_i conj(b_j) exp(expo_ij) on leading axes: (sum a)(sum conj b) + an em1 part.
+
+    em1 = expm1(expo), computed once by callers that form several sums over it.
+    """
     b = np.conj(b)
-    return a.sum(axis=-1) * b.sum(axis=-1) + np.einsum("...i,...j,...ij", a, b, np.expm1(expo))
+    return product(a.sum(axis=-1), b.sum(axis=-1)) + np.einsum("...i,...j,...ij", a, b, em1)
 
 
-def _require(ok, error: type[Exception], message: str, values) -> None:
-    """Raise ``error`` unless ``ok`` holds everywhere, citing ``values`` at the first failure."""
+def _require(ok, error: type[Exception], message: str, values, batch: int = 0) -> None:
+    """Raise ``error`` unless ``ok`` holds everywhere, citing ``values`` at the first failure,
+    which is named by its index over all but the last ``batch`` axes of ``ok``."""
     ok = np.asarray(ok)
     if not ok.all():
         first = np.unravel_index(np.argmin(ok), ok.shape)
-        where = f" at time index {', '.join(map(str, first))}" if first else ""
+        named = first[:ok.ndim - batch]
+        where = f" at time index {', '.join(map(str, named))}" if named else ""
         raise error(f"{message}: {np.asarray(values)[first].tolist()!r}{where}")
 
 
@@ -98,8 +113,8 @@ def overlap(a: complex, b: complex) -> complex:
 
 
 def _gram_exponents(labels: np.ndarray) -> np.ndarray:
-    """E[p, q] = log <l_p|l_q> for the labels of one mode: Hermitian with a zero diagonal."""
-    return _exponent(labels[:, None], labels[None, :])
+    """E[..., p, q] = log <l_p|l_q> for labels (..., n) of one mode: Hermitian, zero diagonal."""
+    return _exponent(labels[..., :, None], labels[..., None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -133,19 +148,22 @@ class FieldBathSuperposition:
             _as_finite_complex(br.field, "field label")
 
 
-def _weights_labels(state: FieldBathSuperposition, caller: str = "") -> tuple[np.ndarray, ...]:
-    """(weights, field labels) of a state, which must be normalized if a caller is named."""
-    if caller and not state.normalized:
-        raise InvalidArgumentError(f"{caller}() needs a normalized state")
-    brs = state.branches
-    return (np.array([br.weight for br in brs], dtype=complex),
-            np.array([br.field for br in brs], dtype=complex))
+def _weights_labels(state, caller: str = "") -> tuple[np.ndarray, ...]:
+    """(weights, field labels), shape S + (n,), of a state or an S-shaped nested list of states
+    of n branches each, which must be normalized if a caller is named."""
+    states = np.array(state, dtype=object)
+    if caller and not all(s.normalized for s in states.flat):
+        raise InvalidArgumentError(f"{caller}() needs normalized states")
+    if len({len(s.branches) for s in states.flat}) > 1:
+        raise InvalidArgumentError("stacked states need equal branch counts")
+    pairs = np.array([[(b.weight, b.field) for b in s.branches] for s in states.flat], complex)
+    return tuple(np.moveaxis(pairs, -1, 0).reshape((2,) + states.shape + (-1,)))
 
 
 def squared_norm(state: FieldBathSuperposition) -> float:
     """<psi|psi>: the quadratic form of the weights over the branch overlap exponents."""
     weights, labels = _weights_labels(state)
-    return _quadratic_form(weights, weights, _gram_exponents(labels).T).real
+    return _quadratic_form(weights, weights, np.expm1(_gram_exponents(labels).T)).real
 
 
 def normalize(state: FieldBathSuperposition) -> FieldBathSuperposition:
@@ -196,16 +214,18 @@ class ReducedDensity:
     ``labels`` has shape (..., n), the leading axes indexing the stack (e.g. a
     time grid); ``weights`` (the w_i) broadcast against it.  ``expo`` is K,
     shape (..., n, n), Hermitian with a zero diagonal (K_ij = -inf: no
-    coherence left between branches i and j).
+    coherence left between branches i and j).  A failed check does not name
+    the last ``batch`` stack axes (e.g. protocol and outcome).
     """
 
     labels: np.ndarray
     weights: np.ndarray
     expo: np.ndarray
+    batch: int = 0
 
     def __post_init__(self):
         labels, weights, expo = (
-            np.array(x, dtype=complex) for x in (self.labels, self.weights, self.expo)
+            np.array(x, dtype=complex, order="C") for x in (self.labels, self.weights, self.expo)
         )
         n = labels.shape[-1:]
         if not n or weights.shape[-1:] != n or expo.shape[-2:] != 2 * n:
@@ -213,7 +233,7 @@ class ReducedDensity:
         zero_diagonal = np.all(np.diagonal(expo, axis1=-2, axis2=-1) == 0.0, axis=-1)
         hermitian = np.all(expo == np.conj(np.swapaxes(expo, -1, -2)), axis=(-2, -1))
         _require(zero_diagonal & hermitian, InvalidArgumentError,
-                 "coherence exponent must be Hermitian with a zero diagonal", expo)
+                 "coherence exponent must be Hermitian with a zero diagonal", expo, self.batch)
         for name, value in (("labels", labels), ("weights", weights), ("expo", expo)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -226,7 +246,7 @@ class ReducedDensity:
 
     def trace(self):
         """Tr rho = sum_ij w_i conj(w_j) exp(K_ij) <l_j|l_i>."""
-        return expectation(PhaseOpSum.identity(), self).real
+        return expectation((np.ones(1, dtype=complex), np.zeros(1)), self).real
 
     @functools.cached_property
     def _pair(self) -> _PairForm:
@@ -234,15 +254,16 @@ class ReducedDensity:
         if n > 2:
             raise UnsupportedInputError(f"spectra need one or two labels, got {n}")
         # one label l is read as the pair (l, l) with the second weight zero
-        pair, w = [0, -1], self.weights
+        pair, w = slice(None) if n == 2 else [0, 0], self.weights
         labels, expo = self.labels[..., pair], self.expo[..., pair, :][..., pair]
         (l1, l2), k12 = np.moveaxis(labels, -1, 0), expo[..., 0, 1]
         w1, w2 = np.moveaxis(np.concatenate([w, np.zeros_like(w)], axis=-1)[..., :2], -1, 0)
         # rho = sum N_xy |x><y| over |s> = |l1> + |l2>, |d> = |l1> - |l2>
         plus, minus = np.stack([w1, w2], axis=-1), np.stack([w1, -w2], axis=-1)
-        n_ss = 0.25 * _quadratic_form(plus, plus, expo).real
-        n_dd = 0.25 * _quadratic_form(minus, minus, expo).real
-        n_sd = 0.25 * _quadratic_form(plus, minus, expo)
+        em1 = np.expm1(expo)
+        n_ss = 0.25 * _quadratic_form(plus, plus, em1, _product).real
+        n_dd = 0.25 * _quadratic_form(minus, minus, em1, _product).real
+        n_sd = 0.25 * _quadratic_form(plus, minus, em1, _product)
         # their Gram matrix: <s|s> = 4 + 2 Re eps, <d|s> = 2i Im eps with eps = <l1|l2> - 1,
         # determinant det_s = 4 (1 - |<l1|l2>|^2) = -4 expm1(-|l1 - l2|^2)
         eps, gap = np.expm1(_exponent(l1, l2)), np.expm1(-_abs2(l1 - l2))
@@ -253,16 +274,8 @@ class ReducedDensity:
         # det(M) = -|w1 w2|^2 expm1(2 Re K12)
         a = g_ss * n_ss + 2.0 * (n_sd * g_ds).real + _abs2(g_ds) / g_ss * n_dd
         b = l22 * (l11 * n_sd + np.conj(l21) * n_dd)
-        det = _abs2(w1 * w2) * gap * np.expm1(2.0 * k12.real)
+        det = _abs2(_product(w1, w2)) * gap * np.expm1(2.0 * k12.real)
         return _PairForm(a, b, det_s / g_ss * n_dd, det, labels, (l11, l21, l22))
-
-
-def _checked_trace(rho: ReducedDensity) -> ReducedDensity:
-    """rho itself once its trace is 1 to roundoff at every stack index; it is never rescaled."""
-    tr = rho.trace()
-    _require(np.abs(tr - 1.0) <= EIGENVALUE_TOL, PositivityError,
-             "reduced density trace differs from 1 beyond roundoff", tr)
-    return rho
 
 
 def damped_density(state: FieldBathSuperposition, g, depletion) -> ReducedDensity:
@@ -276,13 +289,18 @@ def damped_density(state: FieldBathSuperposition, g, depletion) -> ReducedDensit
 
         K_ij = B log <a_j|a_i> = (conj(a_j) a_i - (|a_i|^2 + |a_j|^2)/2) B,
 
-    the log of the environment overlap prod_k <a_j f_k|a_i f_k>; the trace is
-    checked.  Arrays of g and B (one shape) give the stack of densities over them.
+    the log of the environment overlap prod_k <a_j f_k|a_i f_k>; the trace must be 1 to
+    roundoff (it is never rescaled).  Arrays of g and B (one shape) give the stack over them;
+    an S-shaped nested list of states adds the axes S after theirs (the ``batch`` axes).
     """
     weights, labels = _weights_labels(state, "damped_density")
     g, depletion = np.asarray(g, dtype=complex), np.asarray(depletion, dtype=float)
-    expo = depletion[..., None, None] * _gram_exponents(labels).T
-    return _checked_trace(ReducedDensity(np.multiply.outer(g, labels), weights, expo))
+    expo = np.multiply.outer(depletion, np.swapaxes(_gram_exponents(labels), -1, -2))
+    rho = ReducedDensity(np.multiply.outer(g, labels), weights, expo, weights.ndim - 1)
+    tr = rho.trace()
+    _require(np.abs(tr - 1.0) <= EIGENVALUE_TOL, PositivityError,
+             "reduced density trace differs from 1 beyond roundoff", tr, rho.batch)
+    return rho
 
 
 def damped_occupations(state: FieldBathSuperposition, g, depletion) -> tuple[np.ndarray, ...]:
@@ -290,16 +308,18 @@ def damped_occupations(state: FieldBathSuperposition, g, depletion) -> tuple[np.
 
     With s = |g|^2 + B (1 for a unitary flow) and
     Q = sum_pq conj(w_p a_p) w_q a_q <a_p|a_q>^s, the field holds |g|^2 Q and
-    the environment B Q: the closed form of the per-mode occupations.
+    the environment B Q: the per-mode occupations in closed form; states stack as in
+    :func:`damped_density`.
     """
     weights, labels = _weights_labels(state, "damped_occupations")
     g = np.asarray(g, dtype=complex)
     depletion = np.asarray(depletion, dtype=float)
     g2 = g.real**2 + g.imag**2
     wa = weights * labels
-    scaled = np.exp(_gram_exponents(labels) * (g2 + depletion)[..., None, None])
-    q = np.einsum("pq,...pq->...", np.outer(wa.conj(), wa), scaled).real
-    return g2 * q, depletion * q
+    scaled = np.exp(np.multiply.outer(g2 + depletion, _gram_exponents(labels)))
+    q = np.einsum("...pq,...pq->...", wa.conj()[..., :, None] * wa[..., None, :], scaled).real
+    lead = (...,) + (None,) * (wa.ndim - 1)
+    return g2[lead] * q, depletion[lead] * q
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,7 +351,7 @@ def eigenvalues(rho: ReducedDensity) -> Spectrum:
     low = np.minimum(np.divide(m.det, top, out=np.zeros_like(top), where=top != 0.0), top)
     lams = np.stack([top, low], axis=-1)
     _require(np.all((-EIGENVALUE_TOL <= lams) & (lams <= 1.0 + EIGENVALUE_TOL), axis=-1),
-             PositivityError, "eigenvalues outside [0, 1] beyond tolerance", lams)
+             PositivityError, "eigenvalues outside [0, 1] beyond tolerance", lams, rho.batch)
     # eigenvector of the larger eigenvalue from the row that is not near-singular;
     # (1, 0) where the two eigenvalues coincide
     upper = m.a >= m.d
@@ -363,77 +383,16 @@ def idempotency_defect(rho: ReducedDensity):
 # phase-diagonal operators
 
 
-def _wrap_phase(phase: float) -> float:
-    """Phase modulo 2 pi in (-pi, pi]; within 1e-15 of -pi it is taken as +pi."""
-    p = math.remainder(phase, _TWO_PI)
-    if p <= -math.pi + 1e-15:
-        p = min(p + _TWO_PI, math.pi)
-    return p
-
-
-@dataclass(frozen=True)
-class PhaseOpSum:
-    """Finite sum of number-phase exponentials sum_m w_m exp(i phase_m a^dag a).
-
-    Closed under adjoints, sums and products, which covers every
-    measurement operator built from dispersive couplings.  Scalars such as
-    exp(i*phi) are folded into the weights.
-    """
-
-    terms: tuple[tuple[complex, float], ...]
-
-    @classmethod
-    def identity(cls) -> "PhaseOpSum":
-        return cls(((1.0 + 0.0j, 0.0),))
-
-    def adjoint(self) -> "PhaseOpSum":
-        return PhaseOpSum(tuple((w.conjugate(), -p) for w, p in self.terms))
-
-    def __add__(self, other: "PhaseOpSum") -> "PhaseOpSum":
-        return PhaseOpSum(self.terms + other.terms)
-
-    def __mul__(self, other):
-        if isinstance(other, PhaseOpSum):
-            prod = tuple(
-                (w1 * w2, p1 + p2) for w1, p1 in self.terms for w2, p2 in other.terms
-            )
-            return PhaseOpSum(prod)
-        return PhaseOpSum(tuple((w * other, p) for w, p in self.terms))
-
-    __rmul__ = __mul__
-
-    def canonical(self, phase_tol: float = 1e-12) -> "PhaseOpSum":
-        """Wrap phases to (-pi, pi], merge equal phases, drop zero weights."""
-        out: list[list] = []
-        for w, p in self.terms:
-            p = _wrap_phase(p)
-            for item in out:
-                if abs(item[1] - p) < phase_tol:
-                    item[0] += w
-                    break
-            else:
-                out.append([w, p])
-        kept = tuple((w, p) for w, p in out if abs(w) > 1e-15)
-        if not kept:
-            kept = ((0.0 + 0.0j, 0.0),)
-        return PhaseOpSum(tuple(sorted(kept, key=lambda t: t[1])))
-
-    def value_at(self, n: int) -> complex:
-        """Diagonal matrix element on the Fock state |n>."""
-        return sum(w * cmath.exp(1j * p * n) for w, p in self.terms)
-
-
-def _op_form(op: PhaseOpSum, a, b, labels, expo):
-    """sum_m w_m sum_ij a_i conj(b_j) exp(expo_ij) <l_j|l_i e^{i phase_m}> over any leading axes."""
-    w, phase = (np.array(x) for x in zip(*op.terms))
-    ket = labels[..., None, :, None] * np.exp(1j * phase)[:, None, None]  # (..., m, n, 1)
+def _phase_forms(phases, a, b, labels, expo):
+    """sum_ij a_i conj(b_j) exp(expo_ij) <l_j|l_i e^{i phase}>, (..., m), for phases (..., m)
+    whose leading axes broadcast against the stack."""
+    ket = labels[..., None, :, None] * np.exp(1j * phases)[..., :, None, None]  # (..., m, n, 1)
     full = expo[..., None, :, :] + _exponent(labels[..., None, None, :], ket)
-    return (_quadratic_form(a[..., None, :], b[..., None, :], full) * w).sum(axis=-1)
+    return _quadratic_form(a[..., None, :], b[..., None, :], np.expm1(full))
 
 
-def expectation(op: PhaseOpSum, rho: ReducedDensity):
-    """Tr[op rho], exact via exp(i phi a^dag a)|l> = |l e^{i phi}>, over rho's stack axes.
-
-    Each term contributes sum_ij w_i conj(w_j) exp(K_ij) <l_j | l_i e^{i phase}>.
-    """
-    return _op_form(op, rho.weights, rho.weights, rho.labels, rho.expo)
+def expectation(op, rho: ReducedDensity):
+    """Tr[op rho] of op = (weights, phases), exact via exp(i phi a^dag a)|l> = |l e^{i phi}>;
+    the operator's leading axes broadcast against rho's stack axes."""
+    w, phases = op
+    return (_phase_forms(phases, rho.weights, rho.weights, rho.labels, rho.expo) * w).sum(axis=-1)

@@ -90,6 +90,14 @@ def _require_keys(obj: dict, path: str, required: set[str], optional: set[str] =
             raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
 
 
+def _section(raw: dict, key: str, required: set, optional=frozenset(), what="an object") -> dict:
+    """raw[key], which must be an object holding the required keys and no unknown ones."""
+    if not isinstance(raw[key], dict):
+        raise ConfigError(key, f"must be {what}")
+    _require_keys(raw[key], key, required, optional)
+    return raw[key]
+
+
 def _number(obj: dict, path: str, key: str, *, positive=False, nonzero=False) -> float:
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
@@ -145,10 +153,7 @@ def parse_scenario(raw: dict, *, for_compare: bool = False) -> ScenarioConfig:
     if case not in ("a", "b"):
         raise ConfigError("case", "must be 'a' or 'b'")
 
-    alpha0_raw = raw["alpha0"]
-    if not isinstance(alpha0_raw, dict):
-        raise ConfigError("alpha0", "must be an object with re/im")
-    _require_keys(alpha0_raw, "alpha0", {"re", "im"})
+    alpha0_raw = _section(raw, "alpha0", {"re", "im"}, what="an object with re/im")
     alpha0 = complex(_number(alpha0_raw, "alpha0", "re"), _number(alpha0_raw, "alpha0", "im"))
 
     phi = _parse_phi(raw["phi"], "phi")
@@ -175,63 +180,32 @@ def parse_scenario(raw: dict, *, for_compare: bool = False) -> ScenarioConfig:
 
     bath = master = fock_cfg = None
     if "bath" in raw:
-        section = raw["bath"]
-        if not isinstance(section, dict):
-            raise ConfigError("bath", "must be an object")
-        _require_keys(section, "bath", {"modes", "half_bandwidth", "gamma"})
+        section = _section(raw, "bath", {"modes", "half_bandwidth", "gamma"})
         modes = _integer(section, "bath", "modes", minimum=3)
         if modes % 2 == 0:
             raise ConfigError("bath.modes", "must be odd so one mode sits on resonance")
-        bath = BathConfig(
-            modes=modes,
-            half_bandwidth=_number(section, "bath", "half_bandwidth", positive=True),
-            gamma=_number(section, "bath", "gamma", positive=True),
-        )
+        bath = BathConfig(modes, _number(section, "bath", "half_bandwidth", positive=True),
+                          _number(section, "bath", "gamma", positive=True))
     if "master" in raw:
-        section = raw["master"]
-        if not isinstance(section, dict):
-            raise ConfigError("master", "must be an object")
-        _require_keys(section, "master", {"gamma"})
+        section = _section(raw, "master", {"gamma"})
         master = MasterConfig(gamma=_number(section, "master", "gamma", positive=True))
     if "fock" in raw:
-        section = raw["fock"]
-        if not isinstance(section, dict):
-            raise ConfigError("fock", "must be an object")
-        _require_keys(section, "fock", {"n_max"}, optional={"dt"})
+        section = _section(raw, "fock", {"n_max"}, optional={"dt"})
         if "dt" in section:
             _number(section, "fock", "dt", positive=True)  # validated, then ignored
         fock_cfg = FockConfig(n_max=_integer(section, "fock", "n_max", minimum=1))
 
-    time_raw = raw["time"]
-    if not isinstance(time_raw, dict):
-        raise ConfigError("time", "must be an object")
-    _require_keys(time_raw, "time", {"t_max_over_tc", "points"})
-    time_cfg = TimeGridConfig(
-        t_max_over_tc=_number(time_raw, "time", "t_max_over_tc", positive=True),
-        points=_integer(time_raw, "time", "points", minimum=2),
-    )
+    time_raw = _section(raw, "time", {"t_max_over_tc", "points"})
+    time_cfg = TimeGridConfig(_number(time_raw, "time", "t_max_over_tc", positive=True),
+                              _integer(time_raw, "time", "points", minimum=2))
 
-    out_raw = raw["output"]
-    if not isinstance(out_raw, dict):
-        raise ConfigError("output", "must be an object")
-    _require_keys(out_raw, "output", {"format", "path"})
+    out_raw = _section(raw, "output", {"format", "path"})
     if out_raw["format"] not in ("csv", "json"):
         raise ConfigError("output.format", "must be 'csv' or 'json'")
     if not isinstance(out_raw["path"], str) or not out_raw["path"]:
         raise ConfigError("output.path", "must be a non-empty string")
     output = OutputConfig(format=out_raw["format"], path=out_raw["path"])
-
-    return ScenarioConfig(
-        case=case,
-        alpha0=alpha0,
-        phi=phi,
-        engine=engine,
-        time=time_cfg,
-        output=output,
-        bath=bath,
-        master=master,
-        fock=fock_cfg,
-    )
+    return ScenarioConfig(case, alpha0, phi, engine, time_cfg, output, bath, master, fock_cfg)
 
 
 def load_scenario(path: str, *, for_compare: bool = False) -> ScenarioConfig:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import FieldBathSuperposition, PhaseOpSum, _require
+from .coherent import FieldBathSuperposition, _require
 from .errors import InvalidArgumentError, TruncationError
 
 
@@ -120,10 +120,10 @@ def damp(rho, g, depletion):
     return damped
 
 
-def fock_measure(op: PhaseOpSum, rho: FockDensity):
-    """Tr[op rho] using the number-basis diagonal values of the operator, per stack index."""
+def fock_measure(op, rho: FockDensity):
+    """Tr[op rho] of op = (weights, phases) from the number-basis diagonal, per stack index."""
     levels = np.arange(rho.n_max + 1)
-    values = sum(w * np.exp(1j * p * levels) for w, p in op.terms)
+    values = sum(w * np.exp(1j * p * levels) for w, p in zip(*op))
     return np.sum(values * np.diagonal(rho.matrix, axis1=-2, axis2=-1), axis=-1)
 
 

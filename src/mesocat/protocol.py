@@ -21,14 +21,16 @@ projecting on the detected level leaves the reduced field operators
 
 (upper sign: detection in e).  The full Ramsey rotation is never needed on
 its own; everything downstream is built from these two-term phase-operator
-sums.  Conditional probabilities for the second atom are traces of
-U^dag U against the field density conditioned on the first detection, and
-the correlation signal is eta = P_ee - P_ge.
+sums, each the array pair (weights, phases) of ``coherent.expectation``.
+Conditional probabilities for the second atom are traces of U^dag U against
+the field density conditioned on the first detection, and the correlation
+signal is eta = P_ee - P_ge.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -38,10 +40,9 @@ import numpy as np
 from .coherent import (
     Branch,
     FieldBathSuperposition,
-    PhaseOpSum,
     ReducedDensity,
+    _phase_forms,
     _require,
-    expectation,
     normalize,
     squared_norm,
 )
@@ -86,26 +87,31 @@ class ProtocolParams:
             raise InvalidArgumentError("alpha0 must be finite")
 
 
-def reduced_op(params: ProtocolParams, outcome: DetectionOutcome) -> PhaseOpSum:
-    """Reduced field operator applied when the atom is detected in ``outcome``."""
+def reduced_op(params: ProtocolParams, outcome: DetectionOutcome) -> tuple[np.ndarray, ...]:
+    """(weights, phases) of the reduced field operator applied on detection in ``outcome``."""
     s = outcome_sign(outcome)
     phi = params.phi
     if params.case is ProtocolCase.CASE_A:
-        return PhaseOpSum(((0.5 + 0.0j, -phi), (0.5 * s + 0.0j, 0.0)))
+        return np.array([0.5, 0.5 * s], dtype=complex), np.array([-phi, 0.0])
     scalar = 0.5 * cmath.exp(1j * phi)  # the exp(i phi) of exp(i phi (n+1))
-    return PhaseOpSum(((scalar, phi), (0.5 * s + 0.0j, -phi)))
+    return np.array([scalar, 0.5 * s]), np.array([phi, -phi])
 
 
-def measurement_product(params: ProtocolParams, outcome: DetectionOutcome) -> PhaseOpSum:
-    """The positive operator U^dag U whose trace gives detection probabilities.
+def measurement_product(params: ProtocolParams, outcome: DetectionOutcome) -> tuple[np.ndarray, ...]:
+    """(weights, phases) of the operator U^dag U whose trace gives detection probabilities.
 
-    Case A reduces to (1 + s cos(phi n))/2 and case B to
-    (1 + s cos((2n+1) phi))/2 with s = outcome_sign; expanded here into
-    exponential terms through the operator algebra.  A table asks for each
-    operator once per conditioned density, so it is not cached.
+    Case A reduces to (1 + s cos(phi n))/2 and case B to (1 + s cos((2n+1) phi))/2,
+    s = outcome_sign: the products conj(w_i) w_j exp(i (p_j - p_i) n) of U's terms summed
+    by phase in (-pi, pi], equal phases merged (case A at phi = pi keeps two), ascending.
     """
-    u = reduced_op(params, outcome)
-    return (u.adjoint() * u).canonical()
+    w, p = (x.tolist() for x in reduced_op(params, outcome))
+    terms: dict[float, complex] = {}
+    for (wi, pi), (wj, pj) in itertools.product(zip(w, p), repeat=2):
+        phase = math.remainder(pj - pi, 2.0 * math.pi)
+        phase = math.pi if phase == -math.pi else phase
+        terms[phase] = terms[phase] + wi.conjugate() * wj if phase in terms else wi.conjugate() * wj
+    phases = sorted(terms)
+    return np.array([terms[q] for q in phases]), np.array(phases)
 
 
 def preparation_probability(params: ProtocolParams, outcome: DetectionOutcome) -> float:
@@ -113,12 +119,9 @@ def preparation_probability(params: ProtocolParams, outcome: DetectionOutcome) -
     return squared_norm(_unnormalized_prepared(params, outcome))
 
 
-def _unnormalized_prepared(
-    params: ProtocolParams, outcome: DetectionOutcome
-) -> FieldBathSuperposition:
-    branches = tuple(
-        Branch(w, params.alpha0 * cmath.exp(1j * p)) for w, p in reduced_op(params, outcome).terms
-    )
+def _unnormalized_prepared(params, outcome) -> FieldBathSuperposition:
+    weights, phases = (x.tolist() for x in reduced_op(params, outcome))
+    branches = tuple(Branch(w, params.alpha0 * cmath.exp(1j * p)) for w, p in zip(weights, phases))
     return FieldBathSuperposition(branches)
 
 
@@ -141,43 +144,53 @@ class CorrelationRecord:
     stack axes of the densities (e.g. a time grid).  It must be real and in
     [0, 1] to roundoff, and is then stored clamped to [0, 1]; p_ee + p_eg and
     p_ge + p_gg must be 1.  A failed check raises :class:`PositivityError`
-    naming the first offending index.
+    naming the first offending index over all but the last ``batch`` axes.
     """
 
     p_ee: float | np.ndarray
     p_eg: float | np.ndarray
     p_ge: float | np.ndarray
     p_gg: float | np.ndarray
+    batch: int = 0
 
     def __post_init__(self):
         for name in ("p_ee", "p_eg", "p_ge", "p_gg"):
             p = np.asarray(getattr(self, name), dtype=complex)
             _require(np.abs(p.imag) <= _PROBABILITY_TOL, PositivityError,
-                     f"probability {name} has an imaginary part", p.imag)
+                     f"probability {name} has an imaginary part", p.imag, self.batch)
             _require((-_PROBABILITY_TOL <= p.real) & (p.real <= 1.0 + _PROBABILITY_TOL),
-                     PositivityError, f"probability {name} outside [0, 1]", p.real)
+                     PositivityError, f"probability {name} outside [0, 1]", p.real, self.batch)
             object.__setattr__(self, name, np.clip(p.real, 0.0, 1.0))
         for pair in (("p_ee", "p_eg"), ("p_ge", "p_gg")):
             total = getattr(self, pair[0]) + getattr(self, pair[1])
             _require(~(np.abs(total - 1.0) > _PROBABILITY_TOL), PositivityError,
-                     " + ".join(pair) + " != 1 beyond tolerance", total)
+                     " + ".join(pair) + " != 1 beyond tolerance", total, self.batch)
 
     @property
     def eta(self):
         return self.p_ee - self.p_ge
 
 
-def conditional_probabilities(
-    rho_e: ReducedDensity, rho_g: ReducedDensity, params: ProtocolParams
-) -> CorrelationRecord:
-    """Second-atom detection probabilities conditioned on the first outcome.
+def conditional_probabilities(rho: ReducedDensity, params) -> CorrelationRecord:
+    """Second-atom detection probabilities conditioned on the first outcome, in one pass.
 
-    ``rho_e``/``rho_g`` are the trace-normalized field densities at the
-    passage time of the second atom, conditioned on detecting the first
-    atom in e/g; stacks of densities (one per grid time) give arrays.
+    ``rho``: the field densities at the second atom's passage, conditioned on the
+    first atom in e and in g along its last stack axis, e.g.
+    ``damped_density([state_e, state_g], g, B)``; ``params``: one protocol, or a
+    list of them along the axis before it.  Other stack axes (times) give arrays.
     """
-    ops = [measurement_product(params, outcome) for outcome in DetectionOutcome]  # E, G
-    return CorrelationRecord(*(expectation(op, rho) for rho in (rho_e, rho_g) for op in ops))
+    many = not isinstance(params, ProtocolParams)
+    ops = [[measurement_product(p, o) for o in DetectionOutcome]
+           for p in (params if many else [params])]
+    m = max(len(phases) for (_, phases), _ in ops)  # zero weights at phase 0 pad each to one m
+    w, phases = np.zeros((len(ops), 2, m), dtype=complex), np.zeros((len(ops), m))
+    for k, ((w_e, p_e), (w_g, _)) in enumerate(ops):  # both outcomes share their phases
+        w[k, :, :len(p_e)], phases[k, :len(p_e)] = (w_e, w_g), p_e
+    w, phases = (w, phases) if many else (w[0], phases[0])  # (..., second outcome, m), (..., m)
+    forms = _phase_forms(phases[..., None, :], rho.weights, rho.weights, rho.labels, rho.expo)
+    probs = (forms[..., None, :] * w[..., None, :, :]).sum(axis=-1)  # (..., first, second outcome)
+    (p_ee, p_eg), (p_ge, p_gg) = np.moveaxis(probs, (-2, -1), (0, 1))
+    return CorrelationRecord(p_ee, p_eg, p_ge, p_gg, max(rho.batch - 1, 0))
 
 
 def eigenvalues_case_a(alpha0: complex, g, depletion, outcome: DetectionOutcome) -> tuple:

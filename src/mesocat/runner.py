@@ -10,13 +10,13 @@ The environment reaches the prepared field only through the field response
 g(t) and the depletion B(t), which ``_response`` gives over the whole grid
 for every engine: the exact discrete bath from its moment-checked secular
 spectrum (``bath.response``), the master equation, which the Fock engine
-shares, in closed form (``lindblad.me_response``).  The analytic table builder stacks
-both conditioned densities with ``coherent.damped_density``; gamma_a,
-gamma_b and the occupations are closed forms in (g, B); the probabilities,
-spectra and purities go once per stack through the same checked routines as
-any single density.  ``run_compare`` builds one such table over both
-engines' responses stacked along the time axis.  The Fock table damps each
-prepared Fock density in one ``fock.damp`` call.  Nothing iterates over grid times.
+shares, in closed form (``lindblad.me_response``).  An analytic command builds
+all its tables from one density stack with the axes (time, protocol, first-atom
+outcome), the responses (both engines' for ``compare``, one per gamma in a gamma
+sweep) concatenated along time; the probabilities (one expectation pass for all
+four), spectra and purities go once through the checked routines that serve a
+single density.  The Fock table, the oracle, damps each prepared Fock density of
+one protocol in one ``fock.damp`` call.  Nothing iterates over grid times.
 
 Eigenvalue columns: when the two field labels are an antipodal pair (case A
 at phi = pi) lam_plus/lam_minus are assigned by eigenvector parity, i.e. the
@@ -91,13 +91,15 @@ def _table(columns) -> dict[str, np.ndarray]:
     return dict(zip(ROW_FIELDS, map(np.asarray, columns)))
 
 
-def _pair_factors(state, g: np.ndarray, depletion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gamma_a = |<a_2 g|a_1 g>| and gamma_b = exp(z B) over the grid of a two-branch state.
+def _pair_factors(states, g: np.ndarray, depletion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gamma_a = |<a_2 g|a_1 g>| and gamma_b = exp(z B) over (grid, state) of two-branch states.
 
     z = log <a_2|a_1>, the exponent ``coherent.damped_density`` scales by B.
     """
-    z = coherent._exponent(state.branches[1].field, state.branches[0].field)
-    return np.abs(np.exp(z * (g.real**2 + g.imag**2))), np.exp(z * depletion)
+    labels = coherent._weights_labels(states)[1]
+    z = coherent._exponent(labels[..., 1], labels[..., 0])
+    g_a = np.abs(np.exp(np.multiply.outer(g.real**2 + g.imag**2, z)))
+    return g_a, np.exp(np.multiply.outer(depletion, z))
 
 
 def _response(cfg: ScenarioConfig, times_tc: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -112,20 +114,27 @@ def _response(cfg: ScenarioConfig, times_tc: np.ndarray) -> tuple[np.ndarray, ..
     return g, depletion, np.zeros(len(times), dtype=bool)
 
 
-def _analytic_table(params, times_tc, g, depletion, recurrence) -> dict[str, np.ndarray]:
-    """The table at the given times (t_c) from an analytic engine's response, via density stacks."""
-    state_e, state_g = (proto.prepare(params, outcome) for outcome in proto.DetectionOutcome)
-    rho_e, rho_g = (coherent.damped_density(state, g, depletion) for state in (state_e, state_g))
-    rec = proto.conditional_probabilities(rho_e, rho_g, params)
-    return _table((
-        times_tc, *_pair_factors(state_e, g, depletion),
+def _analytic_tables(swept, times_tc, responses) -> list[dict[str, np.ndarray]]:
+    """Tables at the given times (t_c) per protocol, then per response (g, B, recurrence), from
+    one stack (time, protocol, outcome) of the densities at every time of every response."""
+    n, (g, depletion, recurrence) = len(times_tc), map(np.concatenate, zip(*responses))
+    times_tc = np.tile(times_tc, len(responses))
+    states = [[proto.prepare(params, outcome) for outcome in proto.DetectionOutcome]
+              for params in swept]
+    rho = coherent.damped_density(states, g, depletion)
+    rec = proto.conditional_probabilities(rho, swept)
+    lam_plus, lam_minus = _assign_from_spectrum(coherent.eigenvalues(rho))
+    purity, defect = coherent.purity(rho), coherent.idempotency_defect(rho)
+    state_e = [pair[0] for pair in states]
+    columns = np.broadcast_arrays(
+        times_tc[:, None], *_pair_factors(state_e, g, depletion),
         rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta,
-        *_assign_from_spectrum(coherent.eigenvalues(rho_e)),
-        *_assign_from_spectrum(coherent.eigenvalues(rho_g)),
-        coherent.purity(rho_e), coherent.purity(rho_g),
-        coherent.idempotency_defect(rho_e), coherent.idempotency_defect(rho_g),
-        *coherent.damped_occupations(state_e, g, depletion), recurrence,
-    ))
+        lam_plus[..., 0], lam_minus[..., 0], lam_plus[..., 1], lam_minus[..., 1],
+        purity[..., 0], purity[..., 1], defect[..., 0], defect[..., 1],
+        *coherent.damped_occupations(state_e, g, depletion), recurrence[:, None],
+    )
+    return [_table(col[k:k + n, p] for col in columns)
+            for p in range(len(swept)) for k in range(0, len(times_tc), n)]
 
 
 def _fock_assign(matrix: np.ndarray, labels_t) -> tuple[np.ndarray, np.ndarray]:
@@ -193,20 +202,23 @@ def _fock_table(n_max, params, times_tc, g, depletion, recurrence) -> dict[str, 
     ))
 
 
-def _tables(cfg: ScenarioConfig, swept: list[proto.ProtocolParams]) -> list[dict[str, np.ndarray]]:
-    """One column table per protocol, all from the configured engine's one response (g, B)."""
-    if cfg.engine not in ENGINES:
-        raise InvalidArgumentError(f"unknown engine {cfg.engine!r}")
-    grid = time_grid(cfg)
-    response = _response(cfg, grid)
-    if cfg.engine == "fock":
-        return [_fock_table(cfg.fock.n_max, params, grid, *response) for params in swept]
-    return [_analytic_table(params, grid, *response) for params in swept]
+def _tables(cfgs: list[ScenarioConfig], per_response: bool) -> list[dict[str, np.ndarray]]:
+    """One column table per config, with the configured engine: the configs differ in their
+    protocol, or (``per_response``) in their rate gamma, which gives each its own response."""
+    if cfgs[0].engine not in ENGINES:
+        raise InvalidArgumentError(f"unknown engine {cfgs[0].engine!r}")
+    grid = time_grid(cfgs[0])
+    responses = [_response(cfg, grid) for cfg in (cfgs if per_response else cfgs[:1])]
+    swept = [scenario_params(cfg) for cfg in (cfgs[:1] if per_response else cfgs)]
+    if cfgs[0].engine == "fock":
+        return [_fock_table(cfgs[0].fock.n_max, params, grid, *response)
+                for params in swept for response in responses]
+    return _analytic_tables(swept, grid, responses)
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     """Column table of one scenario's full time series with its configured engine."""
-    return _tables(cfg, [scenario_params(cfg)])[0]
+    return _tables([cfg], False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +236,14 @@ def _defect_slope(defect_e: np.ndarray) -> float:
 def run_compare(cfg: ScenarioConfig) -> tuple[dict, dict, dict]:
     """Tables of the microscopic and master engines on one scenario, plus a summary.
 
-    One table is built over both engines' stacked responses at the grid and SLOPE_GRID.
-    The summary holds the largest |eta_micro - eta_master| over the grid and both
-    engines' fitted log-log slopes of defect_e on SLOPE_GRID (quadratic vs linear onset).
+    One stack holds both engines' responses at the grid and SLOPE_GRID.  The summary
+    holds the largest |eta_micro - eta_master| over the grid and both engines'
+    fitted log-log slopes of defect_e on SLOPE_GRID (quadratic vs linear onset).
     """
-    params, n = scenario_params(cfg), cfg.time.points
+    n = cfg.time.points
     times = np.concatenate([time_grid(cfg), SLOPE_GRID])
     both = [_response(replace(cfg, engine=engine), times) for engine in ("microscopic", "master")]
-    table = _analytic_table(params, np.tile(times, 2), *map(np.concatenate, zip(*both)))
-    micro, master = ({k: c.reshape(2, -1)[i] for k, c in table.items()} for i in (0, 1))
+    micro, master = _analytic_tables([scenario_params(cfg)], times, both)
     summary = {
         "max_abs_eta_gap": float(np.max(np.abs(micro["eta"][:n] - master["eta"][:n]))),
         "defect_slope_micro": _defect_slope(micro["defect_e"][n:]),
@@ -247,10 +258,8 @@ def run_compare(cfg: ScenarioConfig) -> tuple[dict, dict, dict]:
 def run_sweep(
     cfg: ScenarioConfig, param: str, values: list[float]
 ) -> list[tuple[float, dict[str, np.ndarray]]]:
-    """One scenario per swept value, ordered by value; a phi or alpha0_re sweep
-    computes the response (g, B) once, for this call only."""
+    """One scenario per swept value, ordered by value, as one table stack; a phi or
+    alpha0_re sweep computes the response (g, B) once, for this call only."""
     ordered = sorted(values)
-    if param == "gamma":
-        return [(v, run_scenario(apply_sweep_value(cfg, param, v))) for v in ordered]
-    swept = [scenario_params(apply_sweep_value(cfg, param, v)) for v in ordered]
-    return list(zip(ordered, _tables(cfg, swept)))
+    cfgs = [apply_sweep_value(cfg, param, v) for v in ordered]
+    return list(zip(ordered, _tables(cfgs, param == "gamma")))

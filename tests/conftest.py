@@ -1,8 +1,16 @@
+import functools
+import operator
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis.internal.conjecture import providers
+from hypothesis.internal.constants_ast import constants_from_module
 
 import mesocat as mc
+import mesocat.cli  # noqa: F401  (with what it imports: every module of src/mesocat but __main__)
+import reference
 
 settings.register_profile(
     "suite",
@@ -13,6 +21,24 @@ settings.register_profile(
     database=None,
 )
 settings.load_profile("suite")
+
+# Hypothesis draws about 5% of its choices from the constants of the local modules
+# loaded so far, and widens that pool whenever more load, so the examples a test drew
+# depended on which test files were selected and in what order.  The pool is fixed to
+# the constants of the library and the test reference, gathered at the first draw
+# into Hypothesis's own (sorted, still empty) pool.
+_POOL_MODULES = sorted(
+    (m for name, m in sys.modules.items() if name.split(".")[0] == "mesocat"), key=lambda m: m.__name__
+) + [reference]
+_EMPTY_POOL = providers._local_constants
+
+
+@functools.cache
+def _fixed_local_constants():
+    return functools.reduce(operator.or_, map(constants_from_module, _POOL_MODULES), _EMPTY_POOL)
+
+
+providers._get_local_constants = _fixed_local_constants
 
 
 @pytest.fixture(scope="session")

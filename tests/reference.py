@@ -9,7 +9,10 @@ no code with the secular spectrum of ``mesocat.bath``.  The diagnostics read
 the occupations, Gamma_a, Gamma_b and the transferred excitation off such
 branches.  :func:`hamiltonian_state` is the brute-force field+bath oracle.
 ``mean_photon`` and ``phase_op_matrix_element`` evaluate a density or a pair of
-coefficient vectors through the same quadratic form as ``coherent.expectation``.
+coefficient vectors through the same quadratic form as ``coherent.expectation``;
+``value_at`` reads an operator (weights, phases) on a number state, and ``joint``
+stacks the densities conditioned on e and on g as ``conditional_probabilities``
+takes them.
 """
 
 import functools
@@ -20,7 +23,7 @@ from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
 import mesocat as mc
-from mesocat.coherent import NORM_FLOOR, PhaseOpSum, ReducedDensity, _op_form
+from mesocat.coherent import NORM_FLOOR, ReducedDensity, _phase_forms
 
 #: eigenvector columns refined at a time; bounds the long-double work arrays
 COLUMN_BLOCK = 256
@@ -184,10 +187,24 @@ def excitation_sum(branches) -> float:
 def mean_photon(rho: ReducedDensity):
     """<a^dag a> of the field density: sum_ij w_i conj(w_j) exp(K_ij) conj(l_j) l_i <l_j|l_i>."""
     wl = rho.weights * rho.labels
-    return _op_form(PhaseOpSum.identity(), wl, wl, rho.labels, rho.expo).real
+    return (_phase_forms(np.zeros(1), wl, wl, rho.labels, rho.expo) * (1.0 + 0j)).sum(axis=-1).real
 
 
-def phase_op_matrix_element(op: PhaseOpSum, labels, bra_coeff, ket_coeff):
-    """<v_bra| op |v_ket> for vectors given as coefficients over coherent labels."""
+def phase_op_matrix_element(op, labels, bra_coeff, ket_coeff):
+    """<v_bra| op |v_ket> of op = (weights, phases) for vectors given as coefficients over labels."""
+    (weights, phases), zero = op, np.zeros(np.shape(labels) + np.shape(labels)[-1:])
     labels, bra, ket = (np.asarray(x, dtype=complex) for x in (labels, bra_coeff, ket_coeff))
-    return _op_form(op, ket, bra, labels, np.zeros(labels.shape + labels.shape[-1:]))
+    return (_phase_forms(phases, ket, bra, labels, zero) * weights).sum(axis=-1)
+
+
+def value_at(op, n: int) -> complex:
+    """<n| op |n> of op = (weights, phases): sum_m w_m exp(i phase_m n)."""
+    weights, phases = op
+    return complex(np.sum(weights * np.exp(1j * phases * n)))
+
+
+def joint(rho_e: ReducedDensity, rho_g: ReducedDensity) -> ReducedDensity:
+    """The densities conditioned on e and on g as one stack, the outcome axis last."""
+    fields = [np.stack(np.broadcast_arrays(getattr(rho_e, name), getattr(rho_g, name)), axis=axis)
+              for name, axis in (("labels", -2), ("weights", -2), ("expo", -3))]
+    return ReducedDensity(*fields, batch=1)

@@ -32,6 +32,7 @@ from reference import (
     gamma_a,
     gamma_b,
     hamiltonian_state,
+    joint,
     phase_op_matrix_element,
     reduce,
 )
@@ -136,7 +137,7 @@ def test_criterion_4_measurement_identities(flat_band_201):
         for t in np.linspace(0.0, 2.5, 11):
             se, sg = evolve(st_e, flat_band_201, t), evolve(st_g, flat_band_201, t)
             rho_e, rho_g = reduce(se), reduce(sg)
-            rec = mc.conditional_probabilities(rho_e, rho_g, params)
+            rec = mc.conditional_probabilities(joint(rho_e, rho_g), params)
             (g,), (f,) = flow(flat_band_201, [t])
             response = (g, np.sum(np.abs(f) ** 2))
             lam_e = mc.eigenvalues_case_a(alpha0, *response, Out.E)[1]
@@ -168,9 +169,7 @@ def test_criterion_5_master_equation_closed_form():
     worst = 0.0
     for t in np.linspace(0.0, 0.5, 26):
         rec = mc.conditional_probabilities(
-            mc.damped_density(st_e, *mc.me_response(mp, t)),
-            mc.damped_density(st_g, *mc.me_response(mp, t)),
-            params,
+            mc.damped_density([st_e, st_g], *mc.me_response(mp, t)), params
         )
         target = math.exp(-2.0 * 3.3 * (1.0 - math.exp(-GAMMA * t)))
         worst = max(worst, abs(rec.eta - target))
@@ -179,9 +178,7 @@ def test_criterion_5_master_equation_closed_form():
     etas = []
     for t in fit_ts:
         rec = mc.conditional_probabilities(
-            mc.damped_density(st_e, *mc.me_response(mp, t)),
-            mc.damped_density(st_g, *mc.me_response(mp, t)),
-            params,
+            mc.damped_density([st_e, st_g], *mc.me_response(mp, t)), params
         )
         etas.append(rec.eta)
     slope = np.polyfit(fit_ts, np.log(etas), 1)[0]
@@ -225,7 +222,7 @@ def test_criterion_6_oracle_equivalence(resonant_single_mode):
                 worst,
                 abs(mc.purity(rhos_exact[outcome]) - fock.fock_purity(rhos_oracle[outcome])),
             )
-        rec = mc.conditional_probabilities(rhos_exact[Out.E], rhos_exact[Out.G], params)
+        rec = mc.conditional_probabilities(joint(rhos_exact[Out.E], rhos_exact[Out.G]), params)
         eta_oracle = (
             fock.fock_measure(mc.measurement_product(params, Out.E), rhos_oracle[Out.E]).real
             - fock.fock_measure(mc.measurement_product(params, Out.E), rhos_oracle[Out.G]).real
@@ -283,7 +280,7 @@ def test_criterion_8_small_overlap_case_b(flat_band_201):
         sg = evolve(st_g, flat_band_201, t)
         if abs(mc.overlap(se[0][1], se[1][1])) >= 1e-3:
             continue
-        rec = mc.conditional_probabilities(reduce(se), reduce(sg), params)
+        rec = mc.conditional_probabilities(joint(reduce(se), reduce(sg)), params)
         eta_approx = mc.small_overlap_case_b(excitation_sum(se), params.phi)[0]
         worst = max(worst, abs(rec.eta - eta_approx))
         checked += 1
@@ -325,19 +322,14 @@ def test_criterion_9_regime_agreement(flat_band_201):
     gap = bare_gap = 0.0
     for t in np.linspace(0.1, 2.0, 39):
         eta_micro = mc.conditional_probabilities(
-            reduce(evolve(st_e, flat_band_201, t)),
-            reduce(evolve(st_g, flat_band_201, t)),
+            joint(reduce(evolve(st_e, flat_band_201, t)), reduce(evolve(st_g, flat_band_201, t))),
             params,
         ).eta
         eta_me = mc.conditional_probabilities(
-            mc.damped_density(st_e, *mc.me_response(mp_markov, t - slip)),
-            mc.damped_density(st_g, *mc.me_response(mp_markov, t - slip)),
-            params,
+            mc.damped_density([st_e, st_g], *mc.me_response(mp_markov, t - slip)), params
         ).eta
         eta_bare = mc.conditional_probabilities(
-            mc.damped_density(st_e, *mc.me_response(mp_bare, t)),
-            mc.damped_density(st_g, *mc.me_response(mp_bare, t)),
-            params,
+            mc.damped_density([st_e, st_g], *mc.me_response(mp_bare, t)), params
         ).eta
         gap = max(gap, abs(eta_micro - eta_me))
         bare_gap = max(bare_gap, abs(eta_micro - eta_bare))

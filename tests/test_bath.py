@@ -161,7 +161,7 @@ def test_coincident_detunings_act_as_one_merged_mode():
 
 
 def test_response_blocks_join_across_block_boundaries(monkeypatch):
-    # roots in three blocks, the last one shorter; a zero time after the first
+    # roots summed in three blocks, the last one shorter; a zero time after the first
     modes = 2 * bathmod.ROOT_BLOCK + 1
     times = np.linspace(0.0, 3.0, 13)
     times[7] = 0.0
@@ -173,6 +173,17 @@ def test_response_blocks_join_across_block_boundaries(monkeypatch):
     g_ref, b_ref = eigh_response(spec, times)
     assert np.max(np.abs(g - g_one)) < 1e-15 and np.max(np.abs(depletion - b_one)) < 1e-15
     assert np.max(np.abs(g - g_ref)) < 1e-13 and np.max(np.abs(depletion - b_ref)) < 1e-13
+    # roots solved in three blocks, the last one shorter: a band solves in blocks once its
+    # roots outgrow the solver buffers of ROOT_BLOCK roots at 2001 modes, so at 512 roots
+    # per block 1025 modes do; each root's iteration is its own, so no bit moves
+    solved, solve = [], bathmod._solve_block
+    monkeypatch.setattr(bathmod, "_solve_block", lambda w, c2, j: solved.append(j.size) or solve(w, c2, j))
+    monkeypatch.setattr(bathmod, "ROOT_BLOCK", 512)
+    blocked = mc.discretize_flat_band(1.0, 1025, 40.0)._spectrum
+    monkeypatch.setattr(bathmod, "ROOT_BLOCK", 1026)
+    whole = mc.discretize_flat_band(1.0, 1025, 40.0)._spectrum
+    assert solved == [512, 512, 2, 1026]
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, whole))
 
 
 def test_response_memory_stays_below_one_dense_matrix():

@@ -459,6 +459,24 @@ def test_microscopic_run_path_forms_no_one_excitation_matrix(tmp_path, monkeypat
     assert max(sizes, default=0) < BAND_51["modes"]
 
 
+@pytest.mark.parametrize("case, phi", [("a", math.pi), ("b", math.pi / 4)])
+def test_microscopic_time_zero_row_writes_the_master_row(tmp_path, case, phi):
+    # the bath response gives B(0) = +0, as the master's 1 - e^0 does: no -0 cell at t = 0
+    g, depletion = mc.response(mc.discretize_flat_band(1.0, 51, 10.0), [0.0])
+    assert g[0] == 1.0 and depletion[0] == 0.0 and not np.signbit(depletion[0])
+    rows = {}
+    for engine in ("microscopic", "master"):
+        raw = base_config(tmp_path, engine=engine, case=case, phi=phi)
+        if engine == "microscopic":
+            raw["bath"] = BAND_51
+            raw.pop("master")
+        assert cli.main(["run", "--config", write_config(tmp_path, raw)]) == 0
+        header, first = (tmp_path / "out.csv").read_text().split("\n")[:2]
+        rows[engine] = dict(zip(header.split(","), first.split(",")))
+    assert rows["microscopic"]["n_bath"] == "0"
+    assert rows["microscopic"] == rows["master"]
+
+
 def test_compare_rejects_fock_engine(tmp_path):
     cfg = base_config(
         tmp_path,
@@ -613,6 +631,52 @@ def test_malformed_json_read_back_exits_1(tmp_path, monkeypatch, capsys, corrupt
     cfg = base_config(tmp_path, output={"format": "json", "path": str(tmp_path / "out.json")})
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 1
     assert capsys.readouterr().err.strip() == f"error: self-audit: {message}"
+
+
+READ_BACK_FAULTS = {
+    # (line index, column, new cell, or None to insert a blank line): the AuditError text
+    "hash": ((3, "p_ge", "{}#x"), "line 4, column p_ge: not a number: '{}#x'"),
+    "blank": ((3, None, None), "line 4 has 1 cells, not 20: column gamma_a is missing"),
+    "true-numeric": ((4, "eta", "true"), "line 5, column eta: not a number: 'true'"),
+    # a column of true/false cells holding a number is read as numbers: its first
+    # true/false cell fails
+    "number-flag": ((2, "recurrence_warning", "0"),
+                    "line 2, column recurrence_warning: not a number: 'false'"),
+    "short": ((5, "", None), "line 6 has 19 cells, not 20: column recurrence_warning is missing"),
+    "text": ((2, "purity_e", "abc"), "line 3, column purity_e: not a number: 'abc'"),
+    "nan": ((3, "n_bath", "nan"), None),
+    "underscore": ((3, "gamma_a", "1_0"), None),  # float() reads it as 10
+}
+
+
+@pytest.mark.parametrize("fault", list(READ_BACK_FAULTS))
+def test_read_back_names_the_cell_the_cell_parser_named(tmp_path, fault):
+    # numpy's reader parses the file; a file it rejects is read cell by cell, as before
+    (line, column, cell), message = READ_BACK_FAULTS[fault]
+    cfg = parse_scenario(base_config(tmp_path, time={"t_max_over_tc": 2.0, "points": 6}))
+    table = runner.run_scenario(cfg)
+    cli._write_table(cfg.output, table)
+    lines = (tmp_path / "out.csv").read_text().split("\n")
+    j = list(table).index(column) if column else -1
+    if column is None:
+        lines.insert(line, "")
+    elif cell is None:
+        lines[line] = lines[line].rsplit(",", 1)[0]
+    else:
+        cells = lines[line].split(",")
+        old, cells[j] = cells[j], cell.format(cells[j])
+        lines[line] = ",".join(cells)
+        message = message and message.format(old)
+    (tmp_path / "out.csv").write_text("\n".join(lines))
+    if message is None:
+        back = cli._read_back(cfg.output, list(table))
+        assert back[column][line - 1] == float(cell) or math.isnan(float(cell))
+        assert all(np.array_equal(back[name], table[name].astype(float), equal_nan=True)
+                   for name in table if name != column)
+    else:
+        with pytest.raises(mc.AuditError) as err:
+            cli._read_back(cfg.output, list(table))
+        assert str(err.value) == f"self-audit: {message}"
 
 
 def test_writer_formats_like_the_scalar_cells(tmp_path):

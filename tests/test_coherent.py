@@ -12,8 +12,16 @@ from hypothesis import strategies as st
 import mesocat as mc
 from mesocat import DetectionOutcome as Out
 from mesocat import ProtocolCase as Case
-from mesocat.coherent import _gram_exponents, _wrap_phase
-from reference import evolve, mean_photon, normalize, occupations, phase_op_matrix_element, reduce
+from mesocat.coherent import _gram_exponents
+from reference import (
+    evolve,
+    mean_photon,
+    normalize,
+    occupations,
+    phase_op_matrix_element,
+    reduce,
+    value_at,
+)
 
 # ---------------------------------------------------------------------------
 # oracle: number-basis expansion, independent of the closed-form overlap
@@ -42,10 +50,11 @@ def density_in_fock(rho: mc.ReducedDensity, n_max=80):
     return np.outer(v, v.conj()) + wc.T @ np.expm1(rho.expo) @ wc.conj()
 
 
-def op_diagonal(op: mc.PhaseOpSum, n_max=80):
+def op_diagonal(op, n_max=80):
+    """Number-basis diagonal of op = (weights, phases)."""
     levels = np.arange(n_max + 1)
     vals = np.zeros(n_max + 1, dtype=complex)
-    for w, p in op.terms:
+    for w, p in zip(*op):
         vals += w * np.exp(1j * p * levels)
     return vals
 
@@ -67,7 +76,8 @@ def label_pairs(draw):
     return l1, l1 + separation * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
 
 
-ODD_PARITY = mc.PhaseOpSum(((0.5 + 0j, 0.0), (-0.5 + 0j, math.pi)))
+ODD_PARITY = (np.array([0.5, -0.5], dtype=complex), np.array([0.0, math.pi]))
+IDENTITY = (np.ones(1, dtype=complex), np.zeros(1))
 
 
 def random_two_branch_state(w1, w2, l1, l2, beta=0j):
@@ -418,7 +428,7 @@ def test_spectra_of_three_labels_are_unsupported():
 def test_expectation_identity_is_trace():
     state = random_two_branch_state(0.5, -0.5, 1.0, -1.0)
     rho = reduce(state)
-    assert mc.expectation(mc.PhaseOpSum.identity(), rho) == pytest.approx(1.0, abs=1e-12)
+    assert mc.expectation(IDENTITY, rho) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_odd_parity_projector_on_odd_cat():
@@ -447,6 +457,7 @@ def test_odd_parity_projector_on_vacuum():
     st.floats(-math.pi, math.pi),
 )
 @example(w1=1 + 0j, w2=-1 + 0j, labels=(0j, 1e-4 + 0j), p1=0.0, p2=0.0)
+@example(w1=1 + 0j, w2=-1 + 0j, labels=(1j, 1e-4 + 1j), p1=0.0, p2=0.0)
 def test_expectation_matches_fock_oracle(w1, w2, labels, p1, p2):
     l1, l2 = labels
     try:
@@ -456,7 +467,7 @@ def test_expectation_matches_fock_oracle(w1, w2, labels, p1, p2):
     except mc.ZeroStateError:
         return
     rho = fresh(state)
-    op = mc.PhaseOpSum(((0.3 + 0.1j, p1), (-0.2 + 0.4j, p2)))
+    op = (np.array([0.3 + 0.1j, -0.2 + 0.4j]), np.array([p1, p2]))
     oracle = np.sum(op_diagonal(op) * np.diag(density_in_fock(rho)))
     assert mc.expectation(op, rho) == pytest.approx(oracle, abs=1e-9)
 
@@ -465,7 +476,7 @@ def test_spectral_route_equals_trace_route():
     state = random_two_branch_state(0.45, -0.55, 1.2, -0.8, beta=0.6)
     rho = reduce(state)
     spec = mc.eigenvalues(rho)
-    op = mc.PhaseOpSum(((0.5 + 0j, 0.0), (-0.25 + 0j, 1.1), (-0.25 + 0j, -1.1)))
+    op = (np.array([0.5, -0.25, -0.25], dtype=complex), np.array([0.0, 1.1, -1.1]))
     spectral = sum(
         lam * phase_op_matrix_element(op, spec.labels, c, c).real
         for lam, c in zip(spec.eigenvalues, spec.eigenvectors)
@@ -555,10 +566,16 @@ def test_damped_density_rejects_bath_and_unnormalized_states():
         mc.damped_occupations(raw, 1.0, 0.0)
     with pytest.raises(TypeError):  # a branch holds a weight and a field label only
         mc.Branch(1.0, 1.0, (0j,))
+    # a stack of states needs each normalized and one branch count
+    one, two = mc.normalize(raw), mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, 1.0),) * 2))
+    with pytest.raises(mc.InvalidArgumentError, match="normalized"):
+        mc.damped_density([one, raw], 1.0, 0.0)
+    with pytest.raises(mc.InvalidArgumentError, match="branch counts"):
+        mc.damped_density([one, two], 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# phase-operator algebra
+# measurement operators as (weights, phases) arrays
 
 
 @pytest.mark.parametrize(
@@ -575,26 +592,36 @@ def test_damped_density_rejects_bath_and_unnormalized_states():
     ],
 )
 def test_wrap_phase_lands_in_half_open_interval(phase):
-    wrapped = _wrap_phase(phase)
-    assert -math.pi < wrapped <= math.pi
-    assert abs(math.remainder(wrapped - phase, 2.0 * math.pi)) < 1e-14
+    # U^dag U of case A carries the phases 0 and +-phi, each taken in (-pi, pi]
+    params = mc.ProtocolParams(Case.CASE_A, 1.0 + 0j, phase)
+    for outcome in (Out.E, Out.G):
+        _, phases = mc.measurement_product(params, outcome)
+        assert np.all((-math.pi < phases) & (phases <= math.pi))
+        assert list(phases) == sorted(phases)
+        for p in phases:
+            off = min(abs(math.remainder(p - q, 2.0 * math.pi)) for q in (0.0, phase, -phase))
+            assert off < 1e-14
 
 
 def test_phase_op_closure_under_adjoint_and_product():
-    op = mc.PhaseOpSum(((0.5 + 0.5j, 0.7), (0.25 + 0j, -0.3)))
-    prod = (op.adjoint() * op).canonical()
-    for n in range(6):
-        direct = op.value_at(n).conjugate() * op.value_at(n)
-        assert prod.value_at(n) == pytest.approx(direct, abs=1e-12)
+    # the measurement operator is U^dag U of the reduced operator, number state by number state
+    for case, phi in ((Case.CASE_A, 0.7), (Case.CASE_B, 0.7), (Case.CASE_B, -2.9)):
+        params = mc.ProtocolParams(case, 1.0 + 0j, phi)
+        for outcome in (Out.E, Out.G):
+            u, prod = mc.reduced_op(params, outcome), mc.measurement_product(params, outcome)
+            for n in range(6):
+                direct = value_at(u, n).conjugate() * value_at(u, n)
+                assert value_at(prod, n) == pytest.approx(direct, abs=1e-12)
 
 
 def test_phase_op_canonical_merges_and_wraps():
-    op = mc.PhaseOpSum(((0.5 + 0j, math.pi), (0.5 + 0j, -math.pi), (0.0 + 0j, 0.3)))
-    canon = op.canonical()
-    assert len(canon.terms) == 1
-    w, p = canon.terms[0]
-    assert w == pytest.approx(1.0)
-    assert p == pytest.approx(math.pi)
+    # case A at phi = +-pi: the terms at +pi and -pi merge into one at +pi
+    for phi in (math.pi, -math.pi):
+        for outcome, s in ((Out.E, -1.0), (Out.G, 1.0)):
+            params = mc.ProtocolParams(Case.CASE_A, 1.0 + 0j, phi)
+            weights, phases = mc.measurement_product(params, outcome)
+            assert phases.tolist() == [0.0, math.pi]
+            assert weights.tolist() == [0.5, 0.5 * s]
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +668,15 @@ def test_failed_stacked_checks_name_the_time_index():
     bad = mc.ReducedDensity(rho.labels, rho.weights, expo)
     with pytest.raises(mc.PositivityError, match="time index 6$"):
         mc.eigenvalues(bad)
+    # the same fault in the e density of a (time, outcome) stack: the outcome axis is not named
+    both = mc.damped_density([state_e, state_g], g, depletion)
+    expo_both = np.array(both.expo)
+    expo_both[6, 0, 0, 1] = expo_both[6, 0, 1, 0] = 2.0
+    bad_both = mc.ReducedDensity(both.labels, both.weights, expo_both, both.batch)
     with pytest.raises(mc.PositivityError, match="time index 6$"):
-        mc.conditional_probabilities(bad, mc.damped_density(state_g, g, depletion), params)
+        mc.eigenvalues(bad_both)
+    with pytest.raises(mc.PositivityError, match="time index 6$"):
+        mc.conditional_probabilities(bad_both, params)
     # a flow that is not unitary at index 3 (|g|^2 + B != 1) breaks the trace
     depletion[3] *= 0.5
     with pytest.raises(mc.PositivityError, match="trace .* at time index 3$"):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import mesocat as mc
 from mesocat import DetectionOutcome as Out
 from mesocat import ProtocolCase as Case
-from reference import evolve, excitation_sum, flow, phase_op_matrix_element, reduce
+from reference import evolve, excitation_sum, flow, joint, phase_op_matrix_element, reduce, value_at
 
 CASES = [Case.CASE_A, Case.CASE_B]
 OUTCOMES = [Out.E, Out.G]
@@ -33,25 +33,24 @@ def params_b(phi, alpha0=1.0 + 0j):
 
 
 def test_reduced_op_case_a_terms():
-    op = mc.reduced_op(params_a(math.pi), Out.E).canonical()
-    # (exp(-i pi n) - 1)/2: phases {pi, 0}, weights {1/2, -1/2}
-    terms = dict((round(p, 12), w) for w, p in op.terms)
-    assert terms[round(math.pi, 12)] == pytest.approx(0.5)
+    weights, phases = mc.reduced_op(params_a(math.pi), Out.E)
+    # (exp(-i pi n) - 1)/2: phases {-pi, 0}, weights {1/2, -1/2}
+    terms = dict(zip(phases.tolist(), weights.tolist()))
+    assert terms[-math.pi] == pytest.approx(0.5)
     assert terms[0.0] == pytest.approx(-0.5)
 
 
 def test_reduced_op_case_a_g_lower_sign():
     phi = 0.9
-    op = mc.reduced_op(params_a(phi), Out.G)
-    values = {p: w for w, p in op.terms}
+    weights, phases = mc.reduced_op(params_a(phi), Out.G)
+    values = dict(zip(phases.tolist(), weights.tolist()))
     assert values[-phi] == pytest.approx(0.5)
     assert values[0.0] == pytest.approx(0.5)
 
 
 def test_reduced_op_case_b_scalar_folded():
     phi = 0.7
-    op = mc.reduced_op(params_b(phi), Out.E)
-    (w1, p1), (w2, p2) = op.terms
+    (w1, w2), (p1, p2) = mc.reduced_op(params_b(phi), Out.E)
     assert (p1, p2) == (phi, -phi)
     assert w1 == pytest.approx(0.5 * cmath.exp(1j * phi))
     assert w2 == pytest.approx(-0.5)
@@ -66,26 +65,25 @@ def test_measurement_product_case_a_parity_values():
     mp_g = mc.measurement_product(params_a(math.pi), Out.G)
     for n in range(8):
         expected_e = 1.0 if n % 2 else 0.0
-        assert mp_e.value_at(n) == pytest.approx(expected_e, abs=1e-12)
-        assert mp_g.value_at(n) == pytest.approx(1.0 - expected_e, abs=1e-12)
+        assert value_at(mp_e, n) == pytest.approx(expected_e, abs=1e-12)
+        assert value_at(mp_g, n) == pytest.approx(1.0 - expected_e, abs=1e-12)
 
 
 def test_measurement_product_case_b_half_identity_at_quarter_turn():
     mp = mc.measurement_product(params_b(math.pi / 2), Out.E)
     for n in range(9):
-        assert mp.value_at(n) == pytest.approx(0.5, abs=1e-12)
+        assert value_at(mp, n) == pytest.approx(0.5, abs=1e-12)
 
 
 @given(phi_strategy, st.sampled_from(CASES))
 def test_measurement_products_complete(phi, case):
+    # both outcomes carry the same phases; their weights add to the identity
     params = mc.ProtocolParams(case, 1.0 + 0j, phi)
-    total = (
-        mc.measurement_product(params, Out.E) + mc.measurement_product(params, Out.G)
-    ).canonical()
-    assert len(total.terms) == 1
-    w, p = total.terms[0]
-    assert w == pytest.approx(1.0, abs=1e-12)
-    assert p == pytest.approx(0.0, abs=1e-12)
+    (w_e, p_e), (w_g, p_g) = (mc.measurement_product(params, o) for o in (Out.E, Out.G))
+    assert np.array_equal(p_e, p_g)
+    total = w_e + w_g
+    assert total[p_e == 0.0] == pytest.approx([1.0], abs=1e-12)
+    assert total[p_e != 0.0] == pytest.approx(np.zeros(len(p_e) - 1), abs=1e-12)
 
 
 @given(phi_strategy, st.sampled_from(CASES), st.sampled_from(OUTCOMES))
@@ -97,13 +95,11 @@ def test_measurement_products_complete(phi, case):
 @example(math.nextafter(math.pi, 0.0), Case.CASE_A, Out.G)
 def test_measurement_product_hermitian(phi, case, outcome):
     params = mc.ProtocolParams(case, 1.0 + 0j, phi)
-    mp = mc.measurement_product(params, outcome).canonical()
-    # canonical() wraps phases into (-pi, pi], so the conjugate partner of
-    # phase p sits at -p modulo 2 pi: a term at +pi is its own partner.
-    for w, p in mp.terms:
-        partners = [
-            v for v, q in mp.terms if abs(math.remainder(p + q, 2.0 * math.pi)) < 1e-12
-        ]
+    weights, phases = mc.measurement_product(params, outcome)
+    # phases lie in (-pi, pi] and merge only when equal, so the conjugate partner
+    # of phase p sits exactly at -p modulo 2 pi: a term at +pi is its own partner.
+    for w, p in zip(weights, phases):
+        partners = [v for v, q in zip(weights, phases) if math.remainder(p + q, 2.0 * math.pi) == 0.0]
         assert len(partners) == 1
         assert partners[0] == pytest.approx(w.conjugate(), abs=1e-13)
 
@@ -150,8 +146,8 @@ def test_preparation_probabilities_sum_to_one(phi, case, amp):
 
 def test_conditional_probabilities_fresh_cats():
     params = params_a(math.pi, math.sqrt(2) + 0j)
-    rho_e, rho_g = (mc.damped_density(mc.prepare(params, o), 1.0, 0.0) for o in (Out.E, Out.G))
-    rec = mc.conditional_probabilities(rho_e, rho_g, params)
+    rho = mc.damped_density([mc.prepare(params, o) for o in (Out.E, Out.G)], 1.0, 0.0)
+    rec = mc.conditional_probabilities(rho, params)
     assert rec.p_ee == pytest.approx(1.0, abs=1e-12)
     assert rec.p_ge == pytest.approx(0.0, abs=1e-12)
     assert rec.eta == pytest.approx(1.0, abs=1e-12)
@@ -161,7 +157,7 @@ def test_conditional_probabilities_fully_decohered():
     params = params_a(math.pi, 3.5 + 0j)
     no_coherence = np.array([[0.0, -np.inf], [-np.inf, 0.0]], dtype=complex)
     rho = mc.ReducedDensity((3.5 + 0j, -3.5 + 0j), (math.sqrt(0.5), math.sqrt(0.5)), no_coherence)
-    rec = mc.conditional_probabilities(rho, rho, params)
+    rec = mc.conditional_probabilities(joint(rho, rho), params)
     assert rec.p_ee == pytest.approx(0.5, abs=1e-10)
     assert rec.p_ge == pytest.approx(0.5, abs=1e-10)
     assert rec.eta == pytest.approx(0.0, abs=1e-12)
@@ -179,10 +175,8 @@ def test_conditional_rows_sum_to_one(phi, case, amp, damp):
         st_g = mc.prepare(params, Out.G)
     except mc.ZeroStateError:
         return
-    mp = mc.MasterParams(1.0)
-    rho_e = mc.damped_density(st_e, *mc.me_response(mp, damp))
-    rho_g = mc.damped_density(st_g, *mc.me_response(mp, damp))
-    rec = mc.conditional_probabilities(rho_e, rho_g, params)
+    rho = mc.damped_density([st_e, st_g], *mc.me_response(mc.MasterParams(1.0), damp))
+    rec = mc.conditional_probabilities(rho, params)
     assert rec.p_ee + rec.p_eg == pytest.approx(1.0, abs=1e-10)
     assert rec.p_ge + rec.p_gg == pytest.approx(1.0, abs=1e-10)
     assert rec.eta == pytest.approx(rec.p_ee - rec.p_ge, abs=1e-15)
@@ -311,7 +305,7 @@ def test_p_ee_equals_lam_e_minus(resonant_single_mode):
     st_g = mc.prepare(params, Out.G)
     for t in (0.0, 0.4, 1.1):
         se, sg = evolve(st_e, resonant_single_mode, t), evolve(st_g, resonant_single_mode, t)
-        rec = mc.conditional_probabilities(reduce(se), reduce(sg), params)
+        rec = mc.conditional_probabilities(joint(reduce(se), reduce(sg)), params)
         (g,), (f,) = flow(resonant_single_mode, [t])
         response = (g, np.sum(np.abs(f) ** 2))
         lam_e = mc.eigenvalues_case_a(params.alpha0, *response, Out.E)[1]
@@ -362,7 +356,7 @@ def test_small_overlap_matches_exact_engine(flat_band_201):
         sg = evolve(st_g, flat_band_201, t)
         if abs(mc.overlap(se[0][1], se[1][1])) >= 1e-3:
             continue
-        rec = mc.conditional_probabilities(reduce(se), reduce(sg), params)
+        rec = mc.conditional_probabilities(joint(reduce(se), reduce(sg)), params)
         eta_approx, _, _ = mc.small_overlap_case_b(excitation_sum(se), phi)
         assert rec.eta == pytest.approx(eta_approx, abs=5e-3)
         checked += 1

@@ -17,6 +17,7 @@ from reference import (
     evolve,
     gamma_a,
     gamma_b,
+    joint,
     mean_photon,
     occupations,
     phase_op_matrix_element,
@@ -74,7 +75,7 @@ def test_master_rows_match_me_reduce(tmp_path):
     for row in as_rows(runner.run_scenario(cfg)):
         rho_e = mc.damped_density(state_e, *mc.me_response(mp, row.t))
         rho_g = mc.damped_density(mc.prepare(params, Out.G), *mc.me_response(mp, row.t))
-        rec = mc.conditional_probabilities(rho_e, rho_g, params)
+        rec = mc.conditional_probabilities(joint(rho_e, rho_g), params)
         g_b = np.exp(rho_e.expo[1, 0])
         assert abs(row.eta - rec.eta) < 1e-13
         assert abs(row.gamma_b_abs - abs(g_b)) < 1e-13
@@ -168,9 +169,9 @@ def test_stacked_rows_match_per_time_reference(tmp_path, case, phi):
     params = runner.scenario_params(cfg)
     band = mc.discretize_flat_band(1.0, 21, 10.0)
     times = np.linspace(0.0, 4.0, 17)  # recurrence flags from t > 3.14
-    rows = as_rows(runner._analytic_table(params, times, *runner._response(cfg, times)))
+    rows = as_rows(runner._analytic_tables([params], times, [runner._response(cfg, times)])[0])
     states = [mc.prepare(params, o) for o in (Out.E, Out.G)]
-    parity = mc.PhaseOpSum(((1.0 + 0j, math.pi),))
+    parity = (np.array([1.0 + 0j]), np.array([math.pi]))
 
     def lam_pair(rho):
         spec = mc.eigenvalues(rho)
@@ -182,7 +183,7 @@ def test_stacked_rows_match_per_time_reference(tmp_path, case, phi):
     for row, t in zip(rows, times):
         evolved = [evolve(s, band, t) for s in states]
         rho_e, rho_g = (reduce(e) for e in evolved)
-        rec = mc.conditional_probabilities(rho_e, rho_g, params)
+        rec = mc.conditional_probabilities(joint(rho_e, rho_g), params)
         g_b = gamma_b(evolved[0])
         expected = dict(
             t=t, gamma_a=gamma_a(evolved[0]), gamma_b_abs=abs(g_b),
@@ -202,8 +203,8 @@ def test_stacked_rows_match_per_time_reference(tmp_path, case, phi):
 
 @pytest.mark.parametrize("points", [11, 201])
 def test_compare_checks_whole_grids_not_rows(tmp_path, monkeypatch, points):
-    # both engines' responses share one density stack, so each checked routine
-    # runs once per conditioned density, whatever the grid length
+    # both engines' responses and both conditioned densities share one density
+    # stack, so each checked routine runs once, whatever the grid length
     calls = {"eigenvalues": 0, "conditional_probabilities": 0}
 
     def counted(module, name):
@@ -221,7 +222,7 @@ def test_compare_checks_whole_grids_not_rows(tmp_path, monkeypatch, points):
     raw["master"] = {"gamma": 1.0}
     micro, master, _ = runner.run_compare(parse_scenario(raw, for_compare=True))
     assert len(micro["t"]) == len(master["t"]) == points
-    assert calls == {"eigenvalues": 2, "conditional_probabilities": 1}
+    assert calls == {"eigenvalues": 1, "conditional_probabilities": 1}
 
 
 # (scenario arguments, bath replacing the 201-mode band); a 21-mode band over
@@ -231,6 +232,7 @@ COMPARE_CASES = {
     "case-b-pi-4": (dict(case="b", phi=math.pi / 4), None),
     "band-21-recurring": (dict(case="a", phi=math.pi / 2, t_max=12.0, points=25),
                           {"modes": 21, "half_bandwidth": 5.0, "gamma": 1.0}),
+    "case-b-1.3": (dict(case="b", phi=1.3, points=31), None),
 }
 
 
@@ -246,14 +248,16 @@ def test_compare_stack_equals_each_engine_table_bit_for_bit(tmp_path, case):
     micro, master, summary = runner.run_compare(cfg)
     params, n = runner.scenario_params(cfg), cfg.time.points
     times = np.concatenate([runner.time_grid(cfg), runner.SLOPE_GRID])
-    alone = {engine: runner._analytic_table(
-        params, times, *runner._response(replace(cfg, engine=engine), times))
+    alone = {engine: runner._analytic_tables(
+        [params], times, [runner._response(replace(cfg, engine=engine), times)])[0]
         for engine in ("microscopic", "master")}
     for table, own in ((micro, alone["microscopic"]), (master, alone["master"])):
         assert list(table) == list(own)
         for name, column in table.items():  # bytes, so NaN and signed zeros count
             assert column.dtype == own[name].dtype, name
             assert column.tobytes() == own[name][:n].tobytes(), name
+    gap = np.max(np.abs(alone["microscopic"]["eta"][:n] - alone["master"]["eta"][:n]))
+    assert summary["max_abs_eta_gap"] == gap
     assert summary["defect_slope_micro"] == runner._defect_slope(alone["microscopic"]["defect_e"][n:])
     assert summary["defect_slope_master"] == runner._defect_slope(alone["master"]["defect_e"][n:])
     assert micro["recurrence_warning"].any() == (bath is not None)
@@ -414,6 +418,30 @@ def test_sweep_computes_the_response_once_per_band(tmp_path, monkeypatch, engine
     assert [as_rows(table) for _, table in swept] == [as_rows(table) for table in fresh]
 
 
+@pytest.mark.parametrize("case, phi", [("a", math.pi), ("b", math.pi / 4)])
+@pytest.mark.parametrize("engine, param", [
+    (engine, param) for engine in ("microscopic", "master", "fock")
+    for param in ("phi", "alpha0_re", "gamma")
+])
+def test_sweep_stack_equals_each_run_bit_for_bit(tmp_path, engine, param, case, phi):
+    # one table stack over every swept value, against one run per value; the phi
+    # values mix merged terms at pi (case A at pi, case B at pi/2) with three-term operators
+    raw = scenario(tmp_path, engine, 1.2, case, phi, t_max=2.0, points=11)
+    if engine == "fock":
+        raw["fock"]["n_max"] = 29
+    merged = {"a": math.pi, "b": math.pi / 2}[case]
+    values = {"phi": [0.4, 2.0, merged, -1.1], "alpha0_re": [0.3, 1.2, 1.9],
+              "gamma": [0.5, 1.0, 2.5]}[param]
+    cfg = parse_scenario(raw)
+    swept = runner.run_sweep(cfg, param, values)
+    for value, table in swept:
+        own = runner.run_scenario(config.apply_sweep_value(cfg, param, value))
+        assert list(table) == list(own)
+        for name, column in table.items():  # bytes, so NaN and signed zeros count
+            assert column.dtype == own[name].dtype, name
+            assert column.tobytes() == own[name].tobytes(), (value, name)
+
+
 @pytest.mark.parametrize("fault, index", [("exponent", 6), ("trace", 3)])
 def test_failed_check_exits_4_naming_the_time_index(tmp_path, monkeypatch, capsys, fault, index):
     path = tmp_path / "master.json"
@@ -421,11 +449,11 @@ def test_failed_check_exits_4_naming_the_time_index(tmp_path, monkeypatch, capsy
     if fault == "exponent":  # a positive real coherence exponent: |exp(K12)| > 1
         density = mc.coherent.damped_density
 
-        def faulty(state, g, depletion):
-            rho = density(state, g, depletion)
+        def faulty(states, g, depletion):  # one stack (time, protocol, outcome)
+            rho = density(states, g, depletion)
             expo = np.array(rho.expo)
-            expo[index, 0, 1] = expo[index, 1, 0] = 2.0
-            return mc.ReducedDensity(rho.labels, rho.weights, expo)
+            expo[index, ..., 0, 1] = expo[index, ..., 1, 0] = 2.0
+            return mc.ReducedDensity(rho.labels, rho.weights, expo, rho.batch)
 
         monkeypatch.setattr(mc.coherent, "damped_density", faulty)
     else:  # a depletion that breaks |g|^2 + B = 1, and so the trace, at one time
