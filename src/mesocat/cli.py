@@ -33,6 +33,7 @@ and ignored); it changes verbosity only, never results.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -211,16 +212,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first ``main`` call, then reused by every later one in the process."""
     parser = argparse.ArgumentParser(
         prog="mesocat",
         description="Two-atom correlation signal of decohering cavity-field superpositions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in (("run", _cmd_run), ("compare", _cmd_compare), ("sweep", _cmd_sweep)):
+    for name in ("run", "compare", "sweep"):
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to the scenario JSON")
-        cmd.set_defaults(handler=handler)
         if name == "sweep":
             cmd.add_argument("--param", required=True, help=f"one of {SWEEPABLE}")
             cmd.add_argument("--values", required=True, help="comma-separated numbers")
@@ -237,8 +239,9 @@ def main(argv=None) -> int:
     if not known:
         log.warning("ignoring MESOCAT_LOG=%r: expected one of %s", requested, ", ".join(_LOG_LEVELS))
     args = _build_parser().parse_args(argv)
+    handler = {"run": _cmd_run, "compare": _cmd_compare, "sweep": _cmd_sweep}[args.command]
     try:
-        return args.handler(args)
+        return handler(args)
     except ConfigError as exc:
         print(f"error: config {getattr(args, 'config', '<none>')}: {exc}", file=sys.stderr)
         return 2

@@ -5,8 +5,11 @@ response (g, B), measurement, spectra -- is recomputed here from the raw
 matrix representations, deliberately without caching or shortcuts (the
 damping map rebuilds its response-independent tensor on every call and never
 keeps it), so that agreement between the two routes validates both.  Leading
-axes index stacks such as a time grid.  Cost grows fast with amplitude:
-desk-scale checks only (|alpha|^2 of a few).
+axes index stacks such as a time grid: one number-state recurrence expands
+every label of a stack, so the runner's Fock table makes two, one for the
+branch labels of both prepared states and one for the damped labels, and the
+purity Tr(rho rho) is one O(N^2) contraction per matrix.  Cost grows fast with
+amplitude: desk-scale checks only (|alpha|^2 of a few).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import FieldBathSuperposition, _require
+from .coherent import _require, _weights_labels
 from .errors import InvalidArgumentError, TruncationError
 
 
@@ -52,35 +55,46 @@ class FockDensity:
         self.matrix.setflags(write=False)
 
 
-def coherent_to_fock(label, n_max: int) -> FockVector:
-    """Expand |label> over number states: c_n = e^{-|a|^2/2} a^n / sqrt(n!), per stack index."""
+def coherent_to_fock(label, n_max: int, batch: int = 0) -> FockVector:
+    """Expand |label> over number states: c_n = e^{-|a|^2/2} a^n / sqrt(n!), per stack index.
+
+    A failed guard names the first failing label by its index over the axes of
+    ``label`` but the last ``batch``, as a time index.
+    """
     label = np.asarray(label, dtype=complex)
     need = required_n_max(label)
-    _require(n_max >= need, TruncationError, f"n_max = {n_max} below the truncation rule", need)
+    _require(n_max >= need, TruncationError, f"n_max = {n_max} below the truncation rule", need,
+             batch)
     amps = np.zeros(label.shape + (n_max + 1,), dtype=complex)
     amps[..., 0] = np.exp(-0.5 * np.abs(label) ** 2)
     for n in range(n_max):
         amps[..., n + 1] = amps[..., n] * label / math.sqrt(n + 1)
     tail = np.abs(amps[..., n_max]) ** 2
     _require(tail < 1e-10, TruncationError,
-             "tail population at the cutoff exceeds the leakage guard", tail)
+             "tail population at the cutoff exceeds the leakage guard", tail, batch)
     return FockVector(n_max, amps)
 
 
-def superposition_vector(state: FieldBathSuperposition, n_max: int) -> FockVector:
-    """Fock vector of a superposition (weights applied verbatim)."""
-    amps = sum(br.weight * coherent_to_fock(br.field, n_max).amplitudes for br in state.branches)
+def superposition_vector(state, n_max: int) -> FockVector:
+    """Fock vector of a superposition (weights applied verbatim), or the stack of a (nested)
+    list of superpositions with equal branch counts, from one recurrence over every label."""
+    weights, labels = _weights_labels(state)
+    vecs = coherent_to_fock(labels, n_max, batch=labels.ndim).amplitudes
+    amps = sum(weights[..., k, None] * vecs[..., k, :] for k in range(weights.shape[-1]))
     return FockVector(n_max, amps)
 
 
 def density_from_vector(vec: FockVector) -> FockDensity:
-    return FockDensity(vec.n_max, np.outer(vec.amplitudes, vec.amplitudes.conj()))
+    """|v><v| per stack index."""
+    amps = vec.amplitudes
+    return FockDensity(vec.n_max, amps[..., :, None] * amps.conj()[..., None, :])
 
 
 def _kraus_tensor(mat: np.ndarray) -> np.ndarray:
     """A_l[i, j] = sqrt(C(i+l, l) C(j+l, l)) mat[i+l, j+l]: the only full-size array."""
     n = len(mat)
-    padded = np.pad(mat, (0, n - 1))
+    padded = np.zeros((2 * n - 1, 2 * n - 1), dtype=mat.dtype)
+    padded[:n, :n] = mat
     row, col = padded.strides
     # [l, i, j] -> mat[i+l, j+l]: a strided view of the zero-padded copy
     shifted = np.lib.stride_tricks.as_strided(padded, (n, n, n), (row + col, row, col))
@@ -128,7 +142,8 @@ def fock_measure(op, rho: FockDensity):
 
 
 def fock_purity(rho: FockDensity):
-    return np.trace(rho.matrix @ rho.matrix, axis1=-2, axis2=-1).real
+    """Tr(rho rho) = sum_ij rho_ij rho_ji, per stack index: O(N^2), no matrix product."""
+    return np.einsum("...ij,...ji->...", rho.matrix, rho.matrix).real
 
 
 def fock_mean_photon(rho: FockDensity):

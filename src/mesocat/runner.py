@@ -15,8 +15,10 @@ all its tables from one density stack with the axes (time, protocol, first-atom
 outcome), the responses (both engines' for ``compare``, one per gamma in a gamma
 sweep) concatenated along time; the probabilities (one expectation pass for all
 four), spectra and purities go once through the checked routines that serve a
-single density.  The Fock table, the oracle, damps each prepared Fock density of
-one protocol in one ``fock.damp`` call.  Nothing iterates over grid times.
+single density.  The Fock table, the oracle, expands the branch labels of both
+prepared states in one recurrence and the damped labels of every time in a second,
+and damps each prepared Fock density of one protocol in one ``fock.damp`` call.
+Nothing iterates over grid times.
 
 Eigenvalue columns: when the two field labels are an antipodal pair (case A
 at phi = pi) lam_plus/lam_minus are assigned by eigenvector parity, i.e. the
@@ -179,13 +181,13 @@ def _fock_gamma_b(p: np.ndarray, labels_t: np.ndarray, weights, n_max: int) -> n
 
 def _fock_table(n_max, params, times_tc, g, depletion, recurrence) -> dict[str, np.ndarray]:
     """The table at the given times (t_c) from the Fock densities damped at a response (g, B)."""
-    state_e, state_g = (proto.prepare(params, outcome) for outcome in proto.DetectionOutcome)
-    rho0_e, rho0_g = (fock.density_from_vector(fock.superposition_vector(state, n_max))
-                      for state in (state_e, state_g))
+    states = [proto.prepare(params, outcome) for outcome in proto.DetectionOutcome]
+    state_e = states[0]
+    rho0 = fock.density_from_vector(fock.superposition_vector(states, n_max))  # (2, N, N)
     labels_t = np.multiply.outer(g, [br.field for br in state_e.branches])
-    rho_e, rho_g = (fock.FockDensity(n_max, fock.damp(rho0.matrix, g, depletion))
-                    for rho0 in (rho0_e, rho0_g))
-    vecs = fock.coherent_to_fock(labels_t, n_max).amplitudes  # (T, 2, N)
+    # one damp per outcome: a (2, N, N) Kraus stack costs more than two calls
+    rho_e, rho_g = (fock.FockDensity(n_max, fock.damp(m, g, depletion)) for m in rho0.matrix)
+    vecs = fock.coherent_to_fock(labels_t, n_max).amplitudes  # (T, 2, N), times named on failure
     ops = [proto.measurement_product(params, outcome) for outcome in proto.DetectionOutcome]
     measured = (fock.fock_measure(op, rho) for rho in (rho_e, rho_g) for op in ops)
     rec = proto.CorrelationRecord(*measured)  # checked before they are clamped
@@ -197,7 +199,7 @@ def _fock_table(n_max, params, times_tc, g, depletion, recurrence) -> dict[str, 
         times_tc, _pair_factors(state_e, g, depletion)[0], g_b,
         rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta,
         *_fock_assign(rho_e.matrix, labels_t), *_fock_assign(rho_g.matrix, labels_t),
-        pur_e, pur_g, 1 - pur_e, 1 - pur_g, n_field, fock.fock_mean_photon(rho0_e) - n_field,
+        pur_e, pur_g, 1 - pur_e, 1 - pur_g, n_field, fock.fock_mean_photon(rho0)[0] - n_field,
         recurrence,
     ))
 

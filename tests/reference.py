@@ -12,7 +12,9 @@ branches.  :func:`hamiltonian_state` is the brute-force field+bath oracle.
 coefficient vectors through the same quadratic form as ``coherent.expectation``;
 ``value_at`` reads an operator (weights, phases) on a number state, and ``joint``
 stacks the densities conditioned on e and on g as ``conditional_probabilities``
-takes them.
+takes them.  ``fock_vector_per_branch`` expands a superposition one label at a
+time and ``trace_of_square`` forms Tr(m m) from the full O(N^3) product: the
+routes the Fock oracle's batched recurrence and O(N^2) purity replace.
 """
 
 import functools
@@ -23,6 +25,7 @@ from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
 import mesocat as mc
+from mesocat import fock
 from mesocat.coherent import NORM_FLOOR, ReducedDensity, _phase_forms
 
 #: eigenvector columns refined at a time; bounds the long-double work arrays
@@ -208,3 +211,14 @@ def joint(rho_e: ReducedDensity, rho_g: ReducedDensity) -> ReducedDensity:
     fields = [np.stack(np.broadcast_arrays(getattr(rho_e, name), getattr(rho_g, name)), axis=axis)
               for name, axis in (("labels", -2), ("weights", -2), ("expo", -3))]
     return ReducedDensity(*fields, batch=1)
+
+
+def fock_vector_per_branch(state, n_max: int) -> np.ndarray:
+    """Fock amplitudes of a superposition, one number-state recurrence per branch label."""
+    return sum(br.weight * fock.coherent_to_fock(br.field, n_max).amplitudes
+               for br in state.branches)
+
+
+def trace_of_square(m) -> np.ndarray:
+    """Tr(m m) per stack index from the matrix product."""
+    return np.trace(m @ m, axis1=-2, axis2=-1)

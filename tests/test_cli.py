@@ -1,5 +1,6 @@
 """Config schema, CLI subcommands, output formats, determinism, exit codes."""
 
+import argparse
 import ast
 import gc
 import json
@@ -359,6 +360,52 @@ def test_exit_3_on_zero_probability_preparation(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert cli.main(["run", "--config", path]) == 3
     assert "zero-probability" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call_as_fresh_processes_do(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process; repeated calls, an argparse failure and
+    # --help among them, must act as each call does in a fresh `python -m mesocat`
+    micro = base_config(tmp_path, engine="microscopic", bath=BAND_51,
+                        output={"format": "csv", "path": str(tmp_path / "cmp.csv")})
+    argvs = [
+        ["run", "--config", write_config(tmp_path, base_config(tmp_path), "run.json")],
+        ["compare", "--config", write_config(tmp_path, micro, "cmp.json")],
+        ["sweep", "--config", write_config(tmp_path, base_config(tmp_path), "sweep.json"),
+         "--param", "phi", "--values", "2,1"],
+        ["sweep", "--param", "phi", "--values", "1"],  # --config missing: argparse exits 2
+        ["--help"],
+    ]
+    outputs = [tmp_path / "out.csv", tmp_path / "cmp.csv", tmp_path / "out.csv", None, None]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "COLUMNS": "80"}
+    env.pop("MESOCAT_LOG", None)
+    fresh = []
+    for argv, output in zip(argvs, outputs):
+        done = subprocess.run([sys.executable, "-m", "mesocat", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        fresh.append((done.returncode, done.stdout, done.stderr, output and output.read_bytes()))
+
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("MESOCAT_LOG", raising=False)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    capsys.readouterr()
+    for repeat in range(2):
+        for (argv, output), want in zip(zip(argvs, outputs), fresh):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err, output and output.read_bytes()) == want, (repeat, argv)
+    assert [code for code, *_ in fresh] == [0, 0, 0, 2, 0]
+    assert built == ["mesocat", "mesocat run", "mesocat compare", "mesocat sweep"]
 
 
 def test_exit_4_on_positivity_violation(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,7 @@ import mesocat as mc
 from mesocat import DetectionOutcome as Out
 from mesocat import ProtocolCase as Case
 from mesocat import fock
-from reference import evolve, hamiltonian_state, joint, reduce
+from reference import evolve, hamiltonian_state, joint, reduce, trace_of_square
 
 RNG = np.random.default_rng(20260810)
 MP = mc.MasterParams(1.0)
@@ -254,6 +254,28 @@ def test_stacked_readouts_match_single_matrices():
     for index in np.ndindex(labels.shape):
         single = fock.coherent_to_fock(labels[index], 19).amplitudes
         assert np.array_equal(vectors[index], single)
+
+
+def test_purity_matches_the_trace_of_the_matrix_product():
+    # one O(N^2) contraction against Tr(m m) from the O(N^3) product, within the
+    # rounding of N-term sums: (n_max + 1) eps sum|m_ij|^2, on damped densities
+    # (case A and B, master and bath-like complex g) and on non-Hermitian dyads
+    n_max = 24
+    times = np.linspace(0.0, 3.0, 7)
+    matrices = []
+    for case, phi in ((Case.CASE_A, math.pi), (Case.CASE_B, math.pi / 4)):
+        state = mc.prepare(mc.ProtocolParams(case, 1.3 + 0.2j, phi), Out.E)
+        rho0 = fock.density_from_vector(fock.superposition_vector(state, n_max)).matrix
+        g, depletion = mc.me_response(MP, times)
+        matrices += [fock.damp(rho0, g * phase, depletion) for phase in (1.0, np.exp(0.7j * times))]
+    rng = np.random.default_rng(17)
+    u, v = (fock.coherent_to_fock(rng.uniform(-0.9, 0.9, (5, 2)) @ [1.0, 1j], n_max).amplitudes
+            for _ in range(2))
+    matrices.append(u[:, :, None] * v.conj()[:, None, :])
+    for m in matrices:
+        bound = (n_max + 1) * np.finfo(float).eps * np.sum(np.abs(m) ** 2, axis=(-2, -1))
+        gap = np.abs(fock.fock_purity(fock.FockDensity(n_max, m)) - trace_of_square(m).real)
+        assert np.all(gap <= bound), (gap / bound).max()
 
 
 def test_coherent_to_fock_truncation_names_the_stack_index():

@@ -15,6 +15,7 @@ from mesocat import cli, config, fock, runner
 from mesocat.config import parse_scenario
 from reference import (
     evolve,
+    fock_vector_per_branch,
     gamma_a,
     gamma_b,
     joint,
@@ -22,6 +23,7 @@ from reference import (
     occupations,
     phase_op_matrix_element,
     reduce,
+    trace_of_square,
 )
 
 
@@ -265,18 +267,46 @@ def test_compare_stack_equals_each_engine_table_bit_for_bit(tmp_path, case):
 
 @pytest.mark.parametrize("points", [11, 201])
 def test_fock_evolves_whole_grids_not_rows(tmp_path, monkeypatch, points):
-    # one damping-map call per conditioned density, whatever the grid length
-    calls = []
-    damp = fock.damp
+    # one damping-map call per conditioned density and two number-state recurrences,
+    # one for the branch labels of both prepared states and one for the damped
+    # labels, whatever the grid length
+    calls, expanded = [], []
+    damp, coherent_to_fock = fock.damp, fock.coherent_to_fock
 
     def counted(rho, g, depletion):
         calls.append(np.shape(depletion))
         return damp(rho, g, depletion)
 
+    def expand(label, n_max, batch=0):
+        expanded.append(np.shape(label))
+        return coherent_to_fock(label, n_max, batch)
+
     monkeypatch.setattr(fock, "damp", counted)
+    monkeypatch.setattr(fock, "coherent_to_fock", expand)
     table = runner.run_scenario(parse_scenario(scenario(tmp_path, "fock", 1.0, points=points)))
     assert len(table["t"]) == points
     assert calls == [(points,), (points,)]
+    assert expanded == [(2, 2), (points, 2)]
+
+
+@pytest.mark.parametrize("case, phi", [("a", math.pi), ("b", math.pi / 4)])
+def test_batched_recurrences_keep_the_per_branch_table_bits(tmp_path, monkeypatch, case, phi):
+    # the Fock table from two batched recurrences against the route that expands
+    # each branch label on its own and takes Tr(rho rho) from the matrix product:
+    # equal bits but in purity and defect, which sum in another order: within
+    # (n_max + 1) eps sum|rho_ij|^2, and sum|rho_ij|^2 = purity <= 1
+    cfg = parse_scenario(scenario(tmp_path, "fock", 1.0, case, phi, t_max=2.0, points=21))
+    table = runner.run_scenario(cfg)
+    monkeypatch.setattr(fock, "superposition_vector", lambda states, n_max: fock.FockVector(
+        n_max, np.array([fock_vector_per_branch(state, n_max) for state in states])))
+    monkeypatch.setattr(fock, "fock_purity", lambda rho: trace_of_square(rho.matrix).real)
+    per_branch = runner.run_scenario(cfg)
+    bound = (cfg.fock.n_max + 1) * np.finfo(float).eps
+    for name, column in table.items():
+        if name.startswith(("purity", "defect")):
+            assert np.max(np.abs(column - per_branch[name])) <= bound, name
+        else:
+            assert column.tobytes() == per_branch[name].tobytes(), name
 
 
 def fock_rows_per_time(cfg):
