@@ -1,12 +1,13 @@
 """Validating the analytic engines against brute-force Fock-space damping.
 
 Every closed form in this package can be recomputed the slow way: expand
-states over number levels and apply the exact Kraus map of the damping flow,
-sum_l K_l rho K_l^dag with <m-l|K_l|m> = sqrt(C(m, l)) g^(m-l) B^(l/2), at the
-same response (g, B) -- of a discrete bath or of the master equation.  At
-desk scale the two routes agree to rounding, which is the whole point of
-keeping the slow one around.  (The tests also check both against a sparse
-field+bath Hamiltonian evolved with a Krylov exponential.)
+states over number levels, as plain amplitude vectors and density matrices
+whose last axis has n_max + 1 levels, and apply the exact Kraus map of the
+damping flow, sum_l K_l rho K_l^dag with <m-l|K_l|m> = sqrt(C(m, l))
+g^(m-l) B^(l/2), at the same response (g, B) -- of a discrete bath or of the
+master equation.  At desk scale the two routes agree to rounding, which is
+the whole point of keeping the slow one around.  (The tests also check both
+against a sparse field+bath Hamiltonian evolved with a Krylov exponential.)
 """
 
 import math
@@ -23,7 +24,7 @@ spec = mc.BathSpec(np.array([0.0]), np.array([0.7]), target_gamma=1.0)
 params = mc.ProtocolParams(Case.CASE_A, 1.0 + 0j, math.pi)
 state = mc.prepare(params, Out.E)
 n_max = fock.required_n_max(params.alpha0)
-rho0 = fock.density_from_vector(fock.superposition_vector(state, n_max)).matrix
+rho0 = fock.density_from_vector(fock.superposition_vector(state, n_max))
 
 times = np.array([0.4, 1.2, 2.0])
 g, depletion = mc.response(spec, times)
@@ -38,21 +39,20 @@ for t, lam, lam_fock in zip(times, exact, oracle):
 print()
 print("== Damping: closed-form dyad factor vs the Lindblad Kraus map ==")
 gamma, t = 1.0, 0.35
-mp = mc.MasterParams(gamma)
 a, b = 1.1 + 0.3j, -0.9 + 0.5j
 n_big = 30
 dyad0 = np.outer(
-    fock.coherent_to_fock(a, n_big).amplitudes,
-    fock.coherent_to_fock(b, n_big).amplitudes.conj(),
+    fock.coherent_to_fock(a, n_big),
+    fock.coherent_to_fock(b, n_big).conj(),
 )
-g, depletion = mc.me_response(mp, t)
+g, depletion = mc.me_response(gamma, t)
 dyad_t = fock.damp(dyad0, g, depletion)
 # the factor of |a><b| is the coherence exp(K_10) of the damped pair |b> + |a>
 pair = mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, b), mc.Branch(1.0, a))))
 factor = np.exp(mc.damped_density(pair, g, depletion).expo[1, 0])
 target = factor * np.outer(
-    fock.coherent_to_fock(a * complex(g), n_big).amplitudes,
-    fock.coherent_to_fock(b * complex(g), n_big).amplitudes.conj(),
+    fock.coherent_to_fock(a * complex(g), n_big),
+    fock.coherent_to_fock(b * complex(g), n_big).conj(),
 )
 print(f"dyad |{a}><{b}| evolved for t = {t} t_c:")
 print(f"largest entry difference vs closed form: {np.max(np.abs(dyad_t - target)):.2e}")

@@ -17,8 +17,8 @@ coherent   exact coherent-state algebra: overlaps, the field density damped
 protocol   Ramsey/dispersive measurement operators, state preparation,
            conditional probabilities, closed-form eigenvalues
 bath       discretized bath, its exact response (g, B) from its secular spectrum
-lindblad   closed-form zero-temperature master-equation response
-fock       brute-force truncated-Fock states and the damping map at (g, B)
+lindblad   closed-form zero-temperature master-equation response (g, B) at a rate gamma
+fock       brute-force truncated-Fock oracle on plain arrays, the damping map at (g, B)
 runner     scenario engines producing observable time series
 config     scenario configuration schema
 cli        `mesocat run|compare|sweep` command-line entry points
@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedInputError,
     ZeroStateError,
 )
-from .lindblad import MasterParams, me_response
+from .lindblad import me_response
 from .protocol import (
     CorrelationRecord,
     DetectionOutcome,

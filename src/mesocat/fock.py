@@ -4,23 +4,24 @@ Everything the analytic engines compute -- state preparation, damping at a
 response (g, B), measurement, spectra -- is recomputed here from the raw
 matrix representations, deliberately without caching or shortcuts (the
 damping map rebuilds its response-independent tensor on every call and never
-keeps it), so that agreement between the two routes validates both.  Leading
-axes index stacks such as a time grid: one number-state recurrence expands
-every label of a stack, so the runner's Fock table makes two, one for the
-branch labels of both prepared states and one for the damped labels, and the
-purity Tr(rho rho) is one O(N^2) contraction per matrix.  Cost grows fast with
-amplitude: desk-scale checks only (|alpha|^2 of a few).
+keeps it), so that agreement between the two routes validates both.  States are
+plain arrays, amplitude vectors (..., N) and density matrices (..., N, N), with
+N = n_max + 1 read from the last axis.  Leading axes index stacks such as a
+time grid: one number-state recurrence expands every label of a stack, so the
+runner's Fock table makes two, one for the branch labels of both prepared
+states and one for the damped labels, and the purity Tr(rho rho) is one O(N^2)
+contraction per matrix.  Cost grows fast with amplitude: desk-scale checks
+only (|alpha|^2 of a few).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coherent import _require, _weights_labels
-from .errors import InvalidArgumentError, TruncationError
+from .errors import TruncationError
 
 
 def required_n_max(amplitude):
@@ -33,29 +34,7 @@ def required_n_max(amplitude):
     return np.ceil(a2 + 8.0 * np.sqrt(a2) + 10.0).astype(int)
 
 
-@dataclass(frozen=True, eq=False)
-class FockVector:
-    n_max: int
-    amplitudes: np.ndarray  # (..., n_max + 1): leading axes index a stack
-
-    def __post_init__(self):
-        if self.amplitudes.shape[-1:] != (self.n_max + 1,):
-            raise InvalidArgumentError("amplitude vector must have length n_max + 1")
-        self.amplitudes.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class FockDensity:
-    n_max: int
-    matrix: np.ndarray  # (..., n_max + 1, n_max + 1): leading axes index a stack
-
-    def __post_init__(self):
-        if self.matrix.shape[-2:] != (self.n_max + 1, self.n_max + 1):
-            raise InvalidArgumentError("density matrix must be (n_max+1) square")
-        self.matrix.setflags(write=False)
-
-
-def coherent_to_fock(label, n_max: int, batch: int = 0) -> FockVector:
+def coherent_to_fock(label, n_max: int, batch: int = 0) -> np.ndarray:
     """Expand |label> over number states: c_n = e^{-|a|^2/2} a^n / sqrt(n!), per stack index.
 
     A failed guard names the first failing label by its index over the axes of
@@ -72,22 +51,20 @@ def coherent_to_fock(label, n_max: int, batch: int = 0) -> FockVector:
     tail = np.abs(amps[..., n_max]) ** 2
     _require(tail < 1e-10, TruncationError,
              "tail population at the cutoff exceeds the leakage guard", tail, batch)
-    return FockVector(n_max, amps)
+    return amps
 
 
-def superposition_vector(state, n_max: int) -> FockVector:
+def superposition_vector(state, n_max: int) -> np.ndarray:
     """Fock vector of a superposition (weights applied verbatim), or the stack of a (nested)
     list of superpositions with equal branch counts, from one recurrence over every label."""
     weights, labels = _weights_labels(state)
-    vecs = coherent_to_fock(labels, n_max, batch=labels.ndim).amplitudes
-    amps = sum(weights[..., k, None] * vecs[..., k, :] for k in range(weights.shape[-1]))
-    return FockVector(n_max, amps)
+    vecs = coherent_to_fock(labels, n_max, batch=labels.ndim)
+    return sum(weights[..., k, None] * vecs[..., k, :] for k in range(weights.shape[-1]))
 
 
-def density_from_vector(vec: FockVector) -> FockDensity:
+def density_from_vector(vec) -> np.ndarray:
     """|v><v| per stack index."""
-    amps = vec.amplitudes
-    return FockDensity(vec.n_max, amps[..., :, None] * amps.conj()[..., None, :])
+    return vec[..., :, None] * vec.conj()[..., None, :]
 
 
 def _kraus_tensor(mat: np.ndarray) -> np.ndarray:
@@ -134,17 +111,18 @@ def damp(rho, g, depletion):
     return damped
 
 
-def fock_measure(op, rho: FockDensity):
+def fock_measure(op, rho):
     """Tr[op rho] of op = (weights, phases) from the number-basis diagonal, per stack index."""
-    levels = np.arange(rho.n_max + 1)
+    levels = np.arange(np.shape(rho)[-1])
     values = sum(w * np.exp(1j * p * levels) for w, p in zip(*op))
-    return np.sum(values * np.diagonal(rho.matrix, axis1=-2, axis2=-1), axis=-1)
+    return np.sum(values * np.diagonal(rho, axis1=-2, axis2=-1), axis=-1)
 
 
-def fock_purity(rho: FockDensity):
+def fock_purity(rho):
     """Tr(rho rho) = sum_ij rho_ij rho_ji, per stack index: O(N^2), no matrix product."""
-    return np.einsum("...ij,...ji->...", rho.matrix, rho.matrix).real
+    return np.einsum("...ij,...ji->...", rho, rho).real
 
 
-def fock_mean_photon(rho: FockDensity):
-    return np.sum(np.arange(rho.n_max + 1) * np.diagonal(rho.matrix, 0, -2, -1).real, axis=-1)
+def fock_mean_photon(rho):
+    """<n> = sum_n n rho_nn of (..., N, N) matrices, per stack index."""
+    return np.sum(np.arange(np.shape(rho)[-1]) * np.diagonal(rho, 0, -2, -1).real, axis=-1)

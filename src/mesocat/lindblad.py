@@ -12,7 +12,7 @@ amplitudes (it is the ratio <b|a> / <b_t|a_t>).  For opposite amplitudes
 factor of the even/odd superpositions; for general pairs -- needed by the
 case-B protocol -- it is validated against the Fock-space damping map
 ``fock.damp`` at these (g, B) in the test suite rather than assumed.  The
-field density at time t is ``coherent.damped_density(state, *me_response(params, t))``.
+field density at time t is ``coherent.damped_density(state, *me_response(gamma, t))``.
 
 No bath modes appear here: gamma = 1/t_c is the only dissipation parameter.
 """
@@ -20,7 +20,6 @@ No bath modes appear here: gamma = 1/t_c is the only dissipation parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,24 +27,16 @@ from .coherent import _require
 from .errors import InvalidArgumentError
 
 
-@dataclass(frozen=True)
-class MasterParams:
-    """Field-energy decay rate gamma = 1/t_c (inverse intensity damping time)."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise InvalidArgumentError("gamma must be positive and finite")
-
-
-def me_response(params: MasterParams, times) -> tuple[np.ndarray, np.ndarray]:
-    """g(t) = e^{-gamma t/2} and depletion B(t) = 1 - e^{-gamma t} over a time grid.
+def me_response(gamma: float, times) -> tuple[np.ndarray, np.ndarray]:
+    """g(t) = e^{-gamma t/2} and depletion B(t) = 1 - e^{-gamma t} over a time grid, at the
+    field-energy decay rate gamma = 1/t_c (inverse intensity damping time).
 
     The counterpart of the discrete bath's secular-spectrum ``bath.response``:
     its field densities are ``coherent.damped_density`` at these (g, B).
     """
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise InvalidArgumentError("gamma must be positive and finite")
     times = np.asarray(times, dtype=float)
     _require(np.isfinite(times) & (times >= 0), InvalidArgumentError,
              "t must be nonnegative and finite", times)
-    return np.exp(-0.5 * params.gamma * times), -np.expm1(-params.gamma * times)
+    return np.exp(-0.5 * gamma * times), -np.expm1(-gamma * times)

@@ -112,7 +112,7 @@ def _response(cfg: ScenarioConfig, times_tc: np.ndarray) -> tuple[np.ndarray, ..
         recurrence = times > bathmod.RECURRENCE_FRACTION * spec.recurrence_time
         return (*bathmod.response(spec, times), recurrence)
     times = times_tc * (1.0 / cfg.master.gamma)
-    g, depletion = lindblad.me_response(lindblad.MasterParams(cfg.master.gamma), times)
+    g, depletion = lindblad.me_response(cfg.master.gamma, times)
     return g, depletion, np.zeros(len(times), dtype=bool)
 
 
@@ -186,19 +186,19 @@ def _fock_table(n_max, params, times_tc, g, depletion, recurrence) -> dict[str, 
     rho0 = fock.density_from_vector(fock.superposition_vector(states, n_max))  # (2, N, N)
     labels_t = np.multiply.outer(g, [br.field for br in state_e.branches])
     # one damp per outcome: a (2, N, N) Kraus stack costs more than two calls
-    rho_e, rho_g = (fock.FockDensity(n_max, fock.damp(m, g, depletion)) for m in rho0.matrix)
-    vecs = fock.coherent_to_fock(labels_t, n_max).amplitudes  # (T, 2, N), times named on failure
+    rho_e, rho_g = (fock.damp(m, g, depletion) for m in rho0)
+    vecs = fock.coherent_to_fock(labels_t, n_max, batch=1)  # (T, 2, N), times named on failure
     ops = [proto.measurement_product(params, outcome) for outcome in proto.DetectionOutcome]
     measured = (fock.fock_measure(op, rho) for rho in (rho_e, rho_g) for op in ops)
     rec = proto.CorrelationRecord(*measured)  # checked before they are clamped
-    label_products = (vecs.conj() @ rho_e.matrix) @ vecs.transpose(0, 2, 1)
+    label_products = (vecs.conj() @ rho_e) @ vecs.transpose(0, 2, 1)
     g_b = _fock_gamma_b(label_products, labels_t, [br.weight for br in state_e.branches], n_max)
     pur_e, pur_g = fock.fock_purity(rho_e), fock.fock_purity(rho_g)
     n_field = fock.fock_mean_photon(rho_e)
     return _table((
         times_tc, _pair_factors(state_e, g, depletion)[0], g_b,
         rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta,
-        *_fock_assign(rho_e.matrix, labels_t), *_fock_assign(rho_g.matrix, labels_t),
+        *_fock_assign(rho_e, labels_t), *_fock_assign(rho_g, labels_t),
         pur_e, pur_g, 1 - pur_e, 1 - pur_g, n_field, fock.fock_mean_photon(rho0)[0] - n_field,
         recurrence,
     ))

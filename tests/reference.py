@@ -215,8 +215,7 @@ def joint(rho_e: ReducedDensity, rho_g: ReducedDensity) -> ReducedDensity:
 
 def fock_vector_per_branch(state, n_max: int) -> np.ndarray:
     """Fock amplitudes of a superposition, one number-state recurrence per branch label."""
-    return sum(br.weight * fock.coherent_to_fock(br.field, n_max).amplitudes
-               for br in state.branches)
+    return sum(br.weight * fock.coherent_to_fock(br.field, n_max) for br in state.branches)
 
 
 def trace_of_square(m) -> np.ndarray:

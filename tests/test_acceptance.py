@@ -57,7 +57,6 @@ def case_a_pi(alpha0):
 
 def test_criterion_1_trace_and_positivity(flat_band_201):
     rng = np.random.default_rng(42)
-    mp = mc.MasterParams(GAMMA)
     checked = 0
     worst_trace = 0.0
     while checked < 200:
@@ -75,7 +74,7 @@ def test_criterion_1_trace_and_positivity(flat_band_201):
             if engine == "microscopic":
                 rho = reduce(evolve(state, flat_band_201, t))
             else:
-                rho = mc.damped_density(state, *mc.me_response(mp, t))
+                rho = mc.damped_density(state, *mc.me_response(GAMMA, t))
             worst_trace = max(worst_trace, abs(rho.trace() - 1.0))
             spectrum = mc.eigenvalues(rho)  # raises PositivityError below -1e-10
             assert all(0.0 <= lam <= 1.0 for lam in spectrum.eigenvalues)
@@ -163,13 +162,12 @@ def test_criterion_4_measurement_identities(flat_band_201):
 
 
 def test_criterion_5_master_equation_closed_form():
-    mp = mc.MasterParams(GAMMA)
     params = case_a_pi(ALPHA33)
     st_e, st_g = mc.prepare(params, Out.E), mc.prepare(params, Out.G)
     worst = 0.0
     for t in np.linspace(0.0, 0.5, 26):
         rec = mc.conditional_probabilities(
-            mc.damped_density([st_e, st_g], *mc.me_response(mp, t)), params
+            mc.damped_density([st_e, st_g], *mc.me_response(GAMMA, t)), params
         )
         target = math.exp(-2.0 * 3.3 * (1.0 - math.exp(-GAMMA * t)))
         worst = max(worst, abs(rec.eta - target))
@@ -178,7 +176,7 @@ def test_criterion_5_master_equation_closed_form():
     etas = []
     for t in fit_ts:
         rec = mc.conditional_probabilities(
-            mc.damped_density([st_e, st_g], *mc.me_response(mp, t)), params
+            mc.damped_density([st_e, st_g], *mc.me_response(GAMMA, t)), params
         )
         etas.append(rec.eta)
     slope = np.polyfit(fit_ts, np.log(etas), 1)[0]
@@ -206,9 +204,9 @@ def test_criterion_6_oracle_equivalence(resonant_single_mode):
         for outcome in (Out.E, Out.G):
             state = mc.prepare(params, outcome)
             rhos_exact[outcome] = reduce(evolve(state, spec, t))
-            vec = fock.superposition_vector(state, n_max).amplitudes
+            vec = fock.superposition_vector(state, n_max)
             psi = hamiltonian_state(vec, spec, t, n_max)
-            rhos_oracle[outcome] = fock.FockDensity(n_max, psi @ psi.conj().T)
+            rhos_oracle[outcome] = psi @ psi.conj().T
         for outcome in (Out.E, Out.G):
             for second in (Out.E, Out.G):
                 op = mc.measurement_product(params, second)
@@ -216,7 +214,7 @@ def test_criterion_6_oracle_equivalence(resonant_single_mode):
                 p_oracle = fock.fock_measure(op, rhos_oracle[outcome]).real
                 worst = max(worst, abs(p_exact - p_oracle))
             lam_exact = mc.eigenvalues(rhos_exact[outcome]).eigenvalues
-            lam_oracle = np.linalg.eigvalsh(rhos_oracle[outcome].matrix)[::-1][:2]
+            lam_oracle = np.linalg.eigvalsh(rhos_oracle[outcome])[::-1][:2]
             worst = max(worst, max(abs(a - b) for a, b in zip(lam_exact, lam_oracle)))
             worst = max(
                 worst,
@@ -230,15 +228,14 @@ def test_criterion_6_oracle_equivalence(resonant_single_mode):
         worst = max(worst, abs(rec.eta - eta_oracle))
 
     # master-equation closed form vs the brute-force Lindblad Kraus map
-    mp = mc.MasterParams(GAMMA)
     params = case_a_pi(1.2 + 0j)
     n_max = fock.required_n_max(params.alpha0)
     for outcome in (Out.E, Out.G):
         state = mc.prepare(params, outcome)
         rho0 = fock.density_from_vector(fock.superposition_vector(state, n_max))
         for t in (0.25, 0.6):
-            rho_me = mc.damped_density(state, *mc.me_response(mp, t))
-            rho_oracle = fock.FockDensity(n_max, fock.damp(rho0.matrix, *mc.me_response(mp, t)))
+            rho_me = mc.damped_density(state, *mc.me_response(GAMMA, t))
+            rho_oracle = fock.damp(rho0, *mc.me_response(GAMMA, t))
             for second in (Out.E, Out.G):
                 op = mc.measurement_product(params, second)
                 worst = max(
@@ -246,7 +243,7 @@ def test_criterion_6_oracle_equivalence(resonant_single_mode):
                     abs(mc.expectation(op, rho_me).real - fock.fock_measure(op, rho_oracle).real),
                 )
             lam_me = mc.eigenvalues(rho_me).eigenvalues
-            lam_oracle = np.linalg.eigvalsh(rho_oracle.matrix)[::-1][:2]
+            lam_oracle = np.linalg.eigvalsh(rho_oracle)[::-1][:2]
             worst = max(worst, max(abs(a - b) for a, b in zip(lam_me, lam_oracle)))
             worst = max(worst, abs(mc.purity(rho_me) - fock.fock_purity(rho_oracle)))
     report("6 oracle equivalence", worst <= 1e-6, f"max deviation = {worst:.2e}")
@@ -259,8 +256,7 @@ def test_criterion_7_short_time_contrast(flat_band_201):
     micro = [
         mc.idempotency_defect(reduce(evolve(state, flat_band_201, t))) for t in ts
     ]
-    mp = mc.MasterParams(GAMMA)
-    master = [mc.idempotency_defect(mc.damped_density(state, *mc.me_response(mp, t))) for t in ts]
+    master = [mc.idempotency_defect(mc.damped_density(state, *mc.me_response(GAMMA, t))) for t in ts]
     slope_micro = np.polyfit(np.log(ts), np.log(micro), 1)[0]
     slope_master = np.polyfit(np.log(ts), np.log(master), 1)[0]
     report(
@@ -315,8 +311,6 @@ def test_criterion_9_regime_agreement(flat_band_201):
     eps = GAMMA / (math.pi * HALF_BANDWIDTH)
     gamma_markov = GAMMA / (1.0 - eps)
     slip = -2.0 * math.log1p(-eps) / gamma_markov  # ln(Z^2) / gamma'
-    mp_bare = mc.MasterParams(GAMMA)
-    mp_markov = mc.MasterParams(gamma_markov)
     params = case_a_pi(ALPHA33)
     st_e, st_g = mc.prepare(params, Out.E), mc.prepare(params, Out.G)
     gap = bare_gap = 0.0
@@ -326,10 +320,10 @@ def test_criterion_9_regime_agreement(flat_band_201):
             params,
         ).eta
         eta_me = mc.conditional_probabilities(
-            mc.damped_density([st_e, st_g], *mc.me_response(mp_markov, t - slip)), params
+            mc.damped_density([st_e, st_g], *mc.me_response(gamma_markov, t - slip)), params
         ).eta
         eta_bare = mc.conditional_probabilities(
-            mc.damped_density([st_e, st_g], *mc.me_response(mp_bare, t)), params
+            mc.damped_density([st_e, st_g], *mc.me_response(GAMMA, t)), params
         ).eta
         gap = max(gap, abs(eta_micro - eta_me))
         bare_gap = max(bare_gap, abs(eta_micro - eta_bare))

@@ -320,7 +320,7 @@ def test_near_vacuum_and_long_time_runs_match_closed_forms(tmp_path, engine, alp
     _, rows = read_csv(tmp_path / "out.csv")
     times = np.array([row["t"] for row in rows])
     if engine == "master":
-        g, depletion = mc.me_response(mc.MasterParams(1.0), times)
+        g, depletion = mc.me_response(1.0, times)
     else:
         g, depletion = mc.response(mc.discretize_flat_band(1.0, 201, 50.0), times)
     for row, g_t, b_t in zip(rows, g, depletion):

@@ -639,7 +639,7 @@ def test_phase_op_canonical_merges_and_wraps():
 def test_stack_index_matches_single_time_stack(params):
     # index i of a stacked computation against a length-1 stack and the
     # unstacked density at (g[i], B[i])
-    g, depletion = mc.me_response(mc.MasterParams(1.0), np.linspace(0.0, 3.0, 31))
+    g, depletion = mc.me_response(1.0, np.linspace(0.0, 3.0, 31))
     ops = [mc.measurement_product(params, o) for o in (Out.E, Out.G)]
     state = mc.prepare(params, Out.E)
 
@@ -660,7 +660,7 @@ def test_stack_index_matches_single_time_stack(params):
 def test_failed_stacked_checks_name_the_time_index():
     params = mc.ProtocolParams(Case.CASE_A, 1.2 + 0j, math.pi)
     state_e, state_g = (mc.prepare(params, o) for o in (Out.E, Out.G))
-    g, depletion = mc.me_response(mc.MasterParams(1.0), np.linspace(0.0, 2.0, 9))
+    g, depletion = mc.me_response(1.0, np.linspace(0.0, 2.0, 9))
     rho = mc.damped_density(state_e, g, depletion)
     # a positive real coherence exponent at index 6: |exp(K12)| > 1
     expo = np.array(rho.expo)

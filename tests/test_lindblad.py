@@ -13,7 +13,7 @@ from mesocat import DetectionOutcome as Out
 from mesocat import ProtocolCase as Case
 from reference import evolve, gamma_b
 
-MP = mc.MasterParams(1.0)
+GAMMA = 1.0
 
 amp_strategy = st.builds(
     complex, st.floats(-2.0, 2.0, allow_nan=False), st.floats(-2.0, 2.0, allow_nan=False)
@@ -24,23 +24,22 @@ def odd_cat(alpha0):
     return mc.prepare(mc.ProtocolParams(Case.CASE_A, alpha0, math.pi), Out.E)
 
 
-def test_master_params_validation():
-    with pytest.raises(mc.InvalidArgumentError):
-        mc.MasterParams(0.0)
-    with pytest.raises(mc.InvalidArgumentError):
-        mc.MasterParams(-1.0)
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
+def test_me_response_rejects_a_bad_rate(gamma):
+    with pytest.raises(mc.InvalidArgumentError, match="gamma must be positive and finite"):
+        mc.me_response(gamma, [0.0, 1.0])
 
 
 def dyad_factor(a, b, t):
     """Coherence factor of |a><b| in the master density of the normalized pair |b> + |a>."""
     pair = mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, b), mc.Branch(1.0, a))))
-    return complex(np.exp(mc.damped_density(pair, *mc.me_response(MP, t)).expo[1, 0]))
+    return complex(np.exp(mc.damped_density(pair, *mc.me_response(GAMMA, t)).expo[1, 0]))
 
 
 def test_amplitude_decay():
     def amplitude(alpha0, t):
         state = mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, alpha0),)))
-        return complex(mc.damped_density(state, *mc.me_response(MP, t)).labels[0])
+        return complex(mc.damped_density(state, *mc.me_response(GAMMA, t)).labels[0])
 
     assert amplitude(1.5 + 0.5j, 0.0) == 1.5 + 0.5j
     assert amplitude(2.0 + 0j, 2.0 * math.log(2)) == pytest.approx(1.0 + 0j)
@@ -77,7 +76,7 @@ def test_dyad_factor_bounded(a, b, t):
 def test_me_reduce_at_zero_matches_fresh_reduction():
     state = odd_cat(1.2 + 0j)
     rho0 = mc.damped_density(state, 1.0, 0.0)
-    rho_me = mc.damped_density(state, *mc.me_response(MP, 0.0))
+    rho_me = mc.damped_density(state, *mc.me_response(GAMMA, 0.0))
     np.testing.assert_array_equal(rho_me.labels, rho0.labels)
     np.testing.assert_allclose(rho_me.coeff, rho0.coeff, atol=1e-14)
 
@@ -89,7 +88,7 @@ def test_me_reduce_matches_dyad_factor_formula(outcome):
     state = mc.prepare(mc.ProtocolParams(Case.CASE_B, 1.3 + 0.2j, 0.9), outcome)
     rho0 = mc.damped_density(state, 1.0, 0.0)
     for t in (0.0, 0.05, 0.7, 3.0):
-        rho = mc.damped_density(state, *mc.me_response(MP, t))
+        rho = mc.damped_density(state, *mc.me_response(GAMMA, t))
         labels = [l * math.exp(-0.5 * t) for l in rho0.labels]
         factors = np.array([
             [cmath.exp((b.conjugate() * a - 0.5 * (abs(a) ** 2 + abs(b) ** 2)) * -math.expm1(-t))
@@ -101,15 +100,15 @@ def test_me_reduce_matches_dyad_factor_formula(outcome):
 
 
 def test_me_response_is_the_closed_form():
-    g, depletion = mc.me_response(mc.MasterParams(2.0), [0.0, 0.25, 1.0])
+    g, depletion = mc.me_response(2.0, [0.0, 0.25, 1.0])
     np.testing.assert_allclose(g, np.exp(-np.array([0.0, 0.25, 1.0])), rtol=1e-15)
     np.testing.assert_allclose(depletion, 1.0 - np.exp(-np.array([0.0, 0.5, 2.0])), rtol=1e-15)
     with pytest.raises(mc.InvalidArgumentError):
-        mc.me_response(MP, [0.1, -0.1])
+        mc.me_response(GAMMA, [0.1, -0.1])
 
 
 def test_me_reduce_long_time_reaches_vacuum():
-    rho = mc.damped_density(odd_cat(1.3 + 0j), *mc.me_response(MP, 1e3))
+    rho = mc.damped_density(odd_cat(1.3 + 0j), *mc.me_response(GAMMA, 1e3))
     spec = mc.eigenvalues(rho)
     assert spec.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
     assert all(lam < 1e-12 for lam in spec.eigenvalues[1:])
@@ -123,7 +122,7 @@ def test_me_reduce_preserves_trace(t, amp, phi):
         state = mc.prepare(params, Out.G)
     except mc.ZeroStateError:
         return
-    rho = mc.damped_density(state, *mc.me_response(MP, t))
+    rho = mc.damped_density(state, *mc.me_response(GAMMA, t))
     assert rho.trace() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -132,7 +131,7 @@ def test_me_eigenvalues_match_closed_form():
     for outcome in (Out.E, Out.G):
         state = mc.prepare(mc.ProtocolParams(Case.CASE_A, alpha0, math.pi), outcome)
         for t in (0.0, 0.2, 0.9, 2.4):
-            rho = mc.damped_density(state, *mc.me_response(MP, t))
+            rho = mc.damped_density(state, *mc.me_response(GAMMA, t))
             lam = mc.eigenvalues_case_a(alpha0, math.exp(-0.5 * t), -math.expm1(-t), outcome)
             numeric = mc.eigenvalues(rho).eigenvalues
             assert sorted(lam, reverse=True) == pytest.approx(list(numeric), abs=1e-10)
@@ -143,7 +142,7 @@ def test_me_defect_small_overlap_value():
     alpha0 = complex(math.sqrt(3.3), 0)
     for outcome in (Out.E, Out.G):
         state = mc.prepare(mc.ProtocolParams(Case.CASE_A, alpha0, math.pi), outcome)
-        defect = mc.idempotency_defect(mc.damped_density(state, *mc.me_response(MP, 0.1)))
+        defect = mc.idempotency_defect(mc.damped_density(state, *mc.me_response(GAMMA, 0.1)))
         assert defect == pytest.approx(0.3576, abs=1.5e-3)
 
 
@@ -162,6 +161,6 @@ def test_me_defect_short_time_is_linear():
     alpha0 = complex(math.sqrt(3.3), 0)
     state = odd_cat(alpha0)
     ts = np.logspace(-3, -2, 9)
-    defects = [mc.idempotency_defect(mc.damped_density(state, *mc.me_response(MP, t))) for t in ts]
+    defects = [mc.idempotency_defect(mc.damped_density(state, *mc.me_response(GAMMA, t))) for t in ts]
     slope = np.polyfit(np.log(ts), np.log(defects), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.1)

@@ -175,7 +175,7 @@ def test_conditional_rows_sum_to_one(phi, case, amp, damp):
         st_g = mc.prepare(params, Out.G)
     except mc.ZeroStateError:
         return
-    rho = mc.damped_density([st_e, st_g], *mc.me_response(mc.MasterParams(1.0), damp))
+    rho = mc.damped_density([st_e, st_g], *mc.me_response(1.0, damp))
     rec = mc.conditional_probabilities(rho, params)
     assert rec.p_ee + rec.p_eg == pytest.approx(1.0, abs=1e-10)
     assert rec.p_ge + rec.p_gg == pytest.approx(1.0, abs=1e-10)
@@ -230,7 +230,7 @@ def test_eigenvalues_case_a_degenerate_preparation():
 def test_eigenvalues_case_a_keeps_relative_accuracy_near_the_vacuum(outcome):
     # a 50-digit evaluation of the same closed form at the same (g, B) is the reference
     times = np.array([1e-6, 0.5, 40.0])
-    g, depletion = mc.me_response(mc.MasterParams(1.0), times)
+    g, depletion = mc.me_response(1.0, times)
     s = int(mc.protocol.outcome_sign(outcome))
     worst = 0.0
     with mpmath.workdps(50):
@@ -248,7 +248,7 @@ def test_eigenvalues_case_a_keeps_relative_accuracy_near_the_vacuum(outcome):
 
 
 def test_eigenvalues_case_a_stacks_over_arrays():
-    g, depletion = mc.me_response(mc.MasterParams(1.0), np.linspace(0.0, 3.0, 7))
+    g, depletion = mc.me_response(1.0, np.linspace(0.0, 3.0, 7))
     for outcome in OUTCOMES:
         stacked = mc.eigenvalues_case_a(1.3, g, depletion, outcome)
         for k in range(len(g)):

@@ -72,11 +72,10 @@ def test_master_rows_match_me_reduce(tmp_path):
     cfg = parse_scenario(scenario(tmp_path, "master", 1.5, "b", 0.7, t_max=2.0, points=6))
     params = runner.scenario_params(cfg)
     state_e = mc.prepare(params, Out.E)
-    mp = mc.MasterParams(1.0)
     n_field_0 = mean_photon(mc.damped_density(state_e, 1.0, 0.0))
     for row in as_rows(runner.run_scenario(cfg)):
-        rho_e = mc.damped_density(state_e, *mc.me_response(mp, row.t))
-        rho_g = mc.damped_density(mc.prepare(params, Out.G), *mc.me_response(mp, row.t))
+        rho_e = mc.damped_density(state_e, *mc.me_response(1.0, row.t))
+        rho_g = mc.damped_density(mc.prepare(params, Out.G), *mc.me_response(1.0, row.t))
         rec = mc.conditional_probabilities(joint(rho_e, rho_g), params)
         g_b = np.exp(rho_e.expo[1, 0])
         assert abs(row.eta - rec.eta) < 1e-13
@@ -297,9 +296,9 @@ def test_batched_recurrences_keep_the_per_branch_table_bits(tmp_path, monkeypatc
     # (n_max + 1) eps sum|rho_ij|^2, and sum|rho_ij|^2 = purity <= 1
     cfg = parse_scenario(scenario(tmp_path, "fock", 1.0, case, phi, t_max=2.0, points=21))
     table = runner.run_scenario(cfg)
-    monkeypatch.setattr(fock, "superposition_vector", lambda states, n_max: fock.FockVector(
-        n_max, np.array([fock_vector_per_branch(state, n_max) for state in states])))
-    monkeypatch.setattr(fock, "fock_purity", lambda rho: trace_of_square(rho.matrix).real)
+    monkeypatch.setattr(fock, "superposition_vector", lambda states, n_max: np.array(
+        [fock_vector_per_branch(state, n_max) for state in states]))
+    monkeypatch.setattr(fock, "fock_purity", lambda rho: trace_of_square(rho).real)
     per_branch = runner.run_scenario(cfg)
     bound = (cfg.fock.n_max + 1) * np.finfo(float).eps
     for name, column in table.items():
@@ -321,16 +320,15 @@ def fock_rows_per_time(cfg):
     n_field_0 = fock.fock_mean_photon(rho0[0])
     blocks_used, columns = [], []
     for t in runner.time_grid(cfg):
-        response = mc.me_response(mc.MasterParams(1.0), t)
-        rho = [fock.FockDensity(n_max, fock.damp(r.matrix, *response)) for r in rho0]
+        response = mc.me_response(1.0, t)
+        rho = [fock.damp(r, *response) for r in rho0]
         p = [fock.fock_measure(op, r) for r in rho for op in ops]
         labels = np.array([br.field * math.exp(-t / 2) for br in states[0].branches])
-        vecs = [fock.coherent_to_fock(label, n_max).amplitudes for label in labels]
-        products = np.array([[v1.conj() @ rho[0].matrix @ v2 for v2 in vecs] for v1 in vecs])
+        vecs = [fock.coherent_to_fock(label, n_max) for label in labels]
+        products = np.array([[v1.conj() @ rho[0] @ v2 for v2 in vecs] for v1 in vecs])
         g_b = runner._fock_gamma_b(products[None], labels[None], weights, n_max)[0]
         lams = []
-        for r in rho:
-            matrix = r.matrix
+        for matrix in rho:
             antipodal = abs(labels[0] + labels[1]) < 1e-9 * max(1.0, *np.abs(labels))
             blocks = antipodal and np.linalg.norm(matrix[0::2, 1::2]) < runner.PARITY_BLOCK_TOL
             blocks_used.append(blocks)
@@ -373,8 +371,8 @@ def test_stacked_fock_rows_match_per_time_reference(tmp_path, case, phi, blocks)
 def test_fock_assign_picks_the_branch_per_time():
     # one stack: time 0 is parity-block-diagonal (block path); time 1 carries an
     # off-parity coherence (eigh path) and its mostly odd top vector is "minus"
-    v_plus, v_minus = (fock.coherent_to_fock(1.0, 19).amplitudes.real,
-                       fock.coherent_to_fock(-1.0, 19).amplitudes.real)
+    v_plus, v_minus = (fock.coherent_to_fock(1.0, 19).real,
+                       fock.coherent_to_fock(-1.0, 19).real)
     even, odd = v_plus + v_minus, v_plus - v_minus
     even, odd = even / np.linalg.norm(even), odd / np.linalg.norm(odd)
     blocks = 0.3 * np.outer(even, even) + 0.7 * np.outer(odd, odd)
@@ -407,15 +405,15 @@ def test_fock_truncation_failure_names_the_time_index(tmp_path, monkeypatch, cap
     path.write_text(json.dumps(scenario(tmp_path, "fock", 1.0, t_max=0.5, points=6)))
     response = mc.lindblad.me_response
 
-    def faulty(params, times):
-        g, depletion = response(params, times)
+    def faulty(gamma, times):
+        g, depletion = response(gamma, times)
         g[3] = 5.0
         return g, depletion
 
     monkeypatch.setattr(mc.lindblad, "me_response", faulty)
     assert cli.main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "truncation rule" in err and err.rstrip().endswith("at time index 3, 0")
+    assert "truncation rule" in err and err.rstrip().endswith("at time index 3")
 
 
 @pytest.mark.parametrize("engine, param, responses", [
@@ -489,8 +487,8 @@ def test_failed_check_exits_4_naming_the_time_index(tmp_path, monkeypatch, capsy
     else:  # a depletion that breaks |g|^2 + B = 1, and so the trace, at one time
         response = mc.lindblad.me_response
 
-        def faulty(params, times):
-            g, depletion = response(params, times)
+        def faulty(gamma, times):
+            g, depletion = response(gamma, times)
             depletion[index] *= 0.5
             return g, depletion
 
