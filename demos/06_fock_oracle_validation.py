@@ -28,7 +28,7 @@ rho0 = fock.density_from_vector(fock.superposition_vector(state, n_max))
 
 times = np.array([0.4, 1.2, 2.0])
 g, depletion = mc.response(spec, times)
-exact = mc.eigenvalues(mc.damped_density(state, g, depletion)).eigenvalues
+exact = mc.eigenvalues(mc.damped_density(state, g, depletion))
 oracle = np.linalg.eigvalsh(fock.damp(rho0, g, depletion))[:, ::-1][:, :2]
 print("     t    eigenvalues (labels)      eigenvalues (Fock)        |diff|")
 for t, lam, lam_fock in zip(times, exact, oracle):

@@ -13,7 +13,7 @@ measures the eigenvalues of the field's reduced density.
 Modules
 -------
 coherent   exact coherent-state algebra: overlaps, the field density damped
-           at (g, B), spectra, purity, (weights, phases) operators
+           at (g, B), its eigenvalues and purity, (weights, phases) operators
 protocol   Ramsey/dispersive measurement operators, state preparation,
            conditional probabilities, closed-form eigenvalues
 bath       discretized bath, its exact response (g, B) from its secular spectrum
@@ -29,7 +29,6 @@ from .coherent import (
     Branch,
     FieldBathSuperposition,
     ReducedDensity,
-    Spectrum,
     damped_density,
     damped_occupations,
     eigenvalues,

@@ -24,7 +24,8 @@ Before that, a microscopic bath's spectrum must meet its exact moments.
 
 Exit codes: 0 success; 1 other domain error (reported on stderr); 2 config
 schema violation; 3 zero-probability state preparation; 4 positivity
-violation; a failed self-check (bath moments or audit) is a domain error
+violation; a failed self-check (bath moments or audit) and an output file that
+cannot be written or read back (one line naming the file) are domain errors
 (exit 1).  The only environment variable honored is MESOCAT_LOG (debug | info
 | warning | error | critical, default warning; any other value is reported
 and ignored); it changes verbosity only, never results.
@@ -158,11 +159,27 @@ def _audit_output(cfg_output, fieldnames, suffixes) -> None:
                 _audit_rows({name: col[chunk] for name, col in table.items()}, suffix)
 
 
+def _write_and_audit(cfg_output, table: dict, suffixes, summary=None) -> None:
+    """Write the table and compare's summary next to it, then audit the table read back;
+    an OSError on either file is a domain error naming that file."""
+    path = cfg_output.path
+    try:
+        _write_table(cfg_output, table)
+        if summary is not None:
+            path = cfg_output.path + ".summary.json"
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(summary, fh, indent=1)
+                fh.write("\n")
+            path = cfg_output.path
+        _audit_output(cfg_output, list(table), suffixes)
+    except OSError as exc:
+        raise MesocatError(f"output file {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     table = run_scenario(cfg)
-    _write_table(cfg.output, table)
-    _audit_output(cfg.output, ROW_FIELDS, [""])
+    _write_and_audit(cfg.output, table, [""])
     log.info("wrote %d rows to %s", len(table["t"]), cfg.output.path)
     return 0
 
@@ -173,13 +190,9 @@ def _cmd_compare(args) -> int:
     joint = {"t": micro["t"]}
     for suffix, table in (("_micro", micro), ("_me", master)):
         joint.update((name + suffix, col) for name, col in table.items() if name != "t")
-    _write_table(cfg.output, joint)
-    summary_path = cfg.output.path + ".summary.json"
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
-    _audit_output(cfg.output, list(joint), ["_micro", "_me"])
-    log.info("wrote %d joint rows to %s and %s", len(joint["t"]), cfg.output.path, summary_path)
+    _write_and_audit(cfg.output, joint, ["_micro", "_me"], summary)
+    log.info("wrote %d joint rows to %s and %s.summary.json", len(joint["t"]), cfg.output.path,
+             cfg.output.path)
     return 0
 
 
@@ -206,8 +219,7 @@ def _cmd_sweep(args) -> int:
     lengths = [len(table["t"]) for _, table in results]
     joint = {"sweep_value": np.repeat([value for value, _ in results], lengths)}
     joint.update((name, np.concatenate([t[name] for _, t in results])) for name in ROW_FIELDS)
-    _write_table(cfg.output, joint)
-    _audit_output(cfg.output, list(joint), [""])
+    _write_and_audit(cfg.output, joint, [""])
     log.info("wrote %d rows (%d sweep values) to %s", sum(lengths), len(values), cfg.output.path)
     return 0
 

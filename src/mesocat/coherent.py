@@ -14,8 +14,8 @@ coherence exponent K with a zero diagonal, rho = sum_ij w_i conj(w_j)
 exp(K_ij) |l_i><l_j|.  Every norm, trace and expectation is one quadratic
 form sum_ij a_i conj(b_j) exp(A_ij) = (sum a)(sum conj b) + sum_ij a_i
 conj(b_j) expm1(A_ij), exact to roundoff when weights cancel (an odd cat
-near the vacuum) or labels coalesce.  Spectra and purities read one
-Hermitian 2x2 matrix in the Cholesky-orthonormalised basis |l_1> +- |l_2>,
+near the vacuum) or labels coalesce.  Spectra (eigenvalues only) and purities
+read one Hermitian 2x2 matrix in the Cholesky-orthonormalised basis |l_1> +- |l_2>,
 whose Gram entries and determinant are expm1 forms too: no Gram matrix is
 inverted or diagonalised, no label merged and no trace rescaled.
 
@@ -195,16 +195,6 @@ class _PairForm(NamedTuple):
     b: np.ndarray
     d: np.ndarray
     det: np.ndarray
-    labels: np.ndarray
-    chol: tuple[np.ndarray, np.ndarray, np.ndarray]  # L11, L21, L22
-
-    def label_coefficients(self, v0, v1) -> np.ndarray:
-        """Coefficients over ``labels`` (last axis) of the vector v0 e_0 + v1 e_1."""
-        l11, l21, l22 = self.chol
-        # coinciding labels (L22 = 0) span one ray: no difference component
-        y_d = np.divide(v1, l22, out=np.zeros_like(v1), where=l22 != 0.0)
-        y_s = (v0 - np.conj(l21) * y_d) / l11
-        return np.stack([y_s + y_d, y_s - y_d], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +265,7 @@ class ReducedDensity:
         a = g_ss * n_ss + 2.0 * (n_sd * g_ds).real + _abs2(g_ds) / g_ss * n_dd
         b = l22 * (l11 * n_sd + np.conj(l21) * n_dd)
         det = _abs2(_product(w1, w2)) * gap * np.expm1(2.0 * k12.real)
-        return _PairForm(a, b, det_s / g_ss * n_dd, det, labels, (l11, l21, l22))
+        return _PairForm(a, b, det_s / g_ss * n_dd, det)
 
 
 def damped_density(state: FieldBathSuperposition, g, depletion) -> ReducedDensity:
@@ -322,22 +312,8 @@ def damped_occupations(state: FieldBathSuperposition, g, depletion) -> tuple[np.
     return g2[lead] * q, depletion[lead] * q
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues (..., 2), descending, and eigenvectors (..., 2, 2) of a reduced density.
-
-    eigenvectors[..., k, :] are coefficients c over ``labels`` (the pair (l, l)
-    for one label), |v> = sum_i c[i] |labels[i]> with c^dag S c = 1, or zero
-    where the two labels coincide and span one ray.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    labels: np.ndarray
-
-
-def eigenvalues(rho: ReducedDensity) -> Spectrum:
-    """Solve rho |v> = lambda |v> within the span of one or two coherent labels.
+def eigenvalues(rho: ReducedDensity) -> np.ndarray:
+    """Eigenvalues (..., 2), descending, of rho within the span of one or two coherent labels.
 
     rho's Hermitian 2x2 (a, b; conj(b), d) in an orthonormal basis of the
     span has the larger eigenvalue (a + d)/2 + hypot(a - d, 2|b|)/2 and the
@@ -352,15 +328,7 @@ def eigenvalues(rho: ReducedDensity) -> Spectrum:
     lams = np.stack([top, low], axis=-1)
     _require(np.all((-EIGENVALUE_TOL <= lams) & (lams <= 1.0 + EIGENVALUE_TOL), axis=-1),
              PositivityError, "eigenvalues outside [0, 1] beyond tolerance", lams, rho.batch)
-    # eigenvector of the larger eigenvalue from the row that is not near-singular;
-    # (1, 0) where the two eigenvalues coincide
-    upper = m.a >= m.d
-    v0 = np.where(half == 0.0, 1.0, np.where(upper, half + 0.5 * (m.a - m.d), m.b))
-    v1 = np.where(half == 0.0, 0.0, np.where(upper, np.conj(m.b), half + 0.5 * (m.d - m.a)))
-    norm = np.hypot(np.abs(v0), np.abs(v1))
-    v0, v1 = v0 / norm, v1 / norm
-    vecs = [m.label_coefficients(v0, v1), m.label_coefficients(-np.conj(v1), np.conj(v0))]
-    return Spectrum(np.clip(lams, 0.0, 1.0), np.stack(vecs, axis=-2), m.labels)
+    return np.clip(lams, 0.0, 1.0)
 
 
 def purity(rho: ReducedDensity):

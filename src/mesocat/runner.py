@@ -20,12 +20,14 @@ prepared states in one recurrence and the damped labels of every time in a secon
 and damps each prepared Fock density of one protocol in one ``fock.damp`` call.
 Nothing iterates over grid times.
 
-Eigenvalue columns: when the two field labels are an antipodal pair (case A
-at phi = pi) lam_plus/lam_minus are assigned by eigenvector parity, i.e. the
-|alpha> + |-alpha> branch is "plus" even when it carries the smaller
-eigenvalue, matching the closed-form pair (the Fock engine reads them off
-the even and odd photon-number blocks).  Otherwise the labels are only
-defined up to ordering and the columns hold the descending values.
+Eigenvalue columns hold the descending pair, with one parity rule in every
+engine: where the two field labels are antipodal (l, -l) and the top
+eigenvector is odd, lam_plus is the smaller eigenvalue, so the even
+|l> + |-l> branch is "plus" as in the closed-form pair.  The analytic tables
+read it off the pair form, whose basis for such labels is the even and the
+odd cat (top odd: a < d); the Fock engine off the parity of eigh's top
+vector, or, for a parity cat, the top eigenvalues of the even and odd
+photon-number blocks.
 
 Everything runs in one thread, and the microscopic response makes no BLAS call.
 """
@@ -74,18 +76,6 @@ def _labels_antipodal(labels) -> np.ndarray:
     return np.abs(l0 + l1) < 1e-9 * scale
 
 
-def _assign_from_spectrum(spec: coherent.Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """(lam_plus, lam_minus) over the stack: by eigenvector parity for antipodal labels.
-
-    The even (c0 conj(c1) real part >= 0) eigenvector's eigenvalue is "plus"
-    when the other eigenvector is odd; otherwise the descending order stays.
-    """
-    lams, vecs = spec.eigenvalues, spec.eigenvectors
-    even = (vecs[..., 0] * np.conj(vecs[..., 1])).real >= 0.0
-    swap = _labels_antipodal(spec.labels) & ~even[..., 0] & even[..., 1]
-    return np.where(swap, lams[..., 1], lams[..., 0]), np.where(swap, lams[..., 0], lams[..., 1])
-
-
 def _table(columns) -> dict[str, np.ndarray]:
     """The column table from one array per column, in ROW_FIELDS order, gamma_b still complex."""
     t_tc, g_a, g_b, *rest = columns
@@ -124,8 +114,10 @@ def _analytic_tables(swept, times_tc, responses) -> list[dict[str, np.ndarray]]:
     states = [[proto.prepare(params, outcome) for outcome in proto.DetectionOutcome]
               for params in swept]
     rho = coherent.damped_density(states, g, depletion)
-    rec = proto.conditional_probabilities(rho, swept)
-    lam_plus, lam_minus = _assign_from_spectrum(coherent.eigenvalues(rho))
+    rec, lams = proto.conditional_probabilities(rho, swept), coherent.eigenvalues(rho)
+    # antipodal labels: a and d are the even and odd cats' populations (module docstring)
+    odd_top = (_labels_antipodal(rho.labels) & (rho._pair.a < rho._pair.d))[..., None]
+    lam_plus, lam_minus = np.moveaxis(np.where(odd_top, lams[..., ::-1], lams), -1, 0)
     purity, defect = coherent.purity(rho), coherent.idempotency_defect(rho)
     state_e = [pair[0] for pair in states]
     columns = np.broadcast_arrays(
@@ -146,7 +138,7 @@ def _fock_assign(matrix: np.ndarray, labels_t) -> tuple[np.ndarray, np.ndarray]:
     keeps it so): the top eigenvalues of the even and odd blocks, so no
     vector of a degenerate eigenspace decides the labels.  Other antipodal
     pairs (e.g. |b> - i|-b>): the two largest, swapped if the top eigenvector
-    is odd and the next even.  Otherwise: the two largest.  Each time takes its branch.
+    is odd.  Otherwise: the two largest.  Each time takes its branch.
     """
     antipodal = _labels_antipodal(labels_t)
     blocks = antipodal & (np.linalg.norm(matrix[:, 0::2, 1::2], axis=(1, 2)) < PARITY_BLOCK_TOL)
@@ -154,8 +146,8 @@ def _fock_assign(matrix: np.ndarray, labels_t) -> tuple[np.ndarray, np.ndarray]:
     even_odd = matrix[blocks]
     top[blocks] = np.transpose([np.linalg.eigvalsh(even_odd[:, p::2, p::2])[:, -1] for p in (0, 1)])
     lams, vecs = np.linalg.eigh(matrix[~blocks])
-    parity = (1.0 - 2.0 * (np.arange(matrix.shape[-1]) % 2)) @ np.abs(vecs[..., -2:]) ** 2
-    swap = (antipodal[~blocks] & (parity[:, 1] < 0.0) & (parity[:, 0] >= 0.0))[:, None]
+    parity = np.abs(vecs[..., -1]) ** 2 @ (1.0 - 2.0 * (np.arange(matrix.shape[-1]) % 2))
+    swap = (antipodal[~blocks] & (parity < 0.0))[:, None]
     top[~blocks] = np.where(swap, lams[:, -2:], lams[:, :-3:-1])
     return tuple(np.clip(top, 0.0, 1.0).T)
 

@@ -2,6 +2,7 @@ import functools
 import operator
 import sys
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -27,6 +28,14 @@ settings.load_profile("suite")
 # depended on which test files were selected and in what order.  The pool is fixed to
 # the constants of the library and the test reference, gathered at the first draw
 # into Hypothesis's own (sorted, still empty) pool.
+# The patch names Hypothesis internals: if they move, it would silently patch nothing.
+_INSTALLED = f"installed Hypothesis {hypothesis.__version__}"
+if not callable(getattr(providers, "_get_local_constants", None)):
+    raise RuntimeError(f"{_INSTALLED} has no providers._get_local_constants to fix")
+_READER = getattr(vars(providers.HypothesisProvider).get("_local_constants"), "func", None)
+if "_get_local_constants" not in getattr(getattr(_READER, "__code__", None), "co_names", ()):
+    raise RuntimeError(f"{_INSTALLED}: HypothesisProvider._local_constants no longer "
+                       "reads providers._get_local_constants")
 _POOL_MODULES = sorted(
     (m for name, m in sys.modules.items() if name.split(".")[0] == "mesocat"), key=lambda m: m.__name__
 ) + [reference]

@@ -10,7 +10,8 @@ the occupations, Gamma_a, Gamma_b and the transferred excitation off such
 branches.  :func:`hamiltonian_state` is the brute-force field+bath oracle.
 ``mean_photon`` and ``phase_op_matrix_element`` evaluate a density or a pair of
 coefficient vectors through the same quadratic form as ``coherent.expectation``;
-``value_at`` reads an operator (weights, phases) on a number state, and ``joint``
+:func:`label_eigenpairs` gives a density's eigenvectors as such coefficients from
+scipy's generalized ``eigh`` (the library computes eigenvalues only); ``value_at`` reads an operator (weights, phases) on a number state, and ``joint``
 stacks the densities conditioned on e and on g as ``conditional_probabilities``
 takes them.  ``fock_vector_per_branch`` expands a superposition one label at a
 time and ``trace_of_square`` forms Tr(m m) from the full O(N^3) product: the
@@ -21,6 +22,7 @@ import functools
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
@@ -198,6 +200,19 @@ def phase_op_matrix_element(op, labels, bra_coeff, ket_coeff):
     (weights, phases), zero = op, np.zeros(np.shape(labels) + np.shape(labels)[-1:])
     labels, bra, ket = (np.asarray(x, dtype=complex) for x in (labels, bra_coeff, ket_coeff))
     return (_phase_forms(phases, ket, bra, labels, zero) * weights).sum(axis=-1)
+
+
+def label_eigenpairs(rho: ReducedDensity) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, c) of one density, descending: rho |v_k> = lam_k |v_k>, |v_k> = sum_i c[k, i] |l_i>.
+
+    rho = sum_ij M_ij |l_i><l_j| maps sum_i c_i |l_i> to sum_i (M S c)_i |l_i>, S_ij = <l_i|l_j>,
+    so c solves S M S c = lam S c (M = ``rho.coeff``), normalized to c^dag S c = 1 by scipy's
+    generalized ``eigh``.  The labels must be distinct, S positive definite.
+    """
+    labels = np.asarray(rho.labels)
+    s = np.array([[mc.overlap(p, q) for q in labels] for p in labels])
+    lam, c = scipy.linalg.eigh(s @ rho.coeff @ s, s)
+    return lam[::-1], c.T[::-1]
 
 
 def value_at(op, n: int) -> complex:

@@ -33,6 +33,27 @@ def odd_cat(alpha0=1.0 + 0j):
 # discretization
 
 
+@pytest.mark.parametrize("detunings, couplings, gamma, message", [
+    ([[0.0, 1.0]], [[0.5, 0.5]], 1.0, "equal-length 1-d arrays"),
+    ([0.0, 1.0], [0.5], 1.0, "equal-length 1-d arrays"),
+    ([], [], 1.0, "at least one mode"),
+    ([0.0, math.nan], [0.5, 0.5], 1.0, "must be finite"),
+    ([0.0, 1.0], [0.5, 0.0], 1.0, "couplings must be positive"),
+    ([0.0, 1.0], [0.5, 0.5], math.inf, "target_gamma must be positive"),
+    ([0.0, 1.0], [0.5, 0.5], 0.0, "target_gamma must be positive"),
+])
+def test_bath_spec_rejections(detunings, couplings, gamma, message):
+    with pytest.raises(mc.InvalidArgumentError, match=message):
+        mc.BathSpec(np.array(detunings, dtype=float), np.array(couplings, dtype=float), gamma)
+
+
+def test_recurrence_time_of_one_mode_and_of_coincident_modes():
+    assert mc.BathSpec(np.array([0.0]), np.array([0.7]), 1.0).recurrence_time == math.inf
+    coincident = mc.BathSpec(np.array([0.5, 0.5, 0.5]), np.array([0.2, 0.3, 0.4]), 1.0)
+    with pytest.raises(mc.InvalidArgumentError, match="must not all coincide"):
+        coincident.recurrence_time
+
+
 def test_flat_band_canonical_values():
     spec = mc.discretize_flat_band(1.0, 201, 50.0)
     assert spec.couplings[0] == pytest.approx(math.sqrt(0.5 / (2 * math.pi)), rel=1e-12)

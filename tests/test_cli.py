@@ -85,6 +85,11 @@ def test_phi_from_coupling_triple(tmp_path):
         (lambda c: c.update(engine="fock", fock={"n_max": 19, "dt": 0.0}), "fock.dt"),
         (lambda c: c.update(engine="fock", fock={"n_max": 19, "dt": math.inf}), "fock.dt"),
         (lambda c: c.update(engine="fock", fock={"n_max": 19, "dt": "4e-5"}), "fock.dt"),
+        (lambda c: c.update(alpha0=1.0), "alpha0"),
+        (lambda c: c.update(phi=True), "phi"),
+        (lambda c: c.update(phi="pi"), "phi"),
+        (lambda c: c.update(phi={"rabi": 2.0, "detuning": 0.0, "t_int": 1.5}), "phi.detuning"),
+        (lambda c: c["output"].update(path=""), "output.path"),
     ],
 )
 def test_parse_rejections(tmp_path, mutate, field):
@@ -92,6 +97,22 @@ def test_parse_rejections(tmp_path, mutate, field):
     mutate(raw)
     with pytest.raises(mc.ConfigError) as err:
         parse_scenario(raw)
+    assert err.value.field_path == field
+
+
+@pytest.mark.parametrize("text, field, message", [
+    (None, "<file>", "cannot read"),  # no such file
+    ('{"case": "a",', "<file>", "invalid JSON"),
+    ("[1, 2]", "<root>", "config must be a JSON object"),
+    # Python's JSON reader takes the non-standard token NaN
+    (json.dumps(base_config(Path("."), phi=math.nan)), "phi", "must be finite"),
+])
+def test_load_rejections(tmp_path, text, field, message):
+    path = tmp_path / "scenario.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(mc.ConfigError, match=message) as err:
+        load_scenario(str(path))
     assert err.value.field_path == field
 
 
@@ -355,6 +376,16 @@ def test_exit_2_on_unknown_sweep_param(tmp_path, capsys):
             assert "sweep.values: must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param, values, message", [
+    ("gamma", "0", "sweep.values: gamma must stay positive"),
+    ("phi", "1,abc", "sweep.values: not a number: 'abc'"),
+])
+def test_exit_2_on_a_bad_sweep_value(tmp_path, capsys, param, values, message):
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["sweep", "--config", path, "--param", param, "--values", values]) == 2
+    assert capsys.readouterr().err.strip() == f"error: config {path}: {message}"
+
+
 def test_exit_3_on_zero_probability_preparation(tmp_path, capsys):
     cfg = base_config(tmp_path, alpha0={"re": 0.0, "im": 0.0})
     path = write_config(tmp_path, cfg)
@@ -453,6 +484,38 @@ def test_exit_1_on_other_domain_error(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert cli.main(["run", "--config", path]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_unwritable_output_exits_1_naming_the_file(tmp_path, capsys, command, where):
+    # a table path that is a directory or lies in a missing one; for compare, the table is
+    # written and its summary path is a directory
+    out = tmp_path / ("out.csv" if where == "directory" else "missing/out.csv")
+    unwritable = out.parent / (out.name + ".summary.json") if command == "compare" else out
+    if where == "directory":
+        unwritable.mkdir()
+    cfg = base_config(tmp_path, output={"format": "csv", "path": str(out)})
+    if command == "compare":
+        cfg.update(engine="microscopic", bath={"modes": 51, "half_bandwidth": 20.0, "gamma": 1.0})
+    argv = [command, "--config", write_config(tmp_path, cfg)]
+    assert cli.main(argv + (["--param", "phi", "--values", "1,2"] if command == "sweep" else [])) == 1
+    err, named = capsys.readouterr().err, unwritable if where == "directory" else out
+    assert err.startswith(f"error: output file {named}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unwritable_output_reports_no_traceback_from_a_process(tmp_path):
+    (tmp_path / "out.csv").mkdir()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "mesocat", "run", "--config",
+         write_config(tmp_path, base_config(tmp_path))],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: output file {tmp_path / 'out.csv'}: ")
+    assert "Traceback" not in done.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +713,19 @@ def test_malformed_read_back_exits_1_naming_line_and_column(
     path = write_config(tmp_path, base_config(tmp_path))
     assert cli.main(["run", "--config", path]) == 1
     assert capsys.readouterr().err.strip() == f"error: self-audit: {message}"
+
+
+@pytest.mark.parametrize("lines, message", [
+    (lambda lines: ["t,gamma_a"] + lines[1:], "header mismatch"),
+    (lambda lines: lines[:1] + [""], "no rows written"),  # the header and its newline
+])
+def test_read_back_rejects_a_csv_without_its_header_or_rows(tmp_path, lines, message):
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert cli.main(["run", "--config", path]) == 0
+    out = tmp_path / "out.csv"
+    out.write_text("\n".join(lines(out.read_text().split("\n"))))
+    with pytest.raises(mc.AuditError, match=f"^self-audit: {message}$"):
+        cli._audit_output(load_scenario(path).output, runner.ROW_FIELDS, [""])
 
 
 @pytest.mark.parametrize(

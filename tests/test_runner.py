@@ -19,6 +19,7 @@ from reference import (
     gamma_a,
     gamma_b,
     joint,
+    label_eigenpairs,
     mean_photon,
     occupations,
     phase_op_matrix_element,
@@ -175,11 +176,11 @@ def test_stacked_rows_match_per_time_reference(tmp_path, case, phi):
     parity = (np.array([1.0 + 0j]), np.array([math.pi]))
 
     def lam_pair(rho):
-        spec = mc.eigenvalues(rho)
+        lams, vecs = label_eigenpairs(rho)
         if case == "a":
-            even = [phase_op_matrix_element(parity, spec.labels, c, c).real for c in spec.eigenvectors]
-            return tuple(spec.eigenvalues[np.argsort(even)[::-1]])
-        return tuple(spec.eigenvalues)
+            even = [phase_op_matrix_element(parity, rho.labels, c, c).real for c in vecs]
+            return tuple(lams[np.argsort(even)[::-1]])
+        return tuple(lams)
 
     for row, t in zip(rows, times):
         evolved = [evolve(s, band, t) for s in states]
@@ -338,7 +339,7 @@ def fock_rows_per_time(cfg):
                 values, vectors = np.linalg.eigh(matrix)
                 top = list(values[::-1][:2])
                 signs = parity @ np.abs(vectors[:, ::-1][:, :2]) ** 2
-                if antipodal and signs[0] < 0.0 <= signs[1]:
+                if antipodal and signs[0] < 0.0:
                     top = top[::-1]
             lams += [min(max(v, 0.0), 1.0) for v in top]
         purity = [fock.fock_purity(r) for r in rho]
@@ -381,6 +382,46 @@ def test_fock_assign_picks_the_branch_per_time():
     low, high = np.linalg.eigvalsh([[0.3, 0.05], [0.05, 0.7]])
     assert (plus[0], minus[0]) == pytest.approx((0.3, 0.7), abs=1e-14)
     assert (plus[1], minus[1]) == pytest.approx((low, high), abs=1e-14)
+
+
+def both_engines_lams(monkeypatch, weights, labels, g):
+    """(analytic, Fock) (lam_plus, lam_minus), each (state, g, 2), of the antipodal states
+    w1 |l> + w2 |-l> (one per row of weights and entry of labels) damped at real g, B = 1 - g^2.
+
+    The analytic side is the run path's table, its prepared states swapped for these."""
+    g = np.asarray(g, dtype=float)
+    depletion = 1.0 - g * g
+    states = [mc.normalize(mc.FieldBathSuperposition((mc.Branch(w1, l), mc.Branch(w2, -l))))
+              for (w1, w2), l in zip(weights, labels)]
+    swept = [mc.ProtocolParams(mc.ProtocolCase.CASE_A, 1.0, 0.1 * (k + 1)) for k in range(len(states))]
+    monkeypatch.setattr(runner.proto, "prepare", dict(zip(swept, states)).get)
+    tables = runner._analytic_tables(swept, np.zeros(len(g)), [(g, depletion, np.zeros(len(g), bool))])
+    analytic = [np.stack([t["lam_e_plus"], t["lam_e_minus"]], axis=-1) for t in tables]
+    n_max = int(fock.required_n_max(np.max(np.abs(labels))))
+    oracle = []
+    for state, l in zip(states, labels):
+        rho = fock.damp(fock.density_from_vector(fock.superposition_vector(state, n_max)), g, depletion)
+        oracle.append(np.stack(runner._fock_assign(rho, np.multiply.outer(g, [l, -l])), axis=-1))
+    return np.array(analytic), np.array(oracle)
+
+
+def test_both_engines_label_a_pinned_antipodal_state_alike(monkeypatch):
+    # the top eigenvector is odd, and so is the next one by its coefficients over the labels:
+    # a rule that also asks the next one to be even by that measure keeps the descending order
+    analytic, oracle = both_engines_lams(
+        monkeypatch, [(0.886 - 1.864j, -1.824 - 0.45j)], [0.177 - 1.068j], [0.991])
+    assert oracle[0, 0] == pytest.approx((0.0210, 0.9790), abs=1e-4)
+    assert np.max(np.abs(analytic - oracle)) <= 1e-10
+
+
+def test_both_engines_label_random_antipodal_states_alike(monkeypatch):
+    # one parity rule: where the labels are antipodal and the top eigenvector is odd,
+    # lam_plus is the smaller eigenvalue, in the analytic table and in the Fock engine
+    rng = np.random.default_rng(19)
+    weights = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
+    labels = 1.5 * np.sqrt(rng.uniform(size=300)) * np.exp(2j * np.pi * rng.uniform(size=300))
+    analytic, oracle = both_engines_lams(monkeypatch, weights, labels, [0.2, 0.6, 0.9, 0.991])
+    assert np.max(np.abs(analytic - oracle)) <= 1e-10
 
 
 @pytest.mark.parametrize("index", [0, 4])
