@@ -3,10 +3,11 @@
 Everything the analytic engines compute -- state preparation, damping at a
 response (g, B), measurement, spectra -- is recomputed here from the raw
 matrix representations, deliberately without caching or shortcuts (the
-damping map rebuilds its response-independent tensor on every call and never
-keeps it), so that agreement between the two routes validates both.  States are
+damping map rebuilds its binomial table and loss images on every call and never
+keeps them), so that agreement between the two routes validates both.  States are
 plain arrays, amplitude vectors (..., N) and density matrices (..., N, N), with
-N = n_max + 1 read from the last axis.  Leading axes index stacks such as a
+N = n_max + 1 read from the last axis; the damping map takes a dyad's two vectors
+and returns its matrix.  Leading axes index stacks such as a
 time grid: one number-state recurrence expands every label of a stack, so the
 runner's Fock table makes two, one for the branch labels of both prepared
 states and one for the damped labels, and the purity Tr(rho rho) is one O(N^2)
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from .coherent import _require, _weights_labels
-from .errors import TruncationError
+from .errors import InvalidArgumentError, TruncationError
 
 
 def required_n_max(amplitude):
@@ -67,47 +68,45 @@ def density_from_vector(vec) -> np.ndarray:
     return vec[..., :, None] * vec.conj()[..., None, :]
 
 
-def _kraus_tensor(mat: np.ndarray) -> np.ndarray:
-    """A_l[i, j] = sqrt(C(i+l, l) C(j+l, l)) mat[i+l, j+l]: the only full-size array."""
-    n = len(mat)
-    padded = np.zeros((2 * n - 1, 2 * n - 1), dtype=mat.dtype)
-    padded[:n, :n] = mat
-    row, col = padded.strides
-    # [l, i, j] -> mat[i+l, j+l]: a strided view of the zero-padded copy
-    shifted = np.lib.stride_tricks.as_strided(padded, (n, n, n), (row + col, row, col))
-    l, i = np.ogrid[:n, :n]
+def _loss_images(vec: np.ndarray) -> np.ndarray:
+    """X[l, i] = sqrt(C(i+l, l)) vec[i+l] per stack index: <i|K_l|vec> without its factor
+    g^i B^(l/2).  It is symmetric in (l, i), so X is its own transpose."""
+    n = vec.shape[-1]
+    padded = np.concatenate((vec, np.zeros(vec.shape[:-1] + (n - 1,))), axis=-1)
+    k = np.arange(n)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2 * n - 1)))))
-    log_binom = np.where(i + l < n, log_fact[i + l] - log_fact[l] - log_fact[i], -np.inf)
-    root = np.exp(0.5 * log_binom)  # sqrt C(i+l, l); 0 where K_l leaves no level i
-    tensor = shifted * root[:, :, None]
-    tensor *= root[:, None, :]
-    return tensor.view(float).reshape(n, -1)  # real rows, so a real contraction applies it
+    root = np.exp(0.5 * (log_fact[k[:, None] + k] - log_fact[k[:, None]] - log_fact[k]))
+    # the Hankel view [..., l, i] -> vec[i+l], zero where K_l leaves no level i
+    return np.lib.stride_tricks.sliding_window_view(padded, n, axis=-1) * root
 
 
-def damp(rho, g, depletion):
-    """Field density after the damping flow with response g and depletion B.
+def damp(ket, bra, g, depletion):
+    """The dyad |ket><bra| after the damping flow with response g and depletion B.
 
     A vacuum environment acts on the field as a pure-loss channel and a phase,
     sum_l K_l rho K_l^dag with <m-l|K_l|m> = sqrt(C(m, l)) g^(m-l) B^(l/2)
     (Chuang, Leung & Yamamoto 1997, PRA 56, 1114; Nielsen & Chuang sec. 8.3.5),
     for the (g, B) of ``lindblad.me_response`` or ``bath.response``.  It is
     linear and never raises the photon number, so it is exact on the truncated
-    space and applies to non-Hermitian dyads.  It is D (sum_l B^l A_l) D^dag,
-    D = diag(g^n), A of :func:`_kraus_tensor`: T values of (g, B) give a
-    (T, N, N) stack from one (T x N) . (N x N^2) product in O(N^3 + T N^2)
-    memory, scalars one (N, N) matrix, g = 1 and B = 0 rho itself.  Takes and
-    returns matrices.
+    space; a mixed density damps as the sum of its dyads.  Per value of (g, B) it
+    is one (N x N) product D X_ket diag(B^l) conj(X_bra) D^dag, D = diag(g^n), X of
+    :func:`_loss_images`: T values give a (T, N, N) stack in O(T N^2) memory, each
+    matrix with its scalar call's bits.  B = 0 gives ket conj(bra) times the phases,
+    and g = 1 with it that outer product verbatim.  Equal stacks (..., N) of ``ket``
+    and ``bra`` add their axes after those of (g, B).
     """
-    mat = np.asarray(rho, dtype=complex)
-    g, depletion = np.asarray(g), np.asarray(depletion, dtype=float)
-    levels = np.arange(len(mat))
-    # einsum, not BLAS: each row sums l in order, so scalar (g, B) give their bits in any grid
-    damped = np.einsum("...l,lx->...x", depletion[..., None] ** levels, _kraus_tensor(mat))
-    powers = g[..., None] ** levels
-    damped = damped.view(complex).reshape(depletion.shape + mat.shape) * (
-        powers[..., :, None] * powers.conj()[..., None, :])
-    identity = (g == 1.0) & (depletion == 0.0)
-    np.copyto(damped, mat, where=identity[..., None, None])  # exact, signed zeros included
+    ket, bra = np.asarray(ket, dtype=complex), np.asarray(bra, dtype=complex)
+    if ket.shape != bra.shape:
+        raise InvalidArgumentError(f"ket of shape {ket.shape} and bra of shape {bra.shape} differ")
+    stack = (...,) + (None,) * (ket.ndim - 1)  # (g, B) axes first, then the kets' stack axes
+    g, depletion = np.asarray(g)[stack], np.asarray(depletion, dtype=float)[stack]
+    levels = np.arange(ket.shape[-1])
+    loss = depletion[..., None, None] ** levels[:, None]  # a zgemm per (g, B) keeps each row's bits
+    damped = _loss_images(ket) @ (loss * _loss_images(bra.conj()))
+    outer = ket[..., :, None] * bra.conj()[..., None, :]
+    np.copyto(damped, outer, where=(depletion == 0.0)[..., None, None])  # no BLAS rounding
+    damped *= density_from_vector(g[..., None] ** levels)  # the phases g^i conj(g)^j
+    np.copyto(damped, outer, where=((g == 1.0) & (depletion == 0.0))[..., None, None])  # signed 0s
     return damped
 
 

@@ -71,15 +71,16 @@ def test_coherent_to_fock_truncation_guard():
 
 
 def test_lindblad_vacuum_fixed_point():
-    rho0 = fock.density_from_vector(fock.coherent_to_fock(0.0, 10))
-    rho = fock.damp(rho0, *mc.me_response(GAMMA, 0.5))
+    vac = fock.coherent_to_fock(0.0, 10)
+    rho0 = fock.density_from_vector(vac)
+    rho = fock.damp(vac, vac, *mc.me_response(GAMMA, 0.5))
     np.testing.assert_allclose(rho, rho0, atol=1e-12)
 
 
 def test_lindblad_coherent_stays_coherent():
     n_max = 19
-    rho0 = fock.density_from_vector(fock.coherent_to_fock(1.0, n_max))
-    rho = fock.damp(rho0, *mc.me_response(GAMMA, 0.5))
+    vec = fock.coherent_to_fock(1.0, n_max)
+    rho = fock.damp(vec, vec, *mc.me_response(GAMMA, 0.5))
     target = fock.coherent_to_fock(math.exp(-0.25), n_max)
     fidelity = np.real(target.conj() @ rho @ target)
     assert fidelity >= 1.0 - 1e-7
@@ -92,9 +93,9 @@ def test_lindblad_cat_off_diagonal_damping():
     alpha0 = complex(math.sqrt(2.0), 0)
     n_max = fock.required_n_max(alpha0)
     state = odd_cat(alpha0)
-    rho0 = fock.density_from_vector(fock.superposition_vector(state, n_max))
+    vec = fock.superposition_vector(state, n_max)
     gamma, t = 1.0, 0.35
-    rho = fock.damp(rho0, *mc.me_response(GAMMA, t))
+    rho = fock.damp(vec, vec, *mc.me_response(GAMMA, t))
 
     labels_t = [br.field * math.exp(-gamma * t / 2) for br in state.branches]
     vecs = [fock.coherent_to_fock(l, n_max) for l in labels_t]
@@ -117,7 +118,7 @@ def test_lindblad_dyad_factor_oracle():
         va = fock.coherent_to_fock(a, n_max)
         vb = fock.coherent_to_fock(b, n_max)
         g, depletion = mc.me_response(gamma, gt)
-        dyad = fock.damp(np.outer(va, vb.conj()), g, depletion)
+        dyad = fock.damp(va, vb, g, depletion)
         # the factor of |a><b| is the coherence exp(K_10) of the pair |b> + |a>
         pair = mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, b), mc.Branch(1.0, a))))
         factor = np.exp(mc.damped_density(pair, g, depletion).expo[1, 0])
@@ -143,20 +144,20 @@ def test_lindblad_kraus_map_matches_generator_exponential():
     # independent of the closed-form dyad factor: expm of the (n+1)^2 x (n+1)^2 generator itself,
     # against both the scalar and the whole-grid form of the map at the me_response (g, B)
     n_max, gamma = 19, 1.3
-    cat = fock.density_from_vector(fock.superposition_vector(odd_cat(1.0 + 0j), n_max))
+    cat = fock.superposition_vector(odd_cat(1.0 + 0j), n_max)
     va = fock.coherent_to_fock(0.7 + 0.4j, n_max)
     vb = fock.coherent_to_fock(-0.6 + 0.5j, n_max)
     generator = liouvillian(n_max, gamma)
-    inputs = (cat, np.outer(va, vb.conj()))
+    inputs = ((cat, cat), (va, vb))
     times = (0.0, 0.04, 0.5, 2.7)
-    grids = [fock.damp(rho0, *mc.me_response(gamma, times)) for rho0 in inputs]
+    grids = [fock.damp(*dyad, *mc.me_response(gamma, times)) for dyad in inputs]
     for k, t in enumerate(times):
         flow = expm(generator * t)
-        for rho0, grid in zip(inputs, grids):
-            reference = (flow @ rho0.ravel()).reshape(rho0.shape)
-            assert np.max(np.abs(fock.damp(rho0, *mc.me_response(gamma, t)) - reference)) <= 1e-12
+        for (ket, bra), grid in zip(inputs, grids):
+            reference = (flow @ np.outer(ket, bra.conj()).ravel()).reshape(len(ket), len(bra))
+            assert np.max(np.abs(fock.damp(ket, bra, *mc.me_response(gamma, t)) - reference)) <= 1e-12
             assert np.max(np.abs(grid[k] - reference)) <= 1e-12
-        damped = fock.damp(cat, *mc.me_response(gamma, t))
+        damped = fock.damp(cat, cat, *mc.me_response(gamma, t))
         assert np.trace(damped).real == pytest.approx(1.0, abs=1e-13)
 
 
@@ -168,10 +169,10 @@ def test_damp_at_the_bath_response_matches_the_coherent_algebra(flat_band_201, o
     band = mc.BathSpec(flat_band_201.detunings + shift, flat_band_201.couplings, 1.0)
     n_max = 29
     state = mc.prepare(mc.ProtocolParams(Case.CASE_B, 1.3 + 0j, math.pi / 4), outcome)
-    rho0 = fock.density_from_vector(fock.superposition_vector(state, n_max))
+    vec = fock.superposition_vector(state, n_max)
     g, depletion = mc.response(band, np.array([0.3, 1.0, 3.0]))
     assert np.max(np.abs(g.imag)) > 1e-3 if shift else np.max(np.abs(g.imag)) < 1e-14
-    damped = fock.damp(rho0, g, depletion)
+    damped = fock.damp(vec, vec, g, depletion)
     rho = mc.damped_density(state, g, depletion)
     vecs = fock.coherent_to_fock(rho.labels, n_max)  # (T, 2, N)
     expected = vecs.transpose(0, 2, 1) @ rho.coeff @ vecs.conj()
@@ -190,43 +191,98 @@ def test_lindblad_rejects_bad_arguments():
 
 
 def grid_inputs(n_max=19):
-    """An odd cat (Hermitian) and a dyad |a><b| (not Hermitian), as raw matrices."""
-    cat = fock.density_from_vector(fock.superposition_vector(odd_cat(1.0 + 0j), n_max))
+    """An odd cat |c><c| (Hermitian) and a dyad |a><b| (not Hermitian), as (ket, bra) pairs."""
+    cat = fock.superposition_vector(odd_cat(1.0 + 0j), n_max)
     va = fock.coherent_to_fock(0.7 + 0.4j, n_max)
     vb = fock.coherent_to_fock(-0.6 + 0.5j, n_max)
-    return cat, np.outer(va, vb.conj())
+    return (cat, cat), (va, vb)
 
 
 @pytest.mark.parametrize("which", [0, 1])
-def test_lindblad_grid_is_the_stack_of_scalar_calls(which):
-    # the scalar call is the T = 1 case of the same contraction, to the bit
-    rho0 = grid_inputs()[which]
+def test_lindblad_grid_is_the_stack_of_scalar_calls(flat_band_201, which):
+    # each grid time is its own (N x N) product, so the scalar call gives its bits; n_max 39
+    # is the benchmark's, and the band shifted off resonance gives a complex g
     times = np.array([0.0, 1e-9, 0.02, 0.3, 1.0, 2.5, 7.0, 40.0])
-    g, depletion = mc.me_response(1.3, times)
-    grid = fock.damp(rho0, g, depletion)
-    assert grid.shape == (len(times),) + rho0.shape
-    for k in range(len(times)):
-        assert grid[k].tobytes() == fock.damp(rho0, g[k], depletion[k]).tobytes()
+    band = mc.BathSpec(flat_band_201.detunings + 0.7, flat_band_201.couplings, 1.0)
+    responses = (mc.me_response(1.3, times), mc.response(band, times))
+    assert np.max(np.abs(responses[1][0].imag)) > 1e-3
+    for n_max in (19, 39):
+        ket, bra = grid_inputs(n_max)[which]
+        for g, depletion in responses:
+            grid = fock.damp(ket, bra, g, depletion)
+            assert grid.shape == (len(times), n_max + 1, n_max + 1)
+            for k in range(len(times)):
+                assert grid[k].tobytes() == fock.damp(ket, bra, g[k], depletion[k]).tobytes()
 
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_lindblad_grid_shapes_and_exact_zero_times(which):
-    rho0 = grid_inputs()[which]
+    ket, bra = grid_inputs()[which]
+    rho0 = np.outer(ket, bra.conj())
     n = len(rho0)
-    assert fock.damp(rho0, *mc.me_response(GAMMA, np.float64(0.3))).shape == (n, n)
-    assert fock.damp(rho0, *mc.me_response(GAMMA, np.array(0.3))).shape == (n, n)
-    assert fock.damp(rho0, *mc.me_response(GAMMA, [0.3])).shape == (1, n, n)
-    assert fock.damp(rho0, 0.9, 0.19).shape == (n, n)
-    assert fock.damp(rho0, *mc.me_response(GAMMA, 0.0)).tobytes() == rho0.tobytes()
-    assert fock.damp(rho0, 1.0, 0.0).tobytes() == rho0.tobytes()
-    grid = fock.damp(rho0, *mc.me_response(GAMMA, [0.5, 0.0, 1.0, 0.0]))
+    assert fock.damp(ket, bra, *mc.me_response(GAMMA, np.float64(0.3))).shape == (n, n)
+    assert fock.damp(ket, bra, *mc.me_response(GAMMA, np.array(0.3))).shape == (n, n)
+    assert fock.damp(ket, bra, *mc.me_response(GAMMA, [0.3])).shape == (1, n, n)
+    assert fock.damp(ket, bra, 0.9, 0.19).shape == (n, n)
+    assert fock.damp(ket, bra, *mc.me_response(GAMMA, 0.0)).tobytes() == rho0.tobytes()
+    assert fock.damp(ket, bra, 1.0, 0.0).tobytes() == rho0.tobytes()
+    grid = fock.damp(ket, bra, *mc.me_response(GAMMA, [0.5, 0.0, 1.0, 0.0]))
     for k in (1, 3):
         assert grid[k].tobytes() == rho0.tobytes()
-    density = fock.damp(rho0, *mc.me_response(GAMMA, [0.5, 0.0]))
+    density = fock.damp(ket, bra, *mc.me_response(GAMMA, [0.5, 0.0]))
     assert density.shape == (2, n, n) and density[1].tobytes() == rho0.tobytes()
     # B = 0 with a pure phase g is a rotation, not the identity
     phase = 1j ** np.arange(n)
-    assert np.array_equal(fock.damp(rho0, 1j, 0.0), rho0 * np.outer(phase, phase.conj()))
+    assert np.array_equal(fock.damp(ket, bra, 1j, 0.0), rho0 * np.outer(phase, phase.conj()))
+
+
+def test_damp_puts_the_kets_stack_axes_after_the_response_axes():
+    (cat, _), (va, vb) = grid_inputs()
+    kets, bras = np.array([cat, va]), np.array([cat, vb])
+    g, depletion = mc.me_response(GAMMA, [0.0, 0.3, 2.0])
+    stack = fock.damp(kets, bras, g, depletion)
+    assert stack.shape == (3, 2, 20, 20)
+    for k in range(2):
+        assert stack[:, k].tobytes() == fock.damp(kets[k], bras[k], g, depletion).tobytes()
+
+
+@pytest.mark.parametrize("bra_shape", [(21,), (2, 20)], ids=["length", "stack"])
+def test_damp_rejects_a_bra_shaped_unlike_its_ket(bra_shape):
+    ket = fock.coherent_to_fock(0.5, 19)
+    with pytest.raises(mc.InvalidArgumentError, match="differ$"):
+        fock.damp(ket, np.ones(bra_shape, dtype=complex), 0.9, 0.19)
+
+
+def test_damp_of_a_mixture_is_the_sum_of_its_dyads():
+    # a rank-3 mixture sum_k p_k |v_k><v_k| against expm of the generator at two times
+    n_max, gamma = 19, 0.8
+    vecs = [fock.coherent_to_fock(label, n_max) for label in (0.8 + 0.2j, -0.5 + 0.6j)]
+    vecs.append(fock.superposition_vector(odd_cat(1.0 + 0j), n_max))
+    weights = (0.5, 0.3, 0.2)
+    rho0 = sum(p * fock.density_from_vector(v) for p, v in zip(weights, vecs))
+    assert np.linalg.matrix_rank(rho0, tol=1e-10) == 3
+    generator = liouvillian(n_max, gamma)
+    for t in (0.3, 1.7):
+        damped = sum(p * fock.damp(v, v, *mc.me_response(gamma, t)) for p, v in zip(weights, vecs))
+        reference = (expm(generator * t) @ rho0.ravel()).reshape(rho0.shape)
+        assert np.max(np.abs(damped - reference)) <= 1e-12
+
+
+def test_damp_memory_stays_below_a_quarter_of_one_kraus_tensor():
+    # the map needs O(T N^2) memory: no (N, N, N) array of N^3 complex entries is formed
+    import tracemalloc
+
+    n_max = 79
+    ket = fock.coherent_to_fock(2.0 + 1.0j, n_max)
+    bra = fock.coherent_to_fock(-1.5 + 0.5j, n_max)
+    g, depletion = mc.me_response(GAMMA, [0.1, 0.5, 2.0])
+    tracemalloc.start()
+    try:
+        fock.damp(ket, bra, g, depletion)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n_max + 1) ** 3 * 16 / 4
 
 
 @pytest.mark.parametrize("bad", [-0.1, -1e-300, math.inf, -math.inf, math.nan])
@@ -239,8 +295,8 @@ def test_lindblad_grid_rejects_any_bad_time_naming_its_index(bad):
 
 
 def test_stacked_readouts_match_single_matrices():
-    rho0 = fock.density_from_vector(fock.superposition_vector(odd_cat(1.0 + 0j), 19))
-    stack = fock.damp(rho0, *mc.me_response(GAMMA, np.linspace(0.0, 2.0, 5)))
+    vec = fock.superposition_vector(odd_cat(1.0 + 0j), 19)
+    stack = fock.damp(vec, vec, *mc.me_response(GAMMA, np.linspace(0.0, 2.0, 5)))
     op = mc.measurement_product(mc.ProtocolParams(Case.CASE_B, 1.0 + 0j, 0.8), Out.E)
     labels = np.array([[0.9, -0.3j], [0.1 + 0.2j, 0.8]])
     vectors = fock.coherent_to_fock(labels, 19)
@@ -263,9 +319,9 @@ def test_purity_matches_the_trace_of_the_matrix_product():
     matrices = []
     for case, phi in ((Case.CASE_A, math.pi), (Case.CASE_B, math.pi / 4)):
         state = mc.prepare(mc.ProtocolParams(case, 1.3 + 0.2j, phi), Out.E)
-        rho0 = fock.density_from_vector(fock.superposition_vector(state, n_max))
+        vec = fock.superposition_vector(state, n_max)
         g, depletion = mc.me_response(GAMMA, times)
-        matrices += [fock.damp(rho0, g * phase, depletion) for phase in (1.0, np.exp(0.7j * times))]
+        matrices += [fock.damp(vec, vec, g * phase, depletion) for phase in (1.0, np.exp(0.7j * times))]
     rng = np.random.default_rng(17)
     u, v = (fock.coherent_to_fock(rng.uniform(-0.9, 0.9, (5, 2)) @ [1.0, 1j], n_max)
             for _ in range(2))

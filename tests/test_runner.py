@@ -273,9 +273,9 @@ def test_fock_evolves_whole_grids_not_rows(tmp_path, monkeypatch, points):
     calls, expanded = [], []
     damp, coherent_to_fock = fock.damp, fock.coherent_to_fock
 
-    def counted(rho, g, depletion):
+    def counted(ket, bra, g, depletion):
         calls.append(np.shape(depletion))
-        return damp(rho, g, depletion)
+        return damp(ket, bra, g, depletion)
 
     def expand(label, n_max, batch=0):
         expanded.append(np.shape(label))
@@ -314,15 +314,15 @@ def fock_rows_per_time(cfg):
     params = runner.scenario_params(cfg)
     n_max = cfg.fock.n_max
     states = [mc.prepare(params, o) for o in (Out.E, Out.G)]
-    rho0 = [fock.density_from_vector(fock.superposition_vector(s, n_max)) for s in states]
+    vecs0 = [fock.superposition_vector(s, n_max) for s in states]
     ops = [mc.measurement_product(params, o) for o in (Out.E, Out.G)]
     weights = [br.weight for br in states[0].branches]
     parity = 1.0 - 2.0 * (np.arange(n_max + 1) % 2)
-    n_field_0 = fock.fock_mean_photon(rho0[0])
+    n_field_0 = fock.fock_mean_photon(fock.density_from_vector(vecs0[0]))
     blocks_used, columns = [], []
     for t in runner.time_grid(cfg):
         response = mc.me_response(1.0, t)
-        rho = [fock.damp(r, *response) for r in rho0]
+        rho = [fock.damp(v, v, *response) for v in vecs0]
         p = [fock.fock_measure(op, r) for r in rho for op in ops]
         labels = np.array([br.field * math.exp(-t / 2) for br in states[0].branches])
         vecs = [fock.coherent_to_fock(label, n_max) for label in labels]
@@ -400,7 +400,8 @@ def both_engines_lams(monkeypatch, weights, labels, g):
     n_max = int(fock.required_n_max(np.max(np.abs(labels))))
     oracle = []
     for state, l in zip(states, labels):
-        rho = fock.damp(fock.density_from_vector(fock.superposition_vector(state, n_max)), g, depletion)
+        vec = fock.superposition_vector(state, n_max)
+        rho = fock.damp(vec, vec, g, depletion)
         oracle.append(np.stack(runner._fock_assign(rho, np.multiply.outer(g, [l, -l])), axis=-1))
     return np.array(analytic), np.array(oracle)
 
