@@ -9,9 +9,9 @@ plain arrays, amplitude vectors (..., N) and density matrices (..., N, N), with
 N = n_max + 1 read from the last axis; the damping map takes a dyad's two vectors
 and returns its matrix.  Leading axes index stacks such as a
 time grid: one number-state recurrence expands every label of a stack, so the
-runner's Fock table makes two, one for the branch labels of both prepared
-states and one for the damped labels, and the purity Tr(rho rho) is one O(N^2)
-contraction per matrix.  Cost grows fast with amplitude: desk-scale checks
+runner's Fock backend makes two per command, one for the branch labels of every
+prepared state and one for the damped labels, and the purity Tr(rho rho) is one
+O(N^2) contraction per matrix.  Cost grows fast with amplitude: desk-scale checks
 only (|alpha|^2 of a few).
 """
 

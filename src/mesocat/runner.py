@@ -10,15 +10,15 @@ The environment reaches the prepared field only through the field response
 g(t) and the depletion B(t), which ``_response`` gives over the whole grid
 for every engine: the exact discrete bath from its moment-checked secular
 spectrum (``bath.response``), the master equation, which the Fock engine
-shares, in closed form (``lindblad.me_response``).  An analytic command builds
-all its tables from one density stack with the axes (time, protocol, first-atom
-outcome), the responses (both engines' for ``compare``, one per gamma in a gamma
-sweep) concatenated along time; the probabilities (one expectation pass for all
-four), spectra and purities go once through the checked routines that serve a
-single density.  The Fock table, the oracle, expands the branch labels of both
-prepared states in one recurrence and the damped labels of every time in a second,
-and damps each prepared Fock vector v, as |v><v|, in one ``fock.damp`` call.
-Nothing iterates over grid times.
+shares, in closed form (``lindblad.me_response``).  Every command builds its
+tables in one builder from one density stack with the axes (time, protocol,
+first-atom outcome), the responses (both engines' for ``compare``, one per gamma
+in a gamma sweep) concatenated along time; the engine's backend evaluates it.
+The analytic one sends the probabilities (one expectation pass for all four),
+spectra and purities once through the checked routines that serve one density.
+The Fock one, the oracle, expands the prepared branch labels in one recurrence,
+the damped labels in a second, and damps every prepared Fock vector v of an
+outcome, as |v><v|, in one ``fock.damp`` call.  Nothing iterates over grid times.
 
 Eigenvalue columns hold the descending pair, with one parity rule in every
 engine: where the two field labels are antipodal (l, -l) and the top
@@ -34,6 +34,7 @@ mesocat starts no thread; OpenBLAS may use a second in the Fock engine, from abo
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -76,24 +77,6 @@ def _labels_antipodal(labels) -> np.ndarray:
     return np.abs(l0 + l1) < 1e-9 * scale
 
 
-def _table(columns) -> dict[str, np.ndarray]:
-    """The column table from one array per column, in ROW_FIELDS order, gamma_b still complex."""
-    t_tc, g_a, g_b, *rest = columns
-    columns = (t_tc, g_a, np.abs(g_b), np.arctan2(g_b.imag, g_b.real), *rest)
-    return dict(zip(ROW_FIELDS, map(np.asarray, columns)))
-
-
-def _pair_factors(states, g: np.ndarray, depletion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gamma_a = |<a_2 g|a_1 g>| and gamma_b = exp(z B) over (grid, state) of two-branch states.
-
-    z = log <a_2|a_1>, the exponent ``coherent.damped_density`` scales by B.
-    """
-    labels = coherent._weights_labels(states)[1]
-    z = coherent._exponent(labels[..., 1], labels[..., 0])
-    g_a = np.abs(np.exp(np.multiply.outer(g.real**2 + g.imag**2, z)))
-    return g_a, np.exp(np.multiply.outer(depletion, z))
-
-
 def _response(cfg: ScenarioConfig, times_tc: np.ndarray) -> tuple[np.ndarray, ...]:
     """(g, B, recurrence flags) at the given times (t_c): the master's unless microscopic."""
     if cfg.engine == "microscopic":
@@ -106,95 +89,101 @@ def _response(cfg: ScenarioConfig, times_tc: np.ndarray) -> tuple[np.ndarray, ..
     return g, depletion, np.zeros(len(times), dtype=bool)
 
 
-def _analytic_tables(swept, times_tc, responses) -> list[dict[str, np.ndarray]]:
-    """Tables at the given times (t_c) per protocol, then per response (g, B, recurrence), from
-    one stack (time, protocol, outcome) of the densities at every time of every response."""
-    n, (g, depletion, recurrence) = len(times_tc), map(np.concatenate, zip(*responses))
-    times_tc = np.tile(times_tc, len(responses))
-    states = [[proto.prepare(params, outcome) for outcome in proto.DetectionOutcome]
-              for params in swept]
+def _analytic(swept, states, weights, labels, g, depletion) -> tuple:
+    """The analytic engines' backend: the closed-form densities over the damped labels."""
     rho = coherent.damped_density(states, g, depletion)
     rec, lams = proto.conditional_probabilities(rho, swept), coherent.eigenvalues(rho)
     # antipodal labels: a and d are the even and odd cats' populations (module docstring)
     odd_top = (_labels_antipodal(rho.labels) & (rho._pair.a < rho._pair.d))[..., None]
-    lam_plus, lam_minus = np.moveaxis(np.where(odd_top, lams[..., ::-1], lams), -1, 0)
-    purity, defect = coherent.purity(rho), coherent.idempotency_defect(rho)
-    state_e = [pair[0] for pair in states]
-    columns = np.broadcast_arrays(
-        times_tc[:, None], *_pair_factors(state_e, g, depletion),
-        rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta,
-        lam_plus[..., 0], lam_minus[..., 0], lam_plus[..., 1], lam_minus[..., 1],
-        purity[..., 0], purity[..., 1], defect[..., 0], defect[..., 1],
-        *coherent.damped_occupations(state_e, g, depletion), recurrence[:, None],
-    )
-    return [_table(col[k:k + n, p] for col in columns)
-            for p in range(len(swept)) for k in range(0, len(times_tc), n)]
+    # gamma_b = exp(K_12) of the outcome-e density: the bath overlap <a_2 f|a_1 f>
+    return (np.exp(rho.expo[..., 0, 0, 1]), rec, np.where(odd_top, lams[..., ::-1], lams),
+            coherent.purity(rho), coherent.idempotency_defect(rho),
+            *coherent.damped_occupations([pair[0] for pair in states], g, depletion))
 
 
-def _fock_assign(matrix: np.ndarray, labels_t) -> tuple[np.ndarray, np.ndarray]:
-    """(lam_plus, lam_minus) over a stack of Fock density matrices, shape (T, N, N).
+def _fock_assign(matrix: np.ndarray, labels_t) -> np.ndarray:
+    """(lam_plus, lam_minus), shape (..., 2), over a stack of Fock density matrices (..., N, N).
 
     Antipodal pair, density block-diagonal in parity (a parity cat; damping
     keeps it so): the top eigenvalues of the even and odd blocks, so no
     vector of a degenerate eigenspace decides the labels.  Other antipodal
     pairs (e.g. |b> - i|-b>): the two largest, swapped if the top eigenvector
-    is odd.  Otherwise: the two largest.  Each time takes its branch.
+    is odd.  Otherwise: the two largest.  Each stack index takes its branch.
     """
     antipodal = _labels_antipodal(labels_t)
-    blocks = antipodal & (np.linalg.norm(matrix[:, 0::2, 1::2], axis=(1, 2)) < PARITY_BLOCK_TOL)
-    top = np.empty((len(matrix), 2))
-    even_odd = matrix[blocks]
-    top[blocks] = np.transpose([np.linalg.eigvalsh(even_odd[:, p::2, p::2])[:, -1] for p in (0, 1)])
-    lams, vecs = np.linalg.eigh(matrix[~blocks])
-    parity = np.abs(vecs[..., -1]) ** 2 @ (1.0 - 2.0 * (np.arange(matrix.shape[-1]) % 2))
-    swap = (antipodal[~blocks] & (parity < 0.0))[:, None]
-    top[~blocks] = np.where(swap, lams[:, -2:], lams[:, :-3:-1])
-    return tuple(np.clip(top, 0.0, 1.0).T)
+    blocks = antipodal & (np.linalg.norm(matrix[..., 0::2, 1::2], axis=(-2, -1)) < PARITY_BLOCK_TOL)
+    top = np.empty(blocks.shape + (2,))
+    if blocks.any():  # numpy.linalg costs about 7 us even on an empty stack
+        block = matrix[blocks]
+        top[blocks] = np.transpose([np.linalg.eigvalsh(block[:, p::2, p::2])[:, -1] for p in (0, 1)])
+    if not blocks.all():
+        lams, vecs = np.linalg.eigh(matrix[~blocks])
+        parity = np.abs(vecs[..., -1]) ** 2 @ (1.0 - 2.0 * (np.arange(matrix.shape[-1]) % 2))
+        swap = (antipodal[~blocks] & (parity < 0.0))[:, None]
+        top[~blocks] = np.where(swap, lams[:, -2:], lams[:, :-3:-1])
+    return np.clip(top, 0.0, 1.0)
 
 
 def _fock_gamma_b(p: np.ndarray, labels_t: np.ndarray, weights, n_max: int) -> np.ndarray:
-    """gamma_b over the grid from P_ij = <l_i(t)|rho_e(t)|l_j(t)>, shape (T, 2, 2).
+    """gamma_b from P_ij = <l_i(t)|rho_e(t)|l_j(t)>, (..., 2, 2), the labels and weights (..., 2).
 
     coeff = S^-1 P S^-1 with S^-1 = (1, -s; -conj(s), 1) / det, s = <l1|l2>
     and det = 1 - |s|^2.  The numerator cancels down to det^2 coeff01, so the
     rounding of the P_ij, dot products over n_max + 1 Fock levels and so
     within (n_max + 1) eps sum|P| of exact, reaches coeff01 divided by det^2.
-    Rows where that bound exceeds FOCK_GAMMA_B_RTOL of |coeff01| hold NaN.
+    Entries where that bound exceeds FOCK_GAMMA_B_RTOL of |coeff01| hold NaN.
     """
-    l1, l2 = labels_t[:, 0], labels_t[:, 1]
+    l1, l2 = labels_t[..., 0], labels_t[..., 1]
     det = -np.expm1(-coherent._abs2(l1 - l2))
     s = np.exp(coherent._exponent(l1, l2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        coeff01 = (p[:, 0, 1] - s * (p[:, 0, 0] + p[:, 1, 1]) + s * s * p[:, 1, 0]) / det**2
-        bound = (n_max + 1) * np.finfo(float).eps * np.abs(p).sum(axis=(1, 2)) / det**2
+        coeff01 = (p[..., 0, 1] - s * (p[..., 0, 0] + p[..., 1, 1]) + s * s * p[..., 1, 0]) / det**2
+        bound = (n_max + 1) * np.finfo(float).eps * np.abs(p).sum(axis=(-2, -1)) / det**2
         accurate = bound / np.abs(coeff01) <= FOCK_GAMMA_B_RTOL
-    return np.where(accurate, coeff01 / (weights[0] * np.conj(weights[1])), np.nan)
+    return np.where(accurate, coeff01 / (weights[..., 0] * np.conj(weights[..., 1])), np.nan)
 
 
-def _fock_table(n_max, params, times_tc, g, depletion, recurrence) -> dict[str, np.ndarray]:
-    """The table at the given times (t_c) from the Fock densities damped at a response (g, B)."""
-    states = [proto.prepare(params, outcome) for outcome in proto.DetectionOutcome]
-    state_e = states[0]
-    prepared = fock.superposition_vector(states, n_max)  # (2, N)
-    labels_t = np.multiply.outer(g, [br.field for br in state_e.branches])
-    # one damp per outcome: at n_max 39, one call on both (2, N) kets takes 1.0 ms, two 0.7 ms
-    rho_e, rho_g = (fock.damp(vec, vec, g, depletion) for vec in prepared)
-    vecs = fock.coherent_to_fock(labels_t, n_max, batch=1)  # (T, 2, N), times named on failure
-    ops = [proto.measurement_product(params, outcome) for outcome in proto.DetectionOutcome]
-    measured = (fock.fock_measure(op, rho) for rho in (rho_e, rho_g) for op in ops)
-    rec = proto.CorrelationRecord(*measured)  # checked before they are clamped
-    label_products = (vecs.conj() @ rho_e) @ vecs.transpose(0, 2, 1)
-    g_b = _fock_gamma_b(label_products, labels_t, [br.weight for br in state_e.branches], n_max)
-    pur_e, pur_g = fock.fock_purity(rho_e), fock.fock_purity(rho_g)
+def _fock(n_max, swept, states, weights, labels, g, depletion) -> tuple:
+    """The Fock engine's backend, the oracle: every prepared vector damped as |v><v|."""
+    prepared = fock.superposition_vector(states, n_max)  # (protocol, outcome, N)
+    labels_t = np.multiply.outer(g, labels)
+    # one damp per outcome: at n_max 39 x 11 times two calls take 0.64 ms, one on the stacked
+    # kets 0.91 ms, and its strided slices raise a run's minor page faults from 174 to 243
+    rho_e, rho_g = (fock.damp(prepared[:, k], prepared[:, k], g, depletion) for k in (0, 1))
+    vecs = fock.coherent_to_fock(labels_t, n_max, batch=2)  # (T, P, 2, N), times named on failure
+    ops = [[proto.measurement_product(prm, o) for o in proto.DetectionOutcome] for prm in swept]
+    # one call per protocol keeps its bits; the record checks them before it clamps them
+    measured = np.array([[fock.fock_measure(pair[k], rho[:, p]) for p, pair in enumerate(ops)]
+                         for rho in (rho_e, rho_g) for k in (0, 1)])  # (p_ee ... p_gg, P, T)
+    rec = proto.CorrelationRecord(*(m.T for m in measured), batch=1)
+    label_products = (vecs.conj() @ rho_e) @ vecs.swapaxes(-1, -2)
+    purity = np.stack([fock.fock_purity(rho_e), fock.fock_purity(rho_g)], axis=-1)
     n_field = fock.fock_mean_photon(rho_e)
-    n_bath = fock.fock_mean_photon(fock.density_from_vector(prepared[0])) - n_field
-    return _table((
-        times_tc, _pair_factors(state_e, g, depletion)[0], g_b,
-        rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta,
-        *_fock_assign(rho_e, labels_t), *_fock_assign(rho_g, labels_t),
-        pur_e, pur_g, 1 - pur_e, 1 - pur_g, n_field, n_bath,
-        recurrence,
-    ))
+    n_bath = fock.fock_mean_photon(fock.density_from_vector(prepared[:, 0])) - n_field
+    return (_fock_gamma_b(label_products, labels_t, weights, n_max), rec,
+            np.stack([_fock_assign(rho_e, labels_t), _fock_assign(rho_g, labels_t)], axis=-2),
+            purity, 1 - purity, n_field, n_bath)
+
+
+def _stack_tables(swept, times_tc, responses, backend) -> list[dict[str, np.ndarray]]:
+    """Tables at the given times (t_c) per protocol, then per response (g, B, recurrence), from
+    one stack (time, protocol, outcome) over every response's times, which ``backend`` evaluates."""
+    n, (g, depletion, recurrence) = len(times_tc), map(np.concatenate, zip(*responses))
+    states = [[proto.prepare(params, outcome) for outcome in proto.DetectionOutcome]
+              for params in swept]
+    weights, labels = coherent._weights_labels([pair[0] for pair in states])  # outcome e's
+    g_b, rec, lams, purity, defect, n_field, n_bath = backend(
+        swept, states, weights, labels, g, depletion)
+    z = coherent._exponent(labels[..., 1], labels[..., 0])  # log <a_2|a_1>
+    columns = np.broadcast_arrays(
+        np.abs(np.exp(np.multiply.outer(g.real**2 + g.imag**2, z))), np.abs(g_b),
+        np.arctan2(g_b.imag, g_b.real), rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta,
+        lams[..., 0, 0], lams[..., 0, 1], lams[..., 1, 0], lams[..., 1, 1],
+        purity[..., 0], purity[..., 1], defect[..., 0], defect[..., 1],
+        n_field, n_bath, recurrence[:, None],
+    )
+    return [dict(zip(ROW_FIELDS, [times_tc, *[col[k:k + n, p] for col in columns]]))
+            for p in range(len(swept)) for k in range(0, len(g), n)]
 
 
 def _tables(cfgs: list[ScenarioConfig], per_response: bool) -> list[dict[str, np.ndarray]]:
@@ -205,10 +194,9 @@ def _tables(cfgs: list[ScenarioConfig], per_response: bool) -> list[dict[str, np
     grid = time_grid(cfgs[0])
     responses = [_response(cfg, grid) for cfg in (cfgs if per_response else cfgs[:1])]
     swept = [scenario_params(cfg) for cfg in (cfgs[:1] if per_response else cfgs)]
-    if cfgs[0].engine == "fock":
-        return [_fock_table(cfgs[0].fock.n_max, params, grid, *response)
-                for params in swept for response in responses]
-    return _analytic_tables(swept, grid, responses)
+    fock_engine = cfgs[0].engine == "fock"
+    backend = functools.partial(_fock, cfgs[0].fock.n_max) if fock_engine else _analytic
+    return _stack_tables(swept, grid, responses, backend)
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
@@ -221,6 +209,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
 
 #: log-spaced early-time grid (units of t_c) for the short-time defect slopes
 SLOPE_GRID = np.logspace(-3.0, -2.0, 9)
+_analytic_tables = functools.partial(_stack_tables, backend=_analytic)
 
 
 def _defect_slope(defect_e: np.ndarray) -> float:

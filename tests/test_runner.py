@@ -267,7 +267,7 @@ def test_compare_stack_equals_each_engine_table_bit_for_bit(tmp_path, case):
 
 @pytest.mark.parametrize("points", [11, 201])
 def test_fock_evolves_whole_grids_not_rows(tmp_path, monkeypatch, points):
-    # one damping-map call per conditioned density and two number-state recurrences,
+    # one damping-map call per first-atom outcome and two number-state recurrences,
     # one for the branch labels of both prepared states and one for the damped
     # labels, whatever the grid length
     calls, expanded = [], []
@@ -286,7 +286,7 @@ def test_fock_evolves_whole_grids_not_rows(tmp_path, monkeypatch, points):
     table = runner.run_scenario(parse_scenario(scenario(tmp_path, "fock", 1.0, points=points)))
     assert len(table["t"]) == points
     assert calls == [(points,), (points,)]
-    assert expanded == [(2, 2), (points, 2)]
+    assert expanded == [(1, 2, 2), (points, 1, 2)]
 
 
 @pytest.mark.parametrize("case, phi", [("a", math.pi), ("b", math.pi / 4)])
@@ -298,7 +298,7 @@ def test_batched_recurrences_keep_the_per_branch_table_bits(tmp_path, monkeypatc
     cfg = parse_scenario(scenario(tmp_path, "fock", 1.0, case, phi, t_max=2.0, points=21))
     table = runner.run_scenario(cfg)
     monkeypatch.setattr(fock, "superposition_vector", lambda states, n_max: np.array(
-        [fock_vector_per_branch(state, n_max) for state in states]))
+        [[fock_vector_per_branch(state, n_max) for state in pair] for pair in states]))
     monkeypatch.setattr(fock, "fock_purity", lambda rho: trace_of_square(rho).real)
     per_branch = runner.run_scenario(cfg)
     bound = (cfg.fock.n_max + 1) * np.finfo(float).eps
@@ -327,7 +327,7 @@ def fock_rows_per_time(cfg):
         labels = np.array([br.field * math.exp(-t / 2) for br in states[0].branches])
         vecs = [fock.coherent_to_fock(label, n_max) for label in labels]
         products = np.array([[v1.conj() @ rho[0] @ v2 for v2 in vecs] for v1 in vecs])
-        g_b = runner._fock_gamma_b(products[None], labels[None], weights, n_max)[0]
+        g_b = runner._fock_gamma_b(products, labels, np.array(weights), n_max)
         lams = []
         for matrix in rho:
             antipodal = abs(labels[0] + labels[1]) < 1e-9 * max(1.0, *np.abs(labels))
@@ -378,7 +378,7 @@ def test_fock_assign_picks_the_branch_per_time():
     even, odd = even / np.linalg.norm(even), odd / np.linalg.norm(odd)
     blocks = 0.3 * np.outer(even, even) + 0.7 * np.outer(odd, odd)
     coherent = blocks + 0.05 * (np.outer(even, odd) + np.outer(odd, even))
-    plus, minus = runner._fock_assign(np.array([blocks, coherent]), np.array([[1.0, -1.0]] * 2))
+    plus, minus = runner._fock_assign(np.array([blocks, coherent]), np.array([[1.0, -1.0]] * 2)).T
     low, high = np.linalg.eigvalsh([[0.3, 0.05], [0.05, 0.7]])
     assert (plus[0], minus[0]) == pytest.approx((0.3, 0.7), abs=1e-14)
     assert (plus[1], minus[1]) == pytest.approx((low, high), abs=1e-14)
@@ -402,7 +402,7 @@ def both_engines_lams(monkeypatch, weights, labels, g):
     for state, l in zip(states, labels):
         vec = fock.superposition_vector(state, n_max)
         rho = fock.damp(vec, vec, g, depletion)
-        oracle.append(np.stack(runner._fock_assign(rho, np.multiply.outer(g, [l, -l])), axis=-1))
+        oracle.append(runner._fock_assign(rho, np.multiply.outer(g, [l, -l])))
     return np.array(analytic), np.array(oracle)
 
 
@@ -442,20 +442,42 @@ def test_fock_bad_probability_exits_4_naming_the_time_index(tmp_path, monkeypatc
 
 
 def test_fock_truncation_failure_names_the_time_index(tmp_path, monkeypatch, capsys):
-    # a field label far beyond the cutoff at one grid time
+    # a field label far beyond the cutoff at one grid time of one response; a gamma sweep
+    # concatenates its values' grids, so its second value's row 3 is time index points + 3
     path = tmp_path / "fock.json"
     path.write_text(json.dumps(scenario(tmp_path, "fock", 1.0, t_max=0.5, points=6)))
     response = mc.lindblad.me_response
+    sweep = ["--param", "gamma", "--values", "1.0,2.0"]
+    for command, faulted, index in (["run"], 0, 3), (["sweep", *sweep], 1, 6 + 3):
+        calls = []
 
-    def faulty(gamma, times):
-        g, depletion = response(gamma, times)
-        g[3] = 5.0
-        return g, depletion
+        def faulty(gamma, times):
+            g, depletion = response(gamma, times)
+            if len(calls) == faulted:
+                g[3] = 5.0
+            calls.append(gamma)
+            return g, depletion
 
-    monkeypatch.setattr(mc.lindblad, "me_response", faulty)
-    assert cli.main(["run", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "truncation rule" in err and err.rstrip().endswith("at time index 3")
+        monkeypatch.setattr(mc.lindblad, "me_response", faulty)
+        assert cli.main([command[0], "--config", str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert "truncation rule" in err and err.rstrip().endswith(f"at time index {index}")
+
+
+@pytest.mark.parametrize("engine", ["microscopic", "master", "fock"])
+def test_a_sweep_failing_twice_reports_the_zero_state_on_every_engine(tmp_path, capsys, engine):
+    # case B at phi = pi leaves the outcome-g state with zero probability, and |alpha0| = 1.78
+    # needs n_max 28: every engine prepares every value's states before it damps any, so all
+    # exit 3, the Fock engine before its truncation rule fails
+    raw = scenario(tmp_path, engine, 1.7, "b", math.pi / 4)
+    raw["alpha0"]["im"] = 0.51
+    if engine == "fock":
+        raw["fock"]["n_max"] = 27
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(raw))
+    argv = ["sweep", "--config", str(path), "--param", "phi", "--values", f"0.3,{math.pi!r}"]
+    assert cli.main(argv) == 3
+    assert "zero-probability preparation" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("engine, param, responses", [
@@ -466,8 +488,9 @@ def test_fock_truncation_failure_names_the_time_index(tmp_path, monkeypatch, cap
 ])
 def test_sweep_computes_the_response_once_per_band(tmp_path, monkeypatch, engine, param, responses):
     # phi and alpha0_re leave the band alone, so one eigendecomposition serves every value;
-    # the fock engine damps at the master response, so it counts me_response calls
-    calls = []
+    # the fock engine damps at the master response, so it counts me_response calls, and it
+    # damps every value's prepared vectors of one outcome in one call
+    calls, damps = [], []
     module, name = (bathmod, "response") if engine == "microscopic" else (mc.lindblad, "me_response")
     response = getattr(module, name)
 
@@ -481,8 +504,11 @@ def test_sweep_computes_the_response_once_per_band(tmp_path, monkeypatch, engine
     cfg = parse_scenario(raw)
     values = [0.4 + 0.1 * k for k in range(8)]
     monkeypatch.setattr(module, name, counted)
+    damp = fock.damp
+    monkeypatch.setattr(fock, "damp", lambda *args: damps.append(args) or damp(*args))
     swept = runner.run_sweep(cfg, param, values)
     assert len(calls) == responses
+    assert len(damps) == (2 if engine == "fock" else 0)
     fresh = [runner.run_scenario(config.apply_sweep_value(cfg, param, v)) for v in values]
     assert [v for v, _ in swept] == values
     assert [as_rows(table) for _, table in swept] == [as_rows(table) for table in fresh]
