@@ -1,30 +1,21 @@
 """Exact algebra of coherent-state superpositions in a non-orthogonal basis.
 
-A coherent state of one oscillator mode is named by its complex amplitude.
-A prepared field state is a finite list of weighted coherent branches, its
-environment empty; a linear damping flow with response g and depletion B
-(``damped_density``) leaves a field density over the labels a_i g.  Every
-inner product reduces to the closed-form overlap
-<a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a)*b), so norms, reduced densities,
-spectra, purities and expectation values of phase-diagonal operators are
-all evaluated exactly -- no Fock truncation anywhere in this module.
+A prepared field state is a list of weighted coherent branches, its environment empty.  A
+linear damping flow with response g and depletion B (``damped_density``) leaves a field
+density over the labels a_i g: weights w_i, labels l_i and a Hermitian coherence exponent K
+with a zero diagonal, rho = sum_ij w_i conj(w_j) exp(K_ij) |l_i><l_j|.  No Fock space is
+truncated here.  Every norm, trace, probability and occupation, and each coefficient of the
+2x2 spectral form, is one quadratic form sum_ij a_i conj(b_j) exp(G_ij) of one pivoted
+kernel, ``_form``, whose terms keep their relative accuracy: weights of size 1/|l_1 - l_2|
+that cancel over nearly coincident labels, or near the vacuum, lose no digits.  Spectra
+(eigenvalues only) and purities read one Hermitian 2x2 matrix in the orthonormalised basis
+|l_1> +- |l_2>; no Gram matrix is inverted, no label merged and no trace rescaled.
 
-A reduced density is stored as weights w_i over labels l_i and a Hermitian
-coherence exponent K with a zero diagonal, rho = sum_ij w_i conj(w_j)
-exp(K_ij) |l_i><l_j|.  Every norm, trace and expectation is one quadratic
-form sum_ij a_i conj(b_j) exp(A_ij) = (sum a)(sum conj b) + sum_ij a_i
-conj(b_j) expm1(A_ij), exact to roundoff when weights cancel (an odd cat
-near the vacuum) or labels coalesce.  Spectra (eigenvalues only) and purities
-read one Hermitian 2x2 matrix in the Cholesky-orthonormalised basis |l_1> +- |l_2>,
-whose Gram entries and determinant are expm1 forms too: no Gram matrix is
-inverted or diagonalised, no label merged and no trace rescaled.
-
-A density may also be a stack, with labels (..., n) and exponents
-(..., n, n): every function maps over the leading axes with the code that
-serves a single density.  The run path's stack has the axes (time, protocol,
-first-atom outcome), and a failed check names the first offending time
-index, reducing over the trailing ``batch`` axes.  A phase-diagonal operator
-sum_m w_m exp(i phase_m a^dag a) is the array pair (weights, phases), (..., m).
+Densities stack, labels (..., n) and exponents (..., n, n), every function mapping over the
+leading axes with the code that serves one density; the run path's axes are (time, protocol,
+first-atom outcome), and a failed check names the first offending time index, reducing over
+the trailing ``batch`` axes.  A phase-diagonal operator sum_m w_m exp(i phase_m a^dag a) is
+the array pair (weights, phases), (..., m).
 """
 
 from __future__ import annotations
@@ -32,18 +23,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    PositivityError,
-    UnsupportedInputError,
-    ZeroStateError,
-)
+from .errors import InvalidArgumentError, PositivityError, UnsupportedInputError, ZeroStateError
 
 #: Roundoff allowance for eigenvalues just outside [0, 1] and traces away from 1.
 EIGENVALUE_TOL = 1e-10
@@ -63,31 +48,68 @@ def _abs2(z: complex) -> float:
 
 
 def _exponent(bra: complex, ket: complex) -> complex:
-    """log <bra|ket> = conj(bra) ket - (|bra|^2 + |ket|^2)/2 = -|bra - ket|^2/2 + i Im(conj(bra) ket).
-
-    The second form keeps the real part's relative accuracy for labels close
-    together far from the vacuum, is 0 for bra == ket and flips the sign of its
-    imaginary part exactly when bra and ket swap.
-    """
-    return -0.5 * _abs2(bra - ket) + 1j * (bra.real * ket.imag - bra.imag * ket.real)
+    """log <bra|ket> = -|d|^2/2 + i Im(conj(bra + ket) d)/2, d = ket - bra: both parts keep their
+    relative accuracy for nearby labels (d is exact), and swapping bra and ket conjugates it."""
+    d, m = ket - bra, bra + ket
+    return -0.5 * _abs2(d) + 0.5j * (m.real * d.imag - m.imag * d.real)
 
 
 def _product(x, y) -> np.ndarray:
     """x * y rounded product by product, as for complex scalars (numpy's array multiply fuses
-    multiply-adds): the pair form's bits then do not depend on how densities are stacked."""
-    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
+    multiply-adds, its einsum does not): the forms' bits do not depend on the stack's shape."""
+    return np.einsum("...,...->...", x, y)
 
 
-def _quadratic_form(a, b, em1, product=operator.mul):
-    """sum_ij a_i conj(b_j) exp(expo_ij) on leading axes: (sum a)(sum conj b) + an em1 part.
+def _form(a, b, expo=None, labels=None, phase=0.0, offsets=None):
+    """sum_ij a_i conj(b_j) exp(G_ij), G_ij = expo_ij + log <l_j|l_i e^{i phase}>, on leading axes.
 
-    em1 = expm1(expo), computed once by callers that form several sums over it.
+    ``expo`` (zero diagonal, -inf allowed) and ``labels`` default to zero, ``offsets`` l_i - l_1
+    to the labels' differences.  Pivoted on the bra label y_1 = l_1 and the ket label
+    x_k = l_k e^{i phase} of largest Re G_k1, swapped to the front, G_ij = G_11 + alpha_i +
+    beta_j + c_ij with alpha and beta from the offsets and c_ij = expo_ij - expo_i1 - expo_1j +
+    expo_11 + conj(y_j - y_1)(x_i - x_1), the sum is, each term to its own relative accuracy,
+        e^{G_11} [(sum a + sum_i a_i expm1(alpha_i)) (sum conj b + sum_j conj(b_j) expm1(beta_j))
+                  - sum_{i,j>1} a_i conj(b_j) e^{G_ij - G_11} expm1(-c_ij)].
     """
-    b = np.conj(b)
-    return product(a.sum(axis=-1), b.sum(axis=-1)) + np.einsum("...i,...j,...ij", a, b, em1)
+    n, b = np.shape(a)[-1], np.conj(b)
+    cross = lambda u, v: u.real * v.imag - u.imag * v.real  # Im(conj(u) v)
+    expo = np.zeros((n, n), dtype=complex) if expo is None else np.asarray(expo)
+    alpha = beta = np.zeros(n - 1)  # the labels' parts of alpha, beta and c, none without labels
+    c, g11 = 0.0, None
+    if labels is not None:
+        y = np.asarray(labels)
+        y1, d = y[..., :1], y - y[..., :1] if offsets is None else np.asarray(offsets)
+        dx = dy = d[..., 1:]  # at phase 0 the ket pivot is the first label: alpha_i = log <y_1|y_i>
+        alpha = 1j * cross(y1, dy) - 0.5 * _abs2(dy)
+        beta = np.conj(alpha)
+    if labels is not None and np.any(phase):
+        rot = np.expm1(1j * np.asarray(phase, dtype=float))[..., None]  # e^{i phase} - 1
+        full = np.broadcast_shapes(*(np.shape(v)[:-1] for v in (a, d, expo[..., 0], rot))) + (n,)
+        # Re G_i1 up to a constant: Re expo_i1 - |y_i|^2 / 2 + Re(conj(y_1) y_i e^{i phase})
+        p, turn = _product(np.conj(y1), y), rot + 1.0
+        reach = expo[..., :, 0].real - 0.5 * _abs2(y) + p.real * turn.real - p.imag * turn.imag
+        k = np.argmax(np.broadcast_to(reach, full), axis=-1).reshape(-1, 1)
+        swap = np.where(np.arange(n) == k, 0, np.arange(n)) + n * np.arange(k.size)[:, None]
+        swap[:, 0] = k[:, 0] + n * np.arange(k.size)  # flat indices of rows 0 and k swapped
+        a, d = (np.broadcast_to(v, full).ravel()[swap].reshape(full) for v in (a, d))
+        expo = np.broadcast_to(expo, full + (n,)).reshape(-1, n)[swap].reshape(full + (n,))
+        # the rotated ket offsets x_i - x_1 and gap = x_1 - y_1 after the swap
+        dx, gap = _product(d[..., 1:] - d[..., :1], turn), _product(y1 + d[..., :1], turn) - y1
+        u = y1 + gap  # x_1
+        alpha = 1j * cross(u, dx) - _product(np.conj(gap), dx) - 0.5 * _abs2(dx)
+        beta = _product(np.conj(dy), gap) - 1j * cross(y1, dy) - 0.5 * _abs2(dy)
+        g11 = expo[..., 0, 0] - 0.5 * _abs2(gap[..., 0]) + 1j * cross(y1, gap)[..., 0]
+        expo = expo - expo[..., :1, :1]  # expo_11 = 0 from here on, as at phase 0
+    if labels is not None:
+        c = _product(dx[..., :, None], np.conj(dy)[..., None, :])
+    inner = expo[..., 1:, 1:] + c
+    mixed = _product(np.exp(alpha[..., :, None] + beta[..., None, :] + inner),
+                     np.expm1(expo[..., 1:, :1] + expo[..., :1, 1:] - inner))
+    left = a.sum(axis=-1) + _product(a[..., 1:], np.expm1(alpha + expo[..., 1:, 0])).sum(axis=-1)
+    right = b.sum(axis=-1) + _product(b[..., 1:], np.expm1(beta + expo[..., 0, 1:])).sum(axis=-1)
+    edge = _product(_product(a[..., 1:, None], b[..., None, 1:]), mixed).sum(axis=(-2, -1))
+    body = _product(left, right) - edge
+    return body if g11 is None else _product(np.exp(g11), body)
 
 
 def _require(ok, error: type[Exception], message: str, values, batch: int = 0) -> None:
@@ -102,14 +124,9 @@ def _require(ok, error: type[Exception], message: str, values, batch: int = 0) -
 
 
 def overlap(a: complex, b: complex) -> complex:
-    """Inner product <a|b> of two coherent states.
-
-    Returns exp(-|a|^2/2 - |b|^2/2 + conj(a)*b); the magnitude never
-    exceeds 1 and equals 1 exactly when a == b.
-    """
-    a = _as_finite_complex(a, "a")
-    b = _as_finite_complex(b, "b")
-    return cmath.exp(_exponent(a, b))
+    """<a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a)*b) of two coherent states: |<a|b>| <= 1, with
+    equality exactly when a == b."""
+    return cmath.exp(_exponent(_as_finite_complex(a, "a"), _as_finite_complex(b, "b")))
 
 
 def _gram_exponents(labels: np.ndarray) -> np.ndarray:
@@ -131,11 +148,8 @@ class Branch:
 
 @dataclass(frozen=True)
 class FieldBathSuperposition:
-    """Finite superposition of coherent branches of one field mode, its environment empty.
-
-    ``normalized`` is set by :func:`normalize`; operations that require unit
-    norm check the flag.
-    """
+    """Finite superposition of coherent branches of one field mode, its environment empty;
+    ``normalized`` is set by :func:`normalize`, and operations that need unit norm check it."""
 
     branches: tuple[Branch, ...]
     normalized: bool = False
@@ -163,15 +177,13 @@ def _weights_labels(state, caller: str = "") -> tuple[np.ndarray, ...]:
 def squared_norm(state: FieldBathSuperposition) -> float:
     """<psi|psi>: the quadratic form of the weights over the branch overlap exponents."""
     weights, labels = _weights_labels(state)
-    return _quadratic_form(weights, weights, np.expm1(_gram_exponents(labels).T)).real
+    return _form(weights, weights, labels=labels).real
 
 
 def normalize(state: FieldBathSuperposition) -> FieldBathSuperposition:
-    """Scale all branch weights by one positive real factor to unit norm.
-
-    Raises :class:`ZeroStateError` when the squared norm falls at or below
-    ``NORM_FLOOR`` (a zero-probability detection branch).
-    """
+    """Scale all branch weights by one positive real factor to unit norm; raises
+    :class:`ZeroStateError` at a squared norm at or below ``NORM_FLOOR`` (a zero-probability
+    detection branch)."""
     nrm2 = squared_norm(state)
     if nrm2 <= NORM_FLOOR:
         raise ZeroStateError(f"state norm^2 = {nrm2:.3e} is at or below the floor")
@@ -185,11 +197,9 @@ def normalize(state: FieldBathSuperposition) -> FieldBathSuperposition:
 
 
 class _PairForm(NamedTuple):
-    """A density of one or two labels as the 2x2 (a, b; conj(b), d), determinant ``det``.
-
-    Its basis is e = (|l1> + |l2>, |l1> - |l2>) L^-dag, with L the lower
-    Cholesky factor of the Gram matrix of |l1> +- |l2>; fields span the stack axes.
-    """
+    """A density of one or two labels as the 2x2 (a, b; conj(b), d), determinant ``det``, in
+    the basis (|l1> + |l2>, |l1> - |l2>) L^-dag, L the lower Cholesky factor of their Gram
+    matrix; fields span the stack axes."""
 
     a: np.ndarray
     b: np.ndarray
@@ -201,30 +211,34 @@ class _PairForm(NamedTuple):
 class ReducedDensity:
     """Field density rho = sum_ij w_i conj(w_j) exp(K_ij) |labels[i]><labels[j]|, or a stack.
 
-    ``labels`` has shape (..., n), the leading axes indexing the stack (e.g. a
-    time grid); ``weights`` (the w_i) broadcast against it.  ``expo`` is K,
-    shape (..., n, n), Hermitian with a zero diagonal (K_ij = -inf: no
-    coherence left between branches i and j).  A failed check does not name
-    the last ``batch`` stack axes (e.g. protocol and outcome).
+    ``labels`` has shape (..., n), the leading axes indexing the stack (e.g. a time grid);
+    ``weights`` (the w_i) broadcast against it.  ``expo`` is K, (..., n, n), Hermitian with a
+    zero diagonal (K_ij = -inf: no coherence left between branches i and j).  A failed check
+    does not name the last ``batch`` stack axes (e.g. protocol and outcome).  ``offsets``,
+    l_i - l_1, default to the labels' differences; a damped density's, g (a_i - a_1), keep
+    the relative accuracy that the rounded damped labels' differences lose.
     """
 
     labels: np.ndarray
     weights: np.ndarray
     expo: np.ndarray
     batch: int = 0
+    offsets: np.ndarray | None = None
 
     def __post_init__(self):
         labels, weights, expo = (
             np.array(x, dtype=complex, order="C") for x in (self.labels, self.weights, self.expo)
         )
+        offsets = labels - labels[..., :1] if self.offsets is None else self.offsets
+        offsets = np.array(offsets, dtype=complex, order="C")
         n = labels.shape[-1:]
-        if not n or weights.shape[-1:] != n or expo.shape[-2:] != 2 * n:
-            raise InvalidArgumentError("weights and coherence exponents must match the labels")
+        if not n or weights.shape[-1:] != n or expo.shape[-2:] != 2 * n or offsets.shape[-1:] != n:
+            raise InvalidArgumentError("weights, offsets and coherence exponents must match labels")
         zero_diagonal = np.all(np.diagonal(expo, axis1=-2, axis2=-1) == 0.0, axis=-1)
         hermitian = np.all(expo == np.conj(np.swapaxes(expo, -1, -2)), axis=(-2, -1))
         _require(zero_diagonal & hermitian, InvalidArgumentError,
                  "coherence exponent must be Hermitian with a zero diagonal", expo, self.batch)
-        for name, value in (("labels", labels), ("weights", weights), ("expo", expo)):
+        for name, value in dict(labels=labels, weights=weights, expo=expo, offsets=offsets).items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -245,25 +259,24 @@ class ReducedDensity:
             raise UnsupportedInputError(f"spectra need one or two labels, got {n}")
         # one label l is read as the pair (l, l) with the second weight zero
         pair, w = slice(None) if n == 2 else [0, 0], self.weights
-        labels, expo = self.labels[..., pair], self.expo[..., pair, :][..., pair]
-        (l1, l2), k12 = np.moveaxis(labels, -1, 0), expo[..., 0, 1]
+        expo, l1 = self.expo[..., pair, :][..., pair], self.labels[..., 0]
+        k12, d = expo[..., 0, 1], self.offsets[..., pair][..., 1]
         w1, w2 = np.moveaxis(np.concatenate([w, np.zeros_like(w)], axis=-1)[..., :2], -1, 0)
-        # rho = sum N_xy |x><y| over |s> = |l1> + |l2>, |d> = |l1> - |l2>
+        # rho = sum N_xy |x><y| over |s> = |l1> + |l2>, |d> = |l1> - |l2>: three forms
         plus, minus = np.stack([w1, w2], axis=-1), np.stack([w1, -w2], axis=-1)
-        em1 = np.expm1(expo)
-        n_ss = 0.25 * _quadratic_form(plus, plus, em1, _product).real
-        n_dd = 0.25 * _quadratic_form(minus, minus, em1, _product).real
-        n_sd = 0.25 * _quadratic_form(plus, minus, em1, _product)
-        # their Gram matrix: <s|s> = 4 + 2 Re eps, <d|s> = 2i Im eps with eps = <l1|l2> - 1,
-        # determinant det_s = 4 (1 - |<l1|l2>|^2) = -4 expm1(-|l1 - l2|^2)
-        eps, gap = np.expm1(_exponent(l1, l2)), np.expm1(-_abs2(l1 - l2))
+        n_ss, n_dd, n_sd = np.moveaxis(_form(np.stack([plus, minus, plus], axis=-2),
+                                             np.stack([plus, minus, minus], axis=-2),
+                                             expo[..., None, :, :]), -1, 0)
+        n_ss, n_dd, n_sd = 0.25 * n_ss.real, 0.25 * n_dd.real, 0.25 * n_sd
+        # Gram: <s|s> = 4 + 2 Re eps, <d|s> = 2i Im eps, eps = <l1|l2> - 1, det_s = -4 expm1(-|d|^2)
+        eps = np.expm1(1j * (l1.real * d.imag - l1.imag * d.real) - 0.5 * _abs2(d))
+        gap = np.expm1(-_abs2(d))
         g_ss, g_ds, det_s = 4.0 + 2.0 * eps.real, 2j * eps.imag, -4.0 * gap
-        l11 = np.sqrt(g_ss)
-        l21, l22 = g_ds / l11, np.sqrt(det_s / g_ss)
+        l11, l22 = np.sqrt(g_ss), np.sqrt(det_s / g_ss)  # and l21 = g_ds / l11
         # (a, b; conj(b), d) = L^dag N L; its determinant is det_s det(M) / 4 with
         # det(M) = -|w1 w2|^2 expm1(2 Re K12)
         a = g_ss * n_ss + 2.0 * (n_sd * g_ds).real + _abs2(g_ds) / g_ss * n_dd
-        b = l22 * (l11 * n_sd + np.conj(l21) * n_dd)
+        b = l22 * (l11 * n_sd + np.conj(g_ds / l11) * n_dd)
         det = _abs2(_product(w1, w2)) * gap * np.expm1(2.0 * k12.real)
         return _PairForm(a, b, det_s / g_ss * n_dd, det)
 
@@ -271,14 +284,10 @@ class ReducedDensity:
 def damped_density(state: FieldBathSuperposition, g, depletion) -> ReducedDensity:
     """Field density of a bath-free superposition after a linear damping flow.
 
-    The flow maps each label a_i to a_i g and leaves the environment with
-    depletion B = sum_k |f_k|^2: the exact discrete bath (see
-    ``bath.response``) or the master equation (g = e^{-gamma t/2},
-    B = 1 - e^{-gamma t}).  Tracing the environment out keeps the weights
-    over the labels a_i g and leaves the coherence exponent
-
-        K_ij = B log <a_j|a_i> = (conj(a_j) a_i - (|a_i|^2 + |a_j|^2)/2) B,
-
+    The flow maps each label a_i to a_i g and leaves the environment with depletion
+    B = sum_k |f_k|^2: the exact discrete bath (``bath.response``) or the master equation
+    (g = e^{-gamma t/2}, B = 1 - e^{-gamma t}).  Tracing the environment out keeps the
+    weights over the labels a_i g and leaves the coherence exponent K_ij = B log <a_j|a_i>,
     the log of the environment overlap prod_k <a_j f_k|a_i f_k>; the trace must be 1 to
     roundoff (it is never rescaled).  Arrays of g and B (one shape) give the stack over them;
     an S-shaped nested list of states adds the axes S after theirs (the ``batch`` axes).
@@ -286,7 +295,8 @@ def damped_density(state: FieldBathSuperposition, g, depletion) -> ReducedDensit
     weights, labels = _weights_labels(state, "damped_density")
     g, depletion = np.asarray(g, dtype=complex), np.asarray(depletion, dtype=float)
     expo = np.multiply.outer(depletion, np.swapaxes(_gram_exponents(labels), -1, -2))
-    rho = ReducedDensity(np.multiply.outer(g, labels), weights, expo, weights.ndim - 1)
+    rho = ReducedDensity(np.multiply.outer(g, labels), weights, expo, weights.ndim - 1,
+                         np.multiply.outer(g, labels - labels[..., :1]))
     tr = rho.trace()
     _require(np.abs(tr - 1.0) <= EIGENVALUE_TOL, PositivityError,
              "reduced density trace differs from 1 beyond roundoff", tr, rho.batch)
@@ -294,32 +304,30 @@ def damped_density(state: FieldBathSuperposition, g, depletion) -> ReducedDensit
 
 
 def damped_occupations(state: FieldBathSuperposition, g, depletion) -> tuple[np.ndarray, ...]:
-    """(n_field, n_bath) of the damped superposition for arrays of g and B.
-
-    With s = |g|^2 + B (1 for a unitary flow) and
-    Q = sum_pq conj(w_p a_p) w_q a_q <a_p|a_q>^s, the field holds |g|^2 Q and
-    the environment B Q: the per-mode occupations in closed form; states stack as in
-    :func:`damped_density`.
+    """(n_field, n_bath) of the damped superposition for arrays of g and B, stacked as in
+    :func:`damped_density`: |g|^2 Q and B Q, Q = sum_pq conj(w_p a_p) w_q a_q <a_p|a_q>^s with
+    s = |g|^2 + B.  As w_q a_q = a_1 w_q + v_q, v_q = w_q (a_q - a_1), Q is |a_1|^2 F(w, w) +
+    2 Re(a_1 F(w, v)) + F(v, v), F(x, y) = sum_pq x_q conj(y_p) <a_p|a_q>^s, three forms whose
+    terms do not cancel.
     """
     weights, labels = _weights_labels(state, "damped_occupations")
-    g = np.asarray(g, dtype=complex)
-    depletion = np.asarray(depletion, dtype=float)
-    g2 = g.real**2 + g.imag**2
-    wa = weights * labels
-    scaled = np.exp(np.multiply.outer(g2 + depletion, _gram_exponents(labels)))
-    q = np.einsum("...pq,...pq->...", wa.conj()[..., :, None] * wa[..., None, :], scaled).real
-    lead = (...,) + (None,) * (wa.ndim - 1)
+    g2, depletion = _abs2(np.asarray(g, dtype=complex)), np.asarray(depletion, dtype=float)
+    v, a1 = _product(weights, labels - labels[..., :1]), labels[..., 0]
+    expo = np.multiply.outer(g2 + depletion, np.swapaxes(_gram_exponents(labels), -1, -2))
+    a, b = np.stack([weights, weights, v], axis=-2), np.stack([weights, v, v], axis=-2)
+    f_ww, f_wv, f_vv = np.moveaxis(_form(a, b, expo[..., None, :, :]), -1, 0)
+    q = _abs2(a1) * f_ww.real + 2.0 * _product(a1, f_wv).real + f_vv.real
+    lead = (...,) + (None,) * (weights.ndim - 1)
     return g2[lead] * q, depletion[lead] * q
 
 
 def eigenvalues(rho: ReducedDensity) -> np.ndarray:
     """Eigenvalues (..., 2), descending, of rho within the span of one or two coherent labels.
 
-    rho's Hermitian 2x2 (a, b; conj(b), d) in an orthonormal basis of the
-    span has the larger eigenvalue (a + d)/2 + hypot(a - d, 2|b|)/2 and the
-    smaller one det / larger.  Eigenvalues within ``EIGENVALUE_TOL`` of
-    [0, 1] are clamped; anything further out raises :class:`PositivityError`,
-    and more than two labels raise :class:`UnsupportedInputError`.
+    rho's Hermitian 2x2 (a, b; conj(b), d) in an orthonormal basis of the span has the larger
+    eigenvalue (a + d)/2 + hypot(a - d, 2|b|)/2 and the smaller one det / larger, clamped to
+    [0, 1] within ``EIGENVALUE_TOL``: further out raises :class:`PositivityError`, and more
+    than two labels raise :class:`UnsupportedInputError`.
     """
     m = rho._pair
     half = 0.5 * np.hypot(m.a - m.d, 2.0 * np.abs(m.b))
@@ -338,11 +346,8 @@ def purity(rho: ReducedDensity):
 
 
 def idempotency_defect(rho: ReducedDensity):
-    """1 - Tr rho^2 of rho / Tr rho: zero iff pure, 2*lam_+*lam_- at unit trace.
-
-    Evaluated as 2 det / (Tr rho)^2, which keeps its relative accuracy as
-    the state nears purity.
-    """
+    """1 - Tr rho^2 of rho / Tr rho: zero iff pure, 2*lam_+*lam_- at unit trace, evaluated as
+    2 det / (Tr rho)^2, which keeps its relative accuracy as the state nears purity."""
     m = rho._pair
     return 2.0 * m.det / (m.a + m.d) ** 2
 
@@ -351,16 +356,16 @@ def idempotency_defect(rho: ReducedDensity):
 # phase-diagonal operators
 
 
-def _phase_forms(phases, a, b, labels, expo):
-    """sum_ij a_i conj(b_j) exp(expo_ij) <l_j|l_i e^{i phase}>, (..., m), for phases (..., m)
-    whose leading axes broadcast against the stack."""
-    ket = labels[..., None, :, None] * np.exp(1j * phases)[..., :, None, None]  # (..., m, n, 1)
-    full = expo[..., None, :, :] + _exponent(labels[..., None, None, :], ket)
-    return _quadratic_form(a[..., None, :], b[..., None, :], np.expm1(full))
+def _phase_forms(phases, rho: ReducedDensity):
+    """Tr[exp(i phase a^dag a) rho], (..., m), for phases (..., m) whose leading axes broadcast
+    against the stack: the forms of the weights at the ket labels l_i e^{i phase}."""
+    w = rho.weights[..., None, :]
+    return _form(w, w, rho.expo[..., None, :, :], rho.labels[..., None, :], phases,
+                 rho.offsets[..., None, :])
 
 
 def expectation(op, rho: ReducedDensity):
     """Tr[op rho] of op = (weights, phases), exact via exp(i phi a^dag a)|l> = |l e^{i phi}>;
     the operator's leading axes broadcast against rho's stack axes."""
     w, phases = op
-    return (_phase_forms(phases, rho.weights, rho.weights, rho.labels, rho.expo) * w).sum(axis=-1)
+    return (_phase_forms(phases, rho) * w).sum(axis=-1)

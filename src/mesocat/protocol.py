@@ -37,15 +37,8 @@ from enum import Enum
 
 import numpy as np
 
-from .coherent import (
-    Branch,
-    FieldBathSuperposition,
-    ReducedDensity,
-    _phase_forms,
-    _require,
-    normalize,
-    squared_norm,
-)
+from .coherent import (Branch, FieldBathSuperposition, ReducedDensity, _phase_forms, _require,
+                       normalize, squared_norm)
 from .errors import InvalidArgumentError, PositivityError, ZeroStateError
 
 _PROBABILITY_TOL = 1e-10
@@ -126,14 +119,14 @@ def _unnormalized_prepared(params, outcome) -> FieldBathSuperposition:
 
 
 def prepare(params: ProtocolParams, outcome: DetectionOutcome) -> FieldBathSuperposition:
-    """Field state right after the first atom is detected in ``outcome``.
-
-    The bath starts in the zero-temperature ground state, which the damping
-    flows (``coherent.damped_density``) assume.  Raises :class:`ZeroStateError`
-    when the detection branch has vanishing probability (e.g. case A on the
-    vacuum with outcome E).
-    """
-    return normalize(_unnormalized_prepared(params, outcome))
+    """Field state right after the first atom is detected in ``outcome``, the bath in the
+    zero-temperature ground state that the damping flows (``coherent.damped_density``) assume.
+    A detection branch of vanishing probability (e.g. case A on the vacuum with outcome E)
+    raises :class:`ZeroStateError` naming the protocol's phi and alpha0."""
+    try:
+        return normalize(_unnormalized_prepared(params, outcome))
+    except ZeroStateError as exc:
+        raise ZeroStateError(f"{exc} (phi = {params.phi!r}, alpha0 = {params.alpha0!r})") from None
 
 
 @dataclass(frozen=True)
@@ -187,7 +180,7 @@ def conditional_probabilities(rho: ReducedDensity, params) -> CorrelationRecord:
     for k, ((w_e, p_e), (w_g, _)) in enumerate(ops):  # both outcomes share their phases
         w[k, :, :len(p_e)], phases[k, :len(p_e)] = (w_e, w_g), p_e
     w, phases = (w, phases) if many else (w[0], phases[0])  # (..., second outcome, m), (..., m)
-    forms = _phase_forms(phases[..., None, :], rho.weights, rho.weights, rho.labels, rho.expo)
+    forms = _phase_forms(phases[..., None, :], rho)
     probs = (forms[..., None, :] * w[..., None, :, :]).sum(axis=-1)  # (..., first, second outcome)
     (p_ee, p_eg), (p_ge, p_gg) = np.moveaxis(probs, (-2, -1), (0, 1))
     return CorrelationRecord(p_ee, p_eg, p_ge, p_gg, max(rho.batch - 1, 0))

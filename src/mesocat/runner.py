@@ -110,12 +110,13 @@ def _fock_assign(matrix: np.ndarray, labels_t) -> np.ndarray:
     pairs (e.g. |b> - i|-b>): the two largest, swapped if the top eigenvector
     is odd.  Otherwise: the two largest.  Each stack index takes its branch.
     """
-    antipodal = _labels_antipodal(labels_t)
-    blocks = antipodal & (np.linalg.norm(matrix[..., 0::2, 1::2], axis=(-2, -1)) < PARITY_BLOCK_TOL)
+    antipodal, off = _labels_antipodal(labels_t), matrix[..., 0::2, 1::2]
+    frobenius2 = sum(np.einsum("...ij,...ij->...", x, x) for x in (off.real, off.imag))
+    blocks = antipodal & (frobenius2 < PARITY_BLOCK_TOL**2)
     top = np.empty(blocks.shape + (2,))
     if blocks.any():  # numpy.linalg costs about 7 us even on an empty stack
-        block = matrix[blocks]
-        top[blocks] = np.transpose([np.linalg.eigvalsh(block[:, p::2, p::2])[:, -1] for p in (0, 1)])
+        top[blocks] = np.transpose([np.linalg.eigvalsh(matrix[..., p::2, p::2][blocks])[:, -1]
+                                    for p in (0, 1)])
     if not blocks.all():
         lams, vecs = np.linalg.eigh(matrix[~blocks])
         parity = np.abs(vecs[..., -1]) ** 2 @ (1.0 - 2.0 * (np.arange(matrix.shape[-1]) % 2))
@@ -159,7 +160,7 @@ def _fock(n_max, swept, states, weights, labels, g, depletion) -> tuple:
     label_products = (vecs.conj() @ rho_e) @ vecs.swapaxes(-1, -2)
     purity = np.stack([fock.fock_purity(rho_e), fock.fock_purity(rho_g)], axis=-1)
     n_field = fock.fock_mean_photon(rho_e)
-    n_bath = fock.fock_mean_photon(fock.density_from_vector(prepared[:, 0])) - n_field
+    n_bath = np.sum(np.arange(n_max + 1) * ((v := prepared[:, 0]) * v.conj()).real, -1) - n_field
     return (_fock_gamma_b(label_products, labels_t, weights, n_max), rec,
             np.stack([_fock_assign(rho_e, labels_t), _fock_assign(rho_g, labels_t)], axis=-2),
             purity, 1 - purity, n_field, n_bath)

@@ -28,7 +28,7 @@ from scipy.sparse.linalg import expm_multiply
 
 import mesocat as mc
 from mesocat import fock
-from mesocat.coherent import NORM_FLOOR, ReducedDensity, _phase_forms
+from mesocat.coherent import NORM_FLOOR, ReducedDensity, _form
 
 #: eigenvector columns refined at a time; bounds the long-double work arrays
 COLUMN_BLOCK = 256
@@ -192,14 +192,15 @@ def excitation_sum(branches) -> float:
 def mean_photon(rho: ReducedDensity):
     """<a^dag a> of the field density: sum_ij w_i conj(w_j) exp(K_ij) conj(l_j) l_i <l_j|l_i>."""
     wl = rho.weights * rho.labels
-    return (_phase_forms(np.zeros(1), wl, wl, rho.labels, rho.expo) * (1.0 + 0j)).sum(axis=-1).real
+    return _form(wl, wl, rho.expo, rho.labels).real
 
 
 def phase_op_matrix_element(op, labels, bra_coeff, ket_coeff):
     """<v_bra| op |v_ket> of op = (weights, phases) for vectors given as coefficients over labels."""
-    (weights, phases), zero = op, np.zeros(np.shape(labels) + np.shape(labels)[-1:])
-    labels, bra, ket = (np.asarray(x, dtype=complex) for x in (labels, bra_coeff, ket_coeff))
-    return (_phase_forms(phases, ket, bra, labels, zero) * weights).sum(axis=-1)
+    weights, phases = op
+    labels, bra, ket = (np.asarray(x, dtype=complex)[..., None, :]
+                        for x in (labels, bra_coeff, ket_coeff))
+    return (_form(ket, bra, labels=labels, phase=phases) * weights).sum(axis=-1)
 
 
 def label_eigenpairs(rho: ReducedDensity) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,8 @@
 
 import argparse
 import ast
+import cmath
+import functools
 import gc
 import json
 import logging
@@ -10,13 +12,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mesocat as mc
 from mesocat import bath as bathmod
-from mesocat import cli, runner
+from mesocat import cli, fock, protocol, runner
 from mesocat.config import OutputConfig, apply_sweep_value, load_scenario, parse_scenario
 
 
@@ -356,6 +362,119 @@ def test_exit_3_below_the_norm_floor(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# nearly coincident labels: every valid run exits 0 with the Fock oracle's columns
+
+
+def exact_norm(params):
+    """The smaller squared norm of the two prepared states, from their float branches, in
+    60-digit arithmetic."""
+    norms = []
+    with mpmath.workdps(60):
+        for outcome in mc.DetectionOutcome:
+            branches = protocol._unnormalized_prepared(params, outcome).branches
+            terms = [(mpmath.mpc(b.weight), mpmath.mpc(b.field)) for b in branches]
+            norms.append(sum(wi * mpmath.conj(wj) * mpmath.exp(
+                mpmath.conj(lj) * li - (abs(li) ** 2 + abs(lj) ** 2) / 2)
+                for wi, li in terms for wj, lj in terms).real)
+    return float(min(norms))
+
+
+def exact_superposition_vector(state, n_max):
+    """fock.superposition_vector with the branches summed in 60-digit arithmetic.
+
+    Near the norm floor the prepared weights, of size W ~ 0.5 / |psi|, cancel over nearly
+    coincident labels, and the float sum leaves errors of about eps W in every amplitude
+    (3e-10 in the probabilities at |psi|^2 = 2e-14): the oracle's own rounding.
+    """
+    weights, labels = mc.coherent._weights_labels(state)
+    vector = np.empty(weights.shape[:-1] + (n_max + 1,), dtype=complex)
+    with mpmath.workdps(60):
+        for index in np.ndindex(weights.shape[:-1]):
+            terms = [(mpmath.mpc(w), mpmath.mpc(x)) for w, x in zip(weights[index], labels[index])]
+            for n in range(n_max + 1):
+                vector[index + (n,)] = complex(sum(w * mpmath.exp(-abs(x) ** 2 / 2) * x**n
+                                                   for w, x in terms) / mpmath.sqrt(mpmath.factorial(n)))
+    return vector
+
+
+def oracle_gaps(path):
+    """Per column, the largest gap between a run's written table and the Fock oracle's table at
+    the run's own response (g, B), its prepared vectors summed exactly.  Rows where the
+    oracle's gamma_b is NaN are excepted, and the gamma_b gaps are scaled so that the oracle's
+    own accuracy there, FOCK_GAMMA_B_RTOL (relative, |gamma_b| <= 1), reads 1e-10."""
+    cfg = load_scenario(path)
+    grid = runner.time_grid(cfg)
+    n_max = int(fock.required_n_max(abs(cfg.alpha0)))
+    with mock.patch.object(fock, "superposition_vector", exact_superposition_vector):
+        oracle = runner._stack_tables([runner.scenario_params(cfg)], grid,
+                                      [runner._response(cfg, grid)],
+                                      functools.partial(runner._fock, n_max))[0]
+    _, rows = read_csv(Path(cfg.output.path))
+    gaps = {}
+    for name in runner.ROW_FIELDS[1:]:
+        run = np.array([row[name] for row in rows], dtype=float)
+        kept = ~np.isnan(oracle[name].astype(float))
+        gap = np.abs(run - oracle[name])[kept]
+        if name.startswith("gamma_b"):  # |gamma_b| <= 1, and its argument errs by the same ratio
+            gap *= 1e-10 / runner.FOCK_GAMMA_B_RTOL
+        gaps[name] = float(np.max(gap, initial=0.0))
+    return gaps
+
+
+#: the configs of two false exit 4s, with labels 1e-5 and 3.7e-6 apart
+NEAR_COINCIDENT = {
+    "case A, phi = 1e-4": dict(case="a", alpha0={"re": 0.0953, "im": 0.0515}, phi=1e-4),
+    "case B, phi = 1e-6": dict(case="b", alpha0={"re": -1.847, "im": 1.5e-4}, phi=1e-6),
+}
+
+
+@pytest.mark.parametrize("engine", ["master", "microscopic"])
+@pytest.mark.parametrize("config", list(NEAR_COINCIDENT))
+def test_nearly_coincident_labels_match_the_fock_oracle(tmp_path, engine, config):
+    raw = base_config(tmp_path, engine=engine, master={"gamma": 0.124},
+                      time={"t_max_over_tc": 2.72, "points": 7}, **NEAR_COINCIDENT[config])
+    if engine == "microscopic":
+        raw["bath"] = {"modes": 201, "half_bandwidth": 50.0, "gamma": 0.124}
+        del raw["master"]
+    path = write_config(tmp_path, raw)
+    assert cli.main(["run", "--config", path]) == 0
+    gaps = oracle_gaps(path)
+    assert max(gaps.values()) <= 1e-10, gaps
+
+
+#: phi within 1e-3 of 0, pi or 2 pi, down to 1e-8: below the norm floor for every alpha0 drawn
+near_coincident_phi = st.builds(lambda base, sign, offset: base + sign * 10.0**offset,
+                                st.sampled_from([0.0, math.pi, 2.0 * math.pi]),
+                                st.sampled_from([-1.0, 1.0]), st.floats(-8.0, -3.0))
+#: |alpha0| from 1e-2 to 2, any phase
+alpha0_strategy = st.builds(lambda modulus, angle: 10.0**modulus * cmath.exp(1j * angle),
+                            st.floats(-2.0, 0.3), st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=100)  # about one draw in 25 lands within a decade above the floor
+@given(case=st.sampled_from(["a", "b"]), phi=near_coincident_phi, alpha0=alpha0_strategy,
+       gamma=st.floats(0.1, 1.5), t_max=st.floats(0.3, 3.0))
+@example(case="a", phi=1e-4, alpha0=0.0953 + 0.0515j, gamma=0.124, t_max=2.72)
+@example(case="b", phi=1e-6, alpha0=-1.847 + 1.5e-4j, gamma=0.124, t_max=2.72)
+def test_valid_runs_near_coincident_labels_exit_0_on_the_fock_oracle(
+        tmp_path_factory, case, phi, alpha0, gamma, t_max):
+    # the two branch labels (case A: phi near 0 and 2 pi; case B: all three) and the
+    # measurement phases nearly coincide; a run must fail only below the norm floor
+    tmp = tmp_path_factory.mktemp("near")
+    raw = base_config(tmp, case=case, phi=phi, alpha0={"re": alpha0.real, "im": alpha0.imag},
+                      master={"gamma": gamma}, time={"t_max_over_tc": t_max, "points": 7})
+    path = write_config(tmp, raw)
+    norm = exact_norm(protocol.ProtocolParams(protocol.ProtocolCase(case), alpha0, phi))
+    code = cli.main(["run", "--config", path])
+    if norm > 1.001 * mc.coherent.NORM_FLOOR:
+        assert code == 0, (norm, phi)
+        gaps = oracle_gaps(path)
+        assert max(gaps.values()) <= 1e-10, gaps
+    elif norm < 0.999 * mc.coherent.NORM_FLOOR:
+        assert code == 3, (norm, phi)
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 
 
@@ -391,6 +510,16 @@ def test_exit_3_on_zero_probability_preparation(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert cli.main(["run", "--config", path]) == 3
     assert "zero-probability" in capsys.readouterr().err
+
+
+def test_a_failed_preparation_names_the_swept_value(tmp_path, capsys):
+    # case B at phi = pi maps the e branch onto zero: only that value of the sweep fails
+    path = write_config(tmp_path, base_config(tmp_path, case="b"))
+    argv = ["sweep", "--config", path, "--param", "phi", "--values", "1.0,3.141592653589793,2.0"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: zero-probability preparation: state norm^2 = ")
+    assert err.endswith(f"(phi = 3.141592653589793, alpha0 = {complex(math.sqrt(2.0), 0.0)!r})")
 
 
 def test_one_parser_serves_every_call_as_fresh_processes_do(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import cmath
 import math
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -544,6 +545,24 @@ def test_damped_occupations_do_not_assume_unitarity():
     n_field0, _ = mc.damped_occupations(state, 1.0, 0.0)
     n_field, n_bath = mc.damped_occupations(state, math.sqrt(0.5), 0.52)
     assert abs(n_field + n_bath - n_field0) > 1e-3
+
+
+@pytest.mark.parametrize("phi", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_occupations_of_nearly_coincident_labels_match_a_60_digit_sum(phi):
+    # weights of size 2.3 / phi cancel over labels |alpha0| phi apart; the exact sum is taken
+    # over the prepared state's own float weights and labels
+    state = mc.prepare(mc.ProtocolParams(Case.CASE_A, -0.4095 + 0j, phi), Out.E)
+    g, depletion = mc.me_response(1.0, np.linspace(0.0, 2.0, 11))
+    n_field, n_bath = mc.damped_occupations(state, g, depletion)
+    with mpmath.workdps(60):
+        terms = [(mpmath.mpc(b.weight) * mpmath.mpc(b.field), mpmath.mpc(b.field))
+                 for b in state.branches]
+        for g_t, b_t, field, bath in zip(g, depletion, n_field, n_bath):
+            s = abs(mpmath.mpc(g_t)) ** 2 + b_t
+            q = sum(mpmath.conj(u) * v * mpmath.exp(s * (mpmath.conj(x) * y - (abs(x) ** 2 + abs(y) ** 2) / 2))
+                    for u, x in terms for v, y in terms).real
+            assert abs(field - abs(mpmath.mpc(g_t)) ** 2 * q) <= 1e-13 * abs(field)
+            assert abs(bath - b_t * q) <= 1e-13 * max(abs(bath), 1e-300)
 
 
 def test_damped_density_rejects_bath_and_unnormalized_states():
