@@ -25,8 +25,8 @@ for outcome in (Out.E, Out.G):
     kind = "odd" if outcome is Out.E else "even"
     print(f"first atom in {outcome.value}: probability {prob:.6f}, "
           f"prepares the {kind} superposition")
-    for br in state.branches:
-        print(f"    weight {br.weight.real:+.6f}  amplitude {br.field.real:+.3f}")
+    for weight, label in zip(*state):  # a state is the array (weights, labels)
+        print(f"    weight {weight.real:+.6f}  amplitude {label.real:+.3f}")
 
 print()
 print("The two branch weights differ only by a sign: these are the")
@@ -56,6 +56,6 @@ print()
 print("== Case B prepares a rotated pair instead ==")
 params_b = mc.ProtocolParams(Case.CASE_B, alpha0 + 0j, phi=0.6)
 state_b = mc.prepare(params_b, Out.G)
-for br in state_b.branches:
-    print(f"    weight {br.weight:.4f}  amplitude {br.field:.4f}")
+for weight, label in zip(*state_b):
+    print(f"    weight {weight:.4f}  amplitude {label:.4f}")
 print("the two amplitudes are alpha exp(+i phi) and alpha exp(-i phi).")

@@ -20,7 +20,7 @@ gamma = 1.0
 
 print("== Dyad damping factors ==")
 a = 1.5 + 0.0j
-pair = mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, a), mc.Branch(1.0, -a))))
+pair = mc.normalize([[1.0, 1.0], [a, -a]])  # weights over labels
 for t in (0.1, 0.5, 2.0):
     # coefficient factors exp(K) of |a><a| and |-a><a| in the damped density
     factors = np.exp(mc.damped_density(pair, *mc.me_response(gamma, t)).expo)

@@ -29,7 +29,7 @@ st_e = mc.prepare(params, Out.E)
 st_g = mc.prepare(params, Out.G)
 
 print(f"alpha0 = {alpha0}, phi = pi/4: branch overlap at t=0 is "
-      f"{abs(mc.overlap(st_e.branches[0].field, st_e.branches[1].field)):.2e}")
+      f"{abs(mc.overlap(*st_e[1])):.2e}")
 print()
 print("     t/tc   branch overlap   eta (exact)   eta (closed form)   theta")
 times = np.linspace(0.0, 0.25, 11)

@@ -45,7 +45,7 @@ n_big = 30
 g, depletion = mc.me_response(gamma, t)
 dyad_t = fock.damp(fock.coherent_to_fock(a, n_big), fock.coherent_to_fock(b, n_big), g, depletion)
 # the factor of |a><b| is the coherence exp(K_10) of the damped pair |b> + |a>
-pair = mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, b), mc.Branch(1.0, a))))
+pair = mc.normalize([[1.0, 1.0], [b, a]])  # weights over labels
 factor = np.exp(mc.damped_density(pair, g, depletion).expo[1, 0])
 target = factor * np.outer(
     fock.coherent_to_fock(a * complex(g), n_big),

@@ -26,8 +26,6 @@ cli        `mesocat run|compare|sweep` command-line entry points
 
 from .bath import BathSpec, discretize_flat_band, response
 from .coherent import (
-    Branch,
-    FieldBathSuperposition,
     ReducedDensity,
     damped_density,
     damped_occupations,

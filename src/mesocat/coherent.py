@@ -1,6 +1,7 @@
 """Exact algebra of coherent-state superpositions in a non-orthogonal basis.
 
-A prepared field state is a list of weighted coherent branches, its environment empty.  A
+A prepared field state, its environment empty, is one complex array (2, n), ``w, l = state``:
+the weights of its coherent branches over their labels; states stack as arrays (..., 2, n).  A
 linear damping flow with response g and depletion B (``damped_density``) leaves a field
 density over the labels a_i g: weights w_i, labels l_i and a Hermitian coherence exponent K
 with a zero diagonal, rho = sum_ij w_i conj(w_j) exp(K_ij) |l_i><l_j|.  No Fock space is
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,13 +34,6 @@ from .errors import InvalidArgumentError, PositivityError, UnsupportedInputError
 EIGENVALUE_TOL = 1e-10
 #: Squared norms at or below this count as the zero state.
 NORM_FLOOR = 1e-14
-
-
-def _as_finite_complex(z, name: str) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidArgumentError(f"{name} must be finite, got {z!r}")
-    return z
 
 
 def _abs2(z: complex) -> float:
@@ -126,7 +119,10 @@ def _require(ok, error: type[Exception], message: str, values, batch: int = 0) -
 def overlap(a: complex, b: complex) -> complex:
     """<a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a)*b) of two coherent states: |<a|b>| <= 1, with
     equality exactly when a == b."""
-    return cmath.exp(_exponent(_as_finite_complex(a, "a"), _as_finite_complex(b, "b")))
+    a, b = complex(a), complex(b)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise InvalidArgumentError(f"labels must be finite, got {a!r} and {b!r}")
+    return cmath.exp(_exponent(a, b))
 
 
 def _gram_exponents(labels: np.ndarray) -> np.ndarray:
@@ -138,58 +134,39 @@ def _gram_exponents(labels: np.ndarray) -> np.ndarray:
 # states
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One weighted coherent term of the field: weight * |field>."""
-
-    weight: complex
-    field: complex
-
-
-@dataclass(frozen=True)
-class FieldBathSuperposition:
-    """Finite superposition of coherent branches of one field mode, its environment empty;
-    ``normalized`` is set by :func:`normalize`, and operations that need unit norm check it."""
-
-    branches: tuple[Branch, ...]
-    normalized: bool = False
-
-    def __post_init__(self):
-        if not self.branches:
-            raise InvalidArgumentError("state needs at least one branch")
-        for br in self.branches:
-            _as_finite_complex(br.weight, "weight")
-            _as_finite_complex(br.field, "field label")
+def _state(state) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, labels), S + (n,), of a state (2, n), weights over labels, or of a stack."""
+    try:
+        state = np.asarray(state, dtype=complex)
+    except ValueError:  # numpy's error for ragged nested lists
+        raise InvalidArgumentError("stacked states need equal branch counts") from None
+    if state.shape[-2:-1] != (2,) or not state.shape[-1]:
+        raise InvalidArgumentError(f"state needs at least one branch, in (2, n): got {state.shape}")
+    weights, labels = state[..., 0, :], state[..., 1, :]
+    for name, part in (("weight", weights), ("field label", labels)):
+        bad = part[~np.isfinite(part)]
+        if bad.size:
+            raise InvalidArgumentError(f"{name} must be finite, got {complex(bad[0])!r}")
+    return weights, labels
 
 
-def _weights_labels(state, caller: str = "") -> tuple[np.ndarray, ...]:
-    """(weights, field labels), shape S + (n,), of a state or an S-shaped nested list of states
-    of n branches each, which must be normalized if a caller is named."""
-    states = np.array(state, dtype=object)
-    if caller and not all(s.normalized for s in states.flat):
-        raise InvalidArgumentError(f"{caller}() needs normalized states")
-    if len({len(s.branches) for s in states.flat}) > 1:
-        raise InvalidArgumentError("stacked states need equal branch counts")
-    pairs = np.array([[(b.weight, b.field) for b in s.branches] for s in states.flat], complex)
-    return tuple(np.moveaxis(pairs, -1, 0).reshape((2,) + states.shape + (-1,)))
-
-
-def squared_norm(state: FieldBathSuperposition) -> float:
-    """<psi|psi>: the quadratic form of the weights over the branch overlap exponents."""
-    weights, labels = _weights_labels(state)
+def squared_norm(state):
+    """<psi|psi>, per state of a stack: the weights' quadratic form over the branch overlaps."""
+    weights, labels = _state(state)
     return _form(weights, weights, labels=labels).real
 
 
-def normalize(state: FieldBathSuperposition) -> FieldBathSuperposition:
-    """Scale all branch weights by one positive real factor to unit norm; raises
-    :class:`ZeroStateError` at a squared norm at or below ``NORM_FLOOR`` (a zero-probability
-    detection branch)."""
-    nrm2 = squared_norm(state)
-    if nrm2 <= NORM_FLOOR:
-        raise ZeroStateError(f"state norm^2 = {nrm2:.3e} is at or below the floor")
-    scale = 1.0 / math.sqrt(nrm2)
-    scaled = tuple(Branch(br.weight * scale, br.field) for br in state.branches)
-    return FieldBathSuperposition(scaled, normalized=True)
+def normalize(state) -> np.ndarray:
+    """Scale all branch weights by one positive real factor to unit norm, every state of a stack
+    by its own from one form; raises :class:`ZeroStateError` at a squared norm at or below
+    ``NORM_FLOOR`` (a zero-probability detection branch), citing the first such state."""
+    weights, labels = _state(state)
+    nrm2 = np.asarray(_form(weights, weights, labels=labels).real)
+    zero = nrm2 <= NORM_FLOOR
+    if zero.any():
+        raise ZeroStateError(f"state norm^2 = {nrm2[zero][0]:.3e} is at or below the floor",
+                             np.unravel_index(np.argmax(zero), zero.shape))
+    return np.stack([weights * (1.0 / np.sqrt(nrm2))[..., None], labels], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +258,7 @@ class ReducedDensity:
         return _PairForm(a, b, det_s / g_ss * n_dd, det)
 
 
-def damped_density(state: FieldBathSuperposition, g, depletion) -> ReducedDensity:
+def damped_density(state, g, depletion) -> ReducedDensity:
     """Field density of a bath-free superposition after a linear damping flow.
 
     The flow maps each label a_i to a_i g and leaves the environment with depletion
@@ -289,10 +266,11 @@ def damped_density(state: FieldBathSuperposition, g, depletion) -> ReducedDensit
     (g = e^{-gamma t/2}, B = 1 - e^{-gamma t}).  Tracing the environment out keeps the
     weights over the labels a_i g and leaves the coherence exponent K_ij = B log <a_j|a_i>,
     the log of the environment overlap prod_k <a_j f_k|a_i f_k>; the trace must be 1 to
-    roundoff (it is never rescaled).  Arrays of g and B (one shape) give the stack over them;
-    an S-shaped nested list of states adds the axes S after theirs (the ``batch`` axes).
+    roundoff (never rescaled: an unnormalized state raises :class:`PositivityError`).  Arrays
+    of g and B (one shape) give the stack over them; a stack S + (2, n) of states adds the
+    axes S after theirs (the ``batch`` axes).
     """
-    weights, labels = _weights_labels(state, "damped_density")
+    weights, labels = _state(state)
     g, depletion = np.asarray(g, dtype=complex), np.asarray(depletion, dtype=float)
     expo = np.multiply.outer(depletion, np.swapaxes(_gram_exponents(labels), -1, -2))
     rho = ReducedDensity(np.multiply.outer(g, labels), weights, expo, weights.ndim - 1,
@@ -303,19 +281,21 @@ def damped_density(state: FieldBathSuperposition, g, depletion) -> ReducedDensit
     return rho
 
 
-def damped_occupations(state: FieldBathSuperposition, g, depletion) -> tuple[np.ndarray, ...]:
+def damped_occupations(state, g, depletion) -> tuple[np.ndarray, ...]:
     """(n_field, n_bath) of the damped superposition for arrays of g and B, stacked as in
     :func:`damped_density`: |g|^2 Q and B Q, Q = sum_pq conj(w_p a_p) w_q a_q <a_p|a_q>^s with
     s = |g|^2 + B.  As w_q a_q = a_1 w_q + v_q, v_q = w_q (a_q - a_1), Q is |a_1|^2 F(w, w) +
     2 Re(a_1 F(w, v)) + F(v, v), F(x, y) = sum_pq x_q conj(y_p) <a_p|a_q>^s, three forms whose
-    terms do not cancel.
+    terms do not cancel.  F(w, w) is the damped density's trace, checked as there.
     """
-    weights, labels = _weights_labels(state, "damped_occupations")
+    weights, labels = _state(state)
     g2, depletion = _abs2(np.asarray(g, dtype=complex)), np.asarray(depletion, dtype=float)
     v, a1 = _product(weights, labels - labels[..., :1]), labels[..., 0]
     expo = np.multiply.outer(g2 + depletion, np.swapaxes(_gram_exponents(labels), -1, -2))
     a, b = np.stack([weights, weights, v], axis=-2), np.stack([weights, v, v], axis=-2)
     f_ww, f_wv, f_vv = np.moveaxis(_form(a, b, expo[..., None, :, :]), -1, 0)
+    _require(np.abs(f_ww.real - 1.0) <= EIGENVALUE_TOL, PositivityError,
+             "reduced density trace differs from 1 beyond roundoff", f_ww.real, weights.ndim - 1)
     q = _abs2(a1) * f_ww.real + 2.0 * _product(a1, f_wv).real + f_vv.real
     lead = (...,) + (None,) * (weights.ndim - 1)
     return g2[lead] * q, depletion[lead] * q

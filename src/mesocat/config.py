@@ -122,20 +122,22 @@ def _integer(obj: dict, path: str, key: str, *, minimum: int) -> int:
 
 
 def _parse_phi(raw, path: str) -> float:
-    if isinstance(raw, bool):
-        raise ConfigError(path, "must be a number or a rabi/detuning/t_int object")
-    if isinstance(raw, (int, float)):
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         val = float(raw)
-        if not math.isfinite(val):
-            raise ConfigError(path, "must be finite")
-        return val
-    if isinstance(raw, dict):
+    elif isinstance(raw, dict):
         _require_keys(raw, path, {"rabi", "detuning", "t_int"})
         rabi = _number(raw, path, "rabi")
         detuning = _number(raw, path, "detuning", nonzero=True)
         t_int = _number(raw, path, "t_int")
-        return rabi**2 * t_int / detuning
-    raise ConfigError(path, "must be a number or a rabi/detuning/t_int object")
+        try:
+            val = rabi**2 * t_int / detuning
+        except OverflowError:  # rabi**2 beyond the float range
+            val = math.inf
+    else:
+        raise ConfigError(path, "must be a number or a rabi/detuning/t_int object")
+    if not math.isfinite(val):
+        raise ConfigError(path, "must be finite")
+    return val
 
 
 def parse_scenario(raw: dict, *, for_compare: bool = False) -> ScenarioConfig:

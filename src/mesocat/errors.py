@@ -10,7 +10,11 @@ class InvalidArgumentError(MesocatError, ValueError):
 
 
 class ZeroStateError(MesocatError):
-    """A state has (numerically) zero norm, e.g. a zero-probability detection branch."""
+    """A state (a stack's first at ``index``) has zero norm, e.g. a zero-probability detection."""
+
+    def __init__(self, message: str, index: tuple = ()):
+        super().__init__(message)
+        self.index = index
 
 
 class PositivityError(MesocatError):

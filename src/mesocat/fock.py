@@ -1,18 +1,17 @@
 """Brute-force truncated-Fock-space reference implementations.
 
-Everything the analytic engines compute -- state preparation, damping at a
-response (g, B), measurement, spectra -- is recomputed here from the raw
-matrix representations, deliberately without caching or shortcuts (the
-damping map rebuilds its binomial table and loss images on every call and never
-keeps them), so that agreement between the two routes validates both.  States are
-plain arrays, amplitude vectors (..., N) and density matrices (..., N, N), with
-N = n_max + 1 read from the last axis; the damping map takes a dyad's two vectors
-and returns its matrix.  Leading axes index stacks such as a
-time grid: one number-state recurrence expands every label of a stack, so the
-runner's Fock backend makes two per command, one for the branch labels of every
-prepared state and one for the damped labels, and the purity Tr(rho rho) is one
-O(N^2) contraction per matrix.  Cost grows fast with amplitude: desk-scale checks
-only (|alpha|^2 of a few).
+Everything the analytic engines compute -- state preparation, damping at a response
+(g, B), measurement, spectra -- is recomputed here from the raw matrix representations,
+deliberately without caching or shortcuts (the damping map rebuilds its binomial table
+and loss images on every call and never keeps them), so that agreement between the two
+routes validates both.  States are plain arrays, amplitude vectors (..., N) and density
+matrices (..., N, N), with N = n_max + 1 read from the last axis, and a ``coherent``
+state array (2, n) sums to its vector pivoted on its first label.  Leading axes index
+stacks such as a time grid: one number-state recurrence expands every label of a stack,
+so the runner's Fock backend makes two per command, one for the branch labels of every
+prepared state and one for the damped labels, and the purity Tr(rho rho) is one O(N^2)
+contraction per matrix.  Cost grows fast with amplitude: desk-scale checks only
+(|alpha|^2 of a few).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import math
 
 import numpy as np
 
-from .coherent import _require, _weights_labels
+from .coherent import _require, _state
 from .errors import InvalidArgumentError, TruncationError
 
 
@@ -35,32 +34,45 @@ def required_n_max(amplitude):
     return np.ceil(a2 + 8.0 * np.sqrt(a2) + 10.0).astype(int)
 
 
-def coherent_to_fock(label, n_max: int, batch: int = 0) -> np.ndarray:
+def coherent_to_fock(label, n_max: int, batch: int = 0, pivoted: bool = False) -> np.ndarray:
     """Expand |label> over number states: c_n = e^{-|a|^2/2} a^n / sqrt(n!), per stack index.
 
-    A failed guard names the first failing label by its index over the axes of
-    ``label`` but the last ``batch``, as a time index.
+    ``pivoted``, rows k > 1 of labels (..., k) hold d = c(l_k) - c(l_1), exact however near l_1,
+    from d_{n+1} = (l_k d_n + (l_k - l_1) c_n(l_1)) / sqrt(n+1).  A failed guard (on every
+    label) names the first failing label by its index over all but the last ``batch`` axes.
     """
     label = np.asarray(label, dtype=complex)
     need = required_n_max(label)
     _require(n_max >= need, TruncationError, f"n_max = {n_max} below the truncation rule", need,
              batch)
-    amps = np.zeros(label.shape + (n_max + 1,), dtype=complex)
-    amps[..., 0] = np.exp(-0.5 * np.abs(label) ** 2)
+    amps = np.zeros((n_max + 1,) + label.shape, dtype=complex)  # level-major: contiguous steps
+    amps[0] = np.exp(-0.5 * np.abs(label) ** 2)
+    if pivoted:  # d_0 = c_0(l_1) expm1((|l_1|^2 - |l_k|^2) / 2), the difference -Re(conj(s) m)
+        s, m = label - label[..., :1], label + label[..., :1]  # s = 0 at the pivot
+        gap = -0.5 * (s.real * m.real + s.imag * m.imag)[..., 1:]
+        amps[0, ..., 1:] = amps[0, ..., :1] * np.expm1(gap)
     for n in range(n_max):
-        amps[..., n + 1] = amps[..., n] * label / math.sqrt(n + 1)
-    tail = np.abs(amps[..., n_max]) ** 2
+        level = amps[n + 1, ...]  # an array view also for a scalar label
+        np.multiply(amps[n], label, out=level)
+        if pivoted:
+            level += s * amps[n, ..., :1]
+        level /= math.sqrt(n + 1)
+    tail = np.abs(amps[n_max]) ** 2
+    if pivoted:  # c_N(l_k) = c_N(l_1) + d_N
+        tail[..., 1:] = np.abs(amps[n_max, ..., 1:] + amps[n_max, ..., :1]) ** 2
     _require(tail < 1e-10, TruncationError,
              "tail population at the cutoff exceeds the leakage guard", tail, batch)
-    return amps
+    return np.ascontiguousarray(np.moveaxis(amps, 0, -1))
 
 
 def superposition_vector(state, n_max: int) -> np.ndarray:
-    """Fock vector of a superposition (weights applied verbatim), or the stack of a (nested)
-    list of superpositions with equal branch counts, from one recurrence over every label."""
-    weights, labels = _weights_labels(state)
-    vecs = coherent_to_fock(labels, n_max, batch=labels.ndim)
-    return sum(weights[..., k, None] * vecs[..., k, :] for k in range(weights.shape[-1]))
+    """Fock vector of a state (2, n) (weights applied verbatim), or per state of a stack
+    (..., 2, n), from one pivoted recurrence over every label: (sum_k w_k) c(l_1) + sum_{k>1}
+    w_k (c(l_k) - c(l_1)), so weights that cancel over nearly coincident labels lose no digits."""
+    weights, labels = _state(state)
+    amps = coherent_to_fock(labels, n_max, batch=labels.ndim, pivoted=True)
+    lead = np.concatenate([weights.sum(axis=-1, keepdims=True), weights[..., 1:]], axis=-1)
+    return sum(lead[..., k, None] * amps[..., k, :] for k in range(weights.shape[-1]))
 
 
 def density_from_vector(vec) -> np.ndarray:
@@ -91,9 +103,9 @@ def damp(ket, bra, g, depletion):
     space; a mixed density damps as the sum of its dyads.  Per value of (g, B) it
     is one (N x N) product D X_ket diag(B^l) conj(X_bra) D^dag, D = diag(g^n), X of
     :func:`_loss_images`: T values give a (T, N, N) stack in O(T N^2) memory, each
-    matrix with its scalar call's bits.  B = 0 gives ket conj(bra) times the phases,
-    and g = 1 with it that outer product verbatim.  Equal stacks (..., N) of ``ket``
-    and ``bra`` add their axes after those of (g, B).
+    matrix with its scalar call's bits; a bra that is the ket object itself takes
+    conj(X_ket).  B = 0 gives ket conj(bra) times the phases, and g = 1 with it that
+    outer product verbatim.  Equal stacks (..., N) of ``ket`` and ``bra`` follow (g, B).
     """
     ket, bra = np.asarray(ket, dtype=complex), np.asarray(bra, dtype=complex)
     if ket.shape != bra.shape:
@@ -102,7 +114,8 @@ def damp(ket, bra, g, depletion):
     g, depletion = np.asarray(g)[stack], np.asarray(depletion, dtype=float)[stack]
     levels = np.arange(ket.shape[-1])
     loss = depletion[..., None, None] ** levels[:, None]  # a zgemm per (g, B) keeps each row's bits
-    damped = _loss_images(ket) @ (loss * _loss_images(bra.conj()))
+    images = _loss_images(ket)
+    damped = images @ (loss * (images.conj() if bra is ket else _loss_images(bra.conj())))
     outer = ket[..., :, None] * bra.conj()[..., None, :]
     np.copyto(damped, outer, where=(depletion == 0.0)[..., None, None])  # no BLAS rounding
     damped *= density_from_vector(g[..., None] ** levels)  # the phases g^i conj(g)^j

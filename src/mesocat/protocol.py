@@ -21,7 +21,8 @@ projecting on the detected level leaves the reduced field operators
 
 (upper sign: detection in e).  The full Ramsey rotation is never needed on
 its own; everything downstream is built from these two-term phase-operator
-sums, each the array pair (weights, phases) of ``coherent.expectation``.
+sums, each the array pair (weights, phases) of ``coherent.expectation``; the
+prepared state is U|alpha0> normalized, U's weights over labels alpha0 e^{i phase}.
 Conditional probabilities for the second atom are traces of U^dag U against
 the field density conditioned on the first detection, and the correlation
 signal is eta = P_ee - P_ge.
@@ -37,8 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coherent import (Branch, FieldBathSuperposition, ReducedDensity, _phase_forms, _require,
-                       normalize, squared_norm)
+from .coherent import ReducedDensity, _phase_forms, _require, normalize, squared_norm
 from .errors import InvalidArgumentError, PositivityError, ZeroStateError
 
 _PROBABILITY_TOL = 1e-10
@@ -112,21 +112,27 @@ def preparation_probability(params: ProtocolParams, outcome: DetectionOutcome) -
     return squared_norm(_unnormalized_prepared(params, outcome))
 
 
-def _unnormalized_prepared(params, outcome) -> FieldBathSuperposition:
-    weights, phases = (x.tolist() for x in reduced_op(params, outcome))
-    branches = tuple(Branch(w, params.alpha0 * cmath.exp(1j * p)) for w, p in zip(weights, phases))
-    return FieldBathSuperposition(branches)
+def _unnormalized_prepared(params, outcome) -> np.ndarray:
+    """U |alpha0>: the reduced operator's weights over the labels alpha0 e^{i phase}, (2, n)."""
+    weights, phases = reduced_op(params, outcome)
+    return np.array([weights, [params.alpha0 * cmath.exp(1j * p) for p in phases.tolist()]])
 
 
-def prepare(params: ProtocolParams, outcome: DetectionOutcome) -> FieldBathSuperposition:
-    """Field state right after the first atom is detected in ``outcome``, the bath in the
-    zero-temperature ground state that the damping flows (``coherent.damped_density``) assume.
-    A detection branch of vanishing probability (e.g. case A on the vacuum with outcome E)
-    raises :class:`ZeroStateError` naming the protocol's phi and alpha0."""
+def _prepare_stack(swept, outcomes=tuple(DetectionOutcome)) -> np.ndarray:
+    """Field states (protocol, outcome, 2, n) after the first atom's detection, normalized in one
+    form, the bath in the ground state that ``coherent.damped_density`` assumes.  The first
+    branch of zero probability in (protocol, outcome) order (e.g. case A on the vacuum with
+    outcome E) raises :class:`ZeroStateError` naming its protocol's phi and alpha0."""
     try:
-        return normalize(_unnormalized_prepared(params, outcome))
+        return normalize([[_unnormalized_prepared(p, o) for o in outcomes] for p in swept])
     except ZeroStateError as exc:
-        raise ZeroStateError(f"{exc} (phi = {params.phi!r}, alpha0 = {params.alpha0!r})") from None
+        p = swept[exc.index[0]]
+        raise ZeroStateError(f"{exc} (phi = {p.phi!r}, alpha0 = {p.alpha0!r})", exc.index) from None
+
+
+def prepare(params: ProtocolParams, outcome: DetectionOutcome) -> np.ndarray:
+    """The field state (2, n) of :func:`_prepare_stack` for one protocol and one outcome."""
+    return _prepare_stack([params], [outcome])[0, 0]
 
 
 @dataclass(frozen=True)

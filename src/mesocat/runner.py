@@ -6,19 +6,18 @@ probabilities and eta, the eigenvalue pairs of both conditioned densities,
 purities, occupations and the recurrence flag.  Times are reported in units
 of t_c = 1/gamma.
 
-The environment reaches the prepared field only through the field response
-g(t) and the depletion B(t), which ``_response`` gives over the whole grid
-for every engine: the exact discrete bath from its moment-checked secular
-spectrum (``bath.response``), the master equation, which the Fock engine
-shares, in closed form (``lindblad.me_response``).  Every command builds its
-tables in one builder from one density stack with the axes (time, protocol,
-first-atom outcome), the responses (both engines' for ``compare``, one per gamma
-in a gamma sweep) concatenated along time; the engine's backend evaluates it.
-The analytic one sends the probabilities (one expectation pass for all four),
-spectra and purities once through the checked routines that serve one density.
-The Fock one, the oracle, expands the prepared branch labels in one recurrence,
-the damped labels in a second, and damps every prepared Fock vector v of an
-outcome, as |v><v|, in one ``fock.damp`` call.  Nothing iterates over grid times.
+The environment reaches the prepared field only through the field response g(t) and the
+depletion B(t), which ``_response`` gives over the whole grid for every engine: the exact
+discrete bath from its moment-checked secular spectrum (``bath.response``), the master
+equation, which the Fock engine shares, in closed form (``lindblad.me_response``).  Every
+command builds its tables in one builder from one stack (time, protocol, first-atom
+outcome) of the densities of one state array (protocol, outcome, 2, n), the responses
+(both engines' for ``compare``, one per gamma in a gamma sweep) concatenated along time;
+the engine's backend evaluates it.  The analytic one sends the probabilities (one
+expectation pass for all four), spectra and purities once through the checked routines
+that serve one density.  The Fock one, the oracle, expands the prepared branch labels in
+one recurrence, the damped labels in a second, and damps every prepared Fock vector v of
+an outcome, as |v><v|, in one ``fock.damp`` call.  Nothing iterates over grid times.
 
 Eigenvalue columns hold the descending pair, with one parity rule in every
 engine: where the two field labels are antipodal (l, -l) and the top
@@ -89,7 +88,7 @@ def _response(cfg: ScenarioConfig, times_tc: np.ndarray) -> tuple[np.ndarray, ..
     return g, depletion, np.zeros(len(times), dtype=bool)
 
 
-def _analytic(swept, states, weights, labels, g, depletion) -> tuple:
+def _analytic(swept, states, g, depletion) -> tuple:
     """The analytic engines' backend: the closed-form densities over the damped labels."""
     rho = coherent.damped_density(states, g, depletion)
     rec, lams = proto.conditional_probabilities(rho, swept), coherent.eigenvalues(rho)
@@ -98,7 +97,7 @@ def _analytic(swept, states, weights, labels, g, depletion) -> tuple:
     # gamma_b = exp(K_12) of the outcome-e density: the bath overlap <a_2 f|a_1 f>
     return (np.exp(rho.expo[..., 0, 0, 1]), rec, np.where(odd_top, lams[..., ::-1], lams),
             coherent.purity(rho), coherent.idempotency_defect(rho),
-            *coherent.damped_occupations([pair[0] for pair in states], g, depletion))
+            *coherent.damped_occupations(states[:, 0], g, depletion))
 
 
 def _fock_assign(matrix: np.ndarray, labels_t) -> np.ndarray:
@@ -144,13 +143,13 @@ def _fock_gamma_b(p: np.ndarray, labels_t: np.ndarray, weights, n_max: int) -> n
     return np.where(accurate, coeff01 / (weights[..., 0] * np.conj(weights[..., 1])), np.nan)
 
 
-def _fock(n_max, swept, states, weights, labels, g, depletion) -> tuple:
+def _fock(n_max, swept, states, g, depletion) -> tuple:
     """The Fock engine's backend, the oracle: every prepared vector damped as |v><v|."""
     prepared = fock.superposition_vector(states, n_max)  # (protocol, outcome, N)
-    labels_t = np.multiply.outer(g, labels)
+    labels_t = np.multiply.outer(g, states[:, 0, 1])  # outcome e's damped labels
     # one damp per outcome: at n_max 39 x 11 times two calls take 0.64 ms, one on the stacked
     # kets 0.91 ms, and its strided slices raise a run's minor page faults from 174 to 243
-    rho_e, rho_g = (fock.damp(prepared[:, k], prepared[:, k], g, depletion) for k in (0, 1))
+    rho_e, rho_g = (fock.damp(v, v, g, depletion) for v in (prepared[:, 0], prepared[:, 1]))
     vecs = fock.coherent_to_fock(labels_t, n_max, batch=2)  # (T, P, 2, N), times named on failure
     ops = [[proto.measurement_product(prm, o) for o in proto.DetectionOutcome] for prm in swept]
     # one call per protocol keeps its bits; the record checks them before it clamps them
@@ -161,7 +160,7 @@ def _fock(n_max, swept, states, weights, labels, g, depletion) -> tuple:
     purity = np.stack([fock.fock_purity(rho_e), fock.fock_purity(rho_g)], axis=-1)
     n_field = fock.fock_mean_photon(rho_e)
     n_bath = np.sum(np.arange(n_max + 1) * ((v := prepared[:, 0]) * v.conj()).real, -1) - n_field
-    return (_fock_gamma_b(label_products, labels_t, weights, n_max), rec,
+    return (_fock_gamma_b(label_products, labels_t, states[:, 0, 0], n_max), rec,
             np.stack([_fock_assign(rho_e, labels_t), _fock_assign(rho_g, labels_t)], axis=-2),
             purity, 1 - purity, n_field, n_bath)
 
@@ -170,12 +169,9 @@ def _stack_tables(swept, times_tc, responses, backend) -> list[dict[str, np.ndar
     """Tables at the given times (t_c) per protocol, then per response (g, B, recurrence), from
     one stack (time, protocol, outcome) over every response's times, which ``backend`` evaluates."""
     n, (g, depletion, recurrence) = len(times_tc), map(np.concatenate, zip(*responses))
-    states = [[proto.prepare(params, outcome) for outcome in proto.DetectionOutcome]
-              for params in swept]
-    weights, labels = coherent._weights_labels([pair[0] for pair in states])  # outcome e's
-    g_b, rec, lams, purity, defect, n_field, n_bath = backend(
-        swept, states, weights, labels, g, depletion)
-    z = coherent._exponent(labels[..., 1], labels[..., 0])  # log <a_2|a_1>
+    states = proto._prepare_stack(swept)  # (protocol, outcome, 2, n)
+    g_b, rec, lams, purity, defect, n_field, n_bath = backend(swept, states, g, depletion)
+    z = coherent._exponent(states[:, 0, 1, 1], states[:, 0, 1, 0])  # log <a_2|a_1>, outcome e
     columns = np.broadcast_arrays(
         np.abs(np.exp(np.multiply.outer(g.real**2 + g.imag**2, z))), np.abs(g_b),
         np.arctan2(g_b.imag, g_b.real), rec.p_ee, rec.p_eg, rec.p_ge, rec.p_gg, rec.eta,

@@ -13,7 +13,7 @@ coefficient vectors through the same quadratic form as ``coherent.expectation``;
 :func:`label_eigenpairs` gives a density's eigenvectors as such coefficients from
 scipy's generalized ``eigh`` (the library computes eigenvalues only); ``value_at`` reads an operator (weights, phases) on a number state, and ``joint``
 stacks the densities conditioned on e and on g as ``conditional_probabilities``
-takes them.  ``fock_vector_per_branch`` expands a superposition one label at a
+takes them.  ``fock_vector_per_branch`` expands a superposition one branch at a
 time and ``trace_of_square`` forms Tr(m m) from the full O(N^3) product: the
 routes the Fock oracle's batched recurrence and O(N^2) purity replace.
 """
@@ -114,11 +114,13 @@ def hamiltonian_state(vector, spec, t: float, n_bath: int) -> np.ndarray:
 
 
 def evolve(state, spec, t: float) -> list[tuple]:
-    """Branches of a normalized prepared state after time t: |a> |0> to |a g> prod_k |a f_k>."""
-    if not state.normalized:
-        raise mc.InvalidArgumentError("evolve() needs a normalized state")
+    """Branches of a normalized prepared state (2, n) after time t: |a> |0> to |a g> prod_k |a f_k>."""
+    nrm2 = mc.coherent.squared_norm(state)
+    if abs(nrm2 - 1.0) > mc.coherent.EIGENVALUE_TOL:
+        raise mc.PositivityError(f"evolve() needs a normalized state, norm^2 = {nrm2!r}")
     (g,), (f,) = flow(spec, [t])
-    return [(br.weight, br.field * g, br.field * f) for br in state.branches]
+    weights, labels = (np.asarray(row).tolist() for row in state)
+    return [(w, a * g, a * f) for w, a in zip(weights, labels)]
 
 
 def _exponents(modes) -> np.ndarray:
@@ -230,8 +232,13 @@ def joint(rho_e: ReducedDensity, rho_g: ReducedDensity) -> ReducedDensity:
 
 
 def fock_vector_per_branch(state, n_max: int) -> np.ndarray:
-    """Fock amplitudes of a superposition, one number-state recurrence per branch label."""
-    return sum(br.weight * fock.coherent_to_fock(br.field, n_max) for br in state.branches)
+    """Fock amplitudes of a superposition (2, n), pivoted on its first label as the oracle's,
+    from one number-state recurrence per branch: (sum w) c(l_1) + sum_{k>1} w_k d_k, each
+    difference d_k = c(l_k) - c(l_1) expanded with the first label alone."""
+    weights, labels = state
+    pairs = [fock.coherent_to_fock([labels[0], x], n_max, pivoted=True) for x in labels[1:]]
+    first = pairs[0][0] if pairs else fock.coherent_to_fock(labels[0], n_max)
+    return sum([weights.sum() * first] + [w * pair[1] for w, pair in zip(weights[1:], pairs)])
 
 
 def trace_of_square(m) -> np.ndarray:

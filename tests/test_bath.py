@@ -298,14 +298,14 @@ def test_reference_never_reads_the_secular_spectrum(monkeypatch):
 def test_evolve_identity_at_zero(resonant_single_mode):
     state = odd_cat()
     out = evolve(state, resonant_single_mode, 0.0)
-    for before, (weight, field, bath) in zip(state.branches, out):
-        assert field == pytest.approx(before.field, abs=1e-14)
-        assert weight == before.weight
+    for w, label, (weight, field, bath) in zip(*state, out):
+        assert field == pytest.approx(label, abs=1e-14)
+        assert weight == w
         assert np.max(np.abs(bath)) < 1e-14
 
 
 def test_evolve_single_branch_stays_pure(flat_band_201):
-    state = mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, 1.2 + 0.3j),)))
+    state = mc.normalize([[1.0], [1.2 + 0.3j]])
     rho = reduce(evolve(state, flat_band_201, 0.9))
     assert mc.purity(rho) == pytest.approx(1.0, abs=1e-12)
 
@@ -332,9 +332,11 @@ def test_evolve_norm_and_occupation_conserved(flat_band_201):
 
 
 def test_evolve_requires_normalized(resonant_single_mode):
-    state = mc.FieldBathSuperposition((mc.Branch(1.0, 1.0),))
-    with pytest.raises(mc.InvalidArgumentError):
-        evolve(state, resonant_single_mode, 0.1)
+    # the norm is checked numerically: a weight off by 1e-6 is rejected, 1e-12 is roundoff
+    for weight in (2.0, 1.0 + 1e-6):
+        with pytest.raises(mc.PositivityError, match="normalized"):
+            evolve(np.array([[weight], [1.0]]), resonant_single_mode, 0.1)
+    assert len(evolve(np.array([[1.0 + 1e-12], [1.0]]), resonant_single_mode, 0.1)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +359,7 @@ def test_gamma_conservation_identity(flat_band_201):
 
 
 def test_gamma_diagnostics_need_two_branches(resonant_single_mode):
-    single = evolve(mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, 1.0),))),
+    single = evolve(mc.normalize([[1.0], [1.0]]),
                     resonant_single_mode, 0.0)
     for fn in (gamma_a, gamma_b, excitation_sum):
         with pytest.raises(mc.InvalidArgumentError):

@@ -12,7 +12,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -95,6 +94,9 @@ def test_phi_from_coupling_triple(tmp_path):
         (lambda c: c.update(phi=True), "phi"),
         (lambda c: c.update(phi="pi"), "phi"),
         (lambda c: c.update(phi={"rabi": 2.0, "detuning": 0.0, "t_int": 1.5}), "phi.detuning"),
+        # coupling triples whose phi overflows: rabi**2, or the division by a subnormal detuning
+        (lambda c: c.update(phi={"rabi": 1e200, "detuning": 1, "t_int": 1}), "phi"),
+        (lambda c: c.update(phi={"rabi": 1, "detuning": 1e-320, "t_int": 1e10}), "phi"),
         (lambda c: c["output"].update(path=""), "output.path"),
     ],
 )
@@ -371,8 +373,8 @@ def exact_norm(params):
     norms = []
     with mpmath.workdps(60):
         for outcome in mc.DetectionOutcome:
-            branches = protocol._unnormalized_prepared(params, outcome).branches
-            terms = [(mpmath.mpc(b.weight), mpmath.mpc(b.field)) for b in branches]
+            weights, labels = protocol._unnormalized_prepared(params, outcome).tolist()
+            terms = [(mpmath.mpc(w), mpmath.mpc(x)) for w, x in zip(weights, labels)]
             norms.append(sum(wi * mpmath.conj(wj) * mpmath.exp(
                 mpmath.conj(lj) * li - (abs(li) ** 2 + abs(lj) ** 2) / 2)
                 for wi, li in terms for wj, lj in terms).real)
@@ -383,10 +385,10 @@ def exact_superposition_vector(state, n_max):
     """fock.superposition_vector with the branches summed in 60-digit arithmetic.
 
     Near the norm floor the prepared weights, of size W ~ 0.5 / |psi|, cancel over nearly
-    coincident labels, and the float sum leaves errors of about eps W in every amplitude
-    (3e-10 in the probabilities at |psi|^2 = 2e-14): the oracle's own rounding.
+    coincident labels: a plain float sum of the branches would leave errors of about eps W
+    in every amplitude (3e-10 in the probabilities at |psi|^2 = 2e-14).
     """
-    weights, labels = mc.coherent._weights_labels(state)
+    weights, labels = mc.coherent._state(state)
     vector = np.empty(weights.shape[:-1] + (n_max + 1,), dtype=complex)
     with mpmath.workdps(60):
         for index in np.ndindex(weights.shape[:-1]):
@@ -399,16 +401,14 @@ def exact_superposition_vector(state, n_max):
 
 def oracle_gaps(path):
     """Per column, the largest gap between a run's written table and the Fock oracle's table at
-    the run's own response (g, B), its prepared vectors summed exactly.  Rows where the
-    oracle's gamma_b is NaN are excepted, and the gamma_b gaps are scaled so that the oracle's
-    own accuracy there, FOCK_GAMMA_B_RTOL (relative, |gamma_b| <= 1), reads 1e-10."""
+    the run's own response (g, B).  Rows where the oracle's gamma_b is NaN are excepted, and
+    the gamma_b gaps are scaled so that the oracle's own accuracy there, FOCK_GAMMA_B_RTOL
+    (relative, |gamma_b| <= 1), reads 1e-10."""
     cfg = load_scenario(path)
     grid = runner.time_grid(cfg)
     n_max = int(fock.required_n_max(abs(cfg.alpha0)))
-    with mock.patch.object(fock, "superposition_vector", exact_superposition_vector):
-        oracle = runner._stack_tables([runner.scenario_params(cfg)], grid,
-                                      [runner._response(cfg, grid)],
-                                      functools.partial(runner._fock, n_max))[0]
+    oracle = runner._stack_tables([runner.scenario_params(cfg)], grid, [runner._response(cfg, grid)],
+                                  functools.partial(runner._fock, n_max))[0]
     _, rows = read_csv(Path(cfg.output.path))
     gaps = {}
     for name in runner.ROW_FIELDS[1:]:
@@ -474,6 +474,57 @@ def test_valid_runs_near_coincident_labels_exit_0_on_the_fock_oracle(
         assert code == 3, (norm, phi)
 
 
+def near_floor_configs(count, seed=24):
+    """Seeded case-A configs near the norm floor: phi = +-10^U(-7.5, -6) and |alpha0| at a
+    uniform phase such that |alpha0 phi|^2 / 4 is 10^U(-14, -13), kept where |Re|, |Im| <= 2.
+    The outcome-e state's |psi|^2 is (1 + |alpha0|^2) times that to leading order."""
+    rng, drawn = np.random.default_rng(seed), []
+    while len(drawn) < count:
+        phi = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.5, -6.0)
+        alpha0 = 2.0 * 10.0 ** (0.5 * rng.uniform(-14.0, -13.0)) / abs(phi) * cmath.exp(
+            1j * rng.uniform(-math.pi, math.pi))
+        if max(abs(alpha0.real), abs(alpha0.imag)) <= 2.0:
+            drawn.append((float(phi), complex(alpha0)))
+    return drawn
+
+
+#: the false exit 4 of the Fock engine at 7 points to 1 t_c, n_max 33, then seeded draws
+NEAR_FLOOR = [(6.099755035274791e-08, 1.3268065013999122 - 1.7473403197660713j)]
+NEAR_FLOOR += near_floor_configs(11)
+
+
+@pytest.mark.parametrize("phi, alpha0", NEAR_FLOOR)
+def test_fock_engine_near_the_norm_floor_matches_the_master_engine(tmp_path, phi, alpha0):
+    # the prepared weights, of size 0.5 / |psi| ~ 5e6, cancel over labels |alpha0 phi| apart:
+    # the oracle's vector, pivoted on the first label, keeps its digits and exits 0
+    tables = {}
+    for engine in ("master", "fock"):
+        raw = base_config(tmp_path, engine=engine, phi=phi,
+                          alpha0={"re": alpha0.real, "im": alpha0.imag},
+                          time={"t_max_over_tc": 1.0, "points": 7},
+                          output={"format": "csv", "path": str(tmp_path / f"{engine}.csv")})
+        if engine == "fock":
+            raw["fock"] = {"n_max": max(33, int(fock.required_n_max(abs(alpha0)))), "dt": 1e-3}
+        assert cli.main(["run", "--config", write_config(tmp_path, raw)]) == 0, engine
+        _, rows = read_csv(tmp_path / f"{engine}.csv")
+        tables[engine] = {name: np.array([row[name] for row in rows], dtype=float)
+                          for name in runner.ROW_FIELDS[1:]}
+    for name, oracle in tables["fock"].items():
+        kept = ~np.isnan(oracle)
+        gap = np.abs(tables["master"][name] - oracle)[kept]
+        # the oracle's gamma_b is good to FOCK_GAMMA_B_RTOL by design, NaN beyond it
+        bound = runner.FOCK_GAMMA_B_RTOL if name.startswith("gamma_b") else 1e-10
+        assert np.max(gap, initial=0.0) <= bound, (name, np.max(gap, initial=0.0))
+
+
+def test_prepared_fock_vectors_near_the_norm_floor_match_a_60_digit_sum():
+    states = protocol._prepare_stack([protocol.ProtocolParams(protocol.ProtocolCase.CASE_A, a, p)
+                                      for p, a in NEAR_FLOOR[:4]])
+    n_max = int(np.max(fock.required_n_max(np.abs(states[..., 1, :]))))
+    vectors = fock.superposition_vector(states, n_max)
+    assert np.max(np.abs(vectors - exact_superposition_vector(states, n_max))) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -483,6 +534,14 @@ def test_exit_2_on_schema_violation(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert cli.main(["run", "--config", path]) == 2
     assert "bath" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("phi", [{"rabi": 1e200, "detuning": 1, "t_int": 1},
+                                 {"rabi": 1, "detuning": 1e-320, "t_int": 1e10}])
+def test_exit_2_on_a_coupling_triple_whose_phi_overflows(tmp_path, capsys, phi):
+    path = write_config(tmp_path, base_config(tmp_path, phi=phi))
+    assert cli.main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err.strip() == f"error: config {path}: phi: must be finite"
 
 
 def test_exit_2_on_unknown_sweep_param(tmp_path, capsys):

@@ -173,44 +173,38 @@ def test_gram_hermitian_psd_unit_diagonal(labels):
 
 
 def test_normalize_single_branch():
-    state = mc.FieldBathSuperposition((mc.Branch(2.0, 1.5 + 0.5j),))
-    out = mc.normalize(state)
-    assert abs(out.branches[0].weight) == pytest.approx(1.0, abs=1e-14)
-    assert out.normalized
+    out = mc.normalize([[2.0], [1.5 + 0.5j]])
+    assert out.shape == (2, 1) and out[1, 0] == 1.5 + 0.5j
+    assert abs(out[0, 0]) == pytest.approx(1.0, abs=1e-14)
+    assert mc.coherent.squared_norm(out) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_normalize_odd_cat_weights():
-    state = mc.FieldBathSuperposition((mc.Branch(0.5, 1.0), mc.Branch(-0.5, -1.0)))
-    out = mc.normalize(state)
+    out = mc.normalize([[0.5, -0.5], [1.0, -1.0]])
     expected = 1.0 / math.sqrt(2.0 * (1.0 - math.exp(-2)))
-    assert out.branches[0].weight == pytest.approx(expected, rel=1e-12)
-    assert out.branches[1].weight == pytest.approx(-expected, rel=1e-12)
+    assert out[0, 0] == pytest.approx(expected, rel=1e-12)
+    assert out[0, 1] == pytest.approx(-expected, rel=1e-12)
     assert mc.coherent.squared_norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalize_exact_cancellation_is_zero_state():
-    state = mc.FieldBathSuperposition((mc.Branch(1.0, 0.0), mc.Branch(-1.0, 0.0)))
     with pytest.raises(mc.ZeroStateError):
-        mc.normalize(state)
+        mc.normalize([[1.0, -1.0], [0.0, 0.0]])
 
 
 def test_normalize_keeps_coinciding_branches():
-    state = mc.FieldBathSuperposition(
-        (mc.Branch(1.0, 1.0), mc.Branch(1.0, 1.0 + 1e-9))
-    )
-    out = mc.normalize(state)
-    assert len(out.branches) == 2
-    assert out.branches[0].weight == pytest.approx(0.5, abs=1e-12)
+    out = mc.normalize([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
+    assert out.shape == (2, 2)
+    assert out[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert mc.coherent.squared_norm(out) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_normalize_near_vacuum_odd_cat():
     # weights ~ 1/(2|alpha|) cancel; the norm is still exact: N^2 = -1/(2 expm1(-2|alpha|^2))
     alpha = 3e-7
-    state = mc.FieldBathSuperposition((mc.Branch(0.5, alpha), mc.Branch(-0.5, -alpha)))
-    out = mc.normalize(state)
+    out = mc.normalize([[0.5, -0.5], [alpha, -alpha]])
     expected = 0.5 * math.sqrt(-2.0 / math.expm1(-2.0 * alpha**2))
-    assert out.branches[0].weight == pytest.approx(expected, rel=1e-14)
+    assert out[0, 0] == pytest.approx(expected, rel=1e-14)
     assert mc.coherent.squared_norm(out) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -221,9 +215,8 @@ def test_normalize_near_vacuum_odd_cat():
 )
 def test_normalize_reaches_unit_norm(w1, w2, labels):
     l1, l2 = labels
-    state = mc.FieldBathSuperposition((mc.Branch(w1, l1), mc.Branch(w2, l2)))
     try:
-        out = mc.normalize(state)
+        out = mc.normalize([[w1, w2], [l1, l2]])
     except mc.ZeroStateError:
         return
     assert mc.coherent.squared_norm(out) == pytest.approx(1.0, abs=1e-12)
@@ -234,7 +227,7 @@ def test_normalize_reaches_unit_norm(w1, w2, labels):
 
 
 def test_reduce_pure_single_branch():
-    state = mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, 0.8 - 0.2j),)))
+    state = mc.normalize([[1.0], [0.8 - 0.2j]])
     rho = fresh(state)
     np.testing.assert_allclose(rho.coeff, [[1.0]], atol=1e-14)
     assert mc.purity(rho) == pytest.approx(1.0, abs=1e-12)
@@ -291,9 +284,7 @@ def test_reduce_trace_is_one(branch_data):
 
 
 def test_eigenvalues_pure_state():
-    state = mc.normalize(
-        mc.FieldBathSuperposition((mc.Branch(0.5, 1.3), mc.Branch(0.5, -1.3)))
-    )
+    state = mc.normalize([[0.5, 0.5], [1.3, -1.3]])
     spec = mc.eigenvalues(fresh(state))
     assert spec[0] == pytest.approx(1.0, abs=1e-12)
     assert spec[1] == pytest.approx(0.0, abs=1e-12)
@@ -400,9 +391,7 @@ def test_reduced_density_rejects_bad_exponents():
 
 
 def test_spectra_of_three_labels_are_unsupported():
-    state = mc.normalize(
-        mc.FieldBathSuperposition(tuple(mc.Branch(1.0, l) for l in (0j, 1 + 0j, 1j)))
-    )
+    state = mc.normalize([[1.0, 1.0, 1.0], [0j, 1 + 0j, 1j]])
     rho = fresh(state)
     assert rho.trace() == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(mc.UnsupportedInputError):
@@ -422,9 +411,7 @@ def test_expectation_identity_is_trace():
 
 
 def test_odd_parity_projector_on_odd_cat():
-    state = mc.normalize(
-        mc.FieldBathSuperposition((mc.Branch(0.5, 1.2), mc.Branch(-0.5, -1.2)))
-    )
+    state = mc.normalize([[0.5, -0.5], [1.2, -1.2]])
     rho = fresh(state)
     val = mc.expectation(ODD_PARITY, rho)
     assert val.real == pytest.approx(1.0, abs=1e-12)
@@ -451,9 +438,7 @@ def test_odd_parity_projector_on_vacuum():
 def test_expectation_matches_fock_oracle(w1, w2, labels, p1, p2):
     l1, l2 = labels
     try:
-        state = mc.normalize(
-            mc.FieldBathSuperposition((mc.Branch(w1, l1), mc.Branch(w2, l2)))
-        )
+        state = mc.normalize([[w1, w2], [l1, l2]])
     except mc.ZeroStateError:
         return
     rho = fresh(state)
@@ -540,11 +525,15 @@ def test_damped_density_matches_per_mode_reduction(flat_band_201, params, outcom
 
 
 def test_damped_occupations_do_not_assume_unitarity():
-    # a non-unitary (g, B) must show up as a drift of n_field + n_bath
-    state = mc.prepare(mc.ProtocolParams(Case.CASE_A, 1.2 + 0j, math.pi), Out.E)
+    # a non-unitary (g, B) must show up as a drift of n_field + n_bath: a coherent state keeps
+    # its unit trace under any flow, while a cat's trace moves and is rejected
+    state = mc.normalize([[1.0], [1.2 + 0j]])
     n_field0, _ = mc.damped_occupations(state, 1.0, 0.0)
     n_field, n_bath = mc.damped_occupations(state, math.sqrt(0.5), 0.52)
     assert abs(n_field + n_bath - n_field0) > 1e-3
+    cat = mc.prepare(mc.ProtocolParams(Case.CASE_A, 1.2 + 0j, math.pi), Out.E)
+    with pytest.raises(mc.PositivityError, match="trace"):
+        mc.damped_occupations(cat, math.sqrt(0.5), 0.52)
 
 
 @pytest.mark.parametrize("phi", [1e-3, 1e-4, 1e-5, 1e-6])
@@ -555,8 +544,7 @@ def test_occupations_of_nearly_coincident_labels_match_a_60_digit_sum(phi):
     g, depletion = mc.me_response(1.0, np.linspace(0.0, 2.0, 11))
     n_field, n_bath = mc.damped_occupations(state, g, depletion)
     with mpmath.workdps(60):
-        terms = [(mpmath.mpc(b.weight) * mpmath.mpc(b.field), mpmath.mpc(b.field))
-                 for b in state.branches]
+        terms = [(mpmath.mpc(w) * mpmath.mpc(a), mpmath.mpc(a)) for w, a in zip(*state.tolist())]
         for g_t, b_t, field, bath in zip(g, depletion, n_field, n_bath):
             s = abs(mpmath.mpc(g_t)) ** 2 + b_t
             q = sum(mpmath.conj(u) * v * mpmath.exp(s * (mpmath.conj(x) * y - (abs(x) ** 2 + abs(y) ** 2) / 2))
@@ -566,19 +554,49 @@ def test_occupations_of_nearly_coincident_labels_match_a_60_digit_sum(phi):
 
 
 def test_damped_density_rejects_bath_and_unnormalized_states():
-    raw = mc.FieldBathSuperposition((mc.Branch(2.0, 1.0),))
-    with pytest.raises(mc.InvalidArgumentError):
-        mc.damped_density(raw, 1.0, 0.0)
-    with pytest.raises(mc.InvalidArgumentError):
-        mc.damped_occupations(raw, 1.0, 0.0)
-    with pytest.raises(TypeError):  # a branch holds a weight and a field label only
-        mc.Branch(1.0, 1.0, (0j,))
+    raw = np.array([[2.0], [1.0]])
+    for damped in (mc.damped_density, mc.damped_occupations):
+        with pytest.raises(mc.PositivityError, match="trace"):
+            damped(raw, 1.0, 0.0)
+    with pytest.raises(mc.InvalidArgumentError):  # a state holds weights over field labels only
+        mc.damped_density([[1.0], [1.0], [0j]], 1.0, 0.0)
     # a stack of states needs each normalized and one branch count
-    one, two = mc.normalize(raw), mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, 1.0),) * 2))
-    with pytest.raises(mc.InvalidArgumentError, match="normalized"):
+    one, two = mc.normalize(raw), mc.normalize([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(mc.PositivityError, match="trace"):
         mc.damped_density([one, raw], 1.0, 0.0)
     with pytest.raises(mc.InvalidArgumentError, match="branch counts"):
         mc.damped_density([one, two], 1.0, 0.0)
+
+
+@pytest.mark.parametrize("branch", [0, 1])
+def test_a_weight_off_by_1e_6_is_rejected_by_density_and_occupations(branch):
+    # the unit norm is checked numerically, not trusted: the trace F(w, w) is 1 + O(1e-6)
+    state = mc.prepare(mc.ProtocolParams(Case.CASE_B, 1.3 + 0.2j, 0.9), Out.E)
+    state[0, branch] *= 1.0 + 1e-6
+    g, depletion = mc.me_response(1.0, np.linspace(0.0, 1.0, 5))
+    for damped in (mc.damped_density, mc.damped_occupations):
+        with pytest.raises(mc.PositivityError, match="trace .* at time index 0$"):
+            damped(state, g, depletion)
+    single = mc.normalize([[1.0], [1.0]])
+    single[0, 0] *= 1.0 + 1e-6
+    for damped in (mc.damped_density, mc.damped_occupations):
+        with pytest.raises(mc.PositivityError, match="trace"):
+            damped(single, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("state, message", [
+    ([[math.nan], [1.0]], "weight must be finite, got (nan+0j)"),
+    ([[1.0], [complex(0.0, math.inf)]], "field label must be finite, got infj"),
+    (np.zeros((2, 0)), "state needs at least one branch"),
+    ([[[1.0], [1.0]], [[1.0, 1.0], [1.0, -1.0]]], "stacked states need equal branch counts"),
+])
+def test_state_arrays_keep_the_state_checks(state, message):
+    for read in (mc.coherent.squared_norm, mc.normalize, lambda s: mc.damped_density(s, 1.0, 0.0),
+                 lambda s: mc.damped_occupations(s, 1.0, 0.0),
+                 lambda s: mc.fock.superposition_vector(s, 19)):
+        with pytest.raises(mc.InvalidArgumentError) as err:
+            read(state)
+        assert str(err.value).startswith(message)
 
 
 # ---------------------------------------------------------------------------

@@ -97,12 +97,12 @@ def test_lindblad_cat_off_diagonal_damping():
     gamma, t = 1.0, 0.35
     rho = fock.damp(vec, vec, *mc.me_response(GAMMA, t))
 
-    labels_t = [br.field * math.exp(-gamma * t / 2) for br in state.branches]
+    labels_t = [label * math.exp(-gamma * t / 2) for label in state[1]]
     vecs = [fock.coherent_to_fock(l, n_max) for l in labels_t]
     proj = np.array([[v1.conj() @ rho @ v2 for v2 in vecs] for v1 in vecs])
     s = np.array([[mc.overlap(p, q) for q in labels_t] for p in labels_t])
     coeff = np.linalg.solve(s, proj) @ np.linalg.inv(s)
-    w0, w1 = state.branches[0].weight, state.branches[1].weight
+    w0, w1 = state[0]
     measured = coeff[0, 1] / (w0 * np.conj(w1))
     expected = math.exp(-2.0 * 2.0 * (1.0 - math.exp(-gamma * t)))
     assert measured == pytest.approx(expected, abs=1e-6)
@@ -120,7 +120,7 @@ def test_lindblad_dyad_factor_oracle():
         g, depletion = mc.me_response(gamma, gt)
         dyad = fock.damp(va, vb, g, depletion)
         # the factor of |a><b| is the coherence exp(K_10) of the pair |b> + |a>
-        pair = mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, b), mc.Branch(1.0, a))))
+        pair = mc.normalize([[1.0, 1.0], [b, a]])
         factor = np.exp(mc.damped_density(pair, g, depletion).expo[1, 0])
         target = factor * np.outer(
             fock.coherent_to_fock(a * complex(g), n_max),
@@ -251,6 +251,18 @@ def test_damp_rejects_a_bra_shaped_unlike_its_ket(bra_shape):
     ket = fock.coherent_to_fock(0.5, 19)
     with pytest.raises(mc.InvalidArgumentError, match="differ$"):
         fock.damp(ket, np.ones(bra_shape, dtype=complex), 0.9, 0.19)
+
+
+def test_a_ket_passed_as_its_own_bra_keeps_the_bits_of_a_copied_bra():
+    # damp(v, v) shares the ket's loss images; zeros of either sign among the amplitudes
+    g, depletion = mc.me_response(GAMMA, np.linspace(0.0, 2.0, 9))
+    rng = np.random.default_rng(7)
+    noise = rng.normal(size=(6, 25)) + 1j * rng.normal(size=(6, 25))
+    noise[:, ::4], noise[:, 1::7] = 0.0, complex(-0.0, -0.0)
+    vecs = [fock.superposition_vector(odd_cat(1.0 + 0j), 24), fock.coherent_to_fock(-1.2, 24),
+            fock.coherent_to_fock(0.0, 24), *noise, noise[:3]]
+    for v in vecs:
+        assert fock.damp(v, v, g, depletion).tobytes() == fock.damp(v, v.copy(), g, depletion).tobytes()
 
 
 def test_damp_of_a_mixture_is_the_sum_of_its_dyads():

@@ -32,13 +32,13 @@ def test_me_response_rejects_a_bad_rate(gamma):
 
 def dyad_factor(a, b, t):
     """Coherence factor of |a><b| in the master density of the normalized pair |b> + |a>."""
-    pair = mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, b), mc.Branch(1.0, a))))
+    pair = mc.normalize([[1.0, 1.0], [b, a]])
     return complex(np.exp(mc.damped_density(pair, *mc.me_response(GAMMA, t)).expo[1, 0]))
 
 
 def test_amplitude_decay():
     def amplitude(alpha0, t):
-        state = mc.normalize(mc.FieldBathSuperposition((mc.Branch(1.0, alpha0),)))
+        state = mc.normalize([[1.0], [alpha0]])
         return complex(mc.damped_density(state, *mc.me_response(GAMMA, t)).labels[0])
 
     assert amplitude(1.5 + 0.5j, 0.0) == 1.5 + 0.5j

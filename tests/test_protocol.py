@@ -113,21 +113,22 @@ def test_measurement_product_hermitian(phi, case, outcome):
 def test_prepare_case_a_odd_cat():
     state = mc.prepare(params_a(math.pi, 1.0 + 0j), Out.E)
     weight = 1.0 / math.sqrt(2.0 * (1.0 - math.exp(-2)))
-    fields = sorted((b.field.real for b in state.branches))
+    weights, labels = state
+    fields = sorted(labels.real)
     assert fields == pytest.approx([-1.0, 1.0], abs=1e-12)
-    mags = [abs(b.weight) for b in state.branches]
+    mags = list(abs(weights))
     assert mags == pytest.approx([weight, weight], rel=1e-12)
-    signs = sorted(b.weight.real for b in state.branches)
+    signs = sorted(weights.real)
     assert signs[0] == pytest.approx(-weight, rel=1e-12)
 
 
 def test_prepare_case_b_g_branch_phases():
     phi, alpha0 = 0.6, 1.4 + 0j
     state = mc.prepare(params_b(phi, alpha0), Out.G)
-    b1, b2 = state.branches
-    assert b1.field == pytest.approx(alpha0 * cmath.exp(1j * phi), abs=1e-12)
-    assert b2.field == pytest.approx(alpha0 * cmath.exp(-1j * phi), abs=1e-12)
-    assert b1.weight / b2.weight == pytest.approx(cmath.exp(1j * phi), abs=1e-12)
+    (w1, w2), (l1, l2) = state
+    assert l1 == pytest.approx(alpha0 * cmath.exp(1j * phi), abs=1e-12)
+    assert l2 == pytest.approx(alpha0 * cmath.exp(-1j * phi), abs=1e-12)
+    assert w1 / w2 == pytest.approx(cmath.exp(1j * phi), abs=1e-12)
 
 
 def test_prepare_vacuum_case_a_e_is_zero_state():

@@ -277,9 +277,9 @@ def test_fock_evolves_whole_grids_not_rows(tmp_path, monkeypatch, points):
         calls.append(np.shape(depletion))
         return damp(ket, bra, g, depletion)
 
-    def expand(label, n_max, batch=0):
+    def expand(label, n_max, batch=0, pivoted=False):
         expanded.append(np.shape(label))
-        return coherent_to_fock(label, n_max, batch)
+        return coherent_to_fock(label, n_max, batch, pivoted)
 
     monkeypatch.setattr(fock, "damp", counted)
     monkeypatch.setattr(fock, "coherent_to_fock", expand)
@@ -316,7 +316,7 @@ def fock_rows_per_time(cfg):
     states = [mc.prepare(params, o) for o in (Out.E, Out.G)]
     vecs0 = [fock.superposition_vector(s, n_max) for s in states]
     ops = [mc.measurement_product(params, o) for o in (Out.E, Out.G)]
-    weights = [br.weight for br in states[0].branches]
+    weights = states[0][0]
     parity = 1.0 - 2.0 * (np.arange(n_max + 1) % 2)
     n_field_0 = fock.fock_mean_photon(fock.density_from_vector(vecs0[0]))
     blocks_used, columns = [], []
@@ -324,7 +324,7 @@ def fock_rows_per_time(cfg):
         response = mc.me_response(1.0, t)
         rho = [fock.damp(v, v, *response) for v in vecs0]
         p = [fock.fock_measure(op, r) for r in rho for op in ops]
-        labels = np.array([br.field * math.exp(-t / 2) for br in states[0].branches])
+        labels = states[0][1] * math.exp(-t / 2)
         vecs = [fock.coherent_to_fock(label, n_max) for label in labels]
         products = np.array([[v1.conj() @ rho[0] @ v2 for v2 in vecs] for v1 in vecs])
         g_b = runner._fock_gamma_b(products, labels, np.array(weights), n_max)
@@ -391,10 +391,10 @@ def both_engines_lams(monkeypatch, weights, labels, g):
     The analytic side is the run path's table, its prepared states swapped for these."""
     g = np.asarray(g, dtype=float)
     depletion = 1.0 - g * g
-    states = [mc.normalize(mc.FieldBathSuperposition((mc.Branch(w1, l), mc.Branch(w2, -l))))
-              for (w1, w2), l in zip(weights, labels)]
+    states = mc.normalize([[[w1, w2], [l, -l]] for (w1, w2), l in zip(weights, labels)])
     swept = [mc.ProtocolParams(mc.ProtocolCase.CASE_A, 1.0, 0.1 * (k + 1)) for k in range(len(states))]
-    monkeypatch.setattr(runner.proto, "prepare", dict(zip(swept, states)).get)
+    # every protocol prepares its state for both outcomes
+    monkeypatch.setattr(runner.proto, "_prepare_stack", lambda swept: np.stack([states] * 2, 1))
     tables = runner._analytic_tables(swept, np.zeros(len(g)), [(g, depletion, np.zeros(len(g), bool))])
     analytic = [np.stack([t["lam_e_plus"], t["lam_e_minus"]], axis=-1) for t in tables]
     n_max = int(fock.required_n_max(np.max(np.abs(labels))))
