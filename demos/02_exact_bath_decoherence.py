@@ -19,8 +19,9 @@ from mesocat import ProtocolCase as Case
 
 gamma = 1.0  # intensity decay rate, so t_c = 1
 bath = mc.discretize_flat_band(gamma, modes=201, half_bandwidth=50.0)
-print(f"flat band: {bath.n_modes} modes, coupling {bath.couplings[0]:.6f}, "
-      f"recurrence at t = {bath.recurrence_time:.2f} t_c")
+detunings, couplings = bath  # one real array (2, modes)
+print(f"flat band: {detunings.size} modes, coupling {couplings[0]:.6f}, "
+      f"recurrence at t = {mc.recurrence_time(bath):.2f} t_c")
 
 alpha0 = math.sqrt(3.3)
 params = mc.ProtocolParams(Case.CASE_A, alpha0 + 0j, phi=math.pi)

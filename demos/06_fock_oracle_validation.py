@@ -21,14 +21,14 @@ from mesocat import ProtocolCase as Case
 from mesocat import fock
 
 print("== One resonant bath mode: coherent algebra vs Kraus map at its response ==")
-spec = mc.BathSpec(np.array([0.0]), np.array([0.7]), target_gamma=1.0)
+bath = np.array([[0.0], [0.7]])  # one resonant mode: detuning over coupling
 params = mc.ProtocolParams(Case.CASE_A, 1.0 + 0j, math.pi)
 state = mc.prepare(params, Out.E)
 n_max = fock.required_n_max(params.alpha0)
 vec0 = fock.superposition_vector(state, n_max)
 
 times = np.array([0.4, 1.2, 2.0])
-g, depletion = mc.response(spec, times)
+g, depletion = mc.response(bath, times)
 exact = mc.eigenvalues(mc.damped_density(state, g, depletion))
 oracle = np.linalg.eigvalsh(fock.damp(vec0, vec0, g, depletion))[:, ::-1][:, :2]
 print("     t    eigenvalues (labels)      eigenvalues (Fock)        |diff|")
@@ -56,7 +56,7 @@ print(f"largest entry difference vs closed form: {np.max(np.abs(dyad_t - target)
 
 print()
 print("== Rank stays two ==")
-g, depletion = mc.response(spec, [1.0])
+g, depletion = mc.response(bath, [1.0])
 lams = np.linalg.eigvalsh(fock.damp(vec0, vec0, g[0], depletion[0]))[::-1]
 print(f"top eigenvalues: {lams[0]:.6f}, {lams[1]:.6f}; third largest: {lams[2]:.2e}")
 print("the reduced field density lives in the two-dimensional span of the")

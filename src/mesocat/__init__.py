@@ -16,7 +16,8 @@ coherent   exact coherent-state algebra: overlaps, the field density damped
            at (g, B), its eigenvalues and purity, (weights, phases) operators
 protocol   Ramsey/dispersive measurement operators, state preparation,
            conditional probabilities, closed-form eigenvalues
-bath       discretized bath, its exact response (g, B) from its secular spectrum
+bath       discretized bath, a real array (2, M) of detunings over couplings, and its exact
+           response (g, B) from its secular spectrum
 lindblad   closed-form zero-temperature master-equation response (g, B) at a rate gamma
 fock       brute-force truncated-Fock oracle on plain arrays, the damping map at (g, B)
 runner     scenario engines producing observable time series
@@ -24,7 +25,7 @@ config     scenario configuration schema
 cli        `mesocat run|compare|sweep` command-line entry points
 """
 
-from .bath import BathSpec, discretize_flat_band, response
+from .bath import discretize_flat_band, recurrence_time, response
 from .coherent import (
     ReducedDensity,
     damped_density,

@@ -13,7 +13,8 @@ initial field amplitude: alpha(t) = alpha(0) g(t), beta_k(t) = alpha(0) f_k(t),
 where (g, f) is column zero of exp(-i H t) for the (K+1)x(K+1) one-excitation
 matrix.  The field sees the bath only through g and the depletion
 B = sum_k |f_k|^2 (``coherent.damped_density``), which :func:`response` gives
-over a time grid.  The matrix is an arrowhead and is never formed: its
+over a time grid, for a bath held as one real array (2, M): ``detunings, couplings = bath``.
+The matrix is an arrowhead and is never formed: its
 eigenvalues are the roots of F(lam) = lam + sum_k g_k^2 / (D_k - lam) (Bunch,
 Nielsen & Sorensen, Numer. Math. 31, 31, 1978; the iteration of LAPACK dlaed4,
 R.-C. Li, LAWN 89, 1994), with field weights r_j = 1 / F'(lam_j).  The tests
@@ -24,8 +25,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,77 +40,61 @@ MAX_SWEEPS = 100
 EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True, eq=False)
-class BathSpec:
-    """Discretized bath: mode detunings, couplings, and the intended decay rate.
+def _bath(bath) -> tuple[np.ndarray, np.ndarray]:
+    """(detunings, couplings), (M,) each, of a bath: one real array (2, M), checked."""
+    try:
+        bath = np.asarray(bath, dtype=float)
+    except ValueError:  # numpy's error for ragged nested lists
+        bath = None
+    if bath is None or bath.ndim != 2 or len(bath) != 2:
+        raise InvalidArgumentError("bath must be a real (2, M) array: detunings over couplings")
+    if not bath.shape[1]:
+        raise InvalidArgumentError("bath needs at least one mode")
+    if not np.all(np.isfinite(bath)):
+        raise InvalidArgumentError("bath parameters must be finite")
+    if np.any(bath[1] <= 0.0):
+        raise InvalidArgumentError("couplings must be positive")
+    return bath[0], bath[1]
 
-    ``target_gamma`` is the field-intensity decay rate 1/t_c the couplings
-    aim to reproduce in the continuum (Wigner-Weisskopf) regime.
+
+def recurrence_time(bath) -> float:
+    """2 pi over the minimum detuning spacing of a bath (2, M); inf for a single mode."""
+    detunings, _ = _bath(bath)
+    if detunings.size < 2:
+        return math.inf
+    spacing = np.diff(np.sort(detunings))
+    d_min = spacing[spacing > 0.0].min() if np.any(spacing > 0.0) else 0.0
+    if d_min <= 0.0:
+        raise InvalidArgumentError("detunings must not all coincide")
+    return 2.0 * math.pi / d_min
+
+
+def _spectrum(bath) -> tuple[np.ndarray, ...]:
+    """(distinct detunings w, root origin in w, offset, residue); coincident modes merge.
+
+    sum_j r_j lam_j^n (n = 0, 1, 2) must be 1, 0 and sum g_k^2 to within
+    sum_j r_j a_j^n ((34 + roots) eps + 4 s_j), a_j = |w[origin]| + |tau|:
+    lam_j is known to eps a_j + s_j |tau| (s_j the solver's slack), which moves
+    r_j by 2 s_j as |F''| <= 2 F' / |tau|; r_j is good to 32 ulps, a sum to 1 a term.
     """
-
-    detunings: np.ndarray
-    couplings: np.ndarray
-    target_gamma: float
-
-    def __post_init__(self):
-        det = np.asarray(self.detunings, dtype=float)
-        cpl = np.asarray(self.couplings, dtype=float)
-        if det.ndim != 1 or cpl.shape != det.shape:
-            raise InvalidArgumentError("detunings and couplings must be equal-length 1-d arrays")
-        if det.size == 0:
-            raise InvalidArgumentError("bath needs at least one mode")
-        if not np.all(np.isfinite(det)) or not np.all(np.isfinite(cpl)):
-            raise InvalidArgumentError("bath parameters must be finite")
-        if np.any(cpl <= 0.0):
-            raise InvalidArgumentError("couplings must be positive")
-        if not (self.target_gamma > 0.0 and math.isfinite(self.target_gamma)):
-            raise InvalidArgumentError("target_gamma must be positive")
-        object.__setattr__(self, "detunings", det)
-        object.__setattr__(self, "couplings", cpl)
-        det.setflags(write=False)
-        cpl.setflags(write=False)
-
-    @property
-    def n_modes(self) -> int:
-        return self.detunings.size
-
-    @property
-    def recurrence_time(self) -> float:
-        """2 pi over the minimum detuning spacing; inf for a single mode."""
-        if self.n_modes < 2:
-            return math.inf
-        spacing = np.diff(np.sort(self.detunings))
-        d_min = spacing[spacing > 0.0].min() if np.any(spacing > 0.0) else 0.0
-        if d_min <= 0.0:
-            raise InvalidArgumentError("detunings must not all coincide")
-        return 2.0 * math.pi / d_min
-
-    @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, ...]:
-        """(distinct detunings w, root origin in w, offset, residue); coincident modes merge.
-
-        sum_j r_j lam_j^n (n = 0, 1, 2) must be 1, 0 and sum g_k^2 to within
-        sum_j r_j a_j^n ((34 + roots) eps + 4 s_j), a_j = |w[origin]| + |tau|:
-        lam_j is known to eps a_j + s_j |tau| (s_j the solver's slack), which moves
-        r_j by 2 s_j as |F''| <= 2 F' / |tau|; r_j is good to 32 ulps, a sum to 1 a term.
-        """
-        w, mode = np.unique(self.detunings, return_inverse=True)
-        c2 = np.bincount(mode, weights=self.couplings**2)
-        block = w.size + 1 if (w.size + 1) * w.size <= ROOT_BLOCK * 2001 else ROOT_BLOCK
-        blocks = np.split(np.arange(w.size + 1), range(block, w.size + 1, block))
-        solved = zip(*(_solve_block(w, c2, j) for j in blocks))
-        origin, tau, residue, slack = map(np.concatenate, solved)
-        lam, size = w[origin] + tau, np.abs(w[origin]) + np.abs(tau)
-        bound = residue * ((35 + w.size) * EPS + 4.0 * slack)
-        for n, exact in enumerate((1.0, 0.0, c2.sum())):
-            terms = residue * lam**n
-            if not abs(terms.sum() - exact) <= np.sum(bound * size**n):
-                raise AuditError(f"bath spectrum: moment {n} is {terms.sum()!r}, not {exact!r}")
-        return w, origin, tau, residue
+    detunings, couplings = _bath(bath)
+    w, mode = np.unique(detunings, return_inverse=True)
+    c2 = np.bincount(mode, weights=couplings**2)
+    block = w.size + 1 if (w.size + 1) * w.size <= ROOT_BLOCK * 2001 else ROOT_BLOCK
+    blocks = np.split(np.arange(w.size + 1), range(block, w.size + 1, block))
+    solved = zip(*(_solve_block(w, c2, j) for j in blocks))
+    origin, tau, residue, slack = map(np.concatenate, solved)
+    lam, size = w[origin] + tau, np.abs(w[origin]) + np.abs(tau)
+    bound = residue * ((35 + w.size) * EPS + 4.0 * slack)
+    for n, exact in enumerate((1.0, 0.0, c2.sum())):
+        terms = residue * lam**n
+        if not abs(terms.sum() - exact) <= np.sum(bound * size**n):
+            raise AuditError(f"bath spectrum: moment {n} is {terms.sum()!r}, not {exact!r}")
+    return w, origin, tau, residue
 
 
-def discretize_flat_band(target_gamma: float, modes: int, half_bandwidth: float) -> BathSpec:
-    """Flat band of equally spaced modes with golden-rule-matched couplings.
+def discretize_flat_band(target_gamma: float, modes: int, half_bandwidth: float) -> np.ndarray:
+    """Flat band (2, modes) of equally spaced modes with golden-rule-matched couplings.
 
     Detunings cover [-half_bandwidth, +half_bandwidth]; the uniform coupling
     sqrt(target_gamma * d / (2 pi)) (d the mode spacing) makes the
@@ -134,7 +117,7 @@ def discretize_flat_band(target_gamma: float, modes: int, half_bandwidth: float)
     spacing = 2.0 * half_bandwidth / (modes - 1)
     detunings = np.linspace(-half_bandwidth, half_bandwidth, modes)
     coupling = math.sqrt(target_gamma * spacing / (2.0 * math.pi))
-    return BathSpec(detunings, np.full(modes, coupling), target_gamma)
+    return np.stack([detunings, np.full(modes, coupling)])
 
 
 def _solve_block(w: np.ndarray, c2: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -193,8 +176,8 @@ def _solve_block(w: np.ndarray, c2: np.ndarray, j: np.ndarray) -> tuple[np.ndarr
     raise AuditError(f"bath spectrum: roots not converged after {MAX_SWEEPS} sweeps")
 
 
-def response(spec: BathSpec, times) -> tuple[np.ndarray, np.ndarray]:
-    """Field response g(t) and bath depletion B(t) = sum_k |f_k(t)|^2 over a time grid.
+def response(bath, times) -> tuple[np.ndarray, np.ndarray]:
+    """Field response g(t) and depletion B(t) = sum_k |f_k(t)|^2 of a bath (2, M) over a time grid.
 
     With h = sum_j r_j expm1(-i lam_j t) = sum_j r_j (-2 sin^2(lam_j t/2) - i sin(lam_j t)),
     g = 1 + h and B = 1 - |g|^2 = -2 Re h - |h|^2, exact at t = 0 (B = +0) and without
@@ -203,7 +186,7 @@ def response(spec: BathSpec, times) -> tuple[np.ndarray, np.ndarray]:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0.0):
         raise InvalidArgumentError("times must be a 1-d array of nonnegative finite values")
-    w, origin, tau, residue = spec._spectrum
+    w, origin, tau, residue = _spectrum(bath)
     lam, h = w[origin] + tau, np.zeros(len(times), dtype=complex)
     for i in range(0, lam.size, ROOT_BLOCK):
         phase, r = np.multiply.outer(lam[i:i + ROOT_BLOCK], times), residue[i:i + ROOT_BLOCK]

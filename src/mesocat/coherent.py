@@ -57,10 +57,11 @@ def _form(a, b, expo=None, labels=None, phase=0.0, offsets=None):
     """sum_ij a_i conj(b_j) exp(G_ij), G_ij = expo_ij + log <l_j|l_i e^{i phase}>, on leading axes.
 
     ``expo`` (zero diagonal, -inf allowed) and ``labels`` default to zero, ``offsets`` l_i - l_1
-    to the labels' differences.  Pivoted on the bra label y_1 = l_1 and the ket label
-    x_k = l_k e^{i phase} of largest Re G_k1, swapped to the front, G_ij = G_11 + alpha_i +
+    to the labels' differences.  Pivoted on the ket label x_k = l_k e^{i phase} and the bra
+    label y_m = l_m of largest Re G_km, both swapped to the front, G_ij = G_11 + alpha_i +
     beta_j + c_ij with alpha and beta from the offsets and c_ij = expo_ij - expo_i1 - expo_1j +
-    expo_11 + conj(y_j - y_1)(x_i - x_1), the sum is, each term to its own relative accuracy,
+    expo_11 + conj(y_j - y_1)(x_i - x_1), the sum is, each term to its own relative accuracy
+    and none above its pivot's size,
         e^{G_11} [(sum a + sum_i a_i expm1(alpha_i)) (sum conj b + sum_j conj(b_j) expm1(beta_j))
                   - sum_{i,j>1} a_i conj(b_j) e^{G_ij - G_11} expm1(-c_ij)].
     """
@@ -72,22 +73,28 @@ def _form(a, b, expo=None, labels=None, phase=0.0, offsets=None):
     if labels is not None:
         y = np.asarray(labels)
         y1, d = y[..., :1], y - y[..., :1] if offsets is None else np.asarray(offsets)
-        dx = dy = d[..., 1:]  # at phase 0 the ket pivot is the first label: alpha_i = log <y_1|y_i>
+        dx = dy = d[..., 1:]  # at phase 0 the pivot is the first label: alpha_i = log <y_1|y_i>
         alpha = 1j * cross(y1, dy) - 0.5 * _abs2(dy)
         beta = np.conj(alpha)
     if labels is not None and np.any(phase):
-        rot = np.expm1(1j * np.asarray(phase, dtype=float))[..., None]  # e^{i phase} - 1
-        full = np.broadcast_shapes(*(np.shape(v)[:-1] for v in (a, d, expo[..., 0], rot))) + (n,)
-        # Re G_i1 up to a constant: Re expo_i1 - |y_i|^2 / 2 + Re(conj(y_1) y_i e^{i phase})
-        p, turn = _product(np.conj(y1), y), rot + 1.0
-        reach = expo[..., :, 0].real - 0.5 * _abs2(y) + p.real * turn.real - p.imag * turn.imag
-        k = np.argmax(np.broadcast_to(reach, full), axis=-1).reshape(-1, 1)
-        swap = np.where(np.arange(n) == k, 0, np.arange(n)) + n * np.arange(k.size)[:, None]
-        swap[:, 0] = k[:, 0] + n * np.arange(k.size)  # flat indices of rows 0 and k swapped
-        a, d = (np.broadcast_to(v, full).ravel()[swap].reshape(full) for v in (a, d))
-        expo = np.broadcast_to(expo, full + (n,)).reshape(-1, n)[swap].reshape(full + (n,))
-        # the rotated ket offsets x_i - x_1 and gap = x_1 - y_1 after the swap
-        dx, gap = _product(d[..., 1:] - d[..., :1], turn), _product(y1 + d[..., :1], turn) - y1
+        turn = np.expm1(1j * np.asarray(phase, dtype=float))[..., None] + 1.0  # e^{i phase}
+        full = np.broadcast_shapes(*(np.shape(v)[:-1] for v in (a, b, d, expo[..., 0], turn)))
+        full += (n,)
+        x = _product(y, turn)  # the ket labels
+        reach = expo.real - 0.5 * _abs2(x[..., :, None] - y[..., None, :])  # Re G_ij
+        # the pivot (ket k, bra m), bra-major so that ties keep the first bra label
+        flat = np.broadcast_to(np.swapaxes(reach, -1, -2), full + (n,)).reshape(-1, n * n)
+        mk, idx = np.array(np.divmod(np.argmax(flat, axis=-1), n))[..., None], np.arange(n)
+        bra, ket = np.where(idx == mk, 0, np.where(idx == 0, mk, idx))  # 0 and m, or k, swapped
+        row = n * np.arange(len(flat))[:, None]  # flat indices into (stack, n), then (stack, n, n)
+        pick = lambda v, order: np.broadcast_to(v, full).ravel()[row + order].reshape(full)
+        a, b, dk, db = pick(a, ket), pick(b, bra), pick(d, ket), pick(d, bra)
+        cell = n * (row[..., None] + ket[..., None]) + bra[:, None, :]
+        expo = np.broadcast_to(expo, full + (n,)).ravel()[cell].reshape(full + (n,))
+        # after the swaps: the bra pivot y_1, offsets y_j - y_1 and x_i - x_1, gap = x_1 - y_1
+        y1, dy = y1 + db[..., :1], db[..., 1:] - db[..., :1]
+        dx = _product(dk[..., 1:] - dk[..., :1], turn)
+        gap = _product(y[..., :1] + dk[..., :1], turn) - y1
         u = y1 + gap  # x_1
         alpha = 1j * cross(u, dx) - _product(np.conj(gap), dx) - 0.5 * _abs2(dx)
         beta = _product(np.conj(dy), gap) - 1j * cross(y1, dy) - 0.5 * _abs2(dy)
@@ -95,9 +102,14 @@ def _form(a, b, expo=None, labels=None, phase=0.0, offsets=None):
         expo = expo - expo[..., :1, :1]  # expo_11 = 0 from here on, as at phase 0
     if labels is not None:
         c = _product(dx[..., :, None], np.conj(dy)[..., None, :])
-    inner = expo[..., 1:, 1:] + c
-    mixed = _product(np.exp(alpha[..., :, None] + beta[..., None, :] + inner),
-                     np.expm1(expo[..., 1:, :1] + expo[..., :1, 1:] - inner))
+    inner, outer = expo[..., 1:, 1:] + c, expo[..., 1:, :1] + expo[..., :1, 1:]
+    # e^{G_ij - G_11} expm1(-c_ij) = -e^{alpha_i + beta_j + outer_ij} expm1(c_ij), c_ij = inner -
+    # outer: the side whose expm1 takes Re <= 0, so that no factor overflows past the pivot
+    flip = (inner - outer).real < 0.0
+    ab = alpha[..., :, None] + beta[..., None, :]
+    mixed = _product(np.exp(ab + np.where(flip, outer, inner)),
+                     np.expm1(np.where(flip, inner - outer, outer - inner)))
+    mixed = np.where(flip, -mixed, mixed)
     left = a.sum(axis=-1) + _product(a[..., 1:], np.expm1(alpha + expo[..., 1:, 0])).sum(axis=-1)
     right = b.sum(axis=-1) + _product(b[..., 1:], np.expm1(beta + expo[..., 0, 1:])).sum(axis=-1)
     edge = _product(_product(a[..., 1:, None], b[..., None, 1:]), mixed).sum(axis=(-2, -1))

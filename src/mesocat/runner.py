@@ -79,10 +79,10 @@ def _labels_antipodal(labels) -> np.ndarray:
 def _response(cfg: ScenarioConfig, times_tc: np.ndarray) -> tuple[np.ndarray, ...]:
     """(g, B, recurrence flags) at the given times (t_c): the master's unless microscopic."""
     if cfg.engine == "microscopic":
-        spec = bathmod.discretize_flat_band(cfg.bath.gamma, cfg.bath.modes, cfg.bath.half_bandwidth)
+        bath = bathmod.discretize_flat_band(cfg.bath.gamma, cfg.bath.modes, cfg.bath.half_bandwidth)
         times = times_tc * (1.0 / cfg.bath.gamma)
-        recurrence = times > bathmod.RECURRENCE_FRACTION * spec.recurrence_time
-        return (*bathmod.response(spec, times), recurrence)
+        recurrence = times > bathmod.RECURRENCE_FRACTION * bathmod.recurrence_time(bath)
+        return (*bathmod.response(bath, times), recurrence)
     times = times_tc * (1.0 / cfg.master.gamma)
     g, depletion = lindblad.me_response(cfg.master.gamma, times)
     return g, depletion, np.zeros(len(times), dtype=bool)
@@ -209,8 +209,11 @@ SLOPE_GRID = np.logspace(-3.0, -2.0, 9)
 _analytic_tables = functools.partial(_stack_tables, backend=_analytic)
 
 
-def _defect_slope(defect_e: np.ndarray) -> float:
-    """Fitted log-log slope of defect_e against t on SLOPE_GRID."""
+def _defect_slope(defect_e: np.ndarray) -> float | None:
+    """Fitted log-log slope of defect_e against t on SLOPE_GRID; None (JSON null) unless
+    defect_e is positive across it: a state that stays pure has no slope."""
+    if not np.all(defect_e > 0.0):
+        return None
     return float(np.polyfit(np.log(SLOPE_GRID), np.log(defect_e), 1)[0])
 
 

@@ -52,11 +52,16 @@ providers._get_local_constants = _fixed_local_constants
 
 @pytest.fixture(scope="session")
 def flat_band_201():
-    """Canonical flat band: gamma = 1, 201 modes, half-bandwidth 50."""
-    return mc.discretize_flat_band(1.0, 201, 50.0)
+    """Canonical flat band: gamma = 1, 201 modes, half-bandwidth 50; read-only, as it is shared."""
+    return _read_only(mc.discretize_flat_band(1.0, 201, 50.0))
 
 
 @pytest.fixture(scope="session")
 def resonant_single_mode():
-    """One bath mode exactly on resonance, coupling 0.7."""
-    return mc.BathSpec(np.array([0.0]), np.array([0.7]), target_gamma=1.0)
+    """One bath mode exactly on resonance, coupling 0.7; read-only, as it is shared."""
+    return _read_only(np.array([[0.0], [0.7]]))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array

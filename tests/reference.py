@@ -34,15 +34,15 @@ from mesocat.coherent import NORM_FLOOR, ReducedDensity, _form
 COLUMN_BLOCK = 256
 
 
-def one_excitation_matrix(spec) -> np.ndarray:
-    """H = (0, c^T; c, diag(D)) over the field and the bath modes, one excitation."""
-    h = np.diag(np.concatenate(([0.0], spec.detunings)))
-    h[0, 1:] = h[1:, 0] = spec.couplings
+def one_excitation_matrix(bath) -> np.ndarray:
+    """H = (0, c^T; c, diag(D)) over the field and the modes of a bath (D, c), one excitation."""
+    detunings, couplings = np.asarray(bath, dtype=float)
+    h = np.diag(np.concatenate(([0.0], detunings)))
+    h[0, 1:] = h[1:, 0] = couplings
     return h
 
 
-@functools.lru_cache(maxsize=4)
-def eigenpairs(spec) -> tuple[np.ndarray, np.ndarray]:
+def eigenpairs(bath) -> tuple[np.ndarray, np.ndarray]:
     """(lam, v): eigenvalues (long double) and eigenvectors of H from one eigh, refined.
 
     eigh's eigenvalues are off by about eps |H|, a phase error that grows with t,
@@ -51,10 +51,17 @@ def eigenpairs(spec) -> tuple[np.ndarray, np.ndarray]:
     vector's, and each vector one step of inverse iteration, (H - lam) x = v; both
     in long double.  The arrowhead gives H v and the solve in O(M) per vector: a
     pivot that is exactly zero (lam on a pole, or on the root of the Schur
-    complement) becomes eps |H|, as in LAPACK's inverse iteration.
+    complement) becomes eps |H|, as in LAPACK's inverse iteration.  Cached per bath value.
     """
-    _, vectors = np.linalg.eigh(one_excitation_matrix(spec))
-    c, w = (x.astype(np.longdouble)[:, None] for x in (spec.couplings, spec.detunings))
+    bath = np.asarray(bath, dtype=float)
+    return _eigenpairs(bath.tobytes(), bath.shape)
+
+
+@functools.lru_cache(maxsize=4)
+def _eigenpairs(data: bytes, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    detunings, couplings = np.frombuffer(data).reshape(shape)
+    _, vectors = np.linalg.eigh(one_excitation_matrix((detunings, couplings)))
+    c, w = (x.astype(np.longdouble)[:, None] for x in (couplings, detunings))
     tiny = np.finfo(np.longdouble).eps * (np.abs(w).max() + np.sqrt(np.sum(c * c)))
     lam = np.empty(len(vectors), dtype=np.longdouble)
     for j in range(0, len(vectors), COLUMN_BLOCK):
@@ -71,21 +78,21 @@ def eigenpairs(spec) -> tuple[np.ndarray, np.ndarray]:
     return lam, vectors
 
 
-def flow(spec, times) -> tuple[np.ndarray, np.ndarray]:
+def flow(bath, times) -> tuple[np.ndarray, np.ndarray]:
     """(g, f) over times (T,) and (T, M): column zero of exp(-i H t), summed over eigenpairs."""
-    lam, v = eigenpairs(spec)
+    lam, v = eigenpairs(bath)
     phases = np.exp(-1j * np.multiply.outer(np.asarray(times, dtype=np.longdouble), lam))
     amp = (phases.astype(complex) * v[0]) @ v.T
     return amp[:, 0], amp[:, 1:]
 
 
-def eigh_response(spec, times) -> tuple[np.ndarray, np.ndarray]:
+def eigh_response(bath, times) -> tuple[np.ndarray, np.ndarray]:
     """(g, B) over times, B = sum_k |f_k|^2 summed over the modes."""
-    g, f = flow(spec, times)
+    g, f = flow(bath, times)
     return g, np.sum(f.real**2 + f.imag**2, axis=1)
 
 
-def hamiltonian_state(vector, spec, t: float, n_bath: int) -> np.ndarray:
+def hamiltonian_state(vector, bath, t: float, n_bath: int) -> np.ndarray:
     """Field+bath state at time t from a field Fock vector, the bath starting empty.
 
     H = sum_k D_k b_k^dag b_k + g_k (a^dag b_k + b_k^dag a), built as a sparse
@@ -93,7 +100,8 @@ def hamiltonian_state(vector, spec, t: float, n_bath: int) -> np.ndarray:
     The amplitudes come shaped (field level, bath levels): psi psi^dag is the
     field density.
     """
-    dims = (len(vector),) + (n_bath + 1,) * spec.n_modes
+    detunings, couplings = np.asarray(bath, dtype=float)
+    dims = (len(vector),) + (n_bath + 1,) * len(detunings)
 
     def mode_op(which):
         factors = [sparse.identity(d, format="csr") for d in dims]
@@ -102,7 +110,7 @@ def hamiltonian_state(vector, spec, t: float, n_bath: int) -> np.ndarray:
 
     a = mode_op(0)
     h = sparse.csr_matrix(a.shape, dtype=complex)
-    for k, (detuning, coupling) in enumerate(zip(spec.detunings, spec.couplings)):
+    for k, (detuning, coupling) in enumerate(zip(detunings, couplings)):
         b = mode_op(k + 1)
         h = h + detuning * (b.T @ b) + coupling * (a.T @ b + b.T @ a)
     psi = np.kron(vector, np.eye(1, math.prod(dims[1:]))[0])  # bath vacuum
@@ -113,12 +121,12 @@ def hamiltonian_state(vector, spec, t: float, n_bath: int) -> np.ndarray:
 # per-mode branches (weight, field, bath)
 
 
-def evolve(state, spec, t: float) -> list[tuple]:
+def evolve(state, bath, t: float) -> list[tuple]:
     """Branches of a normalized prepared state (2, n) after time t: |a> |0> to |a g> prod_k |a f_k>."""
     nrm2 = mc.coherent.squared_norm(state)
     if abs(nrm2 - 1.0) > mc.coherent.EIGENVALUE_TOL:
         raise mc.PositivityError(f"evolve() needs a normalized state, norm^2 = {nrm2!r}")
-    (g,), (f,) = flow(spec, [t])
+    (g,), (f,) = flow(bath, [t])
     weights, labels = (np.asarray(row).tolist() for row in state)
     return [(w, a * g, a * f) for w, a in zip(weights, labels)]
 

@@ -193,7 +193,7 @@ def test_criterion_5_master_equation_closed_form():
 
 def test_criterion_6_oracle_equivalence(resonant_single_mode):
     worst = 0.0
-    two_mode = mc.BathSpec(np.array([0.0, 1.2]), np.array([0.45, 0.35]), target_gamma=1.0)
+    two_mode = np.array([[0.0, 1.2], [0.45, 0.35]])
     scenarios = [
         (case_a_pi(1.2 + 0j), resonant_single_mode, 0.9),
         (case_a_pi(1.4 + 0j), two_mode, 0.7),

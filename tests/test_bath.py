@@ -33,40 +33,54 @@ def odd_cat(alpha0=1.0 + 0j):
 # discretization
 
 
-@pytest.mark.parametrize("detunings, couplings, gamma, message", [
-    ([[0.0, 1.0]], [[0.5, 0.5]], 1.0, "equal-length 1-d arrays"),
-    ([0.0, 1.0], [0.5], 1.0, "equal-length 1-d arrays"),
-    ([], [], 1.0, "at least one mode"),
-    ([0.0, math.nan], [0.5, 0.5], 1.0, "must be finite"),
-    ([0.0, 1.0], [0.5, 0.0], 1.0, "couplings must be positive"),
-    ([0.0, 1.0], [0.5, 0.5], math.inf, "target_gamma must be positive"),
-    ([0.0, 1.0], [0.5, 0.5], 0.0, "target_gamma must be positive"),
-])
-def test_bath_spec_rejections(detunings, couplings, gamma, message):
-    with pytest.raises(mc.InvalidArgumentError, match=message):
-        mc.BathSpec(np.array(detunings, dtype=float), np.array(couplings, dtype=float), gamma)
+SHAPE = r"bath must be a real \(2, M\) array: detunings over couplings"
+BAD_BATHS = {
+    "nested-rows": ([[[0.0, 1.0]], [[0.5, 0.5]]], SHAPE),
+    "ragged": ([[0.0, 1.0], [0.5]], SHAPE),
+    "one-row": ([0.0, 1.0], SHAPE),
+    "three-rows": ([[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]], SHAPE),
+    "no-mode": ([[], []], "bath needs at least one mode"),
+    "nan": ([[0.0, math.nan], [0.5, 0.5]], "bath parameters must be finite"),
+    "inf-coupling": ([[0.0, 1.0], [0.5, math.inf]], "bath parameters must be finite"),
+    "zero-coupling": ([[0.0, 1.0], [0.5, 0.0]], "couplings must be positive"),
+    "negative-coupling": ([[0.0, 1.0], [-0.5, 0.5]], "couplings must be positive"),
+}
+READERS = {
+    "response": lambda bath: mc.response(bath, [0.5]),
+    "recurrence_time": mc.recurrence_time,
+    "spectrum": bathmod._spectrum,
+}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+@pytest.mark.parametrize("case", list(BAD_BATHS))
+def test_bath_rejections(case, reader):
+    bath, message = BAD_BATHS[case]
+    with pytest.raises(mc.InvalidArgumentError, match=f"^{message}$"):
+        READERS[reader](bath)
 
 
 def test_recurrence_time_of_one_mode_and_of_coincident_modes():
-    assert mc.BathSpec(np.array([0.0]), np.array([0.7]), 1.0).recurrence_time == math.inf
-    coincident = mc.BathSpec(np.array([0.5, 0.5, 0.5]), np.array([0.2, 0.3, 0.4]), 1.0)
-    with pytest.raises(mc.InvalidArgumentError, match="must not all coincide"):
-        coincident.recurrence_time
+    assert mc.recurrence_time([[0.0], [0.7]]) == math.inf
+    with pytest.raises(mc.InvalidArgumentError, match="^detunings must not all coincide$"):
+        mc.recurrence_time([[0.5, 0.5, 0.5], [0.2, 0.3, 0.4]])
 
 
 def test_flat_band_canonical_values():
-    spec = mc.discretize_flat_band(1.0, 201, 50.0)
-    assert spec.couplings[0] == pytest.approx(math.sqrt(0.5 / (2 * math.pi)), rel=1e-12)
-    assert spec.couplings[0] == pytest.approx(0.282095, abs=1e-6)
-    assert spec.recurrence_time == pytest.approx(4 * math.pi, rel=1e-12)
-    assert spec.detunings[100] == 0.0
-    assert np.all(np.diff(spec.detunings) > 0)
+    bath = mc.discretize_flat_band(1.0, 201, 50.0)
+    detunings, couplings = bath
+    assert bath.shape == (2, 201) and bath.dtype == float
+    assert couplings[0] == pytest.approx(math.sqrt(0.5 / (2 * math.pi)), rel=1e-12)
+    assert couplings[0] == pytest.approx(0.282095, abs=1e-6)
+    assert mc.recurrence_time(bath) == pytest.approx(4 * math.pi, rel=1e-12)
+    assert detunings[100] == 0.0
+    assert np.all(np.diff(detunings) > 0)
 
 
 def test_flat_band_narrow_is_valid_but_warns():
     with pytest.warns(UserWarning):
-        spec = mc.discretize_flat_band(1.0, 3, 5.0)
-    assert spec.recurrence_time == pytest.approx(2 * math.pi / 5.0, rel=1e-12)
+        bath = mc.discretize_flat_band(1.0, 3, 5.0)
+    assert mc.recurrence_time(bath) == pytest.approx(2 * math.pi / 5.0, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -116,19 +130,19 @@ def test_response_matches_propagate_over_a_grid(flat_band_201):
 
 
 # detunings out of order; COINCIDENT repeats 0.5 and -1.0 twice and 3.0 three times
-UNSORTED = (np.array([3.0, -1.0, 0.5, 2.0, -2.5, 0.0, 1.5]),
-            np.array([0.3, 0.2, 0.4, 0.1, 0.5, 0.25, 0.15]))
-COINCIDENT = (np.array([0.5, 3.0, -1.0, 0.5, 3.0, 2.0, -1.0, 3.0]),
-              np.array([0.3, 0.2, 0.4, 0.1, 0.5, 0.25, 0.15, 0.35]))
+UNSORTED = np.array([[3.0, -1.0, 0.5, 2.0, -2.5, 0.0, 1.5],
+                     [0.3, 0.2, 0.4, 0.1, 0.5, 0.25, 0.15]])
+COINCIDENT = np.array([[0.5, 3.0, -1.0, 0.5, 3.0, 2.0, -1.0, 3.0],
+                       [0.3, 0.2, 0.4, 0.1, 0.5, 0.25, 0.15, 0.35]])
 RESPONSE_CASES = {
-    "1-mode": lambda: mc.BathSpec(np.array([0.0]), np.array([0.7]), 1.0),
+    "1-mode": lambda: np.array([[0.0], [0.7]]),
     "11-modes": lambda: mc.discretize_flat_band(1.0, 11, 12.0),
     "201-modes": lambda: mc.discretize_flat_band(1.0, 201, 50.0),
     # eigh's own residues v_0^2 put its g off by 3.6e-14 here, and by 8e-14 at W = 500;
     # one inverse-iteration step per vector brings that below 1e-15
     "2001-modes": lambda: mc.discretize_flat_band(1.0, 2001, 50.0),
-    "unsorted": lambda: mc.BathSpec(*UNSORTED, 1.0),
-    "coincident": lambda: mc.BathSpec(*COINCIDENT, 1.0),
+    "unsorted": lambda: UNSORTED,
+    "coincident": lambda: COINCIDENT,
 }
 
 
@@ -149,19 +163,19 @@ def test_response_matches_eigh_of_the_one_excitation_matrix(case):
 # roots far from their nearest detuning, or next to a weakly coupled one; a moment bound
 # of 32 ulps of r_j lam_j^n fails on far-band and far-mode (n = 1) and on weak-poles (n = 0)
 HARD_BATHS = {
-    "far-band": (np.linspace(997.0, 1003.0, 41), np.full(41, 0.05)),
-    "far-mode": (np.array([300.0]), np.array([0.01])),
-    "cluster": (np.array([-1.0, -1.0 + 1e-10, -1.0 + 2e-10, 2.0, 2.0 + 1e-11, 5.0]),
-                np.array([0.3, 0.2, 0.1, 0.4, 0.5, 0.05])),
-    "weak-poles": (np.array([56.064, -1.014, 71.218, -0.179, 0.129, -1.149]),
-                   np.array([2.7539, 0.1044, 0.0004, 0.9542, 0.0051, 0.0007])),
+    "far-band": np.array([np.linspace(997.0, 1003.0, 41), np.full(41, 0.05)]),
+    "far-mode": np.array([[300.0], [0.01]]),
+    "cluster": np.array([[-1.0, -1.0 + 1e-10, -1.0 + 2e-10, 2.0, 2.0 + 1e-11, 5.0],
+                         [0.3, 0.2, 0.1, 0.4, 0.5, 0.05]]),
+    "weak-poles": np.array([[56.064, -1.014, 71.218, -0.179, 0.129, -1.149],
+                            [2.7539, 0.1044, 0.0004, 0.9542, 0.0051, 0.0007]]),
 }
 
 
 @pytest.mark.parametrize("case", list(HARD_BATHS))
 def test_moment_check_passes_roots_that_are_hard_to_place(case):
     # eigh itself is good to a few eps ||H|| in each eigenvalue, so to that times t in g
-    spec = mc.BathSpec(*HARD_BATHS[case], 1.0)
+    spec = HARD_BATHS[case]
     times = np.linspace(0.0, 20.0, 41)
     g, depletion = mc.response(spec, times)
     g_ref, b_ref = eigh_response(spec, times)
@@ -175,8 +189,8 @@ def test_coincident_detunings_act_as_one_merged_mode():
     merged_det = np.unique(det)
     merged_cpl = np.array([math.sqrt(np.sum(cpl[det == d] ** 2)) for d in merged_det])
     times = np.linspace(0.0, 40.0, 81)
-    g, depletion = mc.response(mc.BathSpec(det, cpl, 1.0), times)
-    g_merged, b_merged = mc.response(mc.BathSpec(merged_det, merged_cpl, 1.0), times)
+    g, depletion = mc.response(COINCIDENT, times)
+    g_merged, b_merged = mc.response((merged_det, merged_cpl), times)
     assert np.max(np.abs(g - g_merged)) < 1e-14
     assert np.max(np.abs(depletion - b_merged)) < 1e-14
 
@@ -200,9 +214,9 @@ def test_response_blocks_join_across_block_boundaries(monkeypatch):
     solved, solve = [], bathmod._solve_block
     monkeypatch.setattr(bathmod, "_solve_block", lambda w, c2, j: solved.append(j.size) or solve(w, c2, j))
     monkeypatch.setattr(bathmod, "ROOT_BLOCK", 512)
-    blocked = mc.discretize_flat_band(1.0, 1025, 40.0)._spectrum
+    blocked = bathmod._spectrum(mc.discretize_flat_band(1.0, 1025, 40.0))
     monkeypatch.setattr(bathmod, "ROOT_BLOCK", 1026)
-    whole = mc.discretize_flat_band(1.0, 1025, 40.0)._spectrum
+    whole = bathmod._spectrum(mc.discretize_flat_band(1.0, 1025, 40.0))
     assert solved == [512, 512, 2, 1026]
     assert all(np.array_equal(a, b) for a, b in zip(blocked, whole))
 
@@ -218,7 +232,7 @@ def test_response_memory_stays_below_one_dense_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (spec.n_modes + 1) ** 2 * 8
+    assert peak < (spec.shape[1] + 1) ** 2 * 8
 
 
 @pytest.mark.parametrize("times", [[-0.1, 0.5], [0.2, math.inf], [[0.1]]])
@@ -251,8 +265,7 @@ def expm_response(spec, t):
 def test_integrator_matches_exact(flat_band_201, resonant_single_mode):
     # the response and the per-mode flow of the eigh reference against expm
     small = mc.discretize_flat_band(1.0, 11, 12.0)
-    coincident = mc.BathSpec(*COINCIDENT, 1.0)
-    cases = ((resonant_single_mode, 1.3), (small, 0.8), (flat_band_201, 0.7), (coincident, 2.1))
+    cases = ((resonant_single_mode, 1.3), (small, 0.8), (flat_band_201, 0.7), (COINCIDENT, 2.1))
     for spec, t in cases:
         g_ref, f_ref = expm_response(spec, t)
         (g,), (depletion,) = mc.response(spec, [t])
@@ -275,7 +288,7 @@ def test_reference_never_reads_the_secular_spectrum(monkeypatch):
     def unavailable(*args):
         raise AssertionError("a reference read the library's response")
 
-    monkeypatch.setattr(mc.BathSpec, "_spectrum", property(unavailable))
+    monkeypatch.setattr(bathmod, "_spectrum", unavailable)
     monkeypatch.setattr(bathmod, "response", unavailable)
     spec = mc.discretize_flat_band(1.0, 11, 12.0)
     state = odd_cat()
@@ -283,7 +296,7 @@ def test_reference_never_reads_the_secular_spectrum(monkeypatch):
     g, depletion = eigh_response(spec, [0.5])
     assert rho.trace() == pytest.approx(1.0, abs=1e-12)
     assert abs(g[0]) ** 2 + depletion[0] == pytest.approx(1.0, abs=1e-12)
-    two_modes = mc.BathSpec(np.array([0.0, 1.5]), np.array([0.5, 0.4]), 1.0)
+    two_modes = np.array([[0.0, 1.5], [0.5, 0.4]])
     vector = np.eye(1, 12)[0]  # one photon in the field
     psi = hamiltonian_state(vector, two_modes, 0.8, 2)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)

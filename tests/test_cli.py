@@ -529,6 +529,14 @@ def test_prepared_fock_vectors_near_the_norm_floor_match_a_60_digit_sum():
 # exit codes
 
 
+def test_large_amplitudes_away_from_phi_pi_exit_0(tmp_path, capsys):
+    # the phase forms' pivot on the first bra label alone overflowed at |alpha0| = 25 (exit 4)
+    cfg = base_config(tmp_path, phi=2.1, alpha0={"re": 25.0, "im": 0.0},
+                      time={"t_max_over_tc": 1.0, "points": 3})
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_exit_2_on_schema_violation(tmp_path, capsys):
     cfg = base_config(tmp_path, engine="microscopic")  # missing bath
     path = write_config(tmp_path, cfg)
@@ -734,10 +742,28 @@ def test_compare_outputs_joint_table_and_summary(tmp_path):
     assert summary["defect_slope_master"] == pytest.approx(1.0, abs=0.1)
 
 
+@pytest.mark.parametrize("alpha0", [0.0, 1e-200])
+def test_compare_on_a_state_that_stays_pure_writes_null_slopes(tmp_path, capsys, alpha0):
+    # defect_e is 0 across the slope grid: no log(0) warning, and no NaN in the summary
+    out = tmp_path / "cmp.csv"
+    cfg = base_config(tmp_path, case="b", phi=0.7, alpha0={"re": alpha0, "im": 0.0},
+                      engine="microscopic", bath=BAND_51)
+    cfg["output"]["path"] = str(out)
+    assert cli.main(["compare", "--config", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+    def reject(token):
+        raise ValueError(f"not RFC 8259 JSON: {token}")
+
+    summary = json.loads((tmp_path / "cmp.csv.summary.json").read_text(), parse_constant=reject)
+    assert summary["defect_slope_micro"] is None and summary["defect_slope_master"] is None
+    assert summary["max_abs_eta_gap"] == 0.0
+
+
 def test_microscopic_run_path_forms_no_one_excitation_matrix(tmp_path, monkeypatch):
     # the library has no (M+1)^2 matrix to build, and in compare and an 8-value phi
     # sweep no Hermitian eigensolver sees an operand the size of the band
-    assert not hasattr(mc.BathSpec, "one_excitation_matrix")
+    assert not hasattr(mc.bath, "one_excitation_matrix")
     sizes = []
 
     def recording(solver):

@@ -553,6 +553,30 @@ def test_occupations_of_nearly_coincident_labels_match_a_60_digit_sum(phi):
             assert abs(bath - b_t * q) <= 1e-13 * max(abs(bath), 1e-300)
 
 
+@pytest.mark.parametrize("case", [Case.CASE_A, Case.CASE_B])
+@pytest.mark.parametrize("phi", [0.7, math.pi / 4, 2.1])
+def test_phase_forms_at_large_amplitudes_match_a_50_digit_sum(case, phi):
+    # in case A at phi = 2.1 and |alpha0| = 25 the pair (ket alpha0, bra alpha0) has G = 0, but
+    # the best pair on the first bra label has G = -931: pivoted there, e^{G_ij - G_11}
+    # overflowed, e^{G_11} underflowed and the form was NaN
+    g, depletion = mc.me_response(1.0, np.array([0.0, 0.3]))
+    for r in range(5, 55, 5):
+        params = mc.ProtocolParams(case, r + 0j, phi)
+        phases = mc.measurement_product(params, Out.E)[1]
+        states = np.array([mc.prepare(params, outcome) for outcome in Out])
+        forms = mc.coherent._phase_forms(phases, mc.damped_density(states, g, depletion))
+        with mpmath.workdps(50):
+            log_overlap = lambda x, y: mpmath.conj(x) * y - (abs(x) ** 2 + abs(y) ** 2) / 2
+            for t, (g_t, b_t) in enumerate(zip(g.tolist(), depletion.tolist())):
+                for o, (weights, labels) in enumerate(states.tolist()):
+                    for k, psi in enumerate(phases.tolist()):
+                        turn = mpmath.expj(psi)
+                        exact = sum(mpmath.mpc(wi) * mpmath.conj(wj) * mpmath.exp(
+                            b_t * log_overlap(aj, ai) + log_overlap(aj * g_t, ai * g_t * turn))
+                            for wi, ai in zip(weights, labels) for wj, aj in zip(weights, labels))
+                        assert abs(forms[t, o, k] - complex(exact)) <= 1e-12, (r, t, o, psi)
+
+
 def test_damped_density_rejects_bath_and_unnormalized_states():
     raw = np.array([[2.0], [1.0]])
     for damped in (mc.damped_density, mc.damped_occupations):

@@ -166,7 +166,7 @@ def test_lindblad_kraus_map_matches_generator_exponential():
 def test_damp_at_the_bath_response_matches_the_coherent_algebra(flat_band_201, outcome, shift):
     # the band symmetric about resonance gives a real g; shifted by 0.7 gamma it
     # gives a complex g (Im g ~ 3e-3, a Lamb shift), which checks the conj(g)^n factor
-    band = mc.BathSpec(flat_band_201.detunings + shift, flat_band_201.couplings, 1.0)
+    band = flat_band_201 + [[shift], [0.0]]
     n_max = 29
     state = mc.prepare(mc.ProtocolParams(Case.CASE_B, 1.3 + 0j, math.pi / 4), outcome)
     vec = fock.superposition_vector(state, n_max)
@@ -203,7 +203,7 @@ def test_lindblad_grid_is_the_stack_of_scalar_calls(flat_band_201, which):
     # each grid time is its own (N x N) product, so the scalar call gives its bits; n_max 39
     # is the benchmark's, and the band shifted off resonance gives a complex g
     times = np.array([0.0, 1e-9, 0.02, 0.3, 1.0, 2.5, 7.0, 40.0])
-    band = mc.BathSpec(flat_band_201.detunings + 0.7, flat_band_201.couplings, 1.0)
+    band = flat_band_201 + [[0.7], [0.0]]
     responses = (mc.me_response(1.3, times), mc.response(band, times))
     assert np.max(np.abs(responses[1][0].imag)) > 1e-3
     for n_max in (19, 39):
@@ -386,7 +386,7 @@ def test_hamiltonian_evolve_matches_label_engine_eigenvalues(resonant_single_mod
 
 
 def test_hamiltonian_evolve_two_modes_matches_label_engine():
-    spec = mc.BathSpec(np.array([0.0, 1.5]), np.array([0.5, 0.4]), target_gamma=1.0)
+    spec = np.array([[0.0, 1.5], [0.5, 0.4]])
     alpha0 = 0.9 + 0j
     n_max = fock.required_n_max(alpha0)
     state = odd_cat(alpha0)

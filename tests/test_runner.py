@@ -89,10 +89,30 @@ def test_master_rows_match_me_reduce(tmp_path):
 @pytest.mark.parametrize("engine", ["microscopic", "master", "fock"])
 def test_response_flags_times_beyond_the_recurrence_fraction(tmp_path, flat_band_201, engine):
     # the band of `scenario`; only a discrete bath recurs
-    limit = bathmod.RECURRENCE_FRACTION * flat_band_201.recurrence_time
+    limit = bathmod.RECURRENCE_FRACTION * mc.recurrence_time(flat_band_201)
     cfg = parse_scenario(scenario(tmp_path, engine))
     _, _, flags = runner._response(cfg, np.array([0.0, 0.9 * limit, 1.1 * limit]))
     assert flags.tolist() == [False, False, engine == "microscopic"]
+
+
+@pytest.mark.parametrize("engine", ["master", "fock"])
+def test_master_gamma_only_sets_the_time_unit(tmp_path, engine):
+    # the grid is in t_c = 1/gamma and g, B depend on gamma t alone: every gamma gives one table
+    cfg = parse_scenario(scenario(tmp_path, engine, 1.0, "b", 0.7, t_max=3.0, points=13))
+    tables = [runner.run_scenario(replace(cfg, master=replace(cfg.master, gamma=gamma)))
+              for gamma in (0.37, 1.0, 12.5)]
+    polar = lambda table: table["gamma_b_abs"] * np.exp(1j * table["gamma_b_arg"])
+    for table in tables[::2]:
+        for name in runner.ROW_FIELDS:
+            if engine == "fock" and name.startswith("gamma_b"):
+                continue
+            gap = np.abs(np.subtract(table[name], tables[1][name], dtype=float))
+            assert np.max(gap) <= 1e-13, name
+        if engine == "fock":  # good to FOCK_GAMMA_B_RTOL by design, or NaN on the same rows
+            nan = np.isnan(tables[1]["gamma_b_abs"])
+            assert np.array_equal(np.isnan(table["gamma_b_abs"]), nan)
+            gap = np.abs(polar(table) - polar(tables[1]))[~nan]
+            assert np.all(gap <= runner.FOCK_GAMMA_B_RTOL * np.abs(polar(tables[1]))[~nan])
 
 
 def test_run_scenario_is_deterministic(tmp_path):
@@ -193,7 +213,7 @@ def test_stacked_rows_match_per_time_reference(tmp_path, case, phi):
             p_ee=rec.p_ee, p_eg=rec.p_eg, p_ge=rec.p_ge, p_gg=rec.p_gg, eta=rec.eta,
             purity_e=mc.purity(rho_e), purity_g=mc.purity(rho_g),
             defect_e=mc.idempotency_defect(rho_e), defect_g=mc.idempotency_defect(rho_g),
-            recurrence_warning=bool(t > bathmod.RECURRENCE_FRACTION * band.recurrence_time),
+            recurrence_warning=bool(t > bathmod.RECURRENCE_FRACTION * mc.recurrence_time(band)),
         )
         expected["lam_e_plus"], expected["lam_e_minus"] = lam_pair(rho_e)
         expected["lam_g_plus"], expected["lam_g_minus"] = lam_pair(rho_g)
