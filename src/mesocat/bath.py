@@ -72,10 +72,10 @@ def recurrence_time(bath) -> float:
 def _spectrum(bath) -> tuple[np.ndarray, ...]:
     """(distinct detunings w, root origin in w, offset, residue); coincident modes merge.
 
-    sum_j r_j lam_j^n (n = 0, 1, 2) must be 1, 0 and sum g_k^2 to within
-    sum_j r_j a_j^n ((34 + roots) eps + 4 s_j), a_j = |w[origin]| + |tau|:
-    lam_j is known to eps a_j + s_j |tau| (s_j the solver's slack), which moves
-    r_j by 2 s_j as |F''| <= 2 F' / |tau|; r_j is good to 32 ulps, a sum to 1 a term.
+    sum_j r_j lam_j^n (n = 0, 1, 2) must be 1, 0 and sum g_k^2 to within sum_j r_j a_j^n
+    ((34 + roots) eps + 4 s_j), a_j = |w[origin]| + |tau|: lam_j is known to eps a_j + s_j |tau|
+    (s_j the solver's slack), which moves r_j by 2 s_j as |F''| <= 2 F' / |tau|; r_j is good to
+    32 ulps, a sum to 1 a term.  The bound assumes normal floats, not subnormal ones.
     """
     detunings, couplings = _bath(bath)
     w, mode = np.unique(detunings, return_inverse=True)
@@ -86,10 +86,10 @@ def _spectrum(bath) -> tuple[np.ndarray, ...]:
     origin, tau, residue, slack = map(np.concatenate, solved)
     lam, size = w[origin] + tau, np.abs(w[origin]) + np.abs(tau)
     bound = residue * ((35 + w.size) * EPS + 4.0 * slack)
-    for n, exact in enumerate((1.0, 0.0, c2.sum())):
-        terms = residue * lam**n
-        if not abs(terms.sum() - exact) <= np.sum(bound * size**n):
-            raise AuditError(f"bath spectrum: moment {n} is {terms.sum()!r}, not {exact!r}")
+    for n, exact in enumerate((1.0, 0.0, float(c2.sum()))):
+        total = float(np.sum(residue * lam**n))
+        if not abs(total - exact) <= np.sum(bound * size**n):
+            raise AuditError(f"bath spectrum: moment {n} is {total!r}, not {exact!r}")
     return w, origin, tau, residue
 
 

@@ -238,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the scenario JSON")
         if name == "sweep":
             cmd.add_argument("--param", required=True, help=f"one of {SWEEPABLE}")
-            cmd.add_argument("--values", required=True, help="comma-separated numbers")
+            cmd.add_argument("--values", required=True, help="comma-separated numbers; write "
+                             "--values=-0.5,0.5 when the first is negative")
     return parser
 
 

@@ -1,16 +1,18 @@
-"""Exact algebra of coherent-state superpositions in a non-orthogonal basis.
+"""Exact algebra of coherent-state superpositions of two labels in a non-orthogonal basis.
 
 A prepared field state, its environment empty, is one complex array (2, n), ``w, l = state``:
-the weights of its coherent branches over their labels; states stack as arrays (..., 2, n).  A
-linear damping flow with response g and depletion B (``damped_density``) leaves a field
-density over the labels a_i g: weights w_i, labels l_i and a Hermitian coherence exponent K
-with a zero diagonal, rho = sum_ij w_i conj(w_j) exp(K_ij) |l_i><l_j|.  No Fock space is
-truncated here.  Every norm, trace, probability and occupation, and each coefficient of the
-2x2 spectral form, is one quadratic form sum_ij a_i conj(b_j) exp(G_ij) of one pivoted
-kernel, ``_form``, whose terms keep their relative accuracy: weights of size 1/|l_1 - l_2|
-that cancel over nearly coincident labels, or near the vacuum, lose no digits.  Spectra
-(eigenvalues only) and purities read one Hermitian 2x2 matrix in the orthonormalised basis
-|l_1> +- |l_2>; no Gram matrix is inverted, no label merged and no trace rescaled.
+the weights of its n = 1 or 2 coherent branches over their labels; states stack as arrays
+(..., 2, n).  A linear damping flow with response g and depletion B (``damped_density``)
+leaves a field density over the labels a_i g: weights w_i, labels l_i and a Hermitian coherence
+exponent K with a zero diagonal, rho = sum_ij w_i conj(w_j) exp(K_ij) |l_i><l_j|.  No Fock
+space is truncated here.  Every norm, trace, probability and occupation, and each coefficient
+of the 2x2 spectral form, is one closed four-term form sum_ij a_i conj(b_j) exp(G_ij),
+``_form``, pivoted on its largest term so that each term keeps its relative accuracy: weights
+of size 1/|l_1 - l_2| that cancel over nearly coincident labels, or near the vacuum, lose no
+digits.  A state or density of more than two labels raises :class:`UnsupportedInputError`
+where it is read.  Spectra (eigenvalues only) and purities read one Hermitian 2x2 matrix in
+the orthonormalised basis |l_1> +- |l_2>; no Gram matrix is inverted, no label merged and no
+trace rescaled.
 
 Densities stack, labels (..., n) and exponents (..., n, n), every function mapping over the
 leading axes with the code that serves one density; the run path's axes are (time, protocol,
@@ -53,68 +55,62 @@ def _product(x, y) -> np.ndarray:
     return np.einsum("...,...->...", x, y)
 
 
-def _form(a, b, expo=None, labels=None, phase=0.0, offsets=None):
-    """sum_ij a_i conj(b_j) exp(G_ij), G_ij = expo_ij + log <l_j|l_i e^{i phase}>, on leading axes.
+def _two(w):
+    """(w_1, w_2) of weights over one or two labels.  One label l is read as the pair (l, l) with
+    a zero second weight: index -1 then reads l, a zero offset and a zero exponent."""
+    return w[..., 0], (w[..., 1] if w.shape[-1] == 2 else np.zeros_like(w[..., 0]))
 
-    ``expo`` (zero diagonal, -inf allowed) and ``labels`` default to zero, ``offsets`` l_i - l_1
-    to the labels' differences.  Pivoted on the ket label x_k = l_k e^{i phase} and the bra
-    label y_m = l_m of largest Re G_km, both swapped to the front, G_ij = G_11 + alpha_i +
-    beta_j + c_ij with alpha and beta from the offsets and c_ij = expo_ij - expo_i1 - expo_1j +
-    expo_11 + conj(y_j - y_1)(x_i - x_1), the sum is, each term to its own relative accuracy
-    and none above its pivot's size,
-        e^{G_11} [(sum a + sum_i a_i expm1(alpha_i)) (sum conj b + sum_j conj(b_j) expm1(beta_j))
-                  - sum_{i,j>1} a_i conj(b_j) e^{G_ij - G_11} expm1(-c_ij)].
+
+def _form(a, b, kappa=0.0, labels=None, phase=0.0, offsets=None):
+    """sum_ij a_i conj(b_j) exp(G_ij) over two labels, G_ij = K_ij + log <l_j|l_i e^{i phase}>.
+
+    K is Hermitian with a zero diagonal and K_12 = ``kappa`` (-inf allowed); ``labels``
+    default to zero, ``offsets`` l_i - l_1 to the labels' differences; leading axes broadcast.
+    Pivoted on the ket k and bra m of largest Re G_km (k = m = 1 at phase 0), k' and m' the
+    other labels, alpha = G_k'm - G_km, beta = G_km' - G_km and c = G_k'm' - G_k'm - G_km' +
+    G_km = +-(|d|^2 e^{i phase} - 2 Re K_12), + where k = m, are formed from the offset
+    d = l_2 - l_1, and the sum, each term to its own relative accuracy, none above the pivot, is
+        e^{G_km} [(a_k + a_k' e^alpha) (conj(b_m) + conj(b_m') e^beta)
+                  + a_k' conj(b_m') e^{alpha + beta} expm1(c)],
+    the last term taken as -a_k' conj(b_m') e^{alpha + beta + c} expm1(-c) where Re c >= 0.
     """
-    n, b = np.shape(a)[-1], np.conj(b)
     cross = lambda u, v: u.real * v.imag - u.imag * v.real  # Im(conj(u) v)
-    expo = np.zeros((n, n), dtype=complex) if expo is None else np.asarray(expo)
-    alpha = beta = np.zeros(n - 1)  # the labels' parts of alpha, beta and c, none without labels
-    c, g11 = 0.0, None
-    if labels is not None:
-        y = np.asarray(labels)
-        y1, d = y[..., :1], y - y[..., :1] if offsets is None else np.asarray(offsets)
-        dx = dy = d[..., 1:]  # at phase 0 the pivot is the first label: alpha_i = log <y_1|y_i>
-        alpha = 1j * cross(y1, dy) - 0.5 * _abs2(dy)
+    (a1, a2), (b1, b2) = _two(np.asarray(a)), _two(np.conj(b))
+    l1, l2 = (0.0, 0.0) if labels is None else (labels[..., 0], labels[..., -1])
+    d = l2 - l1 if offsets is None else offsets[..., -1] - offsets[..., 0]
+    if np.any(phase):  # Re G of the four pairs; ties keep the first bra label, then the first ket
+        turn = np.expm1(1j * np.asarray(phase, dtype=float)) + 1.0  # e^{i phase}
+        x1, x2 = _product(l1, turn), _product(l2, turn)
+        r11, r21 = -0.5 * _abs2(x1 - l1), kappa.real - 0.5 * _abs2(x2 - l1)
+        r12, r22 = kappa.real - 0.5 * _abs2(x1 - l2), -0.5 * _abs2(x2 - l2)
+        br = np.maximum(r12, r22) > np.maximum(r11, r21)  # whether m = 2
+        kt = np.where(br, r22 > r12, r21 > r11)  # whether k = 2
+        ak, ak2 = np.where(kt, a2, a1), np.where(kt, a1, a2)
+        bm, bm2 = np.where(br, b2, b1), np.where(br, b1, b2)
+        ym = l1 + np.where(br, d, 0.0)  # the bra pivot y_m; x_k - y_m, x_k' - x_k and y_m' - y_m
+        gap = _product(l1 + np.where(kt, d, 0.0), turn) - ym
+        dx, dy = _product(np.where(kt, -d, d), turn), np.where(br, -d, d)
+        alpha = 1j * cross(ym + gap, dx) - _product(np.conj(gap), dx) - 0.5 * _abs2(dx)
+        beta = _product(np.conj(dy), gap) - 1j * cross(ym, dy) - 0.5 * _abs2(dy)
+        kf = np.where(kt, np.conj(kappa), kappa)  # K_kk'
+        pivot, side = np.where(kt == br, 0.0, kf), np.where(kt == br, kf, 0.0)  # K_km, K_km'
+        g = pivot - 0.5 * _abs2(gap) + 1j * cross(ym, gap)  # G_km
+    else:  # at phase 0 the first pair is the pivot, and G_11 = 0
+        ak, ak2, bm, bm2, dx, dy = a1, a2, b1, b2, d, d
+        pivot, side, g = 0.0, kappa, 0.0
+        alpha = 1j * cross(l1, d) - 0.5 * _abs2(d)
         beta = np.conj(alpha)
-    if labels is not None and np.any(phase):
-        turn = np.expm1(1j * np.asarray(phase, dtype=float))[..., None] + 1.0  # e^{i phase}
-        full = np.broadcast_shapes(*(np.shape(v)[:-1] for v in (a, b, d, expo[..., 0], turn)))
-        full += (n,)
-        x = _product(y, turn)  # the ket labels
-        reach = expo.real - 0.5 * _abs2(x[..., :, None] - y[..., None, :])  # Re G_ij
-        # the pivot (ket k, bra m), bra-major so that ties keep the first bra label
-        flat = np.broadcast_to(np.swapaxes(reach, -1, -2), full + (n,)).reshape(-1, n * n)
-        mk, idx = np.array(np.divmod(np.argmax(flat, axis=-1), n))[..., None], np.arange(n)
-        bra, ket = np.where(idx == mk, 0, np.where(idx == 0, mk, idx))  # 0 and m, or k, swapped
-        row = n * np.arange(len(flat))[:, None]  # flat indices into (stack, n), then (stack, n, n)
-        pick = lambda v, order: np.broadcast_to(v, full).ravel()[row + order].reshape(full)
-        a, b, dk, db = pick(a, ket), pick(b, bra), pick(d, ket), pick(d, bra)
-        cell = n * (row[..., None] + ket[..., None]) + bra[:, None, :]
-        expo = np.broadcast_to(expo, full + (n,)).ravel()[cell].reshape(full + (n,))
-        # after the swaps: the bra pivot y_1, offsets y_j - y_1 and x_i - x_1, gap = x_1 - y_1
-        y1, dy = y1 + db[..., :1], db[..., 1:] - db[..., :1]
-        dx = _product(dk[..., 1:] - dk[..., :1], turn)
-        gap = _product(y[..., :1] + dk[..., :1], turn) - y1
-        u = y1 + gap  # x_1
-        alpha = 1j * cross(u, dx) - _product(np.conj(gap), dx) - 0.5 * _abs2(dx)
-        beta = _product(np.conj(dy), gap) - 1j * cross(y1, dy) - 0.5 * _abs2(dy)
-        g11 = expo[..., 0, 0] - 0.5 * _abs2(gap[..., 0]) + 1j * cross(y1, gap)[..., 0]
-        expo = expo - expo[..., :1, :1]  # expo_11 = 0 from here on, as at phase 0
-    if labels is not None:
-        c = _product(dx[..., :, None], np.conj(dy)[..., None, :])
-    inner, outer = expo[..., 1:, 1:] + c, expo[..., 1:, :1] + expo[..., :1, 1:]
-    # e^{G_ij - G_11} expm1(-c_ij) = -e^{alpha_i + beta_j + outer_ij} expm1(c_ij), c_ij = inner -
-    # outer: the side whose expm1 takes Re <= 0, so that no factor overflows past the pivot
+    # K_k'm - K_km, K_km' - K_km and K_k'm' - K_km, as K_k'm = conj(K_km') and K_k'm' = conj(K_km)
+    ka, kb, kc = np.conj(side) - pivot, side - pivot, np.conj(pivot) - pivot
+    inner, outer = kc + _product(dx, np.conj(dy)), ka + kb  # c = inner - outer
+    # the mixed term from the side whose expm1 takes Re <= 0, so that no factor overflows
     flip = (inner - outer).real < 0.0
-    ab = alpha[..., :, None] + beta[..., None, :]
-    mixed = _product(np.exp(ab + np.where(flip, outer, inner)),
+    mixed = _product(np.exp(alpha + beta + np.where(flip, outer, inner)),
                      np.expm1(np.where(flip, inner - outer, outer - inner)))
-    mixed = np.where(flip, -mixed, mixed)
-    left = a.sum(axis=-1) + _product(a[..., 1:], np.expm1(alpha + expo[..., 1:, 0])).sum(axis=-1)
-    right = b.sum(axis=-1) + _product(b[..., 1:], np.expm1(beta + expo[..., 0, 1:])).sum(axis=-1)
-    edge = _product(_product(a[..., 1:, None], b[..., None, 1:]), mixed).sum(axis=(-2, -1))
-    body = _product(left, right) - edge
-    return body if g11 is None else _product(np.exp(g11), body)
+    left = ak + ak2 + _product(ak2, np.expm1(alpha + ka))
+    right = bm + bm2 + _product(bm2, np.expm1(beta + kb))
+    body = _product(left, right) - _product(_product(ak2, bm2), np.where(flip, -mixed, mixed))
+    return _product(np.exp(g), body)
 
 
 def _require(ok, error: type[Exception], message: str, values, batch: int = 0) -> None:
@@ -137,23 +133,21 @@ def overlap(a: complex, b: complex) -> complex:
     return cmath.exp(_exponent(a, b))
 
 
-def _gram_exponents(labels: np.ndarray) -> np.ndarray:
-    """E[..., p, q] = log <l_p|l_q> for labels (..., n) of one mode: Hermitian, zero diagonal."""
-    return _exponent(labels[..., :, None], labels[..., None, :])
-
-
 # ---------------------------------------------------------------------------
 # states
 
 
 def _state(state) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, labels), S + (n,), of a state (2, n), weights over labels, or of a stack."""
+    """(weights, labels), S + (n,), of a state (2, n), weights over n = 1 or 2 labels, or of a
+    stack; more labels raise :class:`UnsupportedInputError`."""
     try:
         state = np.asarray(state, dtype=complex)
     except ValueError:  # numpy's error for ragged nested lists
         raise InvalidArgumentError("stacked states need equal branch counts") from None
     if state.shape[-2:-1] != (2,) or not state.shape[-1]:
         raise InvalidArgumentError(f"state needs at least one branch, in (2, n): got {state.shape}")
+    if state.shape[-1] > 2:
+        raise UnsupportedInputError(f"a state needs one or two branches, got {state.shape[-1]}")
     weights, labels = state[..., 0, :], state[..., 1, :]
     for name, part in (("weight", weights), ("field label", labels)):
         bad = part[~np.isfinite(part)]
@@ -200,12 +194,13 @@ class _PairForm(NamedTuple):
 class ReducedDensity:
     """Field density rho = sum_ij w_i conj(w_j) exp(K_ij) |labels[i]><labels[j]|, or a stack.
 
-    ``labels`` has shape (..., n), the leading axes indexing the stack (e.g. a time grid);
-    ``weights`` (the w_i) broadcast against it.  ``expo`` is K, (..., n, n), Hermitian with a
-    zero diagonal (K_ij = -inf: no coherence left between branches i and j).  A failed check
-    does not name the last ``batch`` stack axes (e.g. protocol and outcome).  ``offsets``,
-    l_i - l_1, default to the labels' differences; a damped density's, g (a_i - a_1), keep
-    the relative accuracy that the rounded damped labels' differences lose.
+    ``labels`` has shape (..., n), n = 1 or 2 (more raise :class:`UnsupportedInputError`), the
+    leading axes indexing the stack (e.g. a time grid); ``weights`` (the w_i) broadcast against
+    it.  ``expo`` is K, (..., n, n), Hermitian with a zero diagonal (K_ij = -inf: no coherence
+    left between branches i and j).  A failed check does not name the last ``batch`` stack
+    axes (e.g. protocol and outcome).  ``offsets``, l_i - l_1, default to the labels'
+    differences; a damped density's, g (a_i - a_1), keep the relative accuracy that the
+    rounded damped labels' differences lose.
     """
 
     labels: np.ndarray
@@ -223,6 +218,8 @@ class ReducedDensity:
         n = labels.shape[-1:]
         if not n or weights.shape[-1:] != n or expo.shape[-2:] != 2 * n or offsets.shape[-1:] != n:
             raise InvalidArgumentError("weights, offsets and coherence exponents must match labels")
+        if n[0] > 2:
+            raise UnsupportedInputError(f"a density needs one or two labels, got {n[0]}")
         zero_diagonal = np.all(np.diagonal(expo, axis1=-2, axis2=-1) == 0.0, axis=-1)
         hermitian = np.all(expo == np.conj(np.swapaxes(expo, -1, -2)), axis=(-2, -1))
         _require(zero_diagonal & hermitian, InvalidArgumentError,
@@ -243,19 +240,13 @@ class ReducedDensity:
 
     @functools.cached_property
     def _pair(self) -> _PairForm:
-        n = self.labels.shape[-1]
-        if n > 2:
-            raise UnsupportedInputError(f"spectra need one or two labels, got {n}")
-        # one label l is read as the pair (l, l) with the second weight zero
-        pair, w = slice(None) if n == 2 else [0, 0], self.weights
-        expo, l1 = self.expo[..., pair, :][..., pair], self.labels[..., 0]
-        k12, d = expo[..., 0, 1], self.offsets[..., pair][..., 1]
-        w1, w2 = np.moveaxis(np.concatenate([w, np.zeros_like(w)], axis=-1)[..., :2], -1, 0)
+        (w1, w2), k12 = _two(self.weights), self.expo[..., 0, -1]
+        l1, d = self.labels[..., 0], self.offsets[..., -1]
         # rho = sum N_xy |x><y| over |s> = |l1> + |l2>, |d> = |l1> - |l2>: three forms
         plus, minus = np.stack([w1, w2], axis=-1), np.stack([w1, -w2], axis=-1)
         n_ss, n_dd, n_sd = np.moveaxis(_form(np.stack([plus, minus, plus], axis=-2),
                                              np.stack([plus, minus, minus], axis=-2),
-                                             expo[..., None, :, :]), -1, 0)
+                                             k12[..., None]), -1, 0)
         n_ss, n_dd, n_sd = 0.25 * n_ss.real, 0.25 * n_dd.real, 0.25 * n_sd
         # Gram: <s|s> = 4 + 2 Re eps, <d|s> = 2i Im eps, eps = <l1|l2> - 1, det_s = -4 expm1(-|d|^2)
         eps = np.expm1(1j * (l1.real * d.imag - l1.imag * d.real) - 0.5 * _abs2(d))
@@ -284,7 +275,7 @@ def damped_density(state, g, depletion) -> ReducedDensity:
     """
     weights, labels = _state(state)
     g, depletion = np.asarray(g, dtype=complex), np.asarray(depletion, dtype=float)
-    expo = np.multiply.outer(depletion, np.swapaxes(_gram_exponents(labels), -1, -2))
+    expo = np.multiply.outer(depletion, _exponent(labels[..., None, :], labels[..., :, None]))
     rho = ReducedDensity(np.multiply.outer(g, labels), weights, expo, weights.ndim - 1,
                          np.multiply.outer(g, labels - labels[..., :1]))
     tr = rho.trace()
@@ -303,9 +294,9 @@ def damped_occupations(state, g, depletion) -> tuple[np.ndarray, ...]:
     weights, labels = _state(state)
     g2, depletion = _abs2(np.asarray(g, dtype=complex)), np.asarray(depletion, dtype=float)
     v, a1 = _product(weights, labels - labels[..., :1]), labels[..., 0]
-    expo = np.multiply.outer(g2 + depletion, np.swapaxes(_gram_exponents(labels), -1, -2))
+    k12 = np.multiply.outer(g2 + depletion, _exponent(labels[..., -1], a1))  # s log <a_2|a_1>
     a, b = np.stack([weights, weights, v], axis=-2), np.stack([weights, v, v], axis=-2)
-    f_ww, f_wv, f_vv = np.moveaxis(_form(a, b, expo[..., None, :, :]), -1, 0)
+    f_ww, f_wv, f_vv = np.moveaxis(_form(a, b, k12[..., None]), -1, 0)
     _require(np.abs(f_ww.real - 1.0) <= EIGENVALUE_TOL, PositivityError,
              "reduced density trace differs from 1 beyond roundoff", f_ww.real, weights.ndim - 1)
     q = _abs2(a1) * f_ww.real + 2.0 * _product(a1, f_wv).real + f_vv.real
@@ -318,8 +309,7 @@ def eigenvalues(rho: ReducedDensity) -> np.ndarray:
 
     rho's Hermitian 2x2 (a, b; conj(b), d) in an orthonormal basis of the span has the larger
     eigenvalue (a + d)/2 + hypot(a - d, 2|b|)/2 and the smaller one det / larger, clamped to
-    [0, 1] within ``EIGENVALUE_TOL``: further out raises :class:`PositivityError`, and more
-    than two labels raise :class:`UnsupportedInputError`.
+    [0, 1] within ``EIGENVALUE_TOL``: further out raises :class:`PositivityError`.
     """
     m = rho._pair
     half = 0.5 * np.hypot(m.a - m.d, 2.0 * np.abs(m.b))
@@ -352,7 +342,7 @@ def _phase_forms(phases, rho: ReducedDensity):
     """Tr[exp(i phase a^dag a) rho], (..., m), for phases (..., m) whose leading axes broadcast
     against the stack: the forms of the weights at the ket labels l_i e^{i phase}."""
     w = rho.weights[..., None, :]
-    return _form(w, w, rho.expo[..., None, :, :], rho.labels[..., None, :], phases,
+    return _form(w, w, rho.expo[..., None, 0, -1], rho.labels[..., None, :], phases,
                  rho.offsets[..., None, :])
 
 

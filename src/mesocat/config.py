@@ -135,8 +135,8 @@ def _parse_phi(raw, path: str) -> float:
             val = math.inf
     else:
         raise ConfigError(path, "must be a number or a rabi/detuning/t_int object")
-    if not math.isfinite(val):
-        raise ConfigError(path, "must be finite")
+    if not math.isfinite(2.0 * val):  # the measurement operator's phases differ by up to 2 phi
+        raise ConfigError(path, "2 phi must be finite" if math.isfinite(val) else "must be finite")
     return val
 
 
@@ -227,7 +227,7 @@ SWEEPABLE = ("phi", "alpha0_re", "gamma")
 def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
     """Return a copy of the scenario with one swept parameter replaced."""
     if param == "phi":
-        return replace(cfg, phi=value)
+        return replace(cfg, phi=_parse_phi(float(value), "sweep.values"))
     if param == "alpha0_re":
         return replace(cfg, alpha0=complex(value, cfg.alpha0.imag))
     if param == "gamma":

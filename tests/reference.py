@@ -9,7 +9,8 @@ no code with the secular spectrum of ``mesocat.bath``.  The diagnostics read
 the occupations, Gamma_a, Gamma_b and the transferred excitation off such
 branches.  :func:`hamiltonian_state` is the brute-force field+bath oracle.
 ``mean_photon`` and ``phase_op_matrix_element`` evaluate a density or a pair of
-coefficient vectors through the same quadratic form as ``coherent.expectation``;
+coefficient vectors as plain sums over every pair of labels, sharing no code with
+the library's pivoted two-label form;
 :func:`label_eigenpairs` gives a density's eigenvectors as such coefficients from
 scipy's generalized ``eigh`` (the library computes eigenvalues only); ``value_at`` reads an operator (weights, phases) on a number state, and ``joint``
 stacks the densities conditioned on e and on g as ``conditional_probabilities``
@@ -28,7 +29,7 @@ from scipy.sparse.linalg import expm_multiply
 
 import mesocat as mc
 from mesocat import fock
-from mesocat.coherent import NORM_FLOOR, ReducedDensity, _form
+from mesocat.coherent import NORM_FLOOR, ReducedDensity
 
 #: eigenvector columns refined at a time; bounds the long-double work arrays
 COLUMN_BLOCK = 256
@@ -199,18 +200,28 @@ def excitation_sum(branches) -> float:
     return float(np.sum(np.abs(bath) ** 2))
 
 
+def _log_overlap(bra, ket):
+    """log <bra|ket> of coherent labels, elementwise."""
+    return np.conj(bra) * ket - 0.5 * (np.abs(bra) ** 2 + np.abs(ket) ** 2)
+
+
 def mean_photon(rho: ReducedDensity):
     """<a^dag a> of the field density: sum_ij w_i conj(w_j) exp(K_ij) conj(l_j) l_i <l_j|l_i>."""
     wl = rho.weights * rho.labels
-    return _form(wl, wl, rho.expo, rho.labels).real
+    ket, bra = rho.labels[..., :, None], rho.labels[..., None, :]
+    terms = wl[..., :, None] * np.conj(wl)[..., None, :] * np.exp(rho.expo + _log_overlap(bra, ket))
+    return terms.sum(axis=(-2, -1)).real
 
 
 def phase_op_matrix_element(op, labels, bra_coeff, ket_coeff):
-    """<v_bra| op |v_ket> of op = (weights, phases) for vectors given as coefficients over labels."""
+    """<v_bra| op |v_ket> of op = (weights, phases) for vectors given as coefficients over labels:
+    sum_m w_m sum_ij ket_i conj(bra_j) <l_j|l_i e^{i phase_m}>."""
     weights, phases = op
-    labels, bra, ket = (np.asarray(x, dtype=complex)[..., None, :]
-                        for x in (labels, bra_coeff, ket_coeff))
-    return (_form(ket, bra, labels=labels, phase=phases) * weights).sum(axis=-1)
+    labels, bra, ket = (np.asarray(x, dtype=complex) for x in (labels, bra_coeff, ket_coeff))
+    turned = labels[..., None, :, None] * np.exp(1j * np.asarray(phases))[..., :, None, None]
+    pairs = ket[..., None, :, None] * np.conj(bra)[..., None, None, :]
+    forms = (pairs * np.exp(_log_overlap(labels[..., None, None, :], turned))).sum(axis=(-2, -1))
+    return (forms * weights).sum(axis=-1)
 
 
 def label_eigenpairs(rho: ReducedDensity) -> tuple[np.ndarray, np.ndarray]:

@@ -552,6 +552,30 @@ def test_exit_2_on_a_coupling_triple_whose_phi_overflows(tmp_path, capsys, phi):
     assert capsys.readouterr().err.strip() == f"error: config {path}: phi: must be finite"
 
 
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_exit_2_on_a_phi_whose_double_overflows(tmp_path, capsys, case):
+    # U^dag U's phases differ by up to 2 phi, which the largest finite phi overflows; the largest
+    # phi whose double is finite runs
+    for phi in (1.7e308, -1.7e308):
+        path = write_config(tmp_path, base_config(tmp_path, case=case, phi=phi))
+        assert cli.main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: config {path}: phi: 2 phi must be finite\n"
+    path = write_config(tmp_path, base_config(tmp_path, case=case, phi=sys.float_info.max / 2))
+    assert cli.main(["run", "--config", path]) == 0
+
+
+def test_sweep_over_a_negative_first_value_takes_the_equals_form(tmp_path, capsys):
+    # argparse reads "-0.5,0.5" after a space as an option; "--values=-0.5,0.5" is the value
+    path = write_config(tmp_path, base_config(tmp_path, case="b"))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["sweep", "--config", path, "--param", "phi", "--values", "-0.5,0.5"])
+    assert exit_info.value.code == 2
+    assert "--values: expected one argument" in capsys.readouterr().err
+    assert cli.main(["sweep", "--config", path, "--param", "phi", "--values=-0.5,0.5"]) == 0
+    _, rows = read_csv(tmp_path / "out.csv")
+    assert sorted({row["sweep_value"] for row in rows}) == [-0.5, 0.5]
+
+
 def test_exit_2_on_unknown_sweep_param(tmp_path, capsys):
     path = write_config(tmp_path, base_config(tmp_path))
     assert cli.main(["sweep", "--config", path, "--param", "nope", "--values", "1"]) == 2
@@ -565,6 +589,7 @@ def test_exit_2_on_unknown_sweep_param(tmp_path, capsys):
 @pytest.mark.parametrize("param, values, message", [
     ("gamma", "0", "sweep.values: gamma must stay positive"),
     ("phi", "1,abc", "sweep.values: not a number: 'abc'"),
+    ("phi", "0.5,1.7e308", "sweep.values: 2 phi must be finite"),
 ])
 def test_exit_2_on_a_bad_sweep_value(tmp_path, capsys, param, values, message):
     path = write_config(tmp_path, base_config(tmp_path))
@@ -649,12 +674,13 @@ def test_exit_4_on_positivity_violation(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("fault", ["residue", "stalled"])
 def test_exit_1_on_a_corrupted_bath_spectrum(tmp_path, monkeypatch, capsys, fault):
     # one residue off by 1e-9 breaks sum r = 1; one sweep leaves the roots unconverged
-    solve = bathmod._solve_block
+    solve, residues = bathmod._solve_block, []
 
     def corrupted(w, c2, j):
         origin, tau, residue, slack = solve(w, c2, j)
         if j[0] == 0:
             residue[25] += 1e-9
+        residues.append(residue)
         return origin, tau, residue, slack
 
     if fault == "residue":
@@ -664,8 +690,11 @@ def test_exit_1_on_a_corrupted_bath_spectrum(tmp_path, monkeypatch, capsys, faul
     cfg = base_config(tmp_path, engine="microscopic", bath=BAND_51)
     del cfg["master"]
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 1
-    message = "moment 0 is" if fault == "residue" else "roots not converged after 1 sweeps"
-    assert capsys.readouterr().err.startswith(f"error: bath spectrum: {message}")
+    if fault == "residue":  # the sum as the audit forms it, printed as a Python float
+        message = f"moment 0 is {float(np.sum(np.concatenate(residues)))!r}, not 1.0"
+    else:
+        message = "roots not converged after 1 sweeps"
+    assert capsys.readouterr().err == f"error: bath spectrum: {message}\n"
     assert not (tmp_path / "out.csv").exists()
 
 

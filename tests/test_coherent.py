@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import mesocat as mc
 from mesocat import DetectionOutcome as Out
 from mesocat import ProtocolCase as Case
-from mesocat.coherent import _gram_exponents
+from mesocat.coherent import _exponent
 from reference import (
     evolve,
     label_eigenpairs,
@@ -135,7 +135,8 @@ def test_overlap_rejects_non_finite(bad):
 
 def gram(labels):
     """Overlap matrix <l_p|l_q> as the densities build it: exp of the shared Gram exponents."""
-    return np.exp(_gram_exponents(np.asarray(labels, dtype=complex)))
+    labels = np.asarray(labels, dtype=complex)
+    return np.exp(_exponent(labels[:, None], labels[None, :]))
 
 
 def test_gram_single_label():
@@ -251,10 +252,10 @@ def test_reduce_bath_overlap_dampens_coherence():
 
 
 def test_reduce_merge_boundary_keeps_unit_trace():
-    # two field labels 5.9e-8 apart with different bath labels: every
-    # branch is kept, and the trace is 1 without any rescaling
-    rho = reduce(normalize([(1.0, 0.0, (0j,)), (1.0, 1.0, (0j,)), (1j, 5.9e-8j, (1.0 + 0j,))]))
-    assert len(rho.labels) == 3
+    # two field labels 5.9e-8 apart with different bath labels: both
+    # branches are kept, and the trace is 1 without any rescaling
+    rho = reduce(normalize([(1.0, 0.0, (0j,)), (1j, 5.9e-8j, (1.0 + 0j,))]))
+    assert len(rho.labels) == 2
     assert rho.trace() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -266,7 +267,7 @@ def test_reduce_merge_boundary_keeps_unit_trace():
             st.floats(-1.2, 1.2),
         ),
         min_size=1,
-        max_size=3,
+        max_size=2,
     )
 )
 def test_reduce_trace_is_one(branch_data):
@@ -391,13 +392,20 @@ def test_reduced_density_rejects_bad_exponents():
 
 
 def test_spectra_of_three_labels_are_unsupported():
-    state = mc.normalize([[1.0, 1.0, 1.0], [0j, 1 + 0j, 1j]])
-    rho = fresh(state)
-    assert rho.trace() == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(mc.UnsupportedInputError):
-        mc.eigenvalues(rho)
-    with pytest.raises(mc.UnsupportedInputError):
-        mc.purity(rho)
+    # the field is a superposition of two coherent states: every reader refuses a third label
+    # where it reads the state or the density, so no norm, density, occupation, spectrum or
+    # expectation value is formed over three labels
+    state = [[1.0, 1.0, 1.0], [0j, 1 + 0j, 1j]]
+    for read in (mc.coherent.squared_norm, mc.normalize, lambda s: mc.damped_density(s, 1.0, 0.0),
+                 lambda s: mc.damped_occupations(s, 1.0, 0.0),
+                 lambda s: mc.fock.superposition_vector(s, 19)):
+        for states in (state, [state, state]):
+            with pytest.raises(mc.UnsupportedInputError) as err:
+                read(states)
+            assert str(err.value) == "a state needs one or two branches, got 3"
+    with pytest.raises(mc.UnsupportedInputError) as err:  # which eigenvalues, purity and
+        mc.ReducedDensity(state[1], state[0], np.zeros((3, 3)))  # expectation would read
+    assert str(err.value) == "a density needs one or two labels, got 3"
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +583,49 @@ def test_phase_forms_at_large_amplitudes_match_a_50_digit_sum(case, phi):
                             b_t * log_overlap(aj, ai) + log_overlap(aj * g_t, ai * g_t * turn))
                             for wi, ai in zip(weights, labels) for wj, aj in zip(weights, labels))
                         assert abs(forms[t, o, k] - complex(exact)) <= 1e-12, (r, t, o, psi)
+
+
+def test_every_pivot_and_mixed_term_side_matches_a_50_digit_sum():
+    # two-label forms sum_ij a_i conj(b_j) exp(G_ij), G_ij = K_ij + log <l_j|l_i e^{i phase}>,
+    # at |l_1| from 1 to 50: l_2 within 1e-8 to 1e-2 of l_1, or near l_1 e^{-+i phase} (ket 2 on
+    # bra 1, ket 1 on bra 2), or inside |l_1| (ket 2 on bra 2); phases small where the diagonal
+    # pairs must stay near, random otherwise.  Each form, and the same at phase 0, is compared
+    # with a 50-digit sum over the same float inputs.
+    rng = np.random.default_rng(20281)
+    n = 400
+    cnum = lambda *shape: rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    r = 50.0 ** rng.uniform(0, 1, n)
+    l1 = r * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    kind = rng.integers(0, 4, n)
+    phase = np.where(kind % 3 == 0, rng.uniform(-3, 3, n) / r, rng.uniform(-math.pi, math.pi, n))
+    tiny = 10.0 ** rng.uniform(-8, -2, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    l2 = np.choose(kind, [l1 + tiny, l1 * np.exp(-1j * phase) + cnum(n),
+                          l1 * np.exp(1j * phase) + cnum(n), l1 * rng.uniform(0.3, 1, n) + cnum(n)])
+    labels, a, b = np.stack([l1, l2], axis=-1), cnum(n, 2), cnum(n, 2)
+    kappa = np.where(rng.uniform(0, 1, n) < 0.7, -rng.exponential(1.0, n), 0.0)
+    kappa = kappa + 1j * rng.uniform(-3, 3, n)
+    # over nearly coincident labels, weights of size 1 / |l_2 - l_1| that cancel, and a
+    # coherence exponent of size |l_2 - l_1|^2, as a damped cat's
+    big, near = cnum(n, 2) / np.abs(tiny)[:, None], kind == 0
+    a, b = (np.where(near[:, None], np.stack([x, v[:, 1] - x], axis=-1), v)
+            for x, v in ((big[:, 0], a), (big[:, 1], b)))
+    kappa = np.where(near, kappa * np.abs(tiny) ** 2, kappa)
+    forms = [mc.coherent._form(a, b, kappa, labels, phase), mc.coherent._form(a, b, kappa, labels)]
+    seen, pairs = set(), [(i, j) for j in range(2) for i in range(2)]  # (ket, bra), bra-major
+    with mpmath.workdps(50):
+        for k in range(n):
+            y = [mpmath.mpc(x) for x in labels[k]]
+            expo = [[0, mpmath.mpc(kappa[k])], [mpmath.conj(mpmath.mpc(kappa[k])), 0]]
+            for form, psi in zip(forms, (phase[k], 0.0)):
+                x = [v * mpmath.expj(psi) for v in y]
+                g = [[expo[i][j] + mpmath.conj(y[j]) * x[i] - (abs(x[i]) ** 2 + abs(y[j]) ** 2) / 2
+                      for j in range(2)] for i in range(2)]
+                exact = sum(mpmath.mpc(a[k, i]) * mpmath.conj(mpmath.mpc(b[k, j]))
+                            * mpmath.exp(g[i][j]) for i, j in pairs)
+                assert abs(form[k] - exact) <= 1e-12 * abs(exact), (k, psi, form[k], exact)
+                i, j = max(pairs, key=lambda p: g[p[0]][p[1]].real)  # the pivot
+                seen.add(((i, j), (g[1 - i][1 - j] - g[1 - i][j] - g[i][1 - j] + g[i][j]).real < 0))
+    assert seen == {(pair, side) for pair in pairs for side in (False, True)}
 
 
 def test_damped_density_rejects_bath_and_unnormalized_states():
